@@ -37,7 +37,6 @@ from .specops import (
     discrete_wave_orbit,
     discrete_wave_step,
     functional_calculus,
-    spectral_apply,
     spectral_matrix,
     symmetry_commutator,
     torus_quarter_turn,

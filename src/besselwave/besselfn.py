@@ -214,22 +214,17 @@ def ode_residual(n: int, r: float) -> float:
 
 @dataclass(frozen=True)
 class BesselProfile:
-    """A fixed profile phi_n with its truncation policy.
+    """A fixed profile phi_n.
 
-    Thin convenience wrapper over the module functions; the coefficient
-    cache is shared and lock-guarded, so instances are safe to use from
-    several threads.
+    Thin convenience wrapper over the module functions; the series always
+    stops at the 2^-50 relative target.  The coefficient cache is shared
+    and lock-guarded, so instances are safe to use from several threads.
     """
 
     n: int
-    relative_target: float = 1e-15
 
     def __post_init__(self):
         _check_n(self.n)
-        if not (0.0 < self.relative_target < 1e-6):
-            raise BesselDomainError(
-                f"relative target must be a small positive number, got {self.relative_target}"
-            )
 
     def coefficient(self, k: int) -> Fraction:
         return series_coefficient(self.n, k)

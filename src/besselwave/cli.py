@@ -137,7 +137,8 @@ def _cmd_spectral(args) -> int:
         rng = np.random.default_rng(np.random.Philox(args.seed))
         state = rng.standard_normal(2 * domain.total_dim)
         state /= np.linalg.norm(state)
-        h = math.asin(args.wave_norm) / (2.0 * math.pi * args.max_freq)
+        # ||D_h|| is set by the largest |lambda|; a zero spectrum has D_h = 0 for every h.
+        h = math.asin(args.wave_norm) / (float(np.max(np.abs(domain.eigenvalues))) or 1.0)
         orbit = specops.discrete_wave_orbit(
             domain, h, state[: domain.total_dim], state[domain.total_dim :], args.wave_steps
         )

@@ -10,7 +10,9 @@ Three families are built here:
 Every domain carries the exterior-derivative blocks d_k, the assembled
 symmetric Dirac matrix D = d + d^T and its full eigendecomposition.  The
 basis is orthonormal, so adjoints are plain transposes and one dense
-symmetric eigensolver covers everything.
+symmetric eigensolver covers the functional calculus.  Per-degree spectra
+come from the d blocks instead: the Hodge Laplacian of degree k is
+L_k = d_{k-1} d_{k-1}^T + d_k^T d_k, an n_k x n_k matrix.
 """
 
 from __future__ import annotations
@@ -54,21 +56,13 @@ class ComplexClosureError(ValueError):
 
 @dataclass(frozen=True)
 class Cochain:
-    """Coefficient vector of a form in a domain basis, tagged with degree.
+    """Coefficient vector of a form in a domain basis, tagged with its degree."""
 
-    degree None marks a mixed-degree vector over the whole graded space
-    (produced e.g. by odd functions of the Dirac operator).
-    """
-
-    degree: int | None
+    degree: int
     coefficients: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
-
-    @property
-    def is_mixed(self) -> bool:
-        return self.degree is None
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
@@ -119,14 +113,9 @@ class SpectralDomain:
         return Cochain(degree, np.zeros(self.grading[degree]))
 
     def embed(self, c: Cochain) -> np.ndarray:
-        if c.is_mixed:
-            return np.array(c.coefficients, dtype=float)
         vec = np.zeros(self.total_dim)
         vec[self.degree_slice(c.degree)] = c.coefficients
         return vec
-
-    def extract(self, degree: int, vec: np.ndarray) -> Cochain:
-        return Cochain(degree, np.array(vec[self.degree_slice(degree)]))
 
     def d_full(self) -> np.ndarray:
         """The stacked exterior derivative (strictly lower block structure)."""
@@ -136,8 +125,15 @@ class SpectralDomain:
             out[self.degree_slice(k + 1), self.degree_slice(k)] = blk
         return out
 
-    def laplacian(self) -> np.ndarray:
-        return self.dirac @ self.dirac
+    def laplacian(self, k: int) -> np.ndarray:
+        """Hodge Laplacian of degree k, d_{k-1} d_{k-1}^T + d_k^T d_k."""
+        self.degree_slice(k)  # rejects a degree out of range
+        lap = np.zeros((self.grading[k], self.grading[k]))
+        if k > 0:
+            lap += self.d_blocks[k - 1] @ self.d_blocks[k - 1].T
+        if k < self.top_degree:
+            lap += self.d_blocks[k].T @ self.d_blocks[k]
+        return lap
 
 
 def _assemble(name, q, grading, d_blocks, labels=None) -> SpectralDomain:
@@ -394,10 +390,8 @@ def build_simplicial_domain(complex_: SimplicialComplex) -> SpectralDomain:
 
 
 def spectrum_by_degree(domain: SpectralDomain, degree: int) -> np.ndarray:
-    """Eigenvalues of the Hodge Laplacian restricted to one degree."""
-    block = domain.laplacian()[domain.degree_slice(degree), domain.degree_slice(degree)]
-    block = 0.5 * (block + block.T)
-    return np.linalg.eigvalsh(block)
+    """Eigenvalues of the Hodge Laplacian L_k of one degree, ascending."""
+    return np.linalg.eigvalsh(domain.laplacian(degree))
 
 
 def domain_spectra_json(domain: SpectralDomain) -> list[dict]:

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import besselfn
 from .polyforms import MultiPoly, PolyKForm
+from .specops import _even_values
 
 __all__ = [
     "SphereIntegral",
@@ -323,14 +324,6 @@ class LocalityProbeResult:
     classical_profile: np.ndarray | None = None
 
 
-def _multiplier_on_modes(fn, radial: np.ndarray) -> np.ndarray:
-    """Apply a scalar function to an array of |2 pi m| values, deduplicated."""
-    flat = radial.reshape(-1)
-    uniq, inverse = np.unique(np.round(flat, 12), return_inverse=True)
-    vals = np.array([fn(float(u)) for u in uniq])
-    return vals[inverse].reshape(radial.shape)
-
-
 def locality_probe(
     q: int,
     max_freq: int,
@@ -382,8 +375,8 @@ def locality_probe(
     bump_hat = np.where(band, np.exp(-2.0 * math.pi**2 * sigma**2 * m_sq), 0.0)
 
     lam = 2.0 * math.pi * np.sqrt(m_sq)
-    bessel_mult = _multiplier_on_modes(lambda r: t * besselfn.phi(q + 2, t * r), lam)
-    sinc_mult = _multiplier_on_modes(lambda r: t * besselfn.phi(3, t * r), lam)
+    bessel_mult = _even_values(lambda r: t * besselfn.phi(q + 2, t * r), lam)
+    sinc_mult = _even_values(lambda r: t * besselfn.phi(3, t * r), lam)
 
     axes = np.arange(n)
     wrapped = ((axes + n // 2) % n - n // 2) / n

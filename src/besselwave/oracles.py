@@ -1,9 +1,11 @@
-"""Independent reference evaluations for cross-checking the profile family.
+"""Independent reference evaluations for cross-checking the package.
 
-These deliberately avoid the series-coefficient recurrence in besselfn:
-Bessel J is summed from its own ascending series, and the low-n profiles
-come from elementary closed forms.  Used by the verification suites and by
-the test oracles.
+These deliberately avoid the code paths they check: Bessel J is summed from
+its own ascending series instead of the series-coefficient recurrence in
+besselfn, the low-n profiles come from elementary closed forms, and the
+bounded derivative on the circle is checked against d'Alembert's shift
+formula instead of the spectral calculus.  Used by the verification suites
+and by the test oracles.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["bessel_j_exact", "bessel_j_ascending", "phi_closed_form"]
+import numpy as np
+
+__all__ = ["bessel_j_exact", "bessel_j_ascending", "phi_closed_form", "dalembert_shift_coefficients"]
 
 
 def bessel_j_exact(order: int, r: float) -> float:
@@ -72,3 +76,25 @@ def phi_closed_form(n: int, r: float) -> float:
     if n == 5:
         return 3.0 * (math.sin(r) - r * math.cos(r)) / r**3
     raise ValueError(f"no closed form registered for n={n}")
+
+
+def dalembert_shift_coefficients(circle, raw: np.ndarray, t: float) -> np.ndarray:
+    """[f(x+t) - f(x-t)]/2 expanded in the circle trig basis.
+
+    raw holds the 0-form coefficients of f; the result is in the degree-1
+    basis.  cos mode k contributes -sin(2 pi k t) to the sin mode, sin mode
+    k contributes +sin(2 pi k t) to the cos mode.
+    """
+    labels = circle.labels[: circle.grading[0]]
+    index = {(l.phase, l.mode): i for i, l in enumerate(labels)}
+    out = np.zeros_like(raw)
+    for i, lbl in enumerate(labels):
+        if lbl.phase == "const":
+            continue
+        k = lbl.mode[0]
+        s = math.sin(2.0 * math.pi * k * t)
+        if lbl.phase == "cos":
+            out[index[("sin", lbl.mode)]] += -raw[i] * s
+        else:
+            out[index[("cos", lbl.mode)]] += raw[i] * s
+    return out

@@ -1,17 +1,19 @@
 """Bounded functional calculus on spectral domains.
 
-Everything here goes through the eigendecomposition of the symmetric Dirac
-matrix D.  Even functions of D are functions of the Hodge Laplacian and
-preserve form degree; odd functions (like D itself or the bounded Dirac
-deformation psi_{q+2}(tD)) mix neighbouring degrees and produce
-mixed-degree cochains.
+Every operator here is an even function of the Dirac operator D, that is a
+function g(sqrt L) of the Hodge Laplacian, composed with d, d^* or D.  One
+primitive, `functional_calculus`, applies g(sqrt L) to a pure-degree
+cochain through the degree-k rows of the eigendecomposition of D; g is
+evaluated once per distinct |lambda|, so it is even by construction and the
+result keeps the input degree exactly.  The odd operators (D_t and the
+discrete wave map) are written as sign(lambda) g(|lambda|).
 
 The bounded derivative d_t = t phi_{q+2}(tD) d, its adjoint, the deformed
-Dirac/Laplacian, kernel (Betti) counting with a spectral-gap guard,
-symmetry commutators and the norm-contractive discrete wave map all live
-here.  The Bessel index q defaults to the ambient dimension of the domain
-but may be overridden, since the operator algebra treats it as a free
-parameter.
+Dirac/Laplacian, kernel (Betti) counting with a spectral-gap guard on the
+per-degree Laplacian spectra, symmetry commutators and the norm-contractive
+discrete wave map all live here.  The Bessel index q defaults to the
+ambient dimension of the domain but may be overridden, since the operator
+algebra treats it as a free parameter.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ import math
 import numpy as np
 
 from . import besselfn
-from .domains import BasisLabel, Cochain, SpectralDomain
+from .domains import BasisLabel, Cochain, SpectralDomain, spectrum_by_degree
 
 __all__ = [
     "SpectralGapError",
     "SymmetryPreconditionError",
     "WaveMapNormError",
-    "spectral_apply",
     "spectral_matrix",
     "functional_calculus",
     "deformed_d",
@@ -44,8 +45,6 @@ __all__ = [
     "discrete_wave_orbit",
 ]
 
-EVENNESS_TOL = 1e-12
-DEGREE_LEAK_TOL = 1e-8
 KERNEL_FLOOR = 1e-24
 
 
@@ -69,57 +68,50 @@ class WaveMapNormError(ValueError):
         super().__init__(f"discrete wave map needs ||D_h|| < 1, measured {measured:.6f}")
 
 
-def _scalar_values(fn, eigenvalues: np.ndarray) -> np.ndarray:
-    """Evaluate fn on the spectrum, deduplicating repeated eigenvalues."""
-    uniq, inverse = np.unique(np.round(eigenvalues, 12), return_inverse=True)
-    vals = np.array([float(fn(float(u))) for u in uniq])
+def _even_values(g, radii: np.ndarray) -> np.ndarray:
+    """g(|x|) for every entry of radii, one evaluation per distinct rounded |x|."""
+    uniq, inverse = np.unique(np.round(np.abs(radii), 12), return_inverse=True)
+    vals = np.array([float(g(float(u))) for u in uniq])
     if not np.all(np.isfinite(vals)):
         raise ValueError("scalar function is not finite on the spectrum")
-    return vals[inverse]
+    return vals[inverse.reshape(np.shape(radii))]
 
 
-def spectral_apply(domain: SpectralDomain, fn, vec: np.ndarray) -> np.ndarray:
-    """f(D) applied to a stacked vector through the eigendecomposition."""
-    vals = _scalar_values(fn, domain.eigenvalues)
+def _dense(domain: SpectralDomain, values: np.ndarray) -> np.ndarray:
     v = domain.eigenvectors
-    return v @ (vals * (v.T @ vec))
+    return (v * values) @ v.T
 
 
-def spectral_matrix(domain: SpectralDomain, fn) -> np.ndarray:
-    """Dense matrix of f(D)."""
-    vals = _scalar_values(fn, domain.eigenvalues)
-    v = domain.eigenvectors
-    return (v * vals) @ v.T
+def spectral_matrix(domain: SpectralDomain, g) -> np.ndarray:
+    """Dense matrix of g(sqrt L) = g(|D|) over the whole graded space."""
+    return _dense(domain, _even_values(g, domain.eigenvalues))
 
 
-def _is_even_on_spectrum(domain: SpectralDomain, fn) -> bool:
-    lam = np.unique(np.round(np.abs(domain.eigenvalues), 12))
-    plus = np.array([float(fn(float(x))) for x in lam])
-    minus = np.array([float(fn(float(-x))) for x in lam])
-    scale = max(1.0, float(np.max(np.abs(plus))) if plus.size else 1.0)
-    return bool(np.max(np.abs(plus - minus), initial=0.0) <= EVENNESS_TOL * scale)
+def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
+    """g(sqrt L) u for a pure-degree cochain u; the result has u's degree.
 
-
-def functional_calculus(domain: SpectralDomain, fn, u: Cochain) -> Cochain:
-    """f(D) u with degree bookkeeping.
-
-    Even functions are functions of the Laplacian and keep the input degree;
-    anything else returns a mixed-degree cochain over the whole graded space.
+    With V_k the degree-k rows of the eigenvectors of D this is
+    V_k (g(|lambda|) * V_k^T u), at cost O(n_k N).
     """
-    out = spectral_apply(domain, fn, domain.embed(u))
-    if u.degree is not None and _is_even_on_spectrum(domain, fn):
-        kept = domain.extract(u.degree, out)
-        rest = np.array(out)
-        rest[domain.degree_slice(u.degree)] = 0.0
-        leak = float(np.linalg.norm(rest))
-        if leak > DEGREE_LEAK_TOL * max(1.0, float(np.linalg.norm(out))):
-            raise AssertionError(f"even calculus leaked {leak:.3e} outside degree {u.degree}")
-        return kept
-    return Cochain(None, out)
+    vk = domain.eigenvectors[domain.degree_slice(u.degree)]
+    vals = _even_values(g, domain.eigenvalues)
+    return Cochain(u.degree, vk @ (vals * (vk.T @ u.coefficients)))
 
 
 def _bessel_index(domain: SpectralDomain, q) -> int:
     return domain.q if q is None else int(q)
+
+
+def _bounded_profile(domain: SpectralDomain, t: float, q):
+    """r -> t phi_{q+2}(t r), the even multiplier of d_t."""
+    n = _bessel_index(domain, q) + 2
+    return lambda r: t * besselfn.phi(n, t * r)
+
+
+def _psi_values(domain: SpectralDomain, t: float, q, lam: np.ndarray) -> np.ndarray:
+    """psi_{q+2}(t lam) for every entry of lam; psi is odd, so sign(lam) psi_{q+2}(t |lam|)."""
+    n = _bessel_index(domain, q) + 2
+    return np.sign(lam) * _even_values(lambda r: besselfn.psi(n, t * r), lam)
 
 
 def deformed_d(domain: SpectralDomain, t: float, u: Cochain, q: int | None = None) -> Cochain:
@@ -127,45 +119,37 @@ def deformed_d(domain: SpectralDomain, t: float, u: Cochain, q: int | None = Non
 
     Zero at t = 0; (1/t) d_t u converges to d u as t -> 0.
     """
-    if u.degree is None:
-        raise ValueError("deformed_d needs a pure-degree cochain")
     if u.degree >= domain.top_degree:
         raise ValueError(f"degree {u.degree} is the top of {domain.name}; d_t rejected")
-    n = _bessel_index(domain, q) + 2
     du = domain.cochain(u.degree + 1, domain.d_blocks[u.degree] @ u.coefficients)
     if t == 0.0:
         return domain.zero_cochain(u.degree + 1)
-    return functional_calculus(domain, lambda lam: t * besselfn.phi(n, t * lam), du)
+    return functional_calculus(domain, _bounded_profile(domain, t, q), du)
 
 
 def deformed_d_adjoint(domain: SpectralDomain, t: float, w: Cochain, q: int | None = None) -> Cochain:
     """Adjoint d_t^* w = t phi_{q+2}(tD) d^* w; degree k -> k-1."""
-    if w.degree is None or w.degree < 1:
-        raise ValueError("deformed_d_adjoint needs a pure-degree cochain of degree >= 1")
-    n = _bessel_index(domain, q) + 2
+    if w.degree < 1:
+        raise ValueError("deformed_d_adjoint needs a cochain of degree >= 1")
     dstar = domain.cochain(w.degree - 1, domain.d_blocks[w.degree - 1].T @ w.coefficients)
     if t == 0.0:
         return domain.zero_cochain(w.degree - 1)
-    return functional_calculus(domain, lambda lam: t * besselfn.phi(n, t * lam), dstar)
+    return functional_calculus(domain, _bounded_profile(domain, t, q), dstar)
 
 
 def deformed_dirac(domain: SpectralDomain, t: float, q: int | None = None) -> np.ndarray:
     """D_t = psi_{q+2}(tD) as a dense matrix; the zero matrix at t = 0."""
-    n = _bessel_index(domain, q) + 2
-    return spectral_matrix(domain, lambda lam: besselfn.psi(n, t * lam))
+    return _dense(domain, _psi_values(domain, t, q, domain.eigenvalues))
 
 
 def deformed_laplacian(domain: SpectralDomain, t: float, q: int | None = None) -> np.ndarray:
     """L_t = D_t^2, with eigenvalues psi_{q+2}(t lambda)^2."""
-    n = _bessel_index(domain, q) + 2
-    return spectral_matrix(domain, lambda lam: besselfn.psi(n, t * lam) ** 2)
+    return _dense(domain, _psi_values(domain, t, q, domain.eigenvalues) ** 2)
 
 
 def deformed_dirac_norm(domain: SpectralDomain, t: float, q: int | None = None) -> float:
     """Operator norm of D_t, max_j |psi_{q+2}(t lambda_j)|."""
-    n = _bessel_index(domain, q) + 2
-    vals = _scalar_values(lambda lam: besselfn.psi(n, t * lam), domain.eigenvalues)
-    return float(np.max(np.abs(vals))) if vals.size else 0.0
+    return float(np.max(np.abs(_psi_values(domain, t, q, domain.eigenvalues)), initial=0.0))
 
 
 def betti(
@@ -177,23 +161,22 @@ def betti(
 ) -> int:
     """Dimension of the near-kernel of L_t on one degree.
 
-    The default threshold is 1e-8 times the largest L_t eigenvalue.  A
-    spectral-gap guard rejects counts where any degree-restricted eigenvalue
-    falls within a factor 10 of the threshold; if the whole deformed
-    spectrum is numerically zero every mode is harmonic.
+    L_t restricted to degree k is psi_{q+2}(t sqrt L_k)^2, so its spectrum
+    is read off the Laplacian spectrum mu of that degree.  The default
+    threshold is 1e-8 times the largest L_t eigenvalue over all degrees.  A
+    spectral-gap guard rejects counts where any degree-k eigenvalue falls
+    within a factor 10 of the threshold; if the whole deformed spectrum is
+    numerically zero every mode is harmonic.
     """
-    n = _bessel_index(domain, q) + 2
-    psi_sq = _scalar_values(lambda lam: besselfn.psi(n, t * lam) ** 2, domain.eigenvalues)
-    lam_max = float(np.max(psi_sq)) if psi_sq.size else 0.0
+    lam_max = float(np.max(_psi_values(domain, t, q, domain.eigenvalues) ** 2, initial=0.0))
     if lam_max < KERNEL_FLOOR:
         return domain.grading[degree]
     if tol is None:
         tol = 1e-8 * lam_max
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lt = spectral_matrix(domain, lambda lam: besselfn.psi(n, t * lam) ** 2)
-    block = lt[domain.degree_slice(degree), domain.degree_slice(degree)]
-    evals = np.linalg.eigvalsh(0.5 * (block + block.T))
+    root = np.sqrt(np.maximum(spectrum_by_degree(domain, degree), 0.0))
+    evals = _psi_values(domain, t, q, root) ** 2
     nearby = evals[(evals > tol / 10.0) & (evals < tol * 10.0)]
     if nearby.size:
         raise SpectralGapError(
@@ -218,9 +201,7 @@ def symmetry_commutator(domain: SpectralDomain, unitary: np.ndarray, t: float, q
     pre = float(np.linalg.norm(unitary @ d_full - d_full @ unitary, 2))
     if pre >= 1e-10:
         raise SymmetryPreconditionError(pre)
-    n = _bessel_index(domain, q) + 2
-    mult = spectral_matrix(domain, lambda lam: t * besselfn.phi(n, t * lam))
-    dt_full = mult @ d_full
+    dt_full = spectral_matrix(domain, _bounded_profile(domain, t, q)) @ d_full
     return float(np.linalg.norm(unitary @ dt_full - dt_full @ unitary, 2))
 
 
@@ -303,6 +284,15 @@ def torus_quarter_turn(domain: SpectralDomain) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _wave_map(domain: SpectralDomain, h: float, q) -> tuple[np.ndarray, float]:
+    """psi_{q+2}(h lambda) on the spectrum and the norm of D_h; needs ||D_h|| < 1."""
+    a_vals = _psi_values(domain, h, q, domain.eigenvalues)
+    norm = float(np.max(np.abs(a_vals), initial=0.0))
+    if norm >= 1.0:
+        raise WaveMapNormError(norm)
+    return a_vals, norm
+
+
 def discrete_wave_step(
     domain: SpectralDomain,
     h: float,
@@ -311,11 +301,8 @@ def discrete_wave_step(
     q: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One step of T: (u, v) -> (D_h u - v, u); needs ||D_h|| < 1."""
-    norm = deformed_dirac_norm(domain, h, q)
-    if norm >= 1.0:
-        raise WaveMapNormError(norm)
-    dh = deformed_dirac(domain, h, q)
-    return dh @ u - v, np.array(u)
+    a_vals, _ = _wave_map(domain, h, q)
+    return _dense(domain, a_vals) @ u - v, np.array(u)
 
 
 def discrete_wave_orbit(
@@ -332,16 +319,12 @@ def discrete_wave_orbit(
     bound computed from the per-mode companion quadratic form
     Q_a(u, v) = u^2 - a u v + v^2, which every step preserves exactly.
     """
-    norm = deformed_dirac_norm(domain, h, q)
-    if norm >= 1.0:
-        raise WaveMapNormError(norm)
-    n = _bessel_index(domain, q) + 2
-    a_vals = _scalar_values(lambda lam: besselfn.psi(n, h * lam), domain.eigenvalues)
+    a_vals, norm = _wave_map(domain, h, q)
     vecs = domain.eigenvectors
     uc, vc = vecs.T @ u, vecs.T @ v
     q_form = uc**2 - a_vals * uc * vc + vc**2
     bound = math.sqrt(float(np.sum(q_form / (1.0 - np.abs(a_vals) / 2.0))))
-    dh = deformed_dirac(domain, h, q)
+    dh = _dense(domain, a_vals)
     cu, cv = np.array(u, dtype=float), np.array(v, dtype=float)
     max_norm = math.sqrt(float(cu @ cu + cv @ cv))
     for _ in range(steps):

@@ -199,7 +199,7 @@ def suite_wave(seed: int, quick: bool) -> list[CaseResult]:
         f = circle.cochain(0, raw)
         for t in (0.1, 1.0 / 3.0, 0.9):
             got = specops.deformed_d(circle, t, f).coefficients
-            expect = _dalembert_coefficients(circle, raw, t)
+            expect = oracles.dalembert_shift_coefficients(circle, raw, t)
             worst_dal = max(worst_dal, float(np.max(np.abs(got - expect))))
     cases.append(CaseResult.check("dalembert_anchor", worst_dal, 1e-12))
 
@@ -221,23 +221,6 @@ def suite_wave(seed: int, quick: bool) -> list[CaseResult]:
             bad += 1.0
     cases.append(CaseResult.check("monomial_source_certificates", bad, 0.0))
     return cases
-
-
-def _dalembert_coefficients(circle, raw: np.ndarray, t: float) -> np.ndarray:
-    """[f(x+t) - f(x-t)]/2 in the degree-1 trig basis, from 0-form coefficients."""
-    out = np.zeros_like(raw)
-    labels = circle.labels[: circle.grading[0]]
-    index = {(l.phase, l.mode): i for i, l in enumerate(labels)}
-    for i, lbl in enumerate(labels):
-        if lbl.phase == "const":
-            continue
-        k = lbl.mode[0]
-        s = math.sin(2.0 * math.pi * k * t)
-        if lbl.phase == "cos":
-            out[index[("sin", lbl.mode)]] += -raw[i] * s
-        else:
-            out[index[("cos", lbl.mode)]] += raw[i] * s
-    return out
 
 
 def suite_pizzetti(seed: int, quick: bool) -> list[CaseResult]:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import besselfn
 from .domains import Cochain, SpectralDomain
-from .specops import spectral_apply
+from .specops import functional_calculus
 
 __all__ = [
     "LaurentPoly",
@@ -199,23 +199,24 @@ class WaveSolution:
     domain: SpectralDomain
     kind: str  # "classical" | "velocity" | "position"
     q: int
-    degree: int
-    u0_full: np.ndarray
-    v0_full: np.ndarray | None = None
+    u0: Cochain
+    v0: Cochain | None = None
+
+    @property
+    def degree(self) -> int:
+        return self.u0.degree
 
     def at(self, t: float) -> Cochain:
         dom = self.domain
         if self.kind == "classical":
-            pos = spectral_apply(dom, lambda lam: math.cos(t * lam), self.u0_full)
-            vel = spectral_apply(dom, _sinc_multiplier(t), self.v0_full)
-            return dom.extract(self.degree, pos + vel)
+            pos = functional_calculus(dom, lambda lam: math.cos(t * lam), self.u0)
+            vel = functional_calculus(dom, _sinc_multiplier(t), self.v0)
+            return Cochain(self.degree, pos.coefficients + vel.coefficients)
         if self.kind == "velocity":
             n = self.q + 2
-            out = spectral_apply(dom, lambda lam: t * besselfn.phi(n, t * lam), self.u0_full)
-            return dom.extract(self.degree, out)
+            return functional_calculus(dom, lambda lam: t * besselfn.phi(n, t * lam), self.u0)
         if self.kind == "position":
-            out = spectral_apply(dom, lambda lam: besselfn.phi(self.q, t * lam), self.u0_full)
-            return dom.extract(self.degree, out)
+            return functional_calculus(dom, lambda lam: besselfn.phi(self.q, t * lam), self.u0)
         raise ValueError(f"unknown solution kind {self.kind!r}")
 
 
@@ -225,46 +226,26 @@ def classical_solution(domain: SpectralDomain, u0: Cochain, v0: Cochain, t: floa
 
 
 def classical_wave(domain: SpectralDomain, u0: Cochain, v0: Cochain) -> WaveSolution:
-    if u0.degree is None or u0.degree != v0.degree:
+    if u0.degree != v0.degree:
         raise ValueError("classical solution needs u0, v0 of one common degree")
-    return WaveSolution(
-        domain=domain,
-        kind="classical",
-        q=domain.q,
-        degree=u0.degree,
-        u0_full=domain.embed(u0),
-        v0_full=domain.embed(v0),
-    )
+    return WaveSolution(domain=domain, kind="classical", q=domain.q, u0=u0, v0=v0)
+
+
+def _solution_from_df(domain: SpectralDomain, f: Cochain, kind: str, q) -> WaveSolution:
+    if f.degree >= domain.top_degree:
+        raise ValueError(f"{kind} solution needs f below the top degree")
+    df = domain.cochain(f.degree + 1, domain.d_blocks[f.degree] @ f.coefficients)
+    return WaveSolution(domain=domain, kind=kind, q=domain.q if q is None else int(q), u0=df)
 
 
 def velocity_solution(domain: SpectralDomain, f: Cochain, q: int | None = None) -> WaveSolution:
     """Solution t phi_{q+2}(tD) df: zero initial position, initial rate df."""
-    if f.degree is None or f.degree >= domain.top_degree:
-        raise ValueError("velocity solution needs a pure-degree f below the top degree")
-    q = domain.q if q is None else int(q)
-    df = domain.d_blocks[f.degree] @ f.coefficients
-    return WaveSolution(
-        domain=domain,
-        kind="velocity",
-        q=q,
-        degree=f.degree + 1,
-        u0_full=domain.embed(domain.cochain(f.degree + 1, df)),
-    )
+    return _solution_from_df(domain, f, "velocity", q)
 
 
 def position_solution(domain: SpectralDomain, f: Cochain, q: int | None = None) -> WaveSolution:
     """Solution phi_q(tD) df: initial position df, zero initial rate."""
-    if f.degree is None or f.degree >= domain.top_degree:
-        raise ValueError("position solution needs a pure-degree f below the top degree")
-    q = domain.q if q is None else int(q)
-    df = domain.d_blocks[f.degree] @ f.coefficients
-    return WaveSolution(
-        domain=domain,
-        kind="position",
-        q=q,
-        degree=f.degree + 1,
-        u0_full=domain.embed(domain.cochain(f.degree + 1, df)),
-    )
+    return _solution_from_df(domain, f, "position", q)
 
 
 def pde_residual(solution: WaveSolution, t: float, dt: float = 1e-3) -> float:
@@ -278,13 +259,11 @@ def pde_residual(solution: WaveSolution, t: float, dt: float = 1e-3) -> float:
         raise ValueError("dt must be positive")
     if t < 5.0 * dt:
         raise ValueError(f"residual stencil needs t >= 5 dt, got t={t}, dt={dt}")
-    dom = solution.domain
     samples = [solution.at(t + j * dt).coefficients for j in (-2, -1, 0, 1, 2)]
     um2, um1, u0, up1, up2 = samples
     u_tt = (-um2 + 16.0 * um1 - 30.0 * u0 + 16.0 * up1 - up2) / (12.0 * dt * dt)
     u_t = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * dt)
-    lap = spectral_apply(dom, lambda lam: lam * lam, dom.embed(Cochain(solution.degree, u0)))
-    lap = lap[dom.degree_slice(solution.degree)]
+    lap = solution.domain.laplacian(solution.degree) @ u0
     if solution.kind == "classical":
         defect = u_tt + lap
     elif solution.kind == "velocity":

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from besselwave.oracles import dalembert_shift_coefficients  # noqa: F401  (re-exported for the tests)
+
 
 def jacobi_eigh(matrix: np.ndarray, eps: float = 1e-13, max_sweeps: int = 60):
     """Cyclic Jacobi rotations for small dense symmetric matrices.
@@ -59,28 +61,6 @@ def exact_rank(matrix) -> int:
         pivot_row += 1
         rank += 1
     return rank
-
-
-def dalembert_shift_coefficients(circle, raw: np.ndarray, t: float) -> np.ndarray:
-    """[f(x+t) - f(x-t)]/2 expanded in the circle trig basis.
-
-    cos mode k contributes -sin(2 pi k t) to the sin mode, sin mode k
-    contributes +sin(2 pi k t) to the cos mode; independent of the
-    spectral-multiplier code path.
-    """
-    labels = circle.labels[: circle.grading[0]]
-    index = {(l.phase, l.mode): i for i, l in enumerate(labels)}
-    out = np.zeros_like(raw)
-    for i, lbl in enumerate(labels):
-        if lbl.phase == "const":
-            continue
-        k = lbl.mode[0]
-        s = math.sin(2.0 * math.pi * k * t)
-        if lbl.phase == "cos":
-            out[index[("sin", lbl.mode)]] += -raw[i] * s
-        else:
-            out[index[("cos", lbl.mode)]] += raw[i] * s
-    return out
 
 
 def interval_average_exact(g, s_var_free=True):

@@ -221,7 +221,3 @@ class TestProfileObject:
         assert profile.phi(1.7) == phi(4, 1.7)
         assert profile.psi(1.7) == psi(4, 1.7)
         assert profile.coefficient(3) == series_coefficient(4, 3)
-
-    def test_bad_truncation_policy(self):
-        with pytest.raises(BesselDomainError):
-            BesselProfile(3, relative_target=0.5)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from besselwave import besselfn
 from besselwave.cli import main
 
 
@@ -79,6 +80,24 @@ class TestSpectral:
         payload = json.loads(out)
         assert payload["symmetry"]["commutator"] < 1e-9
         assert payload["wave_orbit"]["max_norm"] <= payload["wave_orbit"]["bound"] * (1 + 1e-12)
+
+    def test_orbit_step_from_torus_spectrum(self, capsys):
+        # The largest |lambda| of the q-torus is 2 pi max_freq sqrt(q), not 2 pi max_freq.
+        code, out, _ = run_cli(capsys, "spectral", "--domain", "torus2", "--max-freq", "3",
+                               "--wave-steps", "10", "--format", "json")
+        assert code == 0
+        orbit = json.loads(out)["wave_orbit"]
+        assert orbit["dirac_norm"] == pytest.approx(besselfn.psi(4, math.asin(0.9)), rel=1e-9)
+        assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)
+
+    def test_orbit_step_from_simplicial_spectrum(self, capsys, tmp_path):
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"simplices": [[0], [1], [2], [0, 1], [1, 2], [0, 2], [0, 1, 2]]}))
+        code, out, _ = run_cli(capsys, "spectral", "--domain", "simplicial", "--complex", str(path),
+                               "--wave-steps", "10", "--format", "json")
+        assert code == 0
+        orbit = json.loads(out)["wave_orbit"]
+        assert orbit["dirac_norm"] == pytest.approx(besselfn.psi(4, math.asin(0.9)), rel=1e-9)
 
     def test_missing_complex_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectral", "--domain", "simplicial")

@@ -45,7 +45,10 @@ class TestCircle:
     def test_d_squared_is_laplacian(self, rng):
         dom = build_circle_domain(2)
         u = rng.standard_normal(dom.total_dim)
-        assert np.linalg.norm(dom.dirac @ (dom.dirac @ u) - dom.laplacian() @ u) < 1e-12
+        dd = dom.dirac @ (dom.dirac @ u)
+        for k in range(dom.top_degree + 1):
+            block = dom.degree_slice(k)
+            assert np.linalg.norm(dd[block] - dom.laplacian(k) @ u[block]) < 1e-12
 
     def test_eigen_residual(self, circle8):
         res = circle8.dirac @ circle8.eigenvectors - circle8.eigenvectors * circle8.eigenvalues
@@ -70,19 +73,22 @@ class TestTorus:
             for i, lbl in enumerate(torus3.labels)
             if lbl.degree == 0 and lbl.phase == "cos" and lbl.mode == (1, 0, 0)
         )
-        v = np.zeros(torus3.total_dim)
+        v = np.zeros(torus3.grading[0])
         v[idx] = 1.0
-        out = torus3.laplacian() @ v
+        out = torus3.laplacian(0) @ v
         assert np.abs(out - 4.0 * math.pi**2 * v).max() < 1e-10
 
     def test_laplacian_block_diagonal_per_mode(self, torus2):
-        lap = torus2.laplacian()
+        lap = torus2.dirac @ torus2.dirac
         for i, lbl in enumerate(torus2.labels):
             lam = 4.0 * math.pi**2 * sum(m * m for m in lbl.mode)
             col = lap[:, i]
             expect = np.zeros_like(col)
             expect[i] = lam
             assert np.abs(col - expect).max() < 1e-10
+        for k in range(torus2.top_degree + 1):
+            block = torus2.degree_slice(k)
+            assert np.abs(torus2.laplacian(k) - lap[block, block]).max() < 1e-10
 
     def test_dimension_cap(self):
         with pytest.raises(DomainSizeError) as err:
@@ -138,6 +144,23 @@ class TestSimplicial:
     def test_json_requires_key(self):
         with pytest.raises(ValueError):
             SimplicialComplex.from_json({"cells": [[0]]})
+
+
+class TestPerDegreeLaplacian:
+    def test_blocks_of_dirac_squared(self, circle4, torus3):
+        octa = build_simplicial_domain(SimplicialComplex.from_maximal(
+            [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1], [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]))
+        for dom in (circle4, torus3, octa):
+            dense = dom.dirac @ dom.dirac
+            for k in range(dom.top_degree + 1):
+                block = dense[dom.degree_slice(k), dom.degree_slice(k)]
+                assert np.abs(dom.laplacian(k) - block).max() <= 1e-12 * np.abs(dense).max()
+                assert np.allclose(spectrum_by_degree(dom, k), np.linalg.eigvalsh(block),
+                                   rtol=0, atol=1e-10 * np.abs(dense).max())
+
+    def test_degree_out_of_range(self, circle4):
+        with pytest.raises(ValueError):
+            circle4.laplacian(2)
 
 
 class TestSpectraExport:

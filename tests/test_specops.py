@@ -21,27 +21,51 @@ from besselwave.specops import (
     discrete_wave_orbit,
     discrete_wave_step,
     functional_calculus,
+    spectral_matrix,
     symmetry_commutator,
     torus_quarter_turn,
     torus_translation,
 )
 
 
-class TestFunctionalCalculus:
-    def test_identity_gives_dirac(self, rng):
-        dom = build_circle_domain(2)
-        u = dom.cochain(0, rng.standard_normal(dom.grading[0]))
-        out = functional_calculus(dom, lambda x: x, u)
-        assert out.is_mixed
-        assert np.linalg.norm(out.coefficients - dom.dirac @ dom.embed(u)) < 1e-10
+OCTAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
+              [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]
 
+
+class TestFunctionalCalculus:
     def test_square_gives_laplacian(self, rng):
         dom = build_circle_domain(2)
         u = dom.cochain(0, rng.standard_normal(dom.grading[0]))
         out = functional_calculus(dom, lambda x: x * x, u)
         assert out.degree == 0
-        full = dom.laplacian() @ dom.embed(u)
+        full = dom.dirac @ dom.dirac @ dom.embed(u)
         assert np.linalg.norm(dom.embed(out) - full) < 1e-10
+
+    def test_matches_dense_oracle(self, circle4, torus2, rng):
+        octa = build_simplicial_domain(SimplicialComplex.from_maximal(OCTAHEDRON))
+
+        def g(r):
+            return math.cos(0.7 * r) + 0.3 * besselfn.phi(4, 0.5 * r)
+
+        for dom in (circle4, torus2, octa):
+            dense = spectral_matrix(dom, g)
+            for k in range(dom.top_degree + 1):
+                u = dom.cochain(k, rng.standard_normal(dom.grading[k]))
+                want = (dense @ dom.embed(u))[dom.degree_slice(k)]
+                got = functional_calculus(dom, g, u)
+                assert got.degree == k
+                assert np.linalg.norm(got.coefficients - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_one_evaluation_per_distinct_abs_eigenvalue(self, torus2, rng):
+        calls = []
+
+        def g(r):
+            calls.append(r)
+            return math.cos(r)
+
+        functional_calculus(torus2, g, torus2.cochain(1, rng.standard_normal(torus2.grading[1])))
+        distinct = np.unique(np.round(np.abs(torus2.eigenvalues), 12))
+        assert sorted(calls) == list(distinct)
 
     def test_cos_mode_closed_form(self, circle4):
         t = 0.4
@@ -165,6 +189,19 @@ class TestBetti:
     def test_torus(self, torus2):
         t = 1.0 / math.sqrt(7.0)
         assert [betti(torus2, t, k) for k in range(3)] == [1, 2, 1]
+
+    def test_matches_dense_deformed_laplacian(self, circle8, torus2):
+        octa = build_simplicial_domain(SimplicialComplex.from_maximal(OCTAHEDRON))
+        for dom in (circle8, torus2, octa):
+            for t in (1.0 / math.sqrt(7.0), 0.5, 0.25):
+                lt = deformed_laplacian(dom, t)
+                lt_max = float(np.max(np.linalg.eigvalsh(lt)))
+                for k in range(dom.top_degree + 1):
+                    block = lt[dom.degree_slice(k), dom.degree_slice(k)]
+                    dense = int(np.sum(np.linalg.eigvalsh(block) < 1e-8 * lt_max))
+                    if lt_max < 1e-24:  # the whole deformed spectrum vanishes
+                        dense = dom.grading[k]
+                    assert betti(dom, t, k) == dense
 
     def test_gap_error(self, circle8):
         # a threshold planted inside the occupied part of the spectrum

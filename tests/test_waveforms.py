@@ -55,7 +55,7 @@ class TestClassical:
         u0 = circle4.cochain(0, rng.standard_normal(circle4.grading[0]))
         v0 = circle4.cochain(0, rng.standard_normal(circle4.grading[0]))
         sol = classical_wave(circle4, u0, v0)
-        lap = circle4.laplacian()
+        lap = circle4.dirac @ circle4.dirac
 
         def energy(t, dt=1e-6):
             u = sol.at(t).coefficients
