@@ -54,6 +54,7 @@ from .waveforms import (
     pde_residual,
     position_solution,
     radial_acceleration,
+    residual_step,
     velocity_solution,
 )
 from .polyforms import MultiPoly, PolyKForm, random_kform, random_multipoly

@@ -22,6 +22,7 @@ from .domains import (
     build_simplicial_domain,
     build_torus_domain,
     domain_spectra_json,
+    spectrum_by_degree,
 )
 from .svgfig import polyline_chart
 
@@ -137,8 +138,10 @@ def _cmd_spectral(args) -> int:
         rng = np.random.default_rng(np.random.Philox(args.seed))
         state = rng.standard_normal(2 * domain.total_dim)
         state /= np.linalg.norm(state)
-        # ||D_h|| is set by the largest |lambda|; a zero spectrum has D_h = 0 for every h.
-        h = math.asin(args.wave_norm) / (float(np.max(np.abs(domain.eigenvalues))) or 1.0)
+        # |psi_n(x)| <= |x|, so h = wave_norm / max|lambda| keeps ||D_h|| <= wave_norm for
+        # every q; a zero spectrum has D_h = 0 for every h.
+        top = max(float(spectrum_by_degree(domain, k)[-1]) for k in range(domain.top_degree + 1))
+        h = args.wave_norm / (math.sqrt(max(top, 0.0)) or 1.0)
         orbit = specops.discrete_wave_orbit(
             domain, h, state[: domain.total_dim], state[domain.total_dim :], args.wave_steps
         )
@@ -186,15 +189,16 @@ def _cmd_wave(args) -> int:
     else:
         solution = waveforms.position_solution(domain, f, q=args.q)
     t_values = [float(s) for s in args.t_values.split(",")]
+    dt = args.dt if args.dt is not None else waveforms.residual_step(solution)
     rows = []
     n_amp = min(domain.grading[solution.degree], args.amplitudes)
     for t in t_values:
         u = solution.at(t)
-        residual = waveforms.pde_residual(solution, t, args.dt) if t >= 5 * args.dt else math.nan
+        residual = waveforms.pde_residual(solution, t, dt) if t >= 5 * dt else math.nan
         rows.append([t, residual, u.norm()] + [float(a) for a in np.abs(u.coefficients[:n_amp])])
     comments = [
         f"subcommand=wave domain={args.domain} kind={args.kind} q={args.q} "
-        f"max-freq={args.max_freq} dt={args.dt} seed={args.seed}"
+        f"max-freq={args.max_freq} dt={dt} seed={args.seed}"
     ]
     header = ["t", "residual", "norm"] + [f"amp_{i}" for i in range(n_amp)]
     _emit(_csv(comments, header, rows), args.out)
@@ -419,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("velocity", "position", "classical"), default="velocity")
     p.add_argument("--q", type=int, default=None, help="Bessel index override")
     p.add_argument("--t-values", default="0.5,1.0,2.0")
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, help="residual stencil step (default: min(1e-3, 0.005/max|lambda|))")
     p.add_argument("--amplitudes", type=int, default=8)
     p.set_defaults(func=_cmd_wave)
 

@@ -7,12 +7,13 @@ Three families are built here:
   k-form components,
 * finite abstract simplicial complexes with signed incidence matrices.
 
-Every domain carries the exterior-derivative blocks d_k, the assembled
-symmetric Dirac matrix D = d + d^T and its full eigendecomposition.  The
-basis is orthonormal, so adjoints are plain transposes and one dense
-symmetric eigensolver covers the functional calculus.  Per-degree spectra
-come from the d blocks instead: the Hodge Laplacian of degree k is
-L_k = d_{k-1} d_{k-1}^T + d_k^T d_k, an n_k x n_k matrix.
+Every domain carries the exterior-derivative blocks d_k.  The basis is
+orthonormal, so adjoints are plain transposes and the Hodge Laplacian of
+degree k is L_k = d_{k-1} d_{k-1}^T + d_k^T d_k, an n_k x n_k matrix.  The
+spectral calculus needs only the eigenpairs (mu_k, W_k) of each L_k, which
+a domain computes on first use and keeps: the cost is sum_k n_k^3, not the
+N^3 of the stacked N x N Dirac matrix D = d + d^T.  D and its dense
+eigendecomposition stay readable, computed on first access, as an oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -47,7 +49,7 @@ BasisLabel = namedtuple("BasisLabel", "degree subset phase mode")
 
 
 class DomainSizeError(ValueError):
-    """Requested domain exceeds the configured dense-matrix cap."""
+    """Requested domain or grid exceeds its configured size cap."""
 
 
 class ComplexClosureError(ValueError):
@@ -70,22 +72,22 @@ class Cochain:
 
 @dataclass(frozen=True)
 class SpectralDomain:
-    """Graded complex with Dirac eigendecomposition.
+    """Graded complex with per-degree Hodge eigenpairs.
 
-    grading[k] is the dimension of the degree-k cochain space,
-    d_blocks[k] maps degree k to k+1, eigenvalues/eigenvectors decompose
-    the stacked symmetric Dirac matrix.
+    grading[k] is the dimension of the degree-k cochain space and
+    d_blocks[k] maps degree k to k+1.  `hodge_eigenpairs(k)` is the cached
+    eigendecomposition of L_k; `dirac`, `eigenvalues` and `eigenvectors`
+    (the stacked Dirac matrix and its dense eigendecomposition) are
+    computed on first access and serve as the dense oracle.
     """
 
     name: str
     q: int
     grading: tuple[int, ...]
     d_blocks: tuple[np.ndarray, ...]
-    dirac: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     labels: tuple[BasisLabel, ...] | None = None
     offsets: tuple[int, ...] = field(default=())
+    _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def total_dim(self) -> int:
@@ -125,6 +127,26 @@ class SpectralDomain:
             out[self.degree_slice(k + 1), self.degree_slice(k)] = blk
         return out
 
+    @cached_property
+    def dirac(self) -> np.ndarray:
+        """The stacked symmetric Dirac matrix D = d + d^T, N x N."""
+        d = self.d_full()
+        return d + d.T
+
+    @cached_property
+    def _dirac_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.dirac)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the dense Dirac matrix, ascending (an N x N eigensolve on first access)."""
+        return self._dirac_eigh[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal eigenvectors of the dense Dirac matrix, one per column."""
+        return self._dirac_eigh[1]
+
     def laplacian(self, k: int) -> np.ndarray:
         """Hodge Laplacian of degree k, d_{k-1} d_{k-1}^T + d_k^T d_k."""
         self.degree_slice(k)  # rejects a degree out of range
@@ -135,36 +157,40 @@ class SpectralDomain:
             lap += self.d_blocks[k].T @ self.d_blocks[k]
         return lap
 
+    def hodge_eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(mu_k, W_k) with L_k W_k = W_k diag(mu_k), mu_k ascending; computed once, read-only.
+
+        The residual max_j ||L_k w_j - mu_j w_j|| must stay below
+        EIGEN_RESIDUAL_BOUND times max(1, max |mu_k|).
+        """
+        pairs = self._eigenpairs.get(k)
+        if pairs is None:
+            lap = self.laplacian(k)
+            mu, w = np.linalg.eigh(lap)
+            residual = np.linalg.norm(lap @ w - w * mu, axis=0)
+            worst = float(residual.max()) if residual.size else 0.0
+            scale = max(1.0, float(np.max(np.abs(mu))) if mu.size else 1.0)
+            if worst > EIGEN_RESIDUAL_BOUND * scale:
+                raise AssertionError(f"degree-{k} eigendecomposition residual {worst} on {self.name}")
+            mu.setflags(write=False)
+            w.setflags(write=False)
+            pairs = self._eigenpairs[k] = (mu, w)
+        return pairs
+
 
 def _assemble(name, q, grading, d_blocks, labels=None) -> SpectralDomain:
     offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(grading)[:-1]]))
-    n = int(sum(grading))
-    dirac = np.zeros((n, n))
-    for k, blk in enumerate(d_blocks):
-        r = slice(offsets[k + 1], offsets[k + 1] + grading[k + 1])
-        c = slice(offsets[k], offsets[k] + grading[k])
-        dirac[r, c] = blk
-        dirac[c, r] = blk.T
     # d_{k+1} d_k must vanish; exact for integer incidence, ~1e-13 for trig.
     for k in range(len(d_blocks) - 1):
         comp = d_blocks[k + 1] @ d_blocks[k]
         worst = float(np.max(np.abs(comp))) if comp.size else 0.0
         if worst > 1e-12 * max(1.0, float(np.max(np.abs(d_blocks[k])))):
             raise AssertionError(f"d o d = {worst} on degree {k} of {name}")
-    eigenvalues, eigenvectors = np.linalg.eigh(dirac)
-    residual = np.linalg.norm(dirac @ eigenvectors - eigenvectors * eigenvalues, axis=0)
-    worst = float(residual.max()) if residual.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 1.0)
-    if worst > EIGEN_RESIDUAL_BOUND * scale:
-        raise AssertionError(f"eigendecomposition residual {worst} on {name}")
     return SpectralDomain(
         name=name,
         q=q,
         grading=tuple(int(g) for g in grading),
         d_blocks=tuple(np.asarray(b, dtype=float) for b in d_blocks),
-        dirac=dirac,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
         labels=tuple(labels) if labels is not None else None,
         offsets=offsets,
     )
@@ -390,8 +416,8 @@ def build_simplicial_domain(complex_: SimplicialComplex) -> SpectralDomain:
 
 
 def spectrum_by_degree(domain: SpectralDomain, degree: int) -> np.ndarray:
-    """Eigenvalues of the Hodge Laplacian L_k of one degree, ascending."""
-    return np.linalg.eigvalsh(domain.laplacian(degree))
+    """Eigenvalues of the Hodge Laplacian L_k of one degree, ascending (the cached mu_k)."""
+    return domain.hodge_eigenpairs(degree)[0]
 
 
 def domain_spectra_json(domain: SpectralDomain) -> list[dict]:

@@ -22,6 +22,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from . import besselfn
+from .domains import DomainSizeError
 from .polyforms import MultiPoly, PolyKForm
 from .specops import _even_values
 
@@ -310,6 +311,11 @@ def polarization_normalization(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+# About 190 bytes per grid point are live at the peak, so the cap keeps a
+# probe under ~400 MB.
+PROBE_GRID_CAP = 2**21
+
+
 @dataclass(frozen=True)
 class LocalityProbeResult:
     """Interior-leakage comparison of the smoothed and classical propagators."""
@@ -342,7 +348,8 @@ def locality_probe(
 
     Preconditions: t + annulus_width < 1/2 (hard error), sigma much smaller
     than t and a band-limit resolving the bump (otherwise the probe returns
-    unresolved instead of a verdict).
+    unresolved instead of a verdict).  The grid doubles until it resolves
+    the band limit; one above PROBE_GRID_CAP points raises DomainSizeError.
     """
     if q not in (2, 3):
         raise ValueError("locality probe supports q in {2, 3}")
@@ -365,6 +372,11 @@ def locality_probe(
     n = grid_points
     while n < 2 * max_freq + 2:
         n *= 2
+    if n**q > PROBE_GRID_CAP:
+        raise DomainSizeError(
+            f"locality probe q={q}, max_freq={max_freq} needs {n}^{q} = {n**q} grid points "
+            f"above the cap {PROBE_GRID_CAP}"
+        )
 
     freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     mesh = np.meshgrid(*([freqs] * q), indexing="ij")

@@ -2,11 +2,14 @@
 
 Every operator here is an even function of the Dirac operator D, that is a
 function g(sqrt L) of the Hodge Laplacian, composed with d, d^* or D.  One
-primitive, `functional_calculus`, applies g(sqrt L) to a pure-degree
-cochain through the degree-k rows of the eigendecomposition of D; g is
-evaluated once per distinct |lambda|, so it is even by construction and the
-result keeps the input degree exactly.  The odd operators (D_t and the
-discrete wave map) are written as sign(lambda) g(|lambda|).
+primitive, `functional_calculus`, applies g(sqrt L_k) to a degree-k
+cochain as W_k (g(sqrt mu_k) * W_k^T u), with (mu_k, W_k) the cached
+eigenpairs of L_k; g is evaluated once per distinct root, so it is even by
+construction and the result keeps the input degree exactly.  For smooth
+even g, g(sqrt mu) is a smooth function of mu, so the roots need no more
+precision than mu has.  The odd operators (D_t and the discrete wave map) are D composed with an
+even function, and every dense matrix is assembled block by block over
+degrees: no N x N eigensolve or SVD runs.
 
 The bounded derivative d_t = t phi_{q+2}(tD) d, its adjoint, the deformed
 Dirac/Laplacian, kernel (Betti) counting with a spectral-gap guard on the
@@ -46,6 +49,7 @@ __all__ = [
 ]
 
 KERNEL_FLOOR = 1e-24
+ROOT_FLOOR = 1e-12
 
 
 class SpectralGapError(ValueError):
@@ -53,11 +57,11 @@ class SpectralGapError(ValueError):
 
 
 class SymmetryPreconditionError(ValueError):
-    """The proposed unitary does not commute with d to begin with."""
+    """The proposed unitary mixes degrees or does not commute with d to begin with."""
 
-    def __init__(self, measured: float):
+    def __init__(self, measured: float, what: str = "|| U d - d U ||"):
         self.measured = measured
-        super().__init__(f"|| U d - d U || = {measured:.3e} violates the 1e-10 precondition")
+        super().__init__(f"{what} = {measured:.3e} violates the 1e-10 precondition")
 
 
 class WaveMapNormError(ValueError):
@@ -69,33 +73,76 @@ class WaveMapNormError(ValueError):
 
 
 def _even_values(g, radii: np.ndarray) -> np.ndarray:
-    """g(|x|) for every entry of radii, one evaluation per distinct rounded |x|."""
+    """g(|x|) for every entry of radii, one evaluation per distinct rounded |x|.
+
+    g may return a tuple of numbers; the values then gain a trailing axis.
+    """
     uniq, inverse = np.unique(np.round(np.abs(radii), 12), return_inverse=True)
-    vals = np.array([float(g(float(u))) for u in uniq])
+    vals = np.array([g(float(u)) for u in uniq], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("scalar function is not finite on the spectrum")
     return vals[inverse.reshape(np.shape(radii))]
 
 
-def _dense(domain: SpectralDomain, values: np.ndarray) -> np.ndarray:
-    v = domain.eigenvectors
-    return (v * values) @ v.T
+def _roots(domain: SpectralDomain, k: int) -> np.ndarray:
+    """The |lambda| of D on degree k: sqrt(mu) over the Laplacian spectrum of that degree.
+
+    eigh resolves mu only to about n eps max(mu), and the root of that noise
+    is ~1e-8 of the largest |lambda|, which a function of |lambda| that is not
+    smooth in mu (the orbit weight |psi|) would see.  Every mu below
+    ROOT_FLOOR * max(1, max mu) is therefore an exact zero.
+    """
+    mu = spectrum_by_degree(domain, k)
+    floor = ROOT_FLOOR * max(1.0, float(mu[-1])) if mu.size else 0.0
+    return np.sqrt(np.where(mu > floor, mu, 0.0))
+
+
+def _values_by_degree(domain: SpectralDomain, g) -> list[np.ndarray]:
+    """g(sqrt mu_k) for every degree k, one evaluation per distinct root over all degrees."""
+    roots = [_roots(domain, k) for k in range(domain.top_degree + 1)]
+    vals = _even_values(g, np.concatenate(roots))
+    return np.split(vals, np.cumsum([r.size for r in roots])[:-1])
+
+
+def _block(domain: SpectralDomain, k: int, values: np.ndarray) -> np.ndarray:
+    """The n_k x n_k matrix W_k diag(values) W_k^T."""
+    _, w = domain.hodge_eigenpairs(k)
+    return (w * values) @ w.T
+
+
+def _block_diagonal(domain: SpectralDomain, values: list[np.ndarray]) -> np.ndarray:
+    out = np.zeros((domain.total_dim, domain.total_dim))
+    for k, vals in enumerate(values):
+        block = domain.degree_slice(k)
+        out[block, block] = _block(domain, k, vals)
+    return out
+
+
+def _dirac_times(domain: SpectralDomain, values: list[np.ndarray]) -> np.ndarray:
+    """D g(|D|) as a dense matrix: d_k G_k below the diagonal and d_k^T G_{k+1} above it."""
+    blocks = [_block(domain, k, vals) for k, vals in enumerate(values)]
+    out = np.zeros((domain.total_dim, domain.total_dim))
+    for k, d in enumerate(domain.d_blocks):
+        lo, hi = domain.degree_slice(k), domain.degree_slice(k + 1)
+        out[hi, lo] = d @ blocks[k]
+        out[lo, hi] = d.T @ blocks[k + 1]
+    return out
 
 
 def spectral_matrix(domain: SpectralDomain, g) -> np.ndarray:
-    """Dense matrix of g(sqrt L) = g(|D|) over the whole graded space."""
-    return _dense(domain, _even_values(g, domain.eigenvalues))
+    """Dense matrix of g(sqrt L) = g(|D|) over the whole graded space, block-diagonal over degrees."""
+    return _block_diagonal(domain, _values_by_degree(domain, g))
 
 
 def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
     """g(sqrt L) u for a pure-degree cochain u; the result has u's degree.
 
-    With V_k the degree-k rows of the eigenvectors of D this is
-    V_k (g(|lambda|) * V_k^T u), at cost O(n_k N).
+    With (mu_k, W_k) the eigenpairs of L_k this is W_k (g(sqrt mu_k) * W_k^T u),
+    at cost O(n_k^2).
     """
-    vk = domain.eigenvectors[domain.degree_slice(u.degree)]
-    vals = _even_values(g, domain.eigenvalues)
-    return Cochain(u.degree, vk @ (vals * (vk.T @ u.coefficients)))
+    _, w = domain.hodge_eigenpairs(u.degree)
+    vals = _even_values(g, _roots(domain, u.degree))
+    return Cochain(u.degree, w @ (vals * (w.T @ u.coefficients)))
 
 
 def _bessel_index(domain: SpectralDomain, q) -> int:
@@ -108,10 +155,23 @@ def _bounded_profile(domain: SpectralDomain, t: float, q):
     return lambda r: t * besselfn.phi(n, t * r)
 
 
-def _psi_values(domain: SpectralDomain, t: float, q, lam: np.ndarray) -> np.ndarray:
-    """psi_{q+2}(t lam) for every entry of lam; psi is odd, so sign(lam) psi_{q+2}(t |lam|)."""
+def _deformed_values(domain: SpectralDomain, t: float, q) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """psi_{q+2}(t sqrt mu_k) and t phi_{q+2}(t sqrt mu_k) for every degree k.
+
+    |psi_{q+2}(t |lambda|)| are the singular values of D_t, so they carry its
+    norm and, squared, the spectrum of L_t on each degree; t phi_{q+2} is the
+    even factor of D_t = D t phi_{q+2}(t|D|).  phi is evaluated once per
+    distinct root over all degrees.
+    """
     n = _bessel_index(domain, q) + 2
-    return np.sign(lam) * _even_values(lambda r: besselfn.psi(n, t * r), lam)
+
+    def both(r: float) -> tuple[float, float]:
+        x = t * r
+        p = besselfn.phi(n, x)
+        return x * p, t * p  # psi_n(x) = x phi_n(x), as besselfn.psi evaluates it
+
+    pairs = _values_by_degree(domain, both)
+    return [v[:, 0] for v in pairs], [v[:, 1] for v in pairs]
 
 
 def deformed_d(domain: SpectralDomain, t: float, u: Cochain, q: int | None = None) -> Cochain:
@@ -138,18 +198,22 @@ def deformed_d_adjoint(domain: SpectralDomain, t: float, w: Cochain, q: int | No
 
 
 def deformed_dirac(domain: SpectralDomain, t: float, q: int | None = None) -> np.ndarray:
-    """D_t = psi_{q+2}(tD) as a dense matrix; the zero matrix at t = 0."""
-    return _dense(domain, _psi_values(domain, t, q, domain.eigenvalues))
+    """D_t = psi_{q+2}(tD) = D t phi_{q+2}(t|D|) as a dense matrix; the zero matrix at t = 0."""
+    return _dirac_times(domain, _deformed_values(domain, t, q)[1])
 
 
 def deformed_laplacian(domain: SpectralDomain, t: float, q: int | None = None) -> np.ndarray:
-    """L_t = D_t^2, with eigenvalues psi_{q+2}(t lambda)^2."""
-    return _dense(domain, _psi_values(domain, t, q, domain.eigenvalues) ** 2)
+    """L_t = D_t^2 = psi_{q+2}(t sqrt L)^2, block-diagonal over degrees."""
+    return _block_diagonal(domain, [p**2 for p in _deformed_values(domain, t, q)[0]])
 
 
 def deformed_dirac_norm(domain: SpectralDomain, t: float, q: int | None = None) -> float:
-    """Operator norm of D_t, max_j |psi_{q+2}(t lambda_j)|."""
-    return float(np.max(np.abs(_psi_values(domain, t, q, domain.eigenvalues)), initial=0.0))
+    """Operator norm of D_t, max over degrees of |psi_{q+2}(t sqrt mu_k)|."""
+    return _max_abs(_deformed_values(domain, t, q)[0])
+
+
+def _max_abs(values: list[np.ndarray]) -> float:
+    return max(float(np.max(np.abs(v), initial=0.0)) for v in values)
 
 
 def betti(
@@ -168,15 +232,15 @@ def betti(
     within a factor 10 of the threshold; if the whole deformed spectrum is
     numerically zero every mode is harmonic.
     """
-    lam_max = float(np.max(_psi_values(domain, t, q, domain.eigenvalues) ** 2, initial=0.0))
+    psi, _ = _deformed_values(domain, t, q)
+    lam_max = _max_abs(psi) ** 2
     if lam_max < KERNEL_FLOOR:
         return domain.grading[degree]
     if tol is None:
         tol = 1e-8 * lam_max
     if tol <= 0:
         raise ValueError("tol must be positive")
-    root = np.sqrt(np.maximum(spectrum_by_degree(domain, degree), 0.0))
-    evals = _psi_values(domain, t, q, root) ** 2
+    evals = psi[degree] ** 2
     nearby = evals[(evals > tol / 10.0) & (evals < tol * 10.0)]
     if nearby.size:
         raise SpectralGapError(
@@ -191,18 +255,38 @@ def betti(
 
 
 def symmetry_commutator(domain: SpectralDomain, unitary: np.ndarray, t: float, q: int | None = None) -> float:
-    """|| U d_t - d_t U || for a unitary that commutes with d.
+    """|| U d_t - d_t U || for a degree-preserving unitary that commutes with d.
 
-    The precondition || U d - d U || < 1e-10 is measured first and a
-    violation is reported with the measured value.
+    For a degree-preserving U both commutators map degree k to degree k+1
+    only, so their 2-norms are the largest over k of
+    || U_{k+1} X_k - X_k U_k ||, with X_k = d_k for the precondition and
+    X_k = t phi_{q+2}(t sqrt L_{k+1}) d_k for d_t.  An off-degree block of U
+    of norm 1e-10 or more, and then a precondition || U d - d U || of 1e-10
+    or more, are reported with the measured value.
     """
     unitary = np.asarray(unitary, dtype=float)
-    d_full = domain.d_full()
-    pre = float(np.linalg.norm(unitary @ d_full - d_full @ unitary, 2))
+    slices = [domain.degree_slice(k) for k in range(domain.top_degree + 1)]
+    leak = max(
+        (_norm2(unitary[a, b]) for i, a in enumerate(slices) for j, b in enumerate(slices)
+         if i != j and np.any(unitary[a, b])),
+        default=0.0,
+    )
+    if leak >= 1e-10:
+        raise SymmetryPreconditionError(leak, "off-degree block of U")
+    blocks = [unitary[s, s] for s in slices]
+    pre = max(_norm2(blocks[k + 1] @ d - d @ blocks[k]) for k, d in enumerate(domain.d_blocks))
     if pre >= 1e-10:
         raise SymmetryPreconditionError(pre)
-    dt_full = spectral_matrix(domain, _bounded_profile(domain, t, q)) @ d_full
-    return float(np.linalg.norm(unitary @ dt_full - dt_full @ unitary, 2))
+    _, profile = _deformed_values(domain, t, q)
+    worst = 0.0
+    for k, d in enumerate(domain.d_blocks):
+        dt = _block(domain, k + 1, profile[k + 1]) @ d
+        worst = max(worst, _norm2(blocks[k + 1] @ dt - dt @ blocks[k]))
+    return worst
+
+
+def _norm2(matrix: np.ndarray) -> float:
+    return float(np.linalg.norm(matrix, 2))
 
 
 def _require_labels(domain: SpectralDomain) -> tuple[BasisLabel, ...]:
@@ -284,13 +368,16 @@ def torus_quarter_turn(domain: SpectralDomain) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _wave_map(domain: SpectralDomain, h: float, q) -> tuple[np.ndarray, float]:
-    """psi_{q+2}(h lambda) on the spectrum and the norm of D_h; needs ||D_h|| < 1."""
-    a_vals = _psi_values(domain, h, q, domain.eigenvalues)
-    norm = float(np.max(np.abs(a_vals), initial=0.0))
+def _wave_map(domain: SpectralDomain, h: float, q) -> tuple[np.ndarray, list[np.ndarray], float]:
+    """D_h = psi_{q+2}(hD) as a dense matrix, psi_{q+2}(h sqrt mu_k) by degree and ||D_h||.
+
+    Needs ||D_h|| < 1.
+    """
+    psi, profile = _deformed_values(domain, h, q)
+    norm = _max_abs(psi)
     if norm >= 1.0:
         raise WaveMapNormError(norm)
-    return a_vals, norm
+    return _dirac_times(domain, profile), psi, norm
 
 
 def discrete_wave_step(
@@ -301,8 +388,8 @@ def discrete_wave_step(
     q: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One step of T: (u, v) -> (D_h u - v, u); needs ||D_h|| < 1."""
-    a_vals, _ = _wave_map(domain, h, q)
-    return _dense(domain, a_vals) @ u - v, np.array(u)
+    dh, _, _ = _wave_map(domain, h, q)
+    return dh @ u - v, np.array(u)
 
 
 def discrete_wave_orbit(
@@ -316,18 +403,19 @@ def discrete_wave_orbit(
     """Iterate T, tracking the max state norm along the orbit.
 
     Returns the orbit maximum, the final state and the rotation-conjugacy
-    bound computed from the per-mode companion quadratic form
-    Q_a(u, v) = u^2 - a u v + v^2, which every step preserves exactly.
+    bound.  On an eigenmode of D with a = psi_{q+2}(h lambda) every step
+    preserves Q_a(u, v) = u^2 - a u v + v^2, and u^2 + v^2 <= Q_a / (1 - |a|/2).
+    Summed over modes the bound is u^T G u + v^T G v - u^T D_h G v, with G
+    the even function 1 / (1 - |psi_{q+2}(h |D|)| / 2).
     """
-    a_vals, norm = _wave_map(domain, h, q)
-    vecs = domain.eigenvectors
-    uc, vc = vecs.T @ u, vecs.T @ v
-    q_form = uc**2 - a_vals * uc * vc + vc**2
-    bound = math.sqrt(float(np.sum(q_form / (1.0 - np.abs(a_vals) / 2.0))))
-    dh = _dense(domain, a_vals)
+    dh, psi, norm = _wave_map(domain, h, q)
+    weight = _block_diagonal(domain, [1.0 / (1.0 - np.abs(a) / 2.0) for a in psi])
     cu, cv = np.array(u, dtype=float), np.array(v, dtype=float)
+    gv = weight @ cv
+    bound = math.sqrt(float(cu @ (weight @ cu) + cv @ gv - cu @ (dh @ gv)))
     max_norm = math.sqrt(float(cu @ cu + cv @ cv))
     for _ in range(steps):
         cu, cv = dh @ cu - cv, cu
         max_norm = max(max_norm, math.sqrt(float(cu @ cu + cv @ cv)))
     return {"max_norm": max_norm, "bound": bound, "final": (cu, cv), "dirac_norm": norm}
+

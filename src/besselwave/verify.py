@@ -106,13 +106,19 @@ def suite_spectral(seed: int, quick: bool) -> list[CaseResult]:
     for dom in (circle, torus):
         t = 0.8
         dt_mat = specops.deformed_dirac(dom, t)
-        for j in range(0, dom.total_dim, max(dom.total_dim // 12, 1)):
-            v = dom.eigenvectors[:, j]
-            lam = dom.eigenvalues[j]
-            worst_vec = max(
-                worst_vec,
-                float(np.linalg.norm(dt_mat @ v - besselfn.psi(dom.q + 2, t * lam) * v)),
-            )
+        for k in range(dom.top_degree + 1):
+            mu, w = dom.hodge_eigenpairs(k)
+            for j in range(0, dom.grading[k], max(dom.grading[k] // 6, 1)):
+                # For L_k w = mu w with lambda = sqrt(mu) > 0, (w + D w / lambda) / sqrt 2
+                # is an eigenvector of D with eigenvalue lambda; a harmonic w has lambda = 0.
+                lam = math.sqrt(max(float(mu[j]), 0.0))
+                v = dom.embed(dom.cochain(k, w[:, j]))
+                if lam > 1e-6:
+                    v = (v + dom.dirac @ v / lam) / math.sqrt(2.0)
+                worst_vec = max(
+                    worst_vec,
+                    float(np.linalg.norm(dt_mat @ v - besselfn.psi(dom.q + 2, t * lam) * v)),
+                )
     cases.append(CaseResult.check("eigenvector_preservation", worst_vec, 1e-9))
 
     low = build_circle_domain(2)

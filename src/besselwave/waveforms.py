@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import besselfn
-from .domains import Cochain, SpectralDomain
+from .domains import Cochain, SpectralDomain, spectrum_by_degree
 from .specops import functional_calculus
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "velocity_solution",
     "position_solution",
     "pde_residual",
+    "residual_step",
     "bessel_acceleration",
     "radial_acceleration",
     "factorization_check",
@@ -248,13 +249,27 @@ def position_solution(domain: SpectralDomain, f: Cochain, q: int | None = None) 
     return _solution_from_df(domain, f, "position", q)
 
 
-def pde_residual(solution: WaveSolution, t: float, dt: float = 1e-3) -> float:
+def residual_step(solution: WaveSolution) -> float:
+    """Default step of `pde_residual`: min(1e-3, 0.005 / max |lambda|) on the solution's degree.
+
+    The stencils' truncation error on a mode grows like dt^4 lambda^6 / 90,
+    so a fixed step of 1e-3 reports more than 1e-6 for an exact solution
+    once |lambda| passes ~20; holding dt |lambda| <= 0.005 keeps it far below.
+    """
+    top = float(spectrum_by_degree(solution.domain, solution.degree)[-1])
+    lam = math.sqrt(max(top, 0.0))
+    return min(1e-3, 0.005 / lam) if lam > 0.0 else 1e-3
+
+
+def pde_residual(solution: WaveSolution, t: float, dt: float | None = None) -> float:
     """Finite-difference defect of the governing equation at time t.
 
     Second derivative by the 5-point 4th-order stencil, first derivative by
     the 4-point 4th-order stencil; the singular 1/t coefficients keep the
-    harness away from t < 5 dt.
+    harness away from t < 5 dt.  dt defaults to `residual_step(solution)`.
     """
+    if dt is None:
+        dt = residual_step(solution)
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t < 5.0 * dt:

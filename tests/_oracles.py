@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from besselwave import besselfn
 from besselwave.oracles import dalembert_shift_coefficients  # noqa: F401  (re-exported for the tests)
 
 
@@ -40,6 +41,34 @@ def jacobi_eigh(matrix: np.ndarray, eps: float = 1e-13, max_sweeps: int = 60):
                 v = v @ rot
     order = np.argsort(np.diag(a))
     return np.diag(a)[order], v[:, order]
+
+
+class DenseDiracOracle:
+    """The functional calculus from the dense eigendecomposition of the N x N Dirac matrix.
+
+    Independent of the per-degree Hodge eigenpairs the package uses: every
+    operator is a function of D evaluated on its eigenvalues lambda.
+    """
+
+    def __init__(self, domain):
+        self.lam, self.vec = np.linalg.eigh(domain.dirac)
+
+    def even(self, g) -> np.ndarray:
+        """g(|D|) for a scalar function g."""
+        return (self.vec * np.array([g(abs(float(x))) for x in self.lam])) @ self.vec.T
+
+    def psi(self, t: float, n: int) -> np.ndarray:
+        """The eigenvalues psi_n(t lambda) of D_t, psi odd."""
+        return np.sign(self.lam) * np.array([besselfn.psi(n, t * abs(x)) for x in self.lam])
+
+    def deformed_dirac(self, t: float, n: int) -> np.ndarray:
+        return (self.vec * self.psi(t, n)) @ self.vec.T
+
+    def orbit_bound(self, h: float, n: int, u, v) -> float:
+        """sqrt(sum_j (u_j^2 - a_j u_j v_j + v_j^2) / (1 - |a_j| / 2)) over the eigenmodes of D."""
+        a = self.psi(h, n)
+        uc, vc = self.vec.T @ u, self.vec.T @ v
+        return math.sqrt(float(np.sum((uc**2 - a * uc * vc + vc**2) / (1.0 - np.abs(a) / 2.0))))
 
 
 def exact_rank(matrix) -> int:

@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from besselwave import besselfn
 from besselwave.cli import main
+from besselwave.domains import SimplicialComplex
 
 
 def run_cli(capsys, *argv):
@@ -87,7 +89,7 @@ class TestSpectral:
                                "--wave-steps", "10", "--format", "json")
         assert code == 0
         orbit = json.loads(out)["wave_orbit"]
-        assert orbit["dirac_norm"] == pytest.approx(besselfn.psi(4, math.asin(0.9)), rel=1e-9)
+        assert orbit["dirac_norm"] == pytest.approx(besselfn.psi(4, 0.9), rel=1e-9)
         assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)
 
     def test_orbit_step_from_simplicial_spectrum(self, capsys, tmp_path):
@@ -97,7 +99,38 @@ class TestSpectral:
                                "--wave-steps", "10", "--format", "json")
         assert code == 0
         orbit = json.loads(out)["wave_orbit"]
-        assert orbit["dirac_norm"] == pytest.approx(besselfn.psi(4, math.asin(0.9)), rel=1e-9)
+        assert orbit["dirac_norm"] == pytest.approx(besselfn.psi(4, 0.9), rel=1e-9)
+
+    def test_orbit_step_for_every_q(self, capsys, tmp_path):
+        # The full 4-simplex has q = 4, where psi_6(asin 0.9) passes 1; psi_6(0.9) does not.
+        path = tmp_path / "simplex4.json"
+        path.write_text(json.dumps(SimplicialComplex.from_maximal([range(5)]).to_json()))
+        code, out, _ = run_cli(capsys, "spectral", "--domain", "simplicial", "--complex", str(path),
+                               "--wave-steps", "5", "--format", "json")
+        assert code == 0
+        orbit = json.loads(out)["wave_orbit"]
+        assert orbit["dirac_norm"] == pytest.approx(besselfn.psi(6, 0.9), rel=1e-9)
+        assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)
+
+    def test_no_full_size_eigensolve(self, capsys, monkeypatch):
+        # A torus3 request with a symmetry and an orbit passes no N x N matrix to an
+        # eigensolver or an SVD; numpy's 2-norm reaches svd through numpy.linalg._linalg.
+        seen = []
+
+        def recording(fn):
+            def wrapper(a, *args, **kwargs):
+                seen.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+            for name in ("eigh", "eigvalsh", "svd"):
+                monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        code, out, _ = run_cli(capsys, "spectral", "--domain", "torus3", "--max-freq", "2", "--t", "0.3",
+                               "--symmetry", "translation", "--wave-steps", "3", "--format", "json")
+        assert code == 0
+        total_dim = sum(json.loads(out)["grading"])
+        assert seen and max(max(shape) for shape in seen) < total_dim
 
     def test_missing_complex_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectral", "--domain", "simplicial")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from besselwave import besselfn
+from besselwave.domains import DomainSizeError
 from besselwave.huygens import (
     PolarizationDegreeError,
     SphereIntegral,
@@ -201,6 +202,17 @@ class TestLocalityProbe:
     def test_torus_diameter_guard(self):
         with pytest.raises(ValueError):
             locality_probe(2, 64, 0.02, 0.4, 0.12)
+
+    def test_grid_cap_raises_before_allocating(self, monkeypatch):
+        # The default grid of 256 points per axis is 256^3 points for q = 3, about 3 GB.
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the probe built a grid")
+
+        monkeypatch.setattr(np.fft, "fftfreq", no_grid)
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        with pytest.raises(DomainSizeError) as err:
+            locality_probe(3, 64, 0.02, 0.3, 0.05)
+        assert "16777216" in str(err.value)
 
     def test_profile_masses_sum_to_one(self):
         result = locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=128)

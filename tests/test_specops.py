@@ -27,6 +27,8 @@ from besselwave.specops import (
     torus_translation,
 )
 
+from _oracles import DenseDiracOracle
+
 
 OCTAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
               [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]
@@ -269,3 +271,91 @@ class TestDiscreteWaveMap:
         assert orbit["dirac_norm"] == pytest.approx(0.9, abs=1e-12)
         assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)
         assert orbit["bound"] < 100.0
+
+
+class TestDenseDiracOracle:
+    """Each per-degree path against the eigendecomposition of the dense N x N Dirac matrix."""
+
+    @pytest.fixture(scope="class")
+    def domains(self, circle4, torus2):
+        octa = build_simplicial_domain(SimplicialComplex.from_maximal(OCTAHEDRON))
+        return [(dom, DenseDiracOracle(dom)) for dom in (circle4, torus2, octa)]
+
+    @staticmethod
+    def close(got, want, rel=1e-12):
+        return np.linalg.norm(np.asarray(got) - want) <= rel * np.linalg.norm(want)
+
+    def test_functional_calculus_and_spectral_matrix(self, domains, rng):
+        def g(r):
+            return math.cos(0.7 * r) + 0.3 * besselfn.phi(4, 0.5 * r)
+
+        for dom, oracle in domains:
+            dense = oracle.even(g)
+            assert self.close(spectral_matrix(dom, g), dense)
+            for k in range(dom.top_degree + 1):
+                u = dom.cochain(k, rng.standard_normal(dom.grading[k]))
+                want = (dense @ dom.embed(u))[dom.degree_slice(k)]
+                assert self.close(functional_calculus(dom, g, u).coefficients, want)
+
+    def test_deformed_dirac_and_norm(self, domains):
+        for dom, oracle in domains:
+            for t in (0.17, 1.0 / math.sqrt(7.0), 0.8):
+                assert self.close(deformed_dirac(dom, t), oracle.deformed_dirac(t, dom.q + 2))
+                want = float(np.max(np.abs(oracle.psi(t, dom.q + 2))))
+                assert deformed_dirac_norm(dom, t) == pytest.approx(want, rel=1e-12)
+
+    def test_betti(self, domains):
+        for dom, oracle in domains:
+            for t in (1.0 / math.sqrt(7.0), 0.5, 0.25):
+                a = oracle.psi(t, dom.q + 2)
+                lt = (oracle.vec * a**2) @ oracle.vec.T
+                lt_max = float(np.max(a**2))
+                for k in range(dom.top_degree + 1):
+                    block = lt[dom.degree_slice(k), dom.degree_slice(k)]
+                    dense = int(np.sum(np.linalg.eigvalsh(block) < 1e-8 * lt_max))
+                    if lt_max < 1e-24:
+                        dense = dom.grading[k]
+                    assert betti(dom, t, k) == dense
+
+    def test_orbit_bound(self, domains, rng):
+        for dom, oracle in domains:
+            h = 0.9 / float(np.max(np.abs(oracle.lam)))
+            state = rng.standard_normal(2 * dom.total_dim)
+            u, v = state[: dom.total_dim], state[dom.total_dim:]
+            orbit = discrete_wave_orbit(dom, h, u, v, 3)
+            assert orbit["bound"] == pytest.approx(oracle.orbit_bound(h, dom.q + 2, u, v), rel=1e-12)
+
+    def test_symmetry_commutator(self, domains, rng):
+        for dom, oracle in domains:
+            if dom.labels is None:
+                unitary = np.eye(dom.total_dim)
+            else:
+                unitary = torus_translation(dom, [0.3] * dom.q)
+            d_full = dom.d_full()
+            for t in (0.3, 1.7):
+                dt = oracle.even(lambda r: t * besselfn.phi(dom.q + 2, t * r)) @ d_full
+                want = np.linalg.norm(unitary @ dt - dt @ unitary, 2)
+                assert abs(symmetry_commutator(dom, unitary, t) - want) <= 1e-12 * np.linalg.norm(dt, 2)
+
+    def test_precondition_is_the_full_norm(self, domains, rng):
+        # A degree-preserving unitary that does not commute with d.
+        for dom, _ in domains:
+            unitary = np.zeros((dom.total_dim, dom.total_dim))
+            for k in range(dom.top_degree + 1):
+                block = dom.degree_slice(k)
+                n = dom.grading[k]
+                unitary[block, block] = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            d_full = dom.d_full()
+            want = np.linalg.norm(unitary @ d_full - d_full @ unitary, 2)
+            with pytest.raises(SymmetryPreconditionError) as err:
+                symmetry_commutator(dom, unitary, 0.5)
+            assert err.value.measured == pytest.approx(want, rel=1e-12)
+
+    def test_degree_mixing_unitary_rejected(self, circle4):
+        # Swap the degree-0 and degree-1 blocks: an orthogonal matrix with unit off-degree blocks.
+        n = circle4.grading[0]
+        swap = np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+        with pytest.raises(SymmetryPreconditionError) as err:
+            symmetry_commutator(circle4, swap, 0.5)
+        assert err.value.measured == pytest.approx(1.0, rel=1e-12)
+        assert "off-degree" in str(err.value)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from besselwave.domains import build_circle_domain
+from besselwave.domains import build_circle_domain, build_torus_domain
 from besselwave.specops import deformed_d
 from besselwave.waveforms import (
     LaurentPoly,
@@ -161,6 +161,14 @@ class TestResidualHarness:
         u0 = circle4.cochain(0, u0.coefficients / norm)
         v0 = circle4.cochain(0, v0.coefficients / norm)
         assert pde_residual(classical_wave(circle4, u0, v0), 1.0) < 1e-6
+
+    def test_default_step_follows_the_spectrum(self, rng):
+        # |lambda| reaches 16 pi on circle8 and 6 pi sqrt 2 on torus2-3, where a fixed
+        # dt = 1e-3 reports 1e-4 and 3e-6 for these exact solutions.
+        for dom in (build_circle_domain(8), build_torus_domain(2, 3)):
+            f = unit_rate_f(dom, rng)
+            for t in (0.5, 1.0, 2.0):
+                assert pde_residual(position_solution(dom, f, q=1), t) < 1e-6
 
     def test_fourth_order_convergence(self, torus2, rng):
         # the defect is stencil truncation: halving dt divides it by ~16
