@@ -10,7 +10,7 @@ rational arithmetic, and measures wave-front geometry (Jacobi fields,
 front lengths, two-radius curvature estimates) on metric charts.
 """
 
-from .besselfn import BesselProfile, phi, phi_derivative, ode_residual, psi, series_coefficient
+from .besselfn import phi, phi_derivative, ode_residual, psi, series_coefficient
 from .domains import (
     Cochain,
     ComplexClosureError,
@@ -93,7 +93,6 @@ from .geomfront import (
     global_cancellation,
     hyperbolic_chart,
     jacobi_field,
-    make_chart,
     puiseux_curvature,
     r2d2_boundary,
     r2d2_curvature,

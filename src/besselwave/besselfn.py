@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "BesselDomainError",
-    "BesselProfile",
     "series_coefficient",
     "phi",
     "psi",
@@ -210,36 +208,3 @@ def ode_residual(n: int, r: float) -> float:
     p1 = -(r / n) * phi(n + 2, r)
     p2 = -phi(n + 2, r) / n + (r * r) * phi(n + 4, r) / (n * (n + 2))
     return p2 + (n - 1) * p1 / r + p0
-
-
-@dataclass(frozen=True)
-class BesselProfile:
-    """A fixed profile phi_n.
-
-    Thin convenience wrapper over the module functions; the series always
-    stops at the 2^-50 relative target.  The coefficient cache is shared
-    and lock-guarded, so instances are safe to use from several threads.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        _check_n(self.n)
-
-    def coefficient(self, k: int) -> Fraction:
-        return series_coefficient(self.n, k)
-
-    def phi(self, r: float) -> float:
-        return phi(self.n, r)
-
-    def psi(self, r: float) -> float:
-        return psi(self.n, r)
-
-    def derivative(self, r: float) -> float:
-        return phi_derivative(self.n, r)
-
-    def ode_residual(self, r: float) -> float:
-        return ode_residual(self.n, r)
-
-    def warm_cache(self, terms: int = 60) -> None:
-        series_coefficient(self.n, terms)

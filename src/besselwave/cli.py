@@ -357,7 +357,7 @@ def _chart_from_args(args):
         if not (args.g11 and args.g12 is not None and args.g22):
             raise ValueError("custom charts need --g11, --g12, --g22 expressions")
         bounds = tuple(float(s) for s in args.bounds.split(","))
-        return geomfront.chart_from_expressions(args.g11, args.g12, args.g22, bounds, args.curvature)
+        return geomfront.chart_from_expressions(args.g11, args.g12, args.g22, bounds)
     return geomfront.chart_by_name(args.chart)
 
 
@@ -387,14 +387,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default values for the flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, plot=False):
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--plot", action="store_true", help="write an SVG next to --out")
+        if plot:
+            p.add_argument("--plot", action="store_true", help="write an SVG next to --out")
 
     p = sub.add_parser("bessel", help="profile tables and identity checks")
-    common(p)
+    common(p, plot=True)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--r", type=float)
     p.add_argument("--r-min", type=float, default=0.1)
@@ -404,6 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="domain spectra, Betti tables, symmetries, wave orbits")
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--domain", choices=("circle", "torus2", "torus3", "simplicial"), default="circle")
     p.add_argument("--max-freq", type=int, default=3)
     p.add_argument("--complex", help="JSON file with {\"simplices\": [...]}")
@@ -416,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectral)
 
     p = sub.add_parser("wave", help="solution snapshots and residual sweeps")
-    common(p)
+    common(p, plot=True)
     p.add_argument("--domain", choices=("circle", "torus2", "torus3", "simplicial"), default="circle")
     p.add_argument("--max-freq", type=int, default=3)
     p.add_argument("--complex")
@@ -439,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_polarize)
 
     p = sub.add_parser("huygens-probe", help="interior-leakage comparison on the flat torus")
-    common(p)
+    common(p, plot=True)
     p.add_argument("--q", type=int, default=2, choices=(2, 3))
     p.add_argument("--max-freq", type=int, default=64)
     p.add_argument("--sigma", type=float, default=0.02)
@@ -449,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("curvature", help="two-radius and circumference-defect curvature sweeps")
-    common(p)
+    common(p, plot=True)
     p.add_argument("--chart", default="sphere")
     p.add_argument("--h", type=float)
     p.add_argument("--point")
@@ -457,12 +458,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g11")
     p.add_argument("--g12")
     p.add_argument("--g22")
-    p.add_argument("--curvature")
     p.add_argument("--bounds", default="-2,2,-2,2")
     p.set_defaults(func=_cmd_curvature)
 
     p = sub.add_parser("front", help="wave-front polylines and line integrals")
-    common(p)
+    common(p, plot=True)
     p.add_argument("--chart", default="flat")
     p.add_argument("--point")
     p.add_argument("--t", type=float, default=0.5)
@@ -471,7 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g11")
     p.add_argument("--g12")
     p.add_argument("--g22")
-    p.add_argument("--curvature")
     p.add_argument("--bounds", default="-2,2,-2,2")
     p.set_defaults(func=_cmd_front)
 

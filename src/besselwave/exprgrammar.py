@@ -1,77 +1,196 @@
-"""Tiny arithmetic expression grammar for custom metric charts.
+"""Tiny arithmetic expression grammar for custom metric charts, with exact derivatives.
 
 Accepted: numeric literals, the variables x and y, pi, + - * / ^ (power),
-unary minus, and the calls sin, cos, sinh, cosh, exp.  Compiled through a
-whitelisted Python AST into a numpy-vectorized callable, so no arbitrary
-code can sneak in through a chart definition string.
+unary minus, and the calls sin, cos, sinh, cosh, exp.  A string is parsed
+through a whitelisted Python AST into an expression tree, so no arbitrary
+code can sneak in through a chart definition string.  Trees are nested
+tuples ``(op, *operands)`` over float constants and variable names; the
+grammar is closed under d/dx and d/dy (``derivative``), with ``log``
+entering only through the power rule.  Constants, zeros and ones fold as
+the tree is built, so repeated derivatives stay small.  ``compile_trees``
+turns several trees into one numpy-vectorized callable that evaluates each
+shared subexpression once.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import operator
+import sys
 
 import numpy as np
 
-__all__ = ["ExpressionError", "compile_expression"]
+__all__ = ["ExpressionError", "compile_expression", "compile_trees", "derivative", "parse_expression"]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh, "exp": np.exp}
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-_UNARY = (ast.USub, ast.UAdd)
+_CALLS = {**_FUNCTIONS, "log": np.log}  # log only arises from differentiating a^b
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# Folding applies the same operations the compiled code evaluates.
+_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+          "^": operator.pow, "neg": operator.neg, **_CALLS}
 
 
 class ExpressionError(ValueError):
     """The expression uses something outside the documented grammar."""
 
 
-def _validate(node: ast.AST, variables: tuple[str, ...]) -> None:
-    if isinstance(node, ast.Expression):
-        _validate(node.body, variables)
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise ExpressionError(f"literal {node.value!r} is not numeric")
-    elif isinstance(node, ast.Name):
-        if node.id not in variables and node.id != "pi":
+def _tree(node: ast.AST, variables: tuple[str, ...]):
+    """The folded expression tree of a parsed node, rejecting anything outside the grammar."""
+    if isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)) or not abs(node.value) <= sys.float_info.max:
+            raise ExpressionError(f"literal {node.value!r} is not a finite number")
+        return float(node.value)
+    if isinstance(node, ast.Name):
+        if node.id == "pi":
+            return math.pi
+        if node.id not in variables:
             raise ExpressionError(f"unknown name {node.id!r}")
-    elif isinstance(node, ast.BinOp):
-        if not isinstance(node.op, _BINOPS):
+        return node.id
+    if isinstance(node, ast.BinOp):
+        if type(node.op) not in _BINOPS:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        _validate(node.left, variables)
-        _validate(node.right, variables)
-    elif isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, _UNARY):
+        return _node(_BINOPS[type(node.op)], _tree(node.left, variables), _tree(node.right, variables))
+    if isinstance(node, ast.UnaryOp):
+        if not isinstance(node.op, (ast.USub, ast.UAdd)):
             raise ExpressionError(f"unary {type(node.op).__name__} not allowed")
-        _validate(node.operand, variables)
-    elif isinstance(node, ast.Call):
+        operand = _tree(node.operand, variables)
+        return _node("neg", operand) if isinstance(node.op, ast.USub) else operand
+    if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only sin, cos, sinh, cosh, exp calls are allowed")
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError("grammar functions take exactly one argument")
-        _validate(node.args[0], variables)
-    else:
-        raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
+        return _node(node.func.id, _tree(node.args[0], variables))
+    raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
 
 
-def compile_expression(source: str, variables: tuple[str, ...] = ("x", "y")):
-    """Compile a grammar string into a vectorized callable of the variables."""
+def _node(op: str, *args):
+    """Build (op, *args), folding constants, zeros and ones.
+
+    Folding never raises: a constant operation that raises or gives a
+    non-finite or complex value stays a node, evaluated (raising or warning)
+    at call time as it would be unfolded.  0 * a = 0, 0 / a = 0 and a^0 = 1
+    hold symbolically.
+    """
+    if all(isinstance(a, float) for a in args):
+        try:
+            with np.errstate(all="ignore"):
+                value = _APPLY[op](*args)
+            if isinstance(value, (float, np.floating)) and math.isfinite(value):
+                return float(value)
+        except ArithmeticError:
+            pass
+    a = args[0]
+    b = args[1] if len(args) > 1 else None
+    if op == "+" and (a == 0.0 or b == 0.0):
+        return b if a == 0.0 else a
+    if op == "-" and b == 0.0:
+        return a
+    if op == "-" and a == 0.0:
+        return _node("neg", b)
+    if op == "*" and (a == 0.0 or b == 0.0):
+        return 0.0
+    if op == "*" and (a == 1.0 or b == 1.0):
+        return b if a == 1.0 else a
+    if op == "/" and (a == 0.0 or b == 1.0):
+        return a
+    if op == "^" and b == 1.0:
+        return a
+    if op == "^" and b == 0.0:
+        return 1.0
+    if op == "neg" and isinstance(a, tuple) and a[0] == "neg":
+        return a[1]
+    return (op, *args)
+
+
+def parse_expression(source: str, variables: tuple[str, ...] = ("x", "y")):
+    """Parse a grammar string into a folded expression tree."""
     text = source.replace("^", "**").replace("·", "*")
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {source!r}: {exc}") from exc
-    _validate(tree, tuple(variables))
-    code = compile(tree, "<chart-expression>", "eval")
-    namespace = dict(_FUNCTIONS)
-    namespace["pi"] = math.pi
+    return _tree(tree.body, tuple(variables))
+
+
+def derivative(tree, var: str):
+    """The exact partial derivative of an expression tree with respect to var."""
+    if isinstance(tree, float):
+        return 0.0
+    if isinstance(tree, str):
+        return 1.0 if tree == var else 0.0
+    op, a = tree[0], tree[1]
+    da = derivative(a, var)
+    if op in ("+", "-"):
+        return _node(op, da, derivative(tree[2], var))
+    if op == "*":
+        b = tree[2]
+        return _node("+", _node("*", da, b), _node("*", a, derivative(b, var)))
+    if op == "/":
+        b = tree[2]
+        numerator = _node("-", _node("*", da, b), _node("*", a, derivative(b, var)))
+        return _node("/", numerator, _node("^", b, 2.0))
+    if op == "^":
+        b = tree[2]
+        power_rule = _node("*", _node("*", b, _node("^", a, _node("-", b, 1.0))), da)
+        exponent_rule = _node("*", _node("*", tree, _node("log", a)), derivative(b, var))
+        return _node("+", power_rule, exponent_rule)
+    if op == "neg":
+        return _node("neg", da)
+    if op == "exp":
+        outer = tree
+    elif op == "log":
+        outer = _node("/", 1.0, a)
+    elif op == "cos":
+        outer = _node("neg", _node("sin", a))
+    else:
+        outer = _node({"sin": "cos", "sinh": "cosh", "cosh": "sinh"}[op], a)
+    return _node("*", outer, da)
+
+
+def compile_trees(trees, variables: tuple[str, ...] = ("x", "y")):
+    """One callable of the variables returning the tuple of every tree's value.
+
+    Each distinct subtree is evaluated once per call.  Constant trees come
+    back as Python floats, not broadcast to the argument shape.
+    """
+    lines: list[str] = []
+    names: dict = {}
+
+    def ref(t) -> str:
+        if isinstance(t, float):
+            return f"({t!r})"
+        if isinstance(t, str):
+            return t
+        if t not in names:
+            args = [ref(a) for a in t[1:]]
+            if t[0] in _BINOPS.values():
+                expr = f"{args[0]} {'**' if t[0] == '^' else t[0]} {args[1]}"
+            elif t[0] == "neg":
+                expr = f"-{args[0]}"
+            else:
+                expr = f"{t[0]}({args[0]})"
+            names[t] = f"_t{len(names)}"
+            lines.append(f"    {names[t]} = {expr}\n")
+        return names[t]
+
+    outputs = ", ".join(ref(t) for t in trees)
+    source = f"def _jet({', '.join(variables)}):\n{''.join(lines)}    return ({outputs},)\n"
+    namespace = {"__builtins__": {}, **_CALLS}
+    exec(compile(source, "<chart-expression>", "exec"), namespace)
+    jet = namespace["_jet"]
+    return lambda *args: jet(*(np.asarray(a, dtype=float) for a in args))
+
+
+def compile_expression(source: str, variables: tuple[str, ...] = ("x", "y")):
+    """Compile a grammar string into a vectorized callable of the variables."""
+    evaluate = compile_trees((parse_expression(source, variables),), variables)
 
     def fn(*args):
-        if len(args) != len(variables):
-            raise TypeError(f"expression expects {len(variables)} arguments")
-        arrays = [np.asarray(a, dtype=float) for a in args]
-        local = dict(zip(variables, arrays))
-        out = np.asarray(eval(code, {"__builtins__": {}}, {**namespace, **local}), dtype=float)
+        out = np.asarray(evaluate(*args)[0], dtype=float)
         # constants must still broadcast to the argument shape
-        shape = np.broadcast(*arrays).shape if arrays else ()
+        shape = np.broadcast(*args).shape if args else ()
         if out.ndim == 0 and shape:
             out = np.full(shape, float(out))
         return out

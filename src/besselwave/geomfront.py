@@ -1,21 +1,27 @@
 """Geodesic wave fronts, Jacobi fields and limit-free curvature on 2-manifold charts.
 
-A chart carries metric components over a parameter rectangle.  Geodesics
-solve xdd^k + Gamma^k_ij xd^i xd^j = 0 with a classical 4th-order
-Runge-Kutta integrator, vectorized over launch angles; the Jacobi field
-J'' + K J = 0, J(0) = 0, J'(0) = 1 rides along.  Wave-front lengths are
-the angular integral of |J|, and two limit-free curvature estimates come
-from comparing front lengths at one and two radii.
+A chart carries grammar-string metric components (see exprgrammar) over a
+parameter rectangle.  Each chart compiles one jet: a single callable that
+returns the metric, its six first partials and the three second partials
+the Brioschi formula needs, all differentiated exactly from the
+expressions.  Christoffel symbols (closed 2-D form) and the Gauss curvature
+(Brioschi determinant) both read the jet.  Geodesics solve
+xdd^k + Gamma^k_ij xd^i xd^j = 0 with a classical 4th-order Runge-Kutta
+integrator, vectorized over launch angles, evaluating the jet once per
+stage; the Jacobi field J'' + K J = 0, J(0) = 0, J'(0) = 1 rides along.
+Charts whose metric is the constant identity have straight geodesics.
+Wave-front lengths are the angular integral of |J|, and two limit-free
+curvature estimates come from comparing front lengths at one and two radii.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprgrammar import compile_expression
+from .exprgrammar import compile_expression, compile_trees, derivative, parse_expression
 
 __all__ = [
     "ChartDomainError",
@@ -24,7 +30,6 @@ __all__ = [
     "SurfaceChart",
     "WaveFront",
     "LineIntegralResult",
-    "make_chart",
     "flat_chart",
     "sphere_chart",
     "hyperbolic_chart",
@@ -45,8 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_STEP = 1e-3
-PARTIAL_STEP = 1e-5
-BRIOSCHI_STEP = 1e-4
+CHECK_POINTS = 7
 
 
 class ChartDomainError(ValueError):
@@ -67,13 +71,12 @@ class PositiveDefiniteError(ValueError):
 
 @dataclass(frozen=True)
 class SurfaceChart:
-    """Metric chart g11, g12, g22 on a rectangle, with optional extras.
+    """Metric chart g11, g12, g22 on a rectangle, built by chart_from_expressions.
 
-    partials, when given, maps component names 'g11_x', 'g11_y', ..., to
-    callables; otherwise central differences with step 1e-5 are used.
-    curvature, when given, short-circuits the Brioschi evaluation.
-    straight_geodesics marks charts whose geodesics are coordinate lines
-    (identity metric); periodic marks the unit torus.
+    jet(x, y) returns (g11, g12, g22, g11_x, g12_x, g22_x, g11_y, g12_y,
+    g22_y, g11_yy, g12_xy, g22_xx) in one evaluation; constant entries come
+    back as scalars.  straight_geodesics holds when the metric is the
+    constant identity; periodic marks the unit torus.
     """
 
     name: str
@@ -81,9 +84,8 @@ class SurfaceChart:
     g12: callable
     g22: callable
     bounds: tuple[float, float, float, float]
-    curvature: callable | None = None
-    partials: dict | None = None
-    straight_geodesics: bool = False
+    jet: callable
+    straight_geodesics: bool
     periodic: bool = False
 
     def contains(self, x, y) -> bool:
@@ -98,11 +100,6 @@ class SurfaceChart:
 
     def metric(self, x, y) -> tuple:
         return self.g11(x, y), self.g12(x, y), self.g22(x, y)
-
-    def curvature_at(self, x, y):
-        if self.curvature is not None:
-            return self.curvature(x, y)
-        return gauss_curvature_brioschi(self, x, y)
 
 
 @dataclass(frozen=True)
@@ -123,79 +120,40 @@ class LineIntegralResult:
     front_self_intersects: bool
 
 
-def make_chart(name, g11, g12, g22, bounds, curvature=None, partials=None,
-               straight_geodesics=False, periodic=False, check_points: int = 7) -> SurfaceChart:
-    """Build a chart and verify positive-definiteness on a sample grid."""
-    chart = SurfaceChart(name, g11, g12, g22, tuple(float(b) for b in bounds),
-                         curvature, partials, straight_geodesics, periodic)
+def chart_from_expressions(g11: str, g12: str, g22: str, bounds, name: str = "custom") -> SurfaceChart:
+    """Chart from grammar strings in x and y, checked positive-definite on a 7 x 7 sample grid."""
+    e, f, g = (parse_expression(s) for s in (g11, g12, g22))
+    d_x = [derivative(t, "x") for t in (e, f, g)]
+    d_y = [derivative(t, "y") for t in (e, f, g)]
+    jet = compile_trees((e, f, g, *d_x, *d_y, derivative(d_y[0], "y"), derivative(d_x[1], "y"),
+                         derivative(d_x[2], "x")))
+    chart = SurfaceChart(name, compile_expression(g11), compile_expression(g12), compile_expression(g22),
+                         tuple(float(b) for b in bounds), jet, (e, f, g) == (1.0, 0.0, 1.0))
     x_min, x_max, y_min, y_max = chart.bounds
-    xs = np.linspace(x_min, x_max, check_points)
-    ys = np.linspace(y_min, y_max, check_points)
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = np.meshgrid(np.linspace(x_min, x_max, CHECK_POINTS), np.linspace(y_min, y_max, CHECK_POINTS))
     a, b, c = chart.metric(gx, gy)
-    det = np.asarray(a) * np.asarray(c) - np.asarray(b) ** 2
-    if np.any(np.asarray(a) <= 0) or np.any(det <= 0):
+    if np.any(a <= 0) or np.any(a * c - b**2 <= 0):
         raise PositiveDefiniteError(f"metric of {name} is not positive-definite on the rectangle")
     return chart
 
 
-def _const(value: float):
-    return lambda x, y: np.full(np.broadcast(x, y).shape, value) if np.ndim(x) or np.ndim(y) else value
-
-
-_ZERO_PARTIALS = {k: _const(0.0) for k in ("g11_x", "g11_y", "g12_x", "g12_y", "g22_x", "g22_y")}
-
-
 def flat_chart(extent: float = 4.0) -> SurfaceChart:
-    return make_chart("flat", _const(1.0), _const(0.0), _const(1.0),
-                      (-extent, extent, -extent, extent), curvature=_const(0.0),
-                      partials=_ZERO_PARTIALS, straight_geodesics=True)
+    return chart_from_expressions("1", "0", "1", (-extent, extent, -extent, extent), name="flat")
 
 
 def sphere_chart(pad: float = 0.02) -> SurfaceChart:
     """Unit round sphere in polar coordinates (x = colatitude, y = longitude)."""
-    partials = dict(_ZERO_PARTIALS)
-    partials["g22_x"] = lambda x, y: 2.0 * np.sin(x) * np.cos(x)
-    return make_chart(
-        "sphere",
-        _const(1.0),
-        _const(0.0),
-        lambda x, y: np.sin(x) ** 2,
-        (pad, math.pi - pad, -1e9, 1e9),
-        curvature=_const(1.0),
-        partials=partials,
-    )
+    return chart_from_expressions("1", "0", "sin(x)^2", (pad, math.pi - pad, -1e9, 1e9), name="sphere")
 
 
 def hyperbolic_chart() -> SurfaceChart:
     """Upper half-plane with the constant-curvature -1 metric."""
-    partials = dict(_ZERO_PARTIALS)
-    partials["g11_y"] = lambda x, y: -2.0 / y**3
-    partials["g22_y"] = lambda x, y: -2.0 / y**3
-    return make_chart(
-        "hyperbolic",
-        lambda x, y: 1.0 / y**2,
-        _const(0.0),
-        lambda x, y: 1.0 / y**2,
-        (-1e9, 1e9, 0.02, 1e9),
-        curvature=_const(-1.0),
-        partials=partials,
-    )
+    return chart_from_expressions("1/y^2", "0", "1/y^2", (-1e9, 1e9, 0.02, 1e9), name="hyperbolic")
 
 
 def torus_chart() -> SurfaceChart:
     """Flat unit torus; evaluation wraps, geodesics are straight lines."""
-    return make_chart("torus", _const(1.0), _const(0.0), _const(1.0),
-                      (0.0, 1.0, 0.0, 1.0), curvature=_const(0.0),
-                      partials=_ZERO_PARTIALS, straight_geodesics=True, periodic=True)
-
-
-def chart_from_expressions(g11: str, g12: str, g22: str, bounds, curvature: str | None = None,
-                           name: str = "custom") -> SurfaceChart:
-    """Chart from grammar strings in x and y (see exprgrammar)."""
-    k_fn = compile_expression(curvature) if curvature else None
-    return make_chart(name, compile_expression(g11), compile_expression(g12),
-                      compile_expression(g22), bounds, curvature=k_fn)
+    return replace(chart_from_expressions("1", "0", "1", (0.0, 1.0, 0.0, 1.0), name="torus"), periodic=True)
 
 
 def chart_by_name(name: str) -> SurfaceChart:
@@ -207,97 +165,51 @@ def chart_by_name(name: str) -> SurfaceChart:
 
 
 # ---------------------------------------------------------------------------
-# Christoffel symbols and curvature from the metric
+# Christoffel symbols and curvature from the jet
 # ---------------------------------------------------------------------------
 
 
-def _metric_partials(chart: SurfaceChart, x, y):
-    """d(g11, g12, g22)/d(x, y); analytic when supplied, else central FD."""
-    if chart.partials is not None:
-        p = chart.partials
-        return (
-            (p["g11_x"](x, y), p["g11_y"](x, y)),
-            (p["g12_x"](x, y), p["g12_y"](x, y)),
-            (p["g22_x"](x, y), p["g22_y"](x, y)),
-        )
-    h = PARTIAL_STEP
-    out = []
-    for comp in (chart.g11, chart.g12, chart.g22):
-        dx = (comp(x + h, y) - comp(x - h, y)) / (2 * h)
-        dy = (comp(x, y + h) - comp(x, y - h)) / (2 * h)
-        out.append((dx, dy))
-    return tuple(out)
+def _christoffel(jet) -> tuple:
+    """(Gamma^1_11, Gamma^1_12, Gamma^1_22, Gamma^2_11, Gamma^2_12, Gamma^2_22), closed 2-D form."""
+    e, f, g, e_x, f_x, g_x, e_y, f_y, g_y = jet[:9]
+    two_det = 2.0 * (e * g - f * f)
+    return (
+        (g * e_x - 2.0 * f * f_x + f * e_y) / two_det,
+        (g * e_y - f * g_x) / two_det,
+        (2.0 * g * f_y - g * g_x - f * g_y) / two_det,
+        (2.0 * e * f_x - e * e_y - f * e_x) / two_det,
+        (e * g_x - f * e_y) / two_det,
+        (e * g_y - 2.0 * f * f_y + f * g_x) / two_det,
+    )
+
+
+def _brioschi(jet):
+    """Gauss curvature: the Brioschi determinant difference over det(g)^2."""
+    e, f, g, e_x, f_x, g_x, e_y, f_y, g_y, e_yy, f_xy, g_xx = jet
+    a11 = -0.5 * e_yy + f_xy - 0.5 * g_xx
+    a12, a13 = 0.5 * e_x, f_x - 0.5 * e_y
+    a21, a31 = f_y - 0.5 * g_x, 0.5 * g_y
+    b12, b13 = 0.5 * e_y, 0.5 * g_x
+    det_g = e * g - f * f
+    det1 = a11 * det_g - a12 * (a21 * g - f * a31) + a13 * (a21 * f - e * a31)
+    det2 = -b12 * (b12 * g - f * b13) + b13 * (b12 * f - e * b13)
+    return (det1 - det2) / (det_g * det_g)
 
 
 def christoffel(chart: SurfaceChart, x, y) -> np.ndarray:
     """Gamma[k][i][j] at (x, y); broadcasts over array input."""
     if np.ndim(x) == 0:
         chart.require(float(x), float(y))
-    a, b, c = chart.metric(x, y)
-    (a_x, a_y), (b_x, b_y), (c_x, c_y) = _metric_partials(chart, x, y)
-    det = a * c - b * b
-    inv00, inv01, inv11 = c / det, -b / det, a / det
-    # dg[l][i][j] = d g_{ij} / d x_l
-    dg = np.array([[[a_x, b_x], [b_x, c_x]], [[a_y, b_y], [b_y, c_y]]], dtype=float)
-    inv = np.array([[inv00, inv01], [inv01, inv11]], dtype=float)
-    shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
-    gamma = np.zeros((2, 2, 2) + shape)
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                total = 0.0
-                for ell in range(2):
-                    total = total + inv[k, ell] * (dg[i][j][ell] + dg[j][i][ell] - dg[ell][i][j])
-                gamma[k, i, j] = 0.5 * total
-    return gamma
+    c = np.broadcast_arrays(*_christoffel(chart.jet(x, y)), x, y)
+    return np.array([[[c[0], c[1]], [c[1], c[2]]], [[c[3], c[4]], [c[4], c[5]]]], dtype=float)
 
 
-def gauss_curvature_brioschi(chart: SurfaceChart, x, y, step: float = BRIOSCHI_STEP):
+def gauss_curvature_brioschi(chart: SurfaceChart, x, y):
     """Gauss curvature from the metric alone (Brioschi determinant formula).
 
-    Second metric derivatives by central differences with the given step;
-    good to ~1e-6 on smooth charts.  Broadcasts over array input.
+    Exact metric derivatives from the chart's jet.  Broadcasts over array input.
     """
-    e, f, g = chart.g11, chart.g12, chart.g22
-    h = step
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def d_x(fn, u, v):
-        return (fn(u + h, v) - fn(u - h, v)) / (2 * h)
-
-    def d_y(fn, u, v):
-        return (fn(u, v + h) - fn(u, v - h)) / (2 * h)
-
-    def d_yy(fn, u, v):
-        return (fn(u, v + h) - 2 * fn(u, v) + fn(u, v - h)) / (h * h)
-
-    def d_xx(fn, u, v):
-        return (fn(u + h, v) - 2 * fn(u, v) + fn(u - h, v)) / (h * h)
-
-    def d_xy(fn, u, v):
-        return (fn(u + h, v + h) - fn(u + h, v - h) - fn(u - h, v + h) + fn(u - h, v - h)) / (4 * h * h)
-
-    ev = np.asarray(e(x, y), dtype=float)
-    fv = np.asarray(f(x, y), dtype=float)
-    gv = np.asarray(g(x, y), dtype=float)
-    a11 = -0.5 * d_yy(e, x, y) + d_xy(f, x, y) - 0.5 * d_xx(g, x, y)
-    a12 = 0.5 * d_x(e, x, y)
-    a13 = d_x(f, x, y) - 0.5 * d_y(e, x, y)
-    a21 = d_y(f, x, y) - 0.5 * d_x(g, x, y)
-    a31 = 0.5 * d_y(g, x, y)
-    b12 = 0.5 * d_y(e, x, y)
-    b13 = 0.5 * d_x(g, x, y)
-
-    def det3(m11, m12, m13, m21, m22, m23, m31, m32, m33):
-        return (m11 * (m22 * m33 - m23 * m32)
-                - m12 * (m21 * m33 - m23 * m31)
-                + m13 * (m21 * m32 - m22 * m31))
-
-    det1 = det3(a11, a12, a13, a21, ev, fv, a31, fv, gv)
-    det2 = det3(np.zeros_like(ev), b12, b13, b12, ev, fv, b13, fv, gv)
-    det_g = ev * gv - fv * fv
-    out = (det1 - det2) / (det_g * det_g)
+    out = _brioschi(chart.jet(x, y)) + np.zeros(np.broadcast(x, y).shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -321,13 +233,13 @@ def _unit_velocity(chart: SurfaceChart, x0: float, y0: float, thetas: np.ndarray
 
 def _rhs(chart: SurfaceChart, state: np.ndarray, want_jacobi: bool) -> np.ndarray:
     x, y, vx, vy = state[0], state[1], state[2], state[3]
-    gamma = christoffel(chart, x, y)
-    ax = -(gamma[0, 0, 0] * vx * vx + 2.0 * gamma[0, 0, 1] * vx * vy + gamma[0, 1, 1] * vy * vy)
-    ay = -(gamma[1, 0, 0] * vx * vx + 2.0 * gamma[1, 0, 1] * vx * vy + gamma[1, 1, 1] * vy * vy)
+    jet = chart.jet(x, y)
+    c111, c112, c122, c211, c212, c222 = _christoffel(jet)
+    ax = -(c111 * vx * vx + 2.0 * c112 * vx * vy + c122 * vy * vy)
+    ay = -(c211 * vx * vx + 2.0 * c212 * vx * vy + c222 * vy * vy)
     out = [vx, vy, ax, ay]
     if want_jacobi:
-        k = chart.curvature_at(x, y)
-        out += [state[5], -np.asarray(k) * state[4]]
+        out += [state[5], -_brioschi(jet) * state[4]]
     return np.array(out)
 
 
@@ -352,7 +264,7 @@ def _integrate_front(chart: SurfaceChart, p, thetas: np.ndarray, t: float,
                                     np.where(direction < 0, (lo - start) / direction, np.inf))
                 exit_t = min(exit_t, float(np.min(hits)))
             raise ChartExitError(exit_t)
-        return pts, tans, np.full(thetas.shape, t), np.ones(thetas.shape)
+        return pts, tans, np.full(thetas.shape, t)
     if steps is None:
         steps = max(int(math.ceil(abs(t) / DEFAULT_STEP)), 8)
     h = t / steps
@@ -373,26 +285,24 @@ def _integrate_front(chart: SurfaceChart, p, thetas: np.ndarray, t: float,
                 raise ChartExitError((step + 1) * h)
     pts = np.stack([state[0], state[1]], axis=-1)
     tans = np.stack([state[2], state[3]], axis=-1)
-    jac = state[4] if want_jacobi else np.full(thetas.shape, np.nan)
-    jac_rate = state[5] if want_jacobi else None
-    return pts, tans, jac, jac_rate
+    return pts, tans, state[4] if want_jacobi else np.full(thetas.shape, np.nan)
 
 
 def geodesic(chart: SurfaceChart, p, theta: float, t: float, steps: int | None = None):
     """Endpoint and tangent of the unit-speed geodesic from p in direction theta."""
-    pts, tans, _, _ = _integrate_front(chart, p, np.array([theta]), t, steps, want_jacobi=False)
+    pts, tans, _ = _integrate_front(chart, p, np.array([theta]), t, steps, want_jacobi=False)
     return (float(pts[0, 0]), float(pts[0, 1])), (float(tans[0, 0]), float(tans[0, 1]))
 
 
 def jacobi_field(chart: SurfaceChart, p, theta: float, t: float, steps: int | None = None) -> float:
     """J(t) along the geodesic, J'' + K J = 0 with J(0) = 0, J'(0) = 1."""
-    _, _, jac, _ = _integrate_front(chart, p, np.array([theta]), t, steps, want_jacobi=True)
+    _, _, jac = _integrate_front(chart, p, np.array([theta]), t, steps, want_jacobi=True)
     return float(jac[0])
 
 
 def wavefront(chart: SurfaceChart, p, t: float, n_theta: int, steps: int | None = None) -> WaveFront:
     angles = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    pts, tans, jac, _ = _integrate_front(chart, p, angles, t, steps, want_jacobi=True)
+    pts, tans, jac = _integrate_front(chart, p, angles, t, steps, want_jacobi=True)
     return WaveFront((float(p[0]), float(p[1])), t, angles, pts, tans, jac)
 
 

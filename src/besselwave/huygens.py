@@ -314,6 +314,7 @@ def polarization_normalization(n: int) -> Fraction:
 # About 190 bytes per grid point are live at the peak, so the cap keeps a
 # probe under ~400 MB.
 PROBE_GRID_CAP = 2**21
+PROBE_BINS = 64
 
 
 @dataclass(frozen=True)
@@ -337,7 +338,6 @@ def locality_probe(
     t: float,
     annulus_width: float,
     grid_points: int = 256,
-    n_bins: int = 64,
 ) -> LocalityProbeResult:
     """Compare interior leakage of the two propagators on the flat q-torus.
 
@@ -404,7 +404,7 @@ def locality_probe(
             density += comp.real**2
         total = density.sum()
         leak = float(density[interior].sum() / total)
-        edges = np.linspace(0.0, float(radius.max()) + 1e-12, n_bins + 1)
+        edges = np.linspace(0.0, float(radius.max()) + 1e-12, PROBE_BINS + 1)
         profile, _ = np.histogram(radius, bins=edges, weights=density)
         return leak, profile / total, 0.5 * (edges[:-1] + edges[1:])
 

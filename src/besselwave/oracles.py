@@ -17,6 +17,8 @@ import numpy as np
 
 __all__ = ["bessel_j_exact", "bessel_j_ascending", "phi_closed_form", "dalembert_shift_coefficients"]
 
+ASCENDING_TERMS = 80
+
 
 def bessel_j_exact(order: int, r: float) -> float:
     """J_order(r) for integer order, by the exact-rational ascending series.
@@ -38,7 +40,7 @@ def bessel_j_exact(order: int, r: float) -> float:
     return float(total)
 
 
-def bessel_j_ascending(two_nu: int, r: float, terms: int = 80) -> float:
+def bessel_j_ascending(two_nu: int, r: float) -> float:
     """J_nu(r) with nu = two_nu/2, plain-float ascending series.
 
     Fine to ~1e-12 for r <= 12; used by the hypergeometric consistency
@@ -49,7 +51,7 @@ def bessel_j_ascending(two_nu: int, r: float, terms: int = 80) -> float:
     term = half**nu / math.gamma(nu + 1.0)
     total = term
     h2 = half * half
-    for m in range(1, terms):
+    for m in range(1, ASCENDING_TERMS):
         term *= -h2 / (m * (m + nu))
         total += term
         if abs(term) < 1e-20 * max(abs(total), 1e-20):

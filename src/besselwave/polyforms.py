@@ -12,6 +12,10 @@ from itertools import combinations
 
 __all__ = ["MultiPoly", "PolyKForm", "random_multipoly", "random_kform"]
 
+# Share of monomials drawn, and the bound on numerators and denominators, in random polynomials.
+RANDOM_DENSITY = 0.4
+RANDOM_MAX_ABS = 9
+
 
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -294,13 +298,13 @@ class PolyKForm:
         return "PolyKForm(" + "; ".join(bits) + ")"
 
 
-def random_multipoly(rng, nvars: int, degree: int, density: float = 0.4, max_abs: int = 9) -> MultiPoly:
+def random_multipoly(rng, nvars: int, degree: int) -> MultiPoly:
     """Random polynomial with small rational coefficients, for property tests."""
     terms = {}
     for expo in _exponents_up_to(nvars, degree):
-        if rng.random() < density:
-            num = int(rng.integers(-max_abs, max_abs + 1))
-            den = int(rng.integers(1, max_abs + 1))
+        if rng.random() < RANDOM_DENSITY:
+            num = int(rng.integers(-RANDOM_MAX_ABS, RANDOM_MAX_ABS + 1))
+            den = int(rng.integers(1, RANDOM_MAX_ABS + 1))
             if num:
                 terms[expo] = Fraction(num, den)
     if not terms:
@@ -308,9 +312,9 @@ def random_multipoly(rng, nvars: int, degree: int, density: float = 0.4, max_abs
     return MultiPoly(nvars, terms)
 
 
-def random_kform(rng, nvars: int, degree: int, poly_degree: int, density: float = 0.4) -> PolyKForm:
+def random_kform(rng, nvars: int, degree: int, poly_degree: int) -> PolyKForm:
     comps = {
-        key: random_multipoly(rng, nvars, poly_degree, density)
+        key: random_multipoly(rng, nvars, poly_degree)
         for key in combinations(range(nvars), degree)
     }
     return PolyKForm(nvars, degree, comps)

@@ -131,8 +131,8 @@ def radial_acceleration(h: LaurentPoly, q: int) -> LaurentPoly:
     return h.derivative().derivative() + h.derivative().shift_power(-1).scale(q - 1)
 
 
-def factorization_check(q: int, poly_coeffs, grid=None) -> float:
-    """Max grid deviation between the factored and expanded accelerations.
+def factorization_check(q: int, poly_coeffs) -> float:
+    """Max deviation on t = 0.5, 0.55, ..., 3.0 between the factored and expanded accelerations.
 
     (d/dt + q/t)(d/dt - 1/t) h  versus  h'' + (q-1)(h'/t - h/t^2) for a
     polynomial h given by its ascending coefficients.  The symbolic
@@ -143,9 +143,7 @@ def factorization_check(q: int, poly_coeffs, grid=None) -> float:
     factored = inner.derivative() + inner.shift_power(-1).scale(q)
     direct = bessel_acceleration(h, q)
     diff = factored - direct
-    if grid is None:
-        grid = [0.5 + 0.05 * i for i in range(51)]
-    return max((abs(diff(t)) for t in grid), default=0.0) if not diff.is_zero else 0.0
+    return max(abs(diff(0.5 + 0.05 * i)) for i in range(51)) if not diff.is_zero else 0.0
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,69 @@ class DenseDiracOracle:
         return math.sqrt(float(np.sum((uc**2 - a * uc * vc + vc**2) / (1.0 - np.abs(a) / 2.0))))
 
 
+def fd_christoffel(chart, x: float, y: float, step: float = 1e-5) -> np.ndarray:
+    """Gamma[k][i][j] from central differences of the metric callables.
+
+    The slow-path oracle for geomfront.christoffel: first partials by
+    central differences, symbols by the general index formula
+    Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij).
+    """
+    h = step
+    a, b, c = (float(v) for v in chart.metric(x, y))
+    partials = []
+    for comp in (chart.g11, chart.g12, chart.g22):
+        partials.append(((comp(x + h, y) - comp(x - h, y)) / (2 * h),
+                         (comp(x, y + h) - comp(x, y - h)) / (2 * h)))
+    (a_x, a_y), (b_x, b_y), (c_x, c_y) = partials
+    # dg[l][i][j] = d g_ij / d x_l
+    dg = np.array([[[a_x, b_x], [b_x, c_x]], [[a_y, b_y], [b_y, c_y]]], dtype=float)
+    inv = np.array([[c, -b], [-b, a]]) / (a * c - b * b)
+    gamma = np.zeros((2, 2, 2))
+    for k in range(2):
+        for i in range(2):
+            for j in range(2):
+                for ell in range(2):
+                    gamma[k, i, j] += 0.5 * inv[k, ell] * (dg[i][j][ell] + dg[j][i][ell] - dg[ell][i][j])
+    return gamma
+
+
+def fd_brioschi(chart, x: float, y: float, step: float = 1e-4) -> float:
+    """Gauss curvature by the Brioschi determinants on central-difference metric derivatives.
+
+    The slow-path oracle for geomfront.gauss_curvature_brioschi.
+    """
+    e, f, g = chart.g11, chart.g12, chart.g22
+    h = step
+
+    def d_x(fn):
+        return float((fn(x + h, y) - fn(x - h, y)) / (2 * h))
+
+    def d_y(fn):
+        return float((fn(x, y + h) - fn(x, y - h)) / (2 * h))
+
+    def d_xx(fn):
+        return float((fn(x + h, y) - 2 * fn(x, y) + fn(x - h, y)) / (h * h))
+
+    def d_yy(fn):
+        return float((fn(x, y + h) - 2 * fn(x, y) + fn(x, y - h)) / (h * h))
+
+    def d_xy(fn):
+        return float((fn(x + h, y + h) - fn(x + h, y - h) - fn(x - h, y + h) + fn(x - h, y - h)) / (4 * h * h))
+
+    ev, fv, gv = (float(v) for v in chart.metric(x, y))
+    first = np.array([
+        [-0.5 * d_yy(e) + d_xy(f) - 0.5 * d_xx(g), 0.5 * d_x(e), d_x(f) - 0.5 * d_y(e)],
+        [d_y(f) - 0.5 * d_x(g), ev, fv],
+        [0.5 * d_y(g), fv, gv],
+    ])
+    second = np.array([
+        [0.0, 0.5 * d_y(e), 0.5 * d_x(g)],
+        [0.5 * d_y(e), ev, fv],
+        [0.5 * d_x(g), fv, gv],
+    ])
+    return float((np.linalg.det(first) - np.linalg.det(second)) / (ev * gv - fv * fv) ** 2)
+
+
 def exact_rank(matrix) -> int:
     """Rank of an integer matrix over the rationals, by exact elimination."""
     rows = [[Fraction(int(x)) for x in row] for row in np.asarray(matrix, dtype=int)]

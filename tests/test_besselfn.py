@@ -9,7 +9,6 @@ import pytest
 from besselwave import besselfn
 from besselwave.besselfn import (
     BesselDomainError,
-    BesselProfile,
     ode_residual,
     phi,
     phi_derivative,
@@ -212,12 +211,3 @@ class TestConcurrency:
             parallel = list(pool.map(lambda a: phi(*a), args))
         serial = [phi(*a) for a in args]
         assert parallel == serial
-
-
-class TestProfileObject:
-    def test_wrapper_consistency(self):
-        profile = BesselProfile(4)
-        profile.warm_cache(20)
-        assert profile.phi(1.7) == phi(4, 1.7)
-        assert profile.psi(1.7) == psi(4, 1.7)
-        assert profile.coefficient(3) == series_coefficient(4, 3)

@@ -259,5 +259,10 @@ class TestConfigAndErrors:
         assert run_cli(capsys, "bessel", "--n", "not-a-number")[0] == 2
         assert run_cli(capsys, "no-such-command")[0] == 2
 
+    def test_flags_a_subcommand_does_not_read_exit_2(self, capsys):
+        assert run_cli(capsys, "bessel", "--r", "1.0", "--format", "json")[0] == 2
+        assert run_cli(capsys, "pizzetti", "--count", "1", "--plot")[0] == 2
+        assert run_cli(capsys, "curvature", "--h", "0.1", "--curvature", "1")[0] == 2
+
     def test_missing_config_exit_2(self, capsys):
         assert run_cli(capsys, "bessel", "--config", "/nonexistent.json")[0] == 2

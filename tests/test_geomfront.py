@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import fd_brioschi, fd_christoffel
 from besselwave.exprgrammar import ExpressionError, compile_expression
 from besselwave.geomfront import (
     ChartExitError,
@@ -17,7 +18,6 @@ from besselwave.geomfront import (
     global_cancellation,
     hyperbolic_chart,
     jacobi_field,
-    make_chart,
     puiseux_curvature,
     r2d2_boundary,
     r2d2_curvature,
@@ -48,8 +48,7 @@ class TestChristoffel:
 
     def test_sphere_finite_difference_cross_check(self):
         sphere = sphere_chart()
-        plain = make_chart("sphere-fd", sphere.g11, sphere.g12, sphere.g22, sphere.bounds)
-        got = christoffel(plain, 1.1, 0.4)
+        got = fd_christoffel(sphere, 1.1, 0.4)
         expect = christoffel(sphere, 1.1, 0.4)
         assert np.abs(got - expect).max() < 1e-6
 
@@ -276,8 +275,7 @@ class TestGlobalCancellation:
 class TestChartConstruction:
     def test_positive_definite_guard(self):
         with pytest.raises(PositiveDefiniteError):
-            make_chart("bad", lambda x, y: -1.0 + 0.0 * x, lambda x, y: 0.0 * x,
-                       lambda x, y: 1.0 + 0.0 * x, (-1, 1, -1, 1))
+            chart_from_expressions("-1", "0", "1", (-1, 1, -1, 1))
 
     def test_expression_chart_matches_builtin(self):
         chart = chart_from_expressions("1", "0", "sin(x)^2", (0.05, math.pi - 0.05, -10, 10))
@@ -302,11 +300,37 @@ class TestChartConstruction:
 class TestBrioschi:
     def test_sphere_metric_only(self):
         sphere = sphere_chart()
-        plain = make_chart("sphere-plain", sphere.g11, sphere.g12, sphere.g22, sphere.bounds)
         for x in (0.8, 1.3, 2.0):
-            assert gauss_curvature_brioschi(plain, x, 0.4) == pytest.approx(1.0, abs=1e-5)
+            assert gauss_curvature_brioschi(sphere, x, 0.4) == pytest.approx(1.0, abs=1e-5)
 
     def test_hyperbolic_metric_only(self):
-        hyper = hyperbolic_chart()
-        plain = make_chart("hyp-plain", hyper.g11, hyper.g12, hyper.g22, hyper.bounds)
-        assert gauss_curvature_brioschi(plain, 0.3, 1.5) == pytest.approx(-1.0, abs=1e-5)
+        assert gauss_curvature_brioschi(hyperbolic_chart(), 0.3, 1.5) == pytest.approx(-1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("g11, g22, curvature", [("1", "sin(x)^2", 1.0), ("1/y^2", "1/y^2", -1.0)])
+    def test_exact_constant_curvature(self, g11, g22, curvature):
+        chart = chart_from_expressions(g11, "0", g22, (0.05, 3.09, 0.05, 3.0))
+        for x, y in ((0.3, 0.2), (0.8, 1.4), (1.57, 0.6), (2.3, 2.7), (3.0, 0.1)):
+            assert abs(gauss_curvature_brioschi(chart, x, y) - curvature) < 1e-12
+
+
+# Every grammar node: pi, unary minus, /, constant and variable ^, the five
+# functions, nesting, and the conformal lens of the self-intersection test.
+ORACLE_CHARTS = [
+    ("1", "0", "sin(x)^2"),
+    ("1/y^2", "0", "1/y^2"),
+    ("exp(x/pi)", "-sin(x*y)/4", "cosh(y)^2"),
+    ("2^x + sinh(y/2)^2", "cos(x - y)/5", "(2 + x^2)^(y/3)"),
+    ("exp(sin(x)*cos(y))", "0", "cosh(sin(x*y))"),
+    ("exp(2*exp(-(x^2+y^2)))", "0", "exp(2*exp(-(x^2+y^2)))"),
+]
+
+
+class TestExactDerivatives:
+    @pytest.mark.parametrize("g11, g12, g22", ORACLE_CHARTS)
+    def test_against_finite_difference_oracle(self, g11, g12, g22):
+        chart = chart_from_expressions(g11, g12, g22, (0.2, 2.0, 0.2, 2.0))
+        for x, y in ((0.7, 0.4), (1.3, 1.1), (0.4, 1.7)):
+            gamma, expect = christoffel(chart, x, y), fd_christoffel(chart, x, y)
+            assert np.abs(gamma - expect).max() <= 1e-6 * max(1.0, np.abs(expect).max())
+            k, k_fd = gauss_curvature_brioschi(chart, x, y), fd_brioschi(chart, x, y)
+            assert abs(k - k_fd) <= 1e-6 * max(1.0, abs(k_fd))
