@@ -5,12 +5,18 @@ bound): the case passes when measured <= bound.  Exact-arithmetic checks
 report the deviation (0.0 on success) against a bound of 0.0.  Random
 inputs come from a counter-based Philox generator so runs with one seed
 are reproducible.
+
+Measurements the acceptance tests share are plain functions of explicit
+inputs; the suites pass their quick or full inputs, the acceptance tests
+their pinned ones, and each side keeps its own bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,6 +25,8 @@ from .domains import build_circle_domain, build_simplicial_domain, build_torus_d
 from .polyforms import MultiPoly, PolyKForm, random_kform, random_multipoly
 
 __all__ = ["CaseResult", "run_suite", "run_all", "SUITES"]
+
+SPHERE_POINT = (math.pi / 2, 0.3)
 
 
 @dataclass(frozen=True)
@@ -38,32 +46,119 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
+# Measurements shared with the acceptance tests
 
 
-def suite_bessel(seed: int, quick: bool) -> list[CaseResult]:
-    cases = []
-    qs = (1, 2, 3, 4) if quick else (1, 2, 3, 4, 5, 6, 7, 8)
-    points = 40 if quick else 200
-    rs = [30.0 * (i + 1) / points for i in range(points)]
-
+def bessel_identities(qs, rs) -> tuple[float, float, float]:
+    """Worst ODE residual, recursion-lemma defect (r <= 20) and closed-form deviation (n <= 5)."""
     worst_ode = max(abs(besselfn.ode_residual(q, r)) for q in qs for r in rs)
-    cases.append(CaseResult.check("ode_residual_max", worst_ode, 1e-9))
-
     worst_rec = 0.0
     for q in qs:
         for r in rs:
-            if r > 20.0:
-                continue
-            lhs = besselfn.phi_derivative(q + 2, r) * r**q + q * besselfn.phi(q + 2, r) * r ** (q - 1)
-            rhs = q * besselfn.phi(q, r) * r ** (q - 1)
-            worst_rec = max(worst_rec, abs(lhs - rhs))
-    cases.append(CaseResult.check("recursion_lemma_max", worst_rec, 1e-8))
+            if r <= 20.0:
+                lhs = besselfn.phi_derivative(q + 2, r) * r**q + q * besselfn.phi(q + 2, r) * r ** (q - 1)
+                worst_rec = max(worst_rec, abs(lhs - q * besselfn.phi(q, r) * r ** (q - 1)))
+    worst_closed = max(
+        abs(besselfn.phi(n, r) - oracles.phi_closed_form(n, r)) for n in (1, 2, 3, 4, 5) for r in rs
+    )
+    return worst_ode, worst_rec, worst_closed
 
-    worst_closed = 0.0
-    for n in (1, 2, 3, 4, 5):
-        for r in rs:
-            worst_closed = max(worst_closed, abs(besselfn.phi(n, r) - oracles.phi_closed_form(n, r)))
-    cases.append(CaseResult.check("closed_form_agreement", worst_closed, 1e-10))
+
+def residual_worst(domains, qs, rng: np.random.Generator, dt: float | None = None) -> float:
+    """Worst wave-equation defect of the velocity and position solutions, one datum per domain."""
+    worst = 0.0
+    for dom in domains:
+        raw = rng.standard_normal(dom.grading[0])
+        f = dom.cochain(0, raw / np.linalg.norm(dom.d_blocks[0] @ raw))
+        for q in qs:
+            pair = (waveforms.velocity_solution(dom, f, q=q), waveforms.position_solution(dom, f, q=q))
+            worst = max(worst, *(waveforms.pde_residual(s, t, dt) for t in (0.5, 1.0, 2.0) for s in pair))
+    return worst
+
+
+def dalembert_worst(circle, rng: np.random.Generator, draws: int) -> float:
+    """Worst coefficient deviation of d_t from d'Alembert's formula on random unit 0-cochains."""
+    worst = 0.0
+    for _ in range(draws):
+        raw = rng.standard_normal(circle.grading[0])
+        raw /= np.linalg.norm(raw)
+        f = circle.cochain(0, raw)
+        for t in (0.1, 1.0 / 3.0, 0.9):
+            got = specops.deformed_d(circle, t, f).coefficients
+            expect = oracles.dalembert_shift_coefficients(circle, raw, t)
+            worst = max(worst, float(np.max(np.abs(got - expect))))
+    return worst
+
+
+def pizzetti_mismatches(rng: np.random.Generator, count: int) -> int:
+    """Pizzetti ball and sphere series that differ from the exact averages, q = 1, 2, 3 in turn."""
+    mismatches = 0
+    for i in range(count):
+        q = (1, 2, 3)[i % 3]
+        g = random_multipoly(rng, q, 8)
+        mismatches += huygens.pizzetti_ball(g, q) != huygens.ball_average_exact(g, q)
+        mismatches += huygens.pizzetti_sphere(g, q) != huygens.sphere_average_exact(g, q)
+    return mismatches
+
+
+def flux_worst(rng: np.random.Generator, count: int) -> float:
+    """Worst flux-corollary deviation over random (q-1)-forms, q = 2, 3 in turn."""
+    qs = ((2, 3)[i % 2] for i in range(count))
+    return max(huygens.flux_corollary_check(random_kform(rng, q, q - 1, 4), q) for q in qs)
+
+
+def polarization_failures(max_degree: int) -> tuple[int, int, int]:
+    """(monomials checked, failed reconstructions, failed difference-table entries for n <= 10)."""
+    exponents = [e for nvars in range(1, 5) for e in itertools.product(range(1, max_degree + 1), repeat=nvars)
+                 if sum(e) <= max_degree]
+    bad = sum(huygens.polarization_reconstruct(e) != MultiPoly.monomial(len(e), e) for e in exponents)
+    bad_table = 0
+    for n in range(1, 11):
+        for j in range(n + 1):
+            expect = (-1) ** n * math.factorial(n) if j == n else 0
+            bad_table += huygens.finite_difference_identity(n, j) != expect
+        bad_table += huygens.polarization_normalization(n) != 2**n
+    return len(exponents), bad, bad_table
+
+
+def symmetry_worst(pairs) -> float:
+    """Worst ||[U, d_t]|| over (domain, U) pairs at t = 0.3, 1.7."""
+    return max(specops.symmetry_commutator(dom, u, t) for dom, u in pairs for t in (0.3, 1.7))
+
+
+def probe_runs() -> tuple:
+    """The base, refined and band-only q = 2 locality probes."""
+    return (huygens.locality_probe(2, 64, 0.02, 0.3, 0.05, grid_points=256),
+            huygens.locality_probe(2, 128, 0.01, 0.3, 0.05, grid_points=512),
+            huygens.locality_probe(2, 128, 0.02, 0.3, 0.05, grid_points=512))
+
+
+def sphere_front_worst(ts) -> float:
+    """Worst deviation of the unit sphere's front length from 2 pi sin t."""
+    sphere = geomfront.sphere_chart()
+    return max(abs(geomfront.wavefront_length(sphere, SPHERE_POINT, t, 64) - 2 * math.pi * math.sin(t)) for t in ts)
+
+
+def torus_cancellation(centers: int) -> float:
+    """|mean line integral| of sin(2 pi x) dy over radius-0.2 fronts on the flat torus."""
+    oneform = (lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+               lambda x, y: np.sin(2 * math.pi * np.asarray(x, dtype=float)))
+    return abs(geomfront.global_cancellation(geomfront.torus_chart(), oneform, 0.2, centers, n_theta=512))
+
+
+# ---------------------------------------------------------------------------
+
+
+def suite_bessel(seed: int, quick: bool) -> list[CaseResult]:
+    qs = (1, 2, 3, 4) if quick else (1, 2, 3, 4, 5, 6, 7, 8)
+    points = 40 if quick else 200
+    rs = [30.0 * (i + 1) / points for i in range(points)]
+    worst_ode, worst_rec, worst_closed = bessel_identities(qs, rs)
+    cases = [
+        CaseResult.check("ode_residual_max", worst_ode, 1e-9),
+        CaseResult.check("recursion_lemma_max", worst_rec, 1e-8),
+        CaseResult.check("closed_form_agreement", worst_closed, 1e-10),
+    ]
 
     worst_hyper = 0.0
     for q in (2, 3, 4, 5):
@@ -148,15 +243,8 @@ def suite_spectral(seed: int, quick: bool) -> list[CaseResult]:
         CaseResult.check("betti_torus", sum(abs(b - e) for b, e in zip(b_tor, (1, 2, 1))), 0)
     )
 
-    u_rot = specops.circle_translation(circle, 1.0 / 3.0)
-    u_turn = specops.torus_quarter_turn(torus)
-    worst_comm = max(
-        specops.symmetry_commutator(circle, u_rot, t) for t in (0.3, 1.7)
-    )
-    worst_comm = max(
-        worst_comm, max(specops.symmetry_commutator(torus, u_turn, t) for t in (0.3, 1.7))
-    )
-    cases.append(CaseResult.check("symmetry_commutator", worst_comm, 1e-8))
+    pairs = [(circle, specops.circle_translation(circle, 1.0 / 3.0)), (torus, specops.torus_quarter_turn(torus))]
+    cases.append(CaseResult.check("symmetry_commutator", symmetry_worst(pairs), 1e-8))
 
     h = math.asin(0.9) / (2.0 * math.pi * 4)
     state = rng.standard_normal(2 * circle.total_dim)
@@ -174,19 +262,9 @@ def suite_wave(seed: int, quick: bool) -> list[CaseResult]:
     rng = _rng(seed)
     cases = []
     circle = build_circle_domain(3)
-    torus = build_torus_domain(2, 2)
-    domains = [circle] if quick else [circle, torus]
+    domains = [circle] if quick else [circle, build_torus_domain(2, 2)]
     qs = (1, 3) if quick else (1, 2, 3, 4, 5, 6)
-
-    worst = 0.0
-    for dom in domains:
-        raw = rng.standard_normal(dom.grading[0])
-        f = dom.cochain(0, raw / np.linalg.norm(dom.d_blocks[0] @ raw))
-        for q in qs:
-            for t in (0.5, 1.0, 2.0):
-                worst = max(worst, waveforms.pde_residual(waveforms.velocity_solution(dom, f, q=q), t))
-                worst = max(worst, waveforms.pde_residual(waveforms.position_solution(dom, f, q=q), t))
-    cases.append(CaseResult.check("deformed_residuals", worst, 1e-6))
+    cases.append(CaseResult.check("deformed_residuals", residual_worst(domains, qs, rng), 1e-6))
 
     u0_raw = rng.standard_normal(circle.grading[0])
     v0_raw = rng.standard_normal(circle.grading[0])
@@ -198,15 +276,7 @@ def suite_wave(seed: int, quick: bool) -> list[CaseResult]:
         )
     )
 
-    worst_dal = 0.0
-    for _ in range(5 if quick else 20):
-        raw = rng.standard_normal(circle.grading[0])
-        raw /= np.linalg.norm(raw)
-        f = circle.cochain(0, raw)
-        for t in (0.1, 1.0 / 3.0, 0.9):
-            got = specops.deformed_d(circle, t, f).coefficients
-            expect = oracles.dalembert_shift_coefficients(circle, raw, t)
-            worst_dal = max(worst_dal, float(np.max(np.abs(got - expect))))
+    worst_dal = dalembert_worst(circle, rng, 5 if quick else 20)
     cases.append(CaseResult.check("dalembert_anchor", worst_dal, 1e-12))
 
     worst_fact = max(
@@ -221,8 +291,6 @@ def suite_wave(seed: int, quick: bool) -> list[CaseResult]:
         cert = waveforms.monomial_source_solution(q, n)
         if not cert.residual.is_zero or cert.value_at_zero != 0:
             bad += 1.0
-        from fractions import Fraction
-
         if cert.rate_at_zero != Fraction(-1, n * (q + n)):
             bad += 1.0
     cases.append(CaseResult.check("monomial_source_certificates", bad, 0.0))
@@ -230,23 +298,9 @@ def suite_wave(seed: int, quick: bool) -> list[CaseResult]:
 
 
 def suite_pizzetti(seed: int, quick: bool) -> list[CaseResult]:
-    rng = _rng(seed)
     count = 30 if quick else 200
-    mismatches = 0
-    done = 0
-    while done < count:
-        for q in (1, 2, 3):
-            if done >= count:
-                break
-            g = random_multipoly(rng, q, 8)
-            if huygens.pizzetti_ball(g, q) != huygens.ball_average_exact(g, q):
-                mismatches += 1
-            if huygens.pizzetti_sphere(g, q) != huygens.sphere_average_exact(g, q):
-                mismatches += 1
-            done += 1
+    mismatches = pizzetti_mismatches(_rng(seed), count)
     cases = [CaseResult.check(f"pizzetti_exactness_{count}", float(mismatches), 0.0)]
-
-    from fractions import Fraction
 
     coeff_bad = 0
     for n in (2, 3, 4, 5, 6):
@@ -260,37 +314,11 @@ def suite_pizzetti(seed: int, quick: bool) -> list[CaseResult]:
 
 
 def suite_polarization(seed: int, quick: bool) -> list[CaseResult]:
-    cases = []
-    bad = 0
-    max_deg = 4 if quick else 6
-    for nvars in range(1, 5):
-        for expo in _positive_exponents(nvars, max_deg):
-            target = MultiPoly.monomial(nvars, expo)
-            if huygens.polarization_reconstruct(expo) != target:
-                bad += 1
-    cases.append(CaseResult.check("monomial_reconstruction", float(bad), 0.0))
-
-    bad_fd = 0
-    for n in range(1, 11):
-        for j in range(n + 1):
-            value = huygens.finite_difference_identity(n, j)
-            expect = (-1) ** n * math.factorial(n) if j == n else 0
-            if value != expect:
-                bad_fd += 1
-        if huygens.polarization_normalization(n) != 2**n:
-            bad_fd += 1
-    cases.append(CaseResult.check("finite_difference_table", float(bad_fd), 0.0))
-    return cases
-
-
-def _positive_exponents(nvars: int, max_total: int):
-    if nvars == 1:
-        for e in range(1, max_total + 1):
-            yield (e,)
-        return
-    for head in range(1, max_total - nvars + 2):
-        for rest in _positive_exponents(nvars - 1, max_total - head):
-            yield (head,) + rest
+    _, bad, bad_table = polarization_failures(4 if quick else 6)
+    return [
+        CaseResult.check("monomial_reconstruction", float(bad), 0.0),
+        CaseResult.check("finite_difference_table", float(bad_table), 0.0),
+    ]
 
 
 def suite_cartan(seed: int, quick: bool) -> list[CaseResult]:
@@ -326,14 +354,8 @@ def suite_cartan(seed: int, quick: bool) -> list[CaseResult]:
 
 
 def suite_flux(seed: int, quick: bool) -> list[CaseResult]:
-    rng = _rng(seed)
-    worst = 0.0
     count = 10 if quick else 50
-    for i in range(count):
-        q = 2 if i % 2 == 0 else 3
-        f = random_kform(rng, q, q - 1, 4)
-        worst = max(worst, huygens.flux_corollary_check(f, q))
-    return [CaseResult.check(f"flux_corollary_{count}", worst, 0.0)]
+    return [CaseResult.check(f"flux_corollary_{count}", flux_worst(_rng(seed), count), 0.0)]
 
 
 def suite_geometry(seed: int, quick: bool) -> list[CaseResult]:
@@ -341,19 +363,14 @@ def suite_geometry(seed: int, quick: bool) -> list[CaseResult]:
     sphere = geomfront.sphere_chart()
     hyper = geomfront.hyperbolic_chart()
     flat = geomfront.flat_chart()
-    torus = geomfront.torus_chart()
-    p_sph = (math.pi / 2, 0.3)
     p_hyp = (0.0, 1.0)
 
-    worst_len = max(
-        abs(geomfront.wavefront_length(sphere, p_sph, t, 64) - 2 * math.pi * math.sin(t))
-        for t in ((0.5,) if quick else (0.3, 0.7, 1.0))
-    )
+    worst_len = sphere_front_worst((0.5,) if quick else (0.3, 0.7, 1.0))
     cases.append(CaseResult.check("sphere_front_length", worst_len, 1e-6))
 
     cases.append(
         CaseResult.check(
-            "r2d2_sphere", abs(geomfront.r2d2_curvature(sphere, p_sph, 0.1) - 0.9975), 3e-3
+            "r2d2_sphere", abs(geomfront.r2d2_curvature(sphere, SPHERE_POINT, 0.1) - 0.9975), 3e-3
         )
     )
     cases.append(
@@ -369,11 +386,8 @@ def suite_geometry(seed: int, quick: bool) -> list[CaseResult]:
     extrap = (16 * rich2 - rich1) / 15
     cases.append(CaseResult.check("r2d2_boundary_limit", abs(extrap - 1.0), 1e-3))
 
-    oneform = (lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-               lambda x, y: np.sin(2 * math.pi * np.asarray(x, dtype=float)))
-    centers = 64 if quick else 256
-    avg = geomfront.global_cancellation(torus, oneform, 0.2, centers, n_theta=512)
-    cases.append(CaseResult.check("torus_global_cancellation", abs(avg), 1e-6))
+    cancellation = torus_cancellation(64 if quick else 256)
+    cases.append(CaseResult.check("torus_global_cancellation", cancellation, 1e-6))
 
     worst_k = max(
         abs(geomfront.gauss_curvature_brioschi(sphere, x, 0.4) - 1.0) for x in (0.8, 1.3, 2.0)
@@ -386,7 +400,7 @@ def suite_probe(seed: int, quick: bool) -> list[CaseResult]:
     if quick:
         base = huygens.locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=128)
         ratio_bound = 5.0
-        cases = [
+        return [
             CaseResult.check("probe_resolved", 0.0 if base.resolved else 1.0, 0.0),
             CaseResult.check(
                 "probe_contrast",
@@ -396,11 +410,8 @@ def suite_probe(seed: int, quick: bool) -> list[CaseResult]:
                 0.0,
             ),
         ]
-        return cases
-    base = huygens.locality_probe(2, 64, 0.02, 0.3, 0.05, grid_points=256)
-    refined = huygens.locality_probe(2, 128, 0.01, 0.3, 0.05, grid_points=512)
-    band_only = huygens.locality_probe(2, 128, 0.02, 0.3, 0.05, grid_points=512)
-    cases = [
+    base, refined, band_only = probe_runs()
+    return [
         CaseResult.check("probe_resolved", 0.0 if base.resolved and refined.resolved else 1.0, 0.0),
         CaseResult.check("probe_deformed_leakage", base.deformed_leakage, 1e-3),
         CaseResult.check(
@@ -416,7 +427,6 @@ def suite_probe(seed: int, quick: bool) -> list[CaseResult]:
             0.1 * base.classical_leakage,
         ),
     ]
-    return cases
 
 
 SUITES = {
@@ -438,9 +448,9 @@ def run_suite(name: str, seed: int = 42, quick: bool = False) -> list[CaseResult
     return SUITES[name](seed, quick)
 
 
-def run_all(seed: int = 42, quick: bool = False, names=None) -> dict:
+def run_all(seed: int = 42, quick: bool = False) -> dict:
     report = {"seed": seed, "quick": quick, "suites": [], "status": "pass"}
-    for name in names or SUITES:
+    for name in SUITES:
         cases = run_suite(name, seed, quick)
         report["suites"].append({"suite": name, "cases": [asdict(c) for c in cases]})
         if any(c.status != "pass" for c in cases):

@@ -1,43 +1,26 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Every tolerance is pinned here exactly as contracted; runtime budgets are
-asserted where the criteria state them.
+asserted where the criteria state them.  Each measurement is verify-all's own.
 """
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from besselwave import besselfn, oracles
+from besselwave import verify
 from besselwave.domains import build_circle_domain, build_torus_domain
-from besselwave.huygens import (
-    finite_difference_identity,
-    flux_corollary_check,
-    locality_probe,
-    pizzetti_ball,
-    pizzetti_sphere,
-    ball_average_exact,
-    sphere_average_exact,
-    polarization_normalization,
-    polarization_reconstruct,
-)
-from besselwave.polyforms import MultiPoly, random_kform, random_multipoly
+from besselwave.geomfront import hyperbolic_chart, r2d2_curvature, sphere_chart
 from besselwave.specops import (
     betti,
     circle_translation,
-    deformed_d,
     deformed_laplacian,
     discrete_wave_orbit,
-    symmetry_commutator,
     torus_quarter_turn,
     torus_translation,
 )
-from besselwave.waveforms import pde_residual, position_solution, velocity_solution
-
-from _oracles import dalembert_shift_coefficients
 
 
 def _report(number, name, detail):
@@ -51,20 +34,7 @@ def _philox(seed):
 def test_criterion_1_bessel_identity_suite():
     start = time.perf_counter()
     rs = [30.0 * (i + 1) / 200.0 for i in range(200)]
-    worst_ode = 0.0
-    worst_rec = 0.0
-    worst_closed = 0.0
-    for q in range(1, 9):
-        for r in rs:
-            worst_ode = max(worst_ode, abs(besselfn.ode_residual(q, r)))
-            if r <= 20.0:
-                lhs = (besselfn.phi_derivative(q + 2, r) * r**q
-                       + q * besselfn.phi(q + 2, r) * r ** (q - 1))
-                rhs = q * besselfn.phi(q, r) * r ** (q - 1)
-                worst_rec = max(worst_rec, abs(lhs - rhs))
-    for n in (1, 2, 3, 4, 5):
-        for r in rs:
-            worst_closed = max(worst_closed, abs(besselfn.phi(n, r) - oracles.phi_closed_form(n, r)))
+    worst_ode, worst_rec, worst_closed = verify.bessel_identities(range(1, 9), rs)
     elapsed = time.perf_counter() - start
     assert worst_ode < 1e-9
     assert worst_rec < 1e-8
@@ -77,18 +47,8 @@ def test_criterion_1_bessel_identity_suite():
 
 def test_criterion_2_theorem1_residuals():
     start = time.perf_counter()
-    rng = _philox(2)
     domains = [build_circle_domain(3), build_torus_domain(2, 2), build_torus_domain(3, 2)]
-    worst = 0.0
-    for dom in domains:
-        raw = rng.standard_normal(dom.grading[0])
-        f = dom.cochain(0, raw / np.linalg.norm(dom.d_blocks[0] @ raw))
-        for q in range(1, 7):
-            velocity = velocity_solution(dom, f, q=q)
-            position = position_solution(dom, f, q=q)
-            for t in (0.5, 1.0, 2.0):
-                worst = max(worst, pde_residual(velocity, t, dt=1e-3))
-                worst = max(worst, pde_residual(position, t, dt=1e-3))
+    worst = verify.residual_worst(domains, range(1, 7), _philox(2), dt=1e-3)
     elapsed = time.perf_counter() - start
     assert worst < 1e-6
     assert elapsed < 30.0
@@ -97,68 +57,31 @@ def test_criterion_2_theorem1_residuals():
 
 
 def test_criterion_3_dalembert_anchor():
-    circle = build_circle_domain(8)
-    rng = _philox(3)
-    worst = 0.0
-    for _ in range(20):
-        raw = rng.standard_normal(circle.grading[0])
-        raw /= np.linalg.norm(raw)
-        f = circle.cochain(0, raw)
-        for t in (0.1, 1.0 / 3.0, 0.9):
-            got = deformed_d(circle, t, f).coefficients
-            expect = dalembert_shift_coefficients(circle, raw, t)
-            worst = max(worst, float(np.max(np.abs(got - expect))))
+    worst = verify.dalembert_worst(build_circle_domain(8), _philox(3), 20)
     assert worst < 1e-12
     _report(3, "d'Alembert anchor", f"worst coefficient deviation={worst:.2e}")
 
 
 def test_criterion_4_pizzetti_exactness():
     start = time.perf_counter()
-    rng = _philox(4)
-    checked = 0
-    for i in range(200):
-        q = (1, 2, 3)[i % 3]
-        g = random_multipoly(rng, q, 8)
-        assert pizzetti_ball(g, q) == ball_average_exact(g, q)
-        assert pizzetti_sphere(g, q) == sphere_average_exact(g, q)
-        checked += 1
+    mismatches = verify.pizzetti_mismatches(_philox(4), 200)
     elapsed = time.perf_counter() - start
-    assert checked == 200
+    assert mismatches == 0
     assert elapsed < 60.0
     _report(4, "Laplacian-series averages exact",
             f"200 random rational polynomials, zero tolerance, runtime={elapsed:.1f}s")
 
 
 def test_criterion_5_flux_corollary():
-    rng = _philox(5)
-    for i in range(50):
-        q = 2 if i % 2 == 0 else 3
-        f = random_kform(rng, q, q - 1, 4)
-        assert flux_corollary_check(f, q) == 0.0
+    assert verify.flux_worst(_philox(5), 50) == 0.0
     _report(5, "flux corollary", "50 random (q-1)-forms, q in {2,3}, exact")
 
 
 def test_criterion_6_polarization():
-    count = 0
-    for nvars in (1, 2, 3, 4):
-        for expo in _positive_exponents(nvars, 6):
-            assert polarization_reconstruct(expo) == MultiPoly.monomial(nvars, expo)
-            count += 1
-    for n in range(1, 11):
-        for j in range(n + 1):
-            value = finite_difference_identity(n, j)
-            assert value == ((-1) ** n * math.factorial(n) if j == n else 0)
-        assert polarization_normalization(n) == 2**n
+    count, bad_monomials, bad_table = verify.polarization_failures(6)
+    assert bad_monomials == 0
+    assert bad_table == 0
     _report(6, "polarization identities", f"{count} monomials, difference table n<=10, R=2^n")
-
-
-def _positive_exponents(nvars, max_total):
-    if nvars == 1:
-        yield from ((e,) for e in range(1, max_total + 1))
-        return
-    for head in range(1, max_total - nvars + 2):
-        for rest in _positive_exponents(nvars - 1, max_total - head):
-            yield (head,) + rest
 
 
 def test_criterion_7_harmonic_persistence():
@@ -181,20 +104,18 @@ def test_criterion_7_harmonic_persistence():
 def test_criterion_8_symmetry_commutators():
     circle = build_circle_domain(4)
     torus = build_torus_domain(2, 2)
-    worst = 0.0
-    for t in (0.3, 1.7):
-        worst = max(worst, symmetry_commutator(circle, circle_translation(circle, 1.0 / 3.0), t))
-        worst = max(worst, symmetry_commutator(torus, torus_translation(torus, (0.2, 0.45)), t))
-        worst = max(worst, symmetry_commutator(torus, torus_quarter_turn(torus), t))
+    worst = verify.symmetry_worst([
+        (circle, circle_translation(circle, 1.0 / 3.0)),
+        (torus, torus_translation(torus, (0.2, 0.45))),
+        (torus, torus_quarter_turn(torus)),
+    ])
     assert worst < 1e-8
     _report(8, "symmetry commutation", f"worst ||[U, d_t]||={worst:.2e}")
 
 
 def test_criterion_9_huygens_locality_probe():
     start = time.perf_counter()
-    base = locality_probe(2, 64, 0.02, 0.3, 0.05, grid_points=256)
-    refined = locality_probe(2, 128, 0.01, 0.3, 0.05, grid_points=512)
-    band_only = locality_probe(2, 128, 0.02, 0.3, 0.05, grid_points=512)
+    base, refined, band_only = verify.probe_runs()
     elapsed = time.perf_counter() - start
     assert base.resolved and refined.resolved and band_only.resolved
     assert base.deformed_leakage < 1e-3
@@ -211,35 +132,17 @@ def test_criterion_9_huygens_locality_probe():
 
 
 def test_criterion_10_geometry():
-    from besselwave.geomfront import (
-        global_cancellation,
-        r2d2_curvature,
-        sphere_chart,
-        hyperbolic_chart,
-        torus_chart,
-        wavefront_length,
-    )
-
-    sphere = sphere_chart()
-    point = (math.pi / 2, 0.3)
-    worst_len = max(
-        abs(wavefront_length(sphere, point, t, 64) - 2 * math.pi * math.sin(t))
-        for t in (0.25, 0.5, 0.75, 1.0)
-    )
+    worst_len = verify.sphere_front_worst((0.25, 0.5, 0.75, 1.0))
     assert worst_len < 1e-6
-    sphere_k = r2d2_curvature(sphere, point, 0.1)
+    sphere_k = r2d2_curvature(sphere_chart(), (math.pi / 2, 0.3), 0.1)
     assert abs(sphere_k - 0.9975) < 3e-3
     hyper_k = r2d2_curvature(hyperbolic_chart(), (0.0, 1.0), 0.1)
     assert abs(hyper_k + 1.0025) < 3e-3
-    oneform = (
-        lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        lambda x, y: np.sin(2 * math.pi * np.asarray(x, dtype=float)),
-    )
-    avg = global_cancellation(torus_chart(), oneform, 0.2, 256, n_theta=512)
-    assert abs(avg) < 1e-6
+    cancellation = verify.torus_cancellation(256)
+    assert cancellation < 1e-6
     _report(10, "wave-front geometry",
             f"front length err={worst_len:.2e}, r2d2 sphere={sphere_k:.6f}, "
-            f"hyperbolic={hyper_k:.6f}, cancellation={abs(avg):.2e}")
+            f"hyperbolic={hyper_k:.6f}, cancellation={cancellation:.2e}")
 
 
 def test_criterion_11_discrete_wave_map():

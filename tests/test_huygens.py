@@ -144,11 +144,6 @@ class TestPolarization:
     def test_squared_slot(self):
         assert polarization_reconstruct((2, 1)) == MultiPoly.monomial(2, (2, 1))
 
-    def test_all_monomials_bounded_degree(self):
-        for nvars in (1, 2, 3, 4):
-            for expo in _positive_exponents(nvars, 6):
-                assert polarization_reconstruct(expo) == MultiPoly.monomial(nvars, expo)
-
     def test_degree_cap(self):
         with pytest.raises(PolarizationDegreeError):
             polarization_expand((7, 6))
@@ -165,15 +160,6 @@ class TestPolarization:
         assert polarization_normalization(4) == 16
         for n in range(1, 11):
             assert polarization_normalization(n) == 2**n
-
-
-def _positive_exponents(nvars, max_total):
-    if nvars == 1:
-        yield from ((e,) for e in range(1, max_total + 1))
-        return
-    for head in range(1, max_total - nvars + 2):
-        for rest in _positive_exponents(nvars - 1, max_total - head):
-            yield (head,) + rest
 
 
 class TestLocalityProbe:
