@@ -12,9 +12,9 @@ The rescaled profile psi_n(r) = r phi_n(r) stays bounded on [0, inf).
 Evaluation strategy: for |r| <= 40 the alternating series is summed in exact
 integer arithmetic (single running denominator, no rounding until the final
 float conversion), which removes the catastrophic cancellation a float sum
-suffers for moderate r.  For |r| > 40 the Bessel closed form
-phi_n(r) = J_nu(r) Gamma(n/2) (r/2)^(1-nu), nu = n/2 - 1, is evaluated with
-the standard Hankel large-argument expansion.
+suffers for moderate r.  For |r| > 40, J_nu in the closed form phi_n(r) =
+J_nu(r) Gamma(n/2) (r/2)^(-nu), nu = n/2 - 1, comes from an upward recurrence
+in the order, or from the exact series where nu >= r (see _phi_large).
 
 All functions are pure; coefficient caches are guarded by a lock and safe
 for concurrent readers once warm.
@@ -112,7 +112,7 @@ def _series_sums(n: int, r: float) -> tuple[Fraction, Fraction, Fraction]:
         if tail0 <= abs(s0) and tail2 <= max(abs(s2), 1):
             break
     else:
-        raise RuntimeError(f"series for phi_{n}({r}) did not converge in {MAX_TERMS} terms")
+        raise BesselDomainError(f"series for phi_{n}({r}) did not converge in {MAX_TERMS} terms")
     phi_val = Fraction(s0, den)
     dphi_val = Fraction(s1, den) / fr if fr else Fraction(0)
     d2phi_val = Fraction(s2, den) / (fr * fr) if fr else 2 * series_coefficient(n, 1)
@@ -128,7 +128,7 @@ def _gamma_half_float(n: int) -> float:
 
 
 def _bessel_j_hankel(nu: float, r: float) -> float:
-    """J_nu(r) by the Hankel asymptotic expansion, valid for large r.
+    """J_nu(r) by the Hankel asymptotic expansion, for nu in {0, 1} and r > 40.
 
     Terms are added until they stop decreasing or fall below 1e-18 of the
     leading one; adequate to ~1e-14 relative for r > 30 and nu <= 8.
@@ -150,8 +150,17 @@ def _bessel_j_hankel(nu: float, r: float) -> float:
 
 
 def _phi_large(n: int, r: float) -> float:
+    """phi_n(r), r > 40: J_{v+1} = (2v/r) J_v - J_{v-1} up from the exact J_{-1/2}, J_{1/2} (odd n) or
+    Hankel J_0, J_1 (even n).  The recurrence is stable only while v < r, so phi sums the series at nu >= r."""
     nu = 0.5 * n - 1.0
-    return _bessel_j_hankel(nu, r) * _gamma_half_float(n) * (0.5 * r) ** (-nu)
+    if n % 2:
+        v, scale = -0.5, math.sqrt(2.0 / (math.pi * r))
+        low, high = scale * math.cos(r), scale * math.sin(r)
+    else:
+        v, low, high = 0.0, _bessel_j_hankel(0.0, r), _bessel_j_hankel(1.0, r)
+    for k in range(round(nu - v)):
+        low, high = high, (2.0 * (v + k + 1.0) / r) * high - low
+    return low * _gamma_half_float(n) * (0.5 * r) ** (-nu)
 
 
 def phi(n: int, r: float) -> float:
@@ -165,7 +174,7 @@ def phi(n: int, r: float) -> float:
     x = abs(r)
     if x == 0.0:
         return 1.0
-    if x <= SERIES_CUTOFF:
+    if x <= max(SERIES_CUTOFF, 0.5 * n - 1.0):
         return float(_series_sums(n, x)[0])
     return _phi_large(n, x)
 

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 EIGEN_RESIDUAL_BOUND = 1e-10
-DEFAULT_DIMENSION_CAP = 6000
+DIMENSION_CAP = 6000
 
 # phase is "const", "cos" or "sin"; mode is a frequency vector (empty for
 # simplicial domains); subset is the ordered axis tuple of the form component.
@@ -278,7 +278,7 @@ def _partial_matrix(scalars, axis: int) -> np.ndarray:
     return mat
 
 
-def build_torus_domain(q: int, max_freq: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> SpectralDomain:
+def build_torus_domain(q: int, max_freq: int) -> SpectralDomain:
     """Full graded complex of band-limited trig forms on the flat unit q-torus."""
     if q not in (2, 3):
         raise ValueError("torus domains support q in {2, 3}")
@@ -287,10 +287,10 @@ def build_torus_domain(q: int, max_freq: int, dimension_cap: int = DEFAULT_DIMEN
     scalars = _scalar_basis(q, max_freq)
     n_scalar = len(scalars)
     total = n_scalar * 2**q
-    if total > dimension_cap:
+    if total > DIMENSION_CAP:
         raise DomainSizeError(
             f"torus q={q}, max_freq={max_freq} needs total dimension {total} "
-            f"above the cap {dimension_cap}"
+            f"above the cap {DIMENSION_CAP}"
         )
     partials = [_partial_matrix(scalars, axis) for axis in range(q)]
     subsets = [list(combinations(range(q), k)) for k in range(q + 1)]

@@ -7,9 +7,10 @@ code can sneak in through a chart definition string.  Trees are nested
 tuples ``(op, *operands)`` over float constants and variable names; the
 grammar is closed under d/dx and d/dy (``derivative``), with ``log``
 entering only through the power rule.  Constants, zeros and ones fold as
-the tree is built, so repeated derivatives stay small.  ``compile_trees``
-turns several trees into one numpy-vectorized callable that evaluates each
-shared subexpression once.
+the tree is built, so repeated derivatives stay small; a parsed constant that
+does not fold to a finite real (``10^400``, ``1/0``) is an ExpressionError.
+``compile_trees`` turns several trees into one numpy-vectorized callable
+that evaluates each shared subexpression once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class ExpressionError(ValueError):
     """The expression uses something outside the documented grammar."""
 
 
-def _tree(node: ast.AST, variables: tuple[str, ...]):
+def _tree(node: ast.AST):
     """The folded expression tree of a parsed node, rejecting anything outside the grammar."""
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)) or not abs(node.value) <= sys.float_info.max:
@@ -44,34 +45,40 @@ def _tree(node: ast.AST, variables: tuple[str, ...]):
     if isinstance(node, ast.Name):
         if node.id == "pi":
             return math.pi
-        if node.id not in variables:
+        if node.id not in ("x", "y"):
             raise ExpressionError(f"unknown name {node.id!r}")
         return node.id
     if isinstance(node, ast.BinOp):
         if type(node.op) not in _BINOPS:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        return _node(_BINOPS[type(node.op)], _tree(node.left, variables), _tree(node.right, variables))
-    if isinstance(node, ast.UnaryOp):
+        op, args = _BINOPS[type(node.op)], (_tree(node.left), _tree(node.right))
+    elif isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.USub, ast.UAdd)):
             raise ExpressionError(f"unary {type(node.op).__name__} not allowed")
-        operand = _tree(node.operand, variables)
-        return _node("neg", operand) if isinstance(node.op, ast.USub) else operand
-    if isinstance(node, ast.Call):
+        if isinstance(node.op, ast.UAdd):
+            return _tree(node.operand)
+        op, args = "neg", (_tree(node.operand),)
+    elif isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only sin, cos, sinh, cosh, exp calls are allowed")
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError("grammar functions take exactly one argument")
-        return _node(node.func.id, _tree(node.args[0], variables))
-    raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
+        op, args = node.func.id, (_tree(node.args[0]),)
+    else:
+        raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
+    tree = _node(op, *args)
+    if isinstance(tree, tuple) and all(isinstance(a, float) for a in args):
+        raise ExpressionError(f"constant {op!r} of {', '.join(map(repr, args))} is not a finite real number")
+    return tree
 
 
 def _node(op: str, *args):
     """Build (op, *args), folding constants, zeros and ones.
 
     Folding never raises: a constant operation that raises or gives a
-    non-finite or complex value stays a node, evaluated (raising or warning)
-    at call time as it would be unfolded.  0 * a = 0, 0 / a = 0 and a^0 = 1
-    hold symbolically.
+    non-finite or complex value stays a node, which the parser rejects and a
+    derivative evaluates (raising or warning) at call time.  0 * a = 0,
+    0 / a = 0 and a^0 = 1 hold symbolically.
     """
     if all(isinstance(a, float) for a in args):
         try:
@@ -104,14 +111,14 @@ def _node(op: str, *args):
     return (op, *args)
 
 
-def parse_expression(source: str, variables: tuple[str, ...] = ("x", "y")):
+def parse_expression(source: str):
     """Parse a grammar string into a folded expression tree."""
     text = source.replace("^", "**").replace("·", "*")
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {source!r}: {exc}") from exc
-    return _tree(tree.body, tuple(variables))
+    return _tree(tree.body)
 
 
 def derivative(tree, var: str):
@@ -149,8 +156,8 @@ def derivative(tree, var: str):
     return _node("*", outer, da)
 
 
-def compile_trees(trees, variables: tuple[str, ...] = ("x", "y")):
-    """One callable of the variables returning the tuple of every tree's value.
+def compile_trees(trees):
+    """One callable of x and y returning the tuple of every tree's value.
 
     Each distinct subtree is evaluated once per call.  Constant trees come
     back as Python floats, not broadcast to the argument shape.
@@ -176,16 +183,16 @@ def compile_trees(trees, variables: tuple[str, ...] = ("x", "y")):
         return names[t]
 
     outputs = ", ".join(ref(t) for t in trees)
-    source = f"def _jet({', '.join(variables)}):\n{''.join(lines)}    return ({outputs},)\n"
+    source = f"def _jet(x, y):\n{''.join(lines)}    return ({outputs},)\n"
     namespace = {"__builtins__": {}, **_CALLS}
     exec(compile(source, "<chart-expression>", "exec"), namespace)
     jet = namespace["_jet"]
     return lambda *args: jet(*(np.asarray(a, dtype=float) for a in args))
 
 
-def compile_expression(source: str, variables: tuple[str, ...] = ("x", "y")):
-    """Compile a grammar string into a vectorized callable of the variables."""
-    evaluate = compile_trees((parse_expression(source, variables),), variables)
+def compile_expression(source: str):
+    """Compile a grammar string into a vectorized callable of x and y."""
+    evaluate = compile_trees((parse_expression(source),))
 
     def fn(*args):
         out = np.asarray(evaluate(*args)[0], dtype=float)

@@ -141,9 +141,9 @@ def flat_chart(extent: float = 4.0) -> SurfaceChart:
     return chart_from_expressions("1", "0", "1", (-extent, extent, -extent, extent), name="flat")
 
 
-def sphere_chart(pad: float = 0.02) -> SurfaceChart:
-    """Unit round sphere in polar coordinates (x = colatitude, y = longitude)."""
-    return chart_from_expressions("1", "0", "sin(x)^2", (pad, math.pi - pad, -1e9, 1e9), name="sphere")
+def sphere_chart() -> SurfaceChart:
+    """Unit round sphere in polar coordinates (x = colatitude, y = longitude), 0.02 clear of the poles."""
+    return chart_from_expressions("1", "0", "sin(x)^2", (0.02, math.pi - 0.02, -1e9, 1e9), name="sphere")
 
 
 def hyperbolic_chart() -> SurfaceChart:

@@ -24,7 +24,7 @@ from . import besselfn, geomfront, huygens, oracles, specops, waveforms
 from .domains import build_circle_domain, build_simplicial_domain, build_torus_domain, SimplicialComplex
 from .polyforms import MultiPoly, PolyKForm, random_kform, random_multipoly
 
-__all__ = ["CaseResult", "run_suite", "run_all", "SUITES"]
+__all__ = ["CaseResult", "run_all", "SUITES"]
 
 SPHERE_POINT = (math.pi / 2, 0.3)
 
@@ -276,8 +276,7 @@ def suite_wave(seed: int, quick: bool) -> list[CaseResult]:
         )
     )
 
-    worst_dal = dalembert_worst(circle, rng, 5 if quick else 20)
-    cases.append(CaseResult.check("dalembert_anchor", worst_dal, 1e-12))
+    cases.append(CaseResult.check("dalembert_anchor", dalembert_worst(circle, rng, 5 if quick else 20), 1e-12))
 
     worst_fact = max(
         waveforms.factorization_check(q, coeffs)
@@ -386,8 +385,7 @@ def suite_geometry(seed: int, quick: bool) -> list[CaseResult]:
     extrap = (16 * rich2 - rich1) / 15
     cases.append(CaseResult.check("r2d2_boundary_limit", abs(extrap - 1.0), 1e-3))
 
-    cancellation = torus_cancellation(64 if quick else 256)
-    cases.append(CaseResult.check("torus_global_cancellation", cancellation, 1e-6))
+    cases.append(CaseResult.check("torus_global_cancellation", torus_cancellation(64 if quick else 256), 1e-6))
 
     worst_k = max(
         abs(geomfront.gauss_curvature_brioschi(sphere, x, 0.4) - 1.0) for x in (0.8, 1.3, 2.0)
@@ -442,16 +440,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 42, quick: bool = False) -> list[CaseResult]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")
-    return SUITES[name](seed, quick)
-
-
 def run_all(seed: int = 42, quick: bool = False) -> dict:
     report = {"seed": seed, "quick": quick, "suites": [], "status": "pass"}
-    for name in SUITES:
-        cases = run_suite(name, seed, quick)
+    for name, suite in SUITES.items():
+        cases = suite(seed, quick)
         report["suites"].append({"suite": name, "cases": [asdict(c) for c in cases]})
         if any(c.status != "pass" for c in cases):
             report["status"] = "fail"

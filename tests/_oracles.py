@@ -172,3 +172,20 @@ def endpoint_average_exact(g):
 
     out = {(e,): c for (e,), c in g.terms.items() if e % 2 == 0}
     return MultiPoly(1, out)
+
+
+def decay_envelope(n: int, r: float) -> float:
+    """min(1, Gamma(n/2) (r/2)^(-nu) sqrt(2/(pi r))), nu = n/2 - 1: the size of |phi_n(r)|."""
+    nu = 0.5 * n - 1.0
+    log_env = math.lgamma(0.5 * n) - nu * math.log(0.5 * r) + 0.5 * math.log(2.0 / (math.pi * r))
+    return min(1.0, math.exp(log_env))
+
+
+def phi_mpmath(n: int, r: float, digits: int = 30) -> float:
+    """phi_n(r) = Gamma(n/2) (r/2)^(-nu) J_nu(r) at `digits` significant digits, via mpmath."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        x = mpmath.mpf(r)
+        nu = mpmath.mpf(n) / 2 - 1
+        return float(mpmath.gamma(mpmath.mpf(n) / 2) * (x / 2) ** (-nu) * mpmath.besselj(nu, x))

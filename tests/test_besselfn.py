@@ -17,6 +17,8 @@ from besselwave.besselfn import (
 )
 from besselwave import oracles
 
+from _oracles import decay_envelope, phi_mpmath
+
 # Frozen at calibration time: sup over r in [10, 200] of |psi_{q+2}(r)| r^((q-1)/2).
 DECAY_CONSTANTS = {
     1: 1.000000,
@@ -122,6 +124,21 @@ class TestPhi:
             exact = float(besselfn._series_sums(n, 42.0)[0])
             assert besselfn._phi_large(n, 42.0) == pytest.approx(exact, abs=1e-12)
 
+    def test_every_order_across_the_seam(self):
+        # The large-r branch must hold for every order, not only for r >> nu^2.
+        pytest.importorskip("mpmath")
+        for n in range(1, 61):
+            for r in np.linspace(38.0, 46.0, 17):
+                r = float(r)
+                err = abs(phi(n, r) - phi_mpmath(n, r))
+                assert err <= 1e-13 * decay_envelope(n, r), (n, r, err)
+
+    def test_order_above_argument_uses_the_series(self):
+        # nu = 49 >= r = 45: the upward recurrence is unstable there
+        assert phi(100, 45.0) == float(besselfn._series_sums(100, 45.0)[0])
+        with pytest.raises(BesselDomainError):
+            phi(2000, 900.0)
+
 
 class TestPsi:
     def test_sin_identity(self):
@@ -168,6 +185,14 @@ class TestOdeResidual:
         rs = np.linspace(0.15, 30.0, 120)
         worst = max(abs(ode_residual(n, float(r))) for n in range(1, 9) for r in rs)
         assert worst < 1e-9
+
+    def test_sweep_relative_to_decay_envelope(self):
+        # |phi_n| decays like the envelope, so an absolute 1e-9 cannot see a
+        # wrong large-order value past the series cutoff
+        for n in range(1, 61):
+            for r in np.linspace(30.0, 60.0, 31):
+                r = float(r)
+                assert abs(ode_residual(n, r)) <= 1e-13 * decay_envelope(n, r), (n, r)
 
 
 class TestInvariants:

@@ -1,5 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -225,18 +227,48 @@ class TestCurvatureFront:
         assert abs(float(rows[0][header.index("r2d2")]) - 0.9975) < 3e-3
 
 
+# The contracted acceptance literal of each verify-all case that measures a
+# criterion; the exact cases are bounded by 0.
+ACCEPTANCE_BOUNDS = {
+    "ode_residual_max": 1e-9, "recursion_lemma_max": 1e-8, "closed_form_agreement": 1e-10,
+    "deformed_residuals": 1e-6, "dalembert_anchor": 1e-12, "pizzetti_exactness_30": 0.0,
+    "flux_corollary_10": 0.0, "monomial_reconstruction": 0.0, "finite_difference_table": 0.0,
+    "symmetry_commutator": 1e-8, "sphere_front_length": 1e-6, "r2d2_sphere": 3e-3,
+    "r2d2_hyperbolic": 3e-3, "torus_global_cancellation": 1e-6,
+}
+
+
 class TestVerifyAll:
-    def test_quick_passes(self, capsys, tmp_path):
-        out_path = tmp_path / "report.json"
-        code, out, _ = run_cli(capsys, "verify-all", "--quick", "--out", str(out_path))
+    @pytest.fixture(scope="class")
+    def quick_runs(self, tmp_path_factory):
+        """(exit code, report bytes) of two `verify-all --quick --seed 42` runs."""
+        runs = []
+        for _ in range(2):
+            out_path = tmp_path_factory.mktemp("verify") / "report.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["verify-all", "--quick", "--seed", "42", "--out", str(out_path)])
+            runs.append((code, out_path.read_bytes()))
+        return runs
+
+    def test_quick_passes(self, quick_runs):
+        code, text = quick_runs[0]
         assert code == 0
-        payload = json.loads(out_path.read_text())
+        payload = json.loads(text)
         assert payload["status"] == "pass"
         assert {s["suite"] for s in payload["suites"]} >= {"bessel", "spectral", "wave",
                                                            "pizzetti", "polarization"}
         for suite in payload["suites"]:
             for case in suite["cases"]:
                 assert case["status"] == "pass", (suite["suite"], case)
+
+    def test_one_seed_gives_identical_json(self, quick_runs):
+        assert quick_runs[0][1] == quick_runs[1][1]
+
+    def test_contracted_cases_carry_the_acceptance_bounds(self, quick_runs):
+        payload = json.loads(quick_runs[0][1])
+        bounds = {case["name"]: case["bound"] for suite in payload["suites"] for case in suite["cases"]}
+        for name, literal in ACCEPTANCE_BOUNDS.items():
+            assert bounds[name] == literal, name
 
 
 class TestConfigAndErrors:
@@ -263,6 +295,13 @@ class TestConfigAndErrors:
         assert run_cli(capsys, "bessel", "--r", "1.0", "--format", "json")[0] == 2
         assert run_cli(capsys, "pizzetti", "--count", "1", "--plot")[0] == 2
         assert run_cli(capsys, "curvature", "--h", "0.1", "--curvature", "1")[0] == 2
+
+    def test_unevaluable_grammar_constant_exit_2(self, capsys):
+        for g11 in ("10^400", "0^(-1)", "1/0"):
+            code, _, err = run_cli(capsys, "curvature", "--chart", "custom", "--g11", g11,
+                                   "--g12", "0", "--g22", "1", "--h", "0.1")
+            assert code == 2, g11
+            assert err.startswith("error:"), err
 
     def test_missing_config_exit_2(self, capsys):
         assert run_cli(capsys, "bessel", "--config", "/nonexistent.json")[0] == 2
