@@ -12,9 +12,10 @@ The rescaled profile psi_n(r) = r phi_n(r) stays bounded on [0, inf).
 Evaluation strategy: for |r| <= 40 the alternating series is summed in exact
 integer arithmetic (single running denominator, no rounding until the final
 float conversion), which removes the catastrophic cancellation a float sum
-suffers for moderate r.  For |r| > 40, J_nu in the closed form phi_n(r) =
-J_nu(r) Gamma(n/2) (r/2)^(-nu), nu = n/2 - 1, comes from an upward recurrence
-in the order, or from the exact series where nu >= r (see _phi_large).
+suffers for moderate r.  For |r| > 40, phi_n comes from the upward recurrence
+phi_{m+4} = m(m+2)/r^2 (phi_{m+2} - phi_m), which is the recurrence of J_nu,
+nu = n/2 - 1, scaled by Gamma(n/2) (r/2)^(-nu); where nu >= r it comes from
+the exact series instead (see _phi_large).
 
 All functions are pure; coefficient caches are guarded by a lock and safe
 for concurrent readers once warm.
@@ -119,14 +120,6 @@ def _series_sums(n: int, r: float) -> tuple[Fraction, Fraction, Fraction]:
     return phi_val, dphi_val, d2phi_val
 
 
-def _gamma_half_float(n: int) -> float:
-    """Gamma(n/2) for integer n >= 1."""
-    if n % 2 == 0:
-        return float(math.factorial(n // 2 - 1))
-    k = (n - 1) // 2
-    return math.factorial(2 * k) * math.sqrt(math.pi) / (4**k * math.factorial(k))
-
-
 def _bessel_j_hankel(nu: float, r: float) -> float:
     """J_nu(r) by the Hankel asymptotic expansion, for nu in {0, 1} and r > 40.
 
@@ -150,17 +143,19 @@ def _bessel_j_hankel(nu: float, r: float) -> float:
 
 
 def _phi_large(n: int, r: float) -> float:
-    """phi_n(r), r > 40: J_{v+1} = (2v/r) J_v - J_{v-1} up from the exact J_{-1/2}, J_{1/2} (odd n) or
-    Hankel J_0, J_1 (even n).  The recurrence is stable only while v < r, so phi sums the series at nu >= r."""
-    nu = 0.5 * n - 1.0
+    """phi_n(r), r > 40: phi_{m+4} = m(m+2)/r^2 (phi_{m+2} - phi_m) up from phi_1 = cos r, phi_3 = sin r / r
+    (odd n) or the Hankel phi_2 = J_0, phi_4 = 2 J_1 / r (even n).
+
+    This is the J_nu recurrence scaled by Gamma(n/2) (r/2)^(-nu), so it is stable only while nu < r;
+    phi sums the series at nu >= r.
+    """
     if n % 2:
-        v, scale = -0.5, math.sqrt(2.0 / (math.pi * r))
-        low, high = scale * math.cos(r), scale * math.sin(r)
+        start, low, high = 1, math.cos(r), math.sin(r) / r
     else:
-        v, low, high = 0.0, _bessel_j_hankel(0.0, r), _bessel_j_hankel(1.0, r)
-    for k in range(round(nu - v)):
-        low, high = high, (2.0 * (v + k + 1.0) / r) * high - low
-    return low * _gamma_half_float(n) * (0.5 * r) ** (-nu)
+        start, low, high = 2, _bessel_j_hankel(0.0, r), 2.0 / r * _bessel_j_hankel(1.0, r)
+    for m in range(start, n, 2):
+        low, high = high, (m * (m + 2) / (r * r)) * (high - low)
+    return low
 
 
 def phi(n: int, r: float) -> float:

@@ -1,19 +1,21 @@
 """Discrete spectral domains: graded cochain spaces with a symmetric Dirac matrix.
 
-Three families are built here:
+Two families are built here:
 
-* the unit circle with a real trigonometric band-limited basis,
-* flat unit tori in dimension 2 or 3 with band-limited trigonometric
-  k-form components,
+* trigonometric domains, one builder for both: band-limited trig k-form
+  components on the unit circle (q = 1) and the flat unit tori (q = 2, 3),
 * finite abstract simplicial complexes with signed incidence matrices.
 
 Every domain carries the exterior-derivative blocks d_k.  The basis is
 orthonormal, so adjoints are plain transposes and the Hodge Laplacian of
 degree k is L_k = d_{k-1} d_{k-1}^T + d_k^T d_k, an n_k x n_k matrix.  The
-spectral calculus needs only the eigenpairs (mu_k, W_k) of each L_k, which
-a domain computes on first use and keeps: the cost is sum_k n_k^3, not the
-N^3 of the stacked N x N Dirac matrix D = d + d^T.  D and its dense
-eigendecomposition stay readable, computed on first access, as an oracle.
+spectral calculus needs only the eigenpairs (mu_k, W_k) of each L_k.  The
+trig basis diagonalizes every L_k, so a trig domain knows them by
+construction (mu = 4 pi^2 |m|^2, W_k a permutation); a simplicial domain
+eigensolves each L_k on first use and keeps the result, at a cost of
+sum_k n_k^3, not the N^3 of the stacked N x N Dirac matrix D = d + d^T.
+D and its dense eigendecomposition stay readable, computed on first
+access, as an oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -160,7 +162,8 @@ class SpectralDomain:
     def hodge_eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(mu_k, W_k) with L_k W_k = W_k diag(mu_k), mu_k ascending; computed once, read-only.
 
-        The residual max_j ||L_k w_j - mu_j w_j|| must stay below
+        Trig domains fill these at build time.  Elsewhere L_k is eigensolved
+        here, and the residual max_j ||L_k w_j - mu_j w_j|| must stay below
         EIGEN_RESIDUAL_BOUND times max(1, max |mu_k|).
         """
         pairs = self._eigenpairs.get(k)
@@ -197,71 +200,14 @@ def _assemble(name, q, grading, d_blocks, labels=None) -> SpectralDomain:
 
 
 # ---------------------------------------------------------------------------
-# circle
-# ---------------------------------------------------------------------------
-
-
-def _scalar_modes_1d(max_freq: int):
-    labels = [("const", (0,))]
-    for k in range(1, max_freq + 1):
-        labels.append(("cos", (k,)))
-        labels.append(("sin", (k,)))
-    return labels
-
-
-def build_circle_domain(max_freq: int) -> SpectralDomain:
-    """Unit circle: 0- and 1-forms over {1, sqrt2 cos 2 pi k x, sqrt2 sin 2 pi k x}.
-
-    Dirac eigenvalues are {0, 0} plus +-2 pi k, each twice.
-    """
-    if max_freq < 1:
-        raise ValueError("max_freq must be >= 1")
-    scalars = _scalar_modes_1d(max_freq)
-    n = len(scalars)
-    d0 = np.zeros((n, n))
-    for idx, (phase, mode) in enumerate(scalars):
-        k = mode[0]
-        if phase == "cos":
-            d0[idx + 1, idx] = -2.0 * math.pi * k  # cos -> -w sin, sin row follows cos
-        elif phase == "sin":
-            d0[idx - 1, idx] = 2.0 * math.pi * k
-    labels = [BasisLabel(0, (), p, m) for p, m in scalars]
-    labels += [BasisLabel(1, (0,), p, m) for p, m in scalars]
-    return _assemble("circle", 1, (n, n), (d0,), labels)
-
-
-# ---------------------------------------------------------------------------
-# flat torus form spaces
+# trigonometric domains: the circle and the flat tori
 # ---------------------------------------------------------------------------
 
 
 def _canonical_modes(q: int, max_freq: int):
-    """Zero mode plus one representative per +-m pair (first nonzero > 0)."""
-    modes = [(0,) * q]
-    for m in iter_modes(q, max_freq):
-        lead = next((c for c in m if c), 0)
-        if lead > 0:
-            modes.append(m)
-    return modes
-
-
-def iter_modes(q: int, max_freq: int):
-    ranges = [range(-max_freq, max_freq + 1)] * q
-    out = [()]
-    for r in ranges:
-        out = [m + (c,) for m in out for c in r]
-    return [m for m in out if any(m)]
-
-
-def _scalar_basis(q: int, max_freq: int):
-    basis = []
-    for m in _canonical_modes(q, max_freq):
-        if not any(m):
-            basis.append(("const", m))
-        else:
-            basis.append(("cos", m))
-            basis.append(("sin", m))
-    return basis
+    """Zero mode plus one representative per +-m pair (first nonzero > 0), in lexicographic order."""
+    box = product(range(-max_freq, max_freq + 1), repeat=q)
+    return [(0,) * q] + [m for m in box if next((c for c in m if c), 0) > 0]
 
 
 def _partial_matrix(scalars, axis: int) -> np.ndarray:
@@ -278,47 +224,76 @@ def _partial_matrix(scalars, axis: int) -> np.ndarray:
     return mat
 
 
-def build_torus_domain(q: int, max_freq: int) -> SpectralDomain:
-    """Full graded complex of band-limited trig forms on the flat unit q-torus."""
-    if q not in (2, 3):
-        raise ValueError("torus domains support q in {2, 3}")
+def _trig_domain(name: str, q: int, max_freq: int) -> SpectralDomain:
+    """Band-limited trig forms on the flat unit q-torus; q = 1 is the circle.
+
+    Each form component has the scalar basis {1, sqrt2 cos 2 pi m.x,
+    sqrt2 sin 2 pi m.x} over the canonical modes m.  Every basis vector is an
+    eigenvector of every L_k with eigenvalue 4 pi^2 |m|^2, so the eigenpair
+    cache is filled here: mu_k sorted by a stable argsort, W_k the matching
+    permutation.  No eigensolver runs on a trig domain.
+    """
     if max_freq < 1:
         raise ValueError("max_freq must be >= 1")
-    scalars = _scalar_basis(q, max_freq)
+    scalars = [
+        (phase, m)
+        for m in _canonical_modes(q, max_freq)
+        for phase in (("cos", "sin") if any(m) else ("const",))
+    ]
     n_scalar = len(scalars)
-    total = n_scalar * 2**q
-    if total > DIMENSION_CAP:
-        raise DomainSizeError(
-            f"torus q={q}, max_freq={max_freq} needs total dimension {total} "
-            f"above the cap {DIMENSION_CAP}"
-        )
     partials = [_partial_matrix(scalars, axis) for axis in range(q)]
     subsets = [list(combinations(range(q), k)) for k in range(q + 1)]
     grading = [len(subsets[k]) * n_scalar for k in range(q + 1)]
 
     d_blocks = []
     for k in range(q):
-        rows, cols = grading[k + 1], grading[k]
-        blk = np.zeros((rows, cols))
-        col_of = {s: i for i, s in enumerate(subsets[k])}
+        blk = np.zeros((grading[k + 1], grading[k]))
         row_of = {s: i for i, s in enumerate(subsets[k + 1])}
-        for subset in subsets[k]:
-            c0 = col_of[subset] * n_scalar
+        for col, subset in enumerate(subsets[k]):
+            c0 = col * n_scalar
             for axis in range(q):
                 if axis in subset:
                     continue
                 pos = sum(1 for a in subset if a < axis)
                 sign = -1.0 if pos % 2 else 1.0
-                target = tuple(sorted(subset + (axis,)))
-                r0 = row_of[target] * n_scalar
+                r0 = row_of[tuple(sorted(subset + (axis,)))] * n_scalar
                 blk[r0 : r0 + n_scalar, c0 : c0 + n_scalar] += sign * partials[axis]
         d_blocks.append(blk)
 
-    labels = []
+    labels = [BasisLabel(k, s, p, m) for k in range(q + 1) for s in subsets[k] for p, m in scalars]
+    domain = _assemble(name, q, tuple(grading), tuple(d_blocks), labels)
+    mu_scalar = 4.0 * math.pi**2 * np.array([sum(c * c for c in m) for _, m in scalars], dtype=float)
     for k in range(q + 1):
-        for subset in subsets[k]:
-            labels += [BasisLabel(k, subset, p, m) for p, m in scalars]
-    return _assemble(f"torus{q}", q, tuple(grading), tuple(d_blocks), labels)
+        mu = np.tile(mu_scalar, len(subsets[k]))
+        order = np.argsort(mu, kind="stable")
+        w = np.zeros((mu.size, mu.size))
+        w[order, np.arange(mu.size)] = 1.0
+        mu = mu[order]
+        mu.setflags(write=False)
+        w.setflags(write=False)
+        domain._eigenpairs[k] = (mu, w)
+    return domain
+
+
+def build_circle_domain(max_freq: int) -> SpectralDomain:
+    """Unit circle: 0- and 1-forms over {1, sqrt2 cos 2 pi k x, sqrt2 sin 2 pi k x}.
+
+    Dirac eigenvalues are {0, 0} plus +-2 pi k, each twice.
+    """
+    return _trig_domain("circle", 1, max_freq)
+
+
+def build_torus_domain(q: int, max_freq: int) -> SpectralDomain:
+    """Full graded complex of band-limited trig forms on the flat unit q-torus, q in {2, 3}."""
+    if q not in (2, 3):
+        raise ValueError("torus domains support q in {2, 3}")
+    total = (2 * max_freq + 1) ** q * 2**q
+    if total > DIMENSION_CAP:
+        raise DomainSizeError(
+            f"torus q={q}, max_freq={max_freq} needs total dimension {total} "
+            f"above the cap {DIMENSION_CAP}"
+        )
+    return _trig_domain(f"torus{q}", q, max_freq)
 
 
 # ---------------------------------------------------------------------------

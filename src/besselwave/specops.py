@@ -4,8 +4,10 @@ Every operator here is an even function of the Dirac operator D, that is a
 function g(sqrt L) of the Hodge Laplacian, composed with d, d^* or D.  One
 primitive, `functional_calculus`, applies g(sqrt L_k) to a degree-k
 cochain as W_k (g(sqrt mu_k) * W_k^T u), with (mu_k, W_k) the cached
-eigenpairs of L_k; g is evaluated once per distinct root, so it is even by
-construction and the result keeps the input degree exactly.  For smooth
+eigenpairs of L_k (known by construction on the circle and tori, one eigh
+per degree on a simplicial complex); g is evaluated once per distinct
+root, so it is even by construction and the result keeps the input degree
+exactly.  For smooth
 even g, g(sqrt mu) is a smooth function of mu, so the roots need no more
 precision than mu has.  The odd operators (D_t and the discrete wave map) are D composed with an
 even function, and every dense matrix is assembled block by block over
@@ -14,14 +16,15 @@ degrees: no N x N eigensolve or SVD runs.
 The bounded derivative d_t = t phi_{q+2}(tD) d, its adjoint, the deformed
 Dirac/Laplacian, kernel (Betti) counting with a spectral-gap guard on the
 per-degree Laplacian spectra, symmetry commutators and the norm-contractive
-discrete wave map all live here.  The Bessel index q defaults to the
-ambient dimension of the domain but may be overridden, since the operator
-algebra treats it as a free parameter.
+discrete wave map all live here; the Bessel index is the domain's q.  The
+torus and circle symmetries are pullbacks of x -> A x + s, A a signed
+permutation, written out in the trig basis.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -87,9 +90,10 @@ def _even_values(g, radii: np.ndarray) -> np.ndarray:
 def _roots(domain: SpectralDomain, k: int) -> np.ndarray:
     """The |lambda| of D on degree k: sqrt(mu) over the Laplacian spectrum of that degree.
 
-    eigh resolves mu only to about n eps max(mu), and the root of that noise
-    is ~1e-8 of the largest |lambda|, which a function of |lambda| that is not
-    smooth in mu (the orbit weight |psi|) would see.  Every mu below
+    On a simplicial domain eigh resolves mu only to about n eps max(mu) (a
+    trig spectrum is exact), and the root of that noise is ~1e-8 of the
+    largest |lambda|, which a function of |lambda| that is not smooth in mu
+    (the orbit weight |psi|) would see.  Every mu below
     ROOT_FLOOR * max(1, max mu) is therefore an exact zero.
     """
     mu = spectrum_by_degree(domain, k)
@@ -145,17 +149,13 @@ def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
     return Cochain(u.degree, w @ (vals * (w.T @ u.coefficients)))
 
 
-def _bessel_index(domain: SpectralDomain, q) -> int:
-    return domain.q if q is None else int(q)
-
-
-def _bounded_profile(domain: SpectralDomain, t: float, q):
+def _bounded_profile(domain: SpectralDomain, t: float):
     """r -> t phi_{q+2}(t r), the even multiplier of d_t."""
-    n = _bessel_index(domain, q) + 2
+    n = domain.q + 2
     return lambda r: t * besselfn.phi(n, t * r)
 
 
-def _deformed_values(domain: SpectralDomain, t: float, q) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _deformed_values(domain: SpectralDomain, t: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """psi_{q+2}(t sqrt mu_k) and t phi_{q+2}(t sqrt mu_k) for every degree k.
 
     |psi_{q+2}(t |lambda|)| are the singular values of D_t, so they carry its
@@ -163,7 +163,7 @@ def _deformed_values(domain: SpectralDomain, t: float, q) -> tuple[list[np.ndarr
     even factor of D_t = D t phi_{q+2}(t|D|).  phi is evaluated once per
     distinct root over all degrees.
     """
-    n = _bessel_index(domain, q) + 2
+    n = domain.q + 2
 
     def both(r: float) -> tuple[float, float]:
         x = t * r
@@ -174,7 +174,7 @@ def _deformed_values(domain: SpectralDomain, t: float, q) -> tuple[list[np.ndarr
     return [v[:, 0] for v in pairs], [v[:, 1] for v in pairs]
 
 
-def deformed_d(domain: SpectralDomain, t: float, u: Cochain, q: int | None = None) -> Cochain:
+def deformed_d(domain: SpectralDomain, t: float, u: Cochain) -> Cochain:
     """Bounded derivative d_t u = t phi_{q+2}(tD) d u; degree k -> k+1.
 
     Zero at t = 0; (1/t) d_t u converges to d u as t -> 0.
@@ -184,45 +184,39 @@ def deformed_d(domain: SpectralDomain, t: float, u: Cochain, q: int | None = Non
     du = domain.cochain(u.degree + 1, domain.d_blocks[u.degree] @ u.coefficients)
     if t == 0.0:
         return domain.zero_cochain(u.degree + 1)
-    return functional_calculus(domain, _bounded_profile(domain, t, q), du)
+    return functional_calculus(domain, _bounded_profile(domain, t), du)
 
 
-def deformed_d_adjoint(domain: SpectralDomain, t: float, w: Cochain, q: int | None = None) -> Cochain:
+def deformed_d_adjoint(domain: SpectralDomain, t: float, w: Cochain) -> Cochain:
     """Adjoint d_t^* w = t phi_{q+2}(tD) d^* w; degree k -> k-1."""
     if w.degree < 1:
         raise ValueError("deformed_d_adjoint needs a cochain of degree >= 1")
     dstar = domain.cochain(w.degree - 1, domain.d_blocks[w.degree - 1].T @ w.coefficients)
     if t == 0.0:
         return domain.zero_cochain(w.degree - 1)
-    return functional_calculus(domain, _bounded_profile(domain, t, q), dstar)
+    return functional_calculus(domain, _bounded_profile(domain, t), dstar)
 
 
-def deformed_dirac(domain: SpectralDomain, t: float, q: int | None = None) -> np.ndarray:
+def deformed_dirac(domain: SpectralDomain, t: float) -> np.ndarray:
     """D_t = psi_{q+2}(tD) = D t phi_{q+2}(t|D|) as a dense matrix; the zero matrix at t = 0."""
-    return _dirac_times(domain, _deformed_values(domain, t, q)[1])
+    return _dirac_times(domain, _deformed_values(domain, t)[1])
 
 
-def deformed_laplacian(domain: SpectralDomain, t: float, q: int | None = None) -> np.ndarray:
+def deformed_laplacian(domain: SpectralDomain, t: float) -> np.ndarray:
     """L_t = D_t^2 = psi_{q+2}(t sqrt L)^2, block-diagonal over degrees."""
-    return _block_diagonal(domain, [p**2 for p in _deformed_values(domain, t, q)[0]])
+    return _block_diagonal(domain, [p**2 for p in _deformed_values(domain, t)[0]])
 
 
-def deformed_dirac_norm(domain: SpectralDomain, t: float, q: int | None = None) -> float:
+def deformed_dirac_norm(domain: SpectralDomain, t: float) -> float:
     """Operator norm of D_t, max over degrees of |psi_{q+2}(t sqrt mu_k)|."""
-    return _max_abs(_deformed_values(domain, t, q)[0])
+    return _max_abs(_deformed_values(domain, t)[0])
 
 
 def _max_abs(values: list[np.ndarray]) -> float:
     return max(float(np.max(np.abs(v), initial=0.0)) for v in values)
 
 
-def betti(
-    domain: SpectralDomain,
-    t: float,
-    degree: int,
-    q: int | None = None,
-    tol: float | None = None,
-) -> int:
+def betti(domain: SpectralDomain, t: float, degree: int, tol: float | None = None) -> int:
     """Dimension of the near-kernel of L_t on one degree.
 
     L_t restricted to degree k is psi_{q+2}(t sqrt L_k)^2, so its spectrum
@@ -232,7 +226,7 @@ def betti(
     within a factor 10 of the threshold; if the whole deformed spectrum is
     numerically zero every mode is harmonic.
     """
-    psi, _ = _deformed_values(domain, t, q)
+    psi, _ = _deformed_values(domain, t)
     lam_max = _max_abs(psi) ** 2
     if lam_max < KERNEL_FLOOR:
         return domain.grading[degree]
@@ -254,7 +248,7 @@ def betti(
 # ---------------------------------------------------------------------------
 
 
-def symmetry_commutator(domain: SpectralDomain, unitary: np.ndarray, t: float, q: int | None = None) -> float:
+def symmetry_commutator(domain: SpectralDomain, unitary: np.ndarray, t: float) -> float:
     """|| U d_t - d_t U || for a degree-preserving unitary that commutes with d.
 
     For a degree-preserving U both commutators map degree k to degree k+1
@@ -277,7 +271,7 @@ def symmetry_commutator(domain: SpectralDomain, unitary: np.ndarray, t: float, q
     pre = max(_norm2(blocks[k + 1] @ d - d @ blocks[k]) for k, d in enumerate(domain.d_blocks))
     if pre >= 1e-10:
         raise SymmetryPreconditionError(pre)
-    _, profile = _deformed_values(domain, t, q)
+    _, profile = _deformed_values(domain, t)
     worst = 0.0
     for k, d in enumerate(domain.d_blocks):
         dt = _block(domain, k + 1, profile[k + 1]) @ d
@@ -289,78 +283,60 @@ def _norm2(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix, 2))
 
 
-def _require_labels(domain: SpectralDomain) -> tuple[BasisLabel, ...]:
-    if domain.labels is None:
-        raise ValueError(f"domain {domain.name} carries no trigonometric basis labels")
-    return domain.labels
+def _pullback(domain: SpectralDomain, axes, signs, shift) -> np.ndarray:
+    """Pullback of the torus isometry x -> A x + shift, (A x)_i = signs[i] x_{axes[i]}, in the trig basis.
 
+    The mode m goes to A^T m and the phase rotates by 2 pi m.shift; a mode
+    whose first nonzero entry turns negative is negated back, which
+    reverses the rotation and flips the sign of sin.  dx_i pulls back to
+    signs[i] dx_{axes[i]}, and a form component takes the sign of the sort
+    that puts its new axes in order.  The result is an exact signed
+    permutation-rotation, so it commutes with d to machine precision.
+    """
+    if domain.labels is None or len(axes) != domain.q:
+        raise ValueError(f"no pullback of a {len(axes)}-torus isometry on the {domain.name} domain")
+    index = {lbl: i for i, lbl in enumerate(domain.labels)}
+    shift = np.atleast_1d(np.asarray(shift, dtype=float))
+    u = np.zeros((domain.total_dim, domain.total_dim))
+    for i, (k, subset, phase, mode) in enumerate(domain.labels):
+        image = [axes[a] for a in subset]
+        sign = math.prod(signs[a] for a in subset) * (-1) ** sum(a > b for a, b in combinations(image, 2))
+        pulled = [0] * domain.q
+        for a, m in enumerate(mode):
+            pulled[axes[a]] = signs[a] * m
+        flip = -1 if next((c for c in pulled if c), 0) < 0 else 1
+        mode_to = tuple(flip * c for c in pulled)
 
-def _label_index(domain: SpectralDomain) -> dict[BasisLabel, int]:
-    return {lbl: i for i, lbl in enumerate(_require_labels(domain))}
+        def row(phase_to):
+            return index[BasisLabel(k, tuple(sorted(image)), phase_to, mode_to)]
+
+        if phase == "const":
+            u[row("const"), i] = sign
+            continue
+        angle = 2.0 * math.pi * float(np.dot(mode, shift))
+        c, s = math.cos(angle), flip * math.sin(angle)
+        if phase == "cos":  # cos(w + a) = cos a cos w - sin a sin w
+            u[row("cos"), i] = sign * c
+            u[row("sin"), i] = -sign * s
+        else:  # sin(w + a) = cos a sin w + sin a cos w, times -1 where the mode was negated
+            u[row("sin"), i] = sign * flip * c
+            u[row("cos"), i] = sign * flip * s
+    return u
 
 
 def torus_translation(domain: SpectralDomain, shift) -> np.ndarray:
     """Pullback of x -> x + shift in the trig basis: per-mode rotations."""
-    labels = _require_labels(domain)
-    index = _label_index(domain)
-    n = domain.total_dim
-    u = np.zeros((n, n))
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    for i, lbl in enumerate(labels):
-        if lbl.phase == "const":
-            u[i, i] = 1.0
-            continue
-        angle = 2.0 * math.pi * float(np.dot(lbl.mode, shift))
-        c, s = math.cos(angle), math.sin(angle)
-        if lbl.phase == "cos":
-            j = index[BasisLabel(lbl.degree, lbl.subset, "sin", lbl.mode)]
-            # cos(w(x+a)) = cos a_w cos - sin a_w sin
-            u[i, i] = c
-            u[j, i] = -s
-        else:
-            j = index[BasisLabel(lbl.degree, lbl.subset, "cos", lbl.mode)]
-            u[i, i] = c
-            u[j, i] = s
-    return u
+    return _pullback(domain, tuple(range(domain.q)), (1,) * domain.q, shift)
 
 
 def circle_translation(domain: SpectralDomain, shift: float) -> np.ndarray:
     """Rotation of the circle by `shift`, as the exact trig-basis unitary."""
-    return torus_translation(domain, [shift])
+    return _pullback(domain, (0,), (1,), [shift])
 
 
 def torus_quarter_turn(domain: SpectralDomain) -> np.ndarray:
-    """Pullback of the isometry (x, y) -> (-y, x) on the 2-torus.
-
-    Modes map as m -> (m_2, -m_1) (re-canonicalized with a sin sign flip),
-    dx components land in -dy, dy components in dx, and the area form is
-    fixed.  Exact signed permutation-rotation, so it commutes with d to
-    machine precision.
-    """
-    if domain.q != 2:
-        raise ValueError("quarter turn is defined for the 2-torus domains")
-    labels = _require_labels(domain)
-    index = _label_index(domain)
-    n = domain.total_dim
-    u = np.zeros((n, n))
-    # component transport: (subset) -> (new subset, sign)
-    comp_map = {(): ((), 1.0), (0,): ((1,), -1.0), (1,): ((0,), 1.0), (0, 1): ((0, 1), 1.0)}
-    for i, lbl in enumerate(labels):
-        new_subset, comp_sign = comp_map[lbl.subset]
-        mode = (lbl.mode[1], -lbl.mode[0])
-        lead = next((c for c in mode if c), 0)
-        flip = lead < 0
-        canon = tuple(-c for c in mode) if flip else mode
-        if lbl.phase == "const":
-            target = BasisLabel(lbl.degree, new_subset, "const", canon)
-            u[index[target], i] = comp_sign
-        elif lbl.phase == "cos":
-            target = BasisLabel(lbl.degree, new_subset, "cos", canon)
-            u[index[target], i] = comp_sign
-        else:
-            target = BasisLabel(lbl.degree, new_subset, "sin", canon)
-            u[index[target], i] = -comp_sign if flip else comp_sign
-    return u
+    """Pullback of the isometry (x, y) -> (-y, x) on the 2-torus: m -> (m_2, -m_1), dx -> -dy, dy -> dx."""
+    return _pullback(domain, (1, 0), (-1, 1), (0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -368,38 +344,25 @@ def torus_quarter_turn(domain: SpectralDomain) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _wave_map(domain: SpectralDomain, h: float, q) -> tuple[np.ndarray, list[np.ndarray], float]:
+def _wave_map(domain: SpectralDomain, h: float) -> tuple[np.ndarray, list[np.ndarray], float]:
     """D_h = psi_{q+2}(hD) as a dense matrix, psi_{q+2}(h sqrt mu_k) by degree and ||D_h||.
 
     Needs ||D_h|| < 1.
     """
-    psi, profile = _deformed_values(domain, h, q)
+    psi, profile = _deformed_values(domain, h)
     norm = _max_abs(psi)
     if norm >= 1.0:
         raise WaveMapNormError(norm)
     return _dirac_times(domain, profile), psi, norm
 
 
-def discrete_wave_step(
-    domain: SpectralDomain,
-    h: float,
-    u: np.ndarray,
-    v: np.ndarray,
-    q: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def discrete_wave_step(domain: SpectralDomain, h: float, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One step of T: (u, v) -> (D_h u - v, u); needs ||D_h|| < 1."""
-    dh, _, _ = _wave_map(domain, h, q)
+    dh, _, _ = _wave_map(domain, h)
     return dh @ u - v, np.array(u)
 
 
-def discrete_wave_orbit(
-    domain: SpectralDomain,
-    h: float,
-    u: np.ndarray,
-    v: np.ndarray,
-    steps: int,
-    q: int | None = None,
-) -> dict:
+def discrete_wave_orbit(domain: SpectralDomain, h: float, u: np.ndarray, v: np.ndarray, steps: int) -> dict:
     """Iterate T, tracking the max state norm along the orbit.
 
     Returns the orbit maximum, the final state and the rotation-conjugacy
@@ -408,7 +371,7 @@ def discrete_wave_orbit(
     Summed over modes the bound is u^T G u + v^T G v - u^T D_h G v, with G
     the even function 1 / (1 - |psi_{q+2}(h |D|)| / 2).
     """
-    dh, psi, norm = _wave_map(domain, h, q)
+    dh, psi, norm = _wave_map(domain, h)
     weight = _block_diagonal(domain, [1.0 / (1.0 - np.abs(a) / 2.0) for a in psi])
     cu, cv = np.array(u, dtype=float), np.array(v, dtype=float)
     gv = weight @ cv

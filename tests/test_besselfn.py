@@ -133,6 +133,11 @@ class TestPhi:
                 err = abs(phi(n, r) - phi_mpmath(n, r))
                 assert err <= 1e-13 * decay_envelope(n, r), (n, r, err)
 
+    def test_order_past_the_float_gamma_range(self):
+        # Gamma(200) overflows a float; the phi recurrence carries no Gamma scale.
+        pytest.importorskip("mpmath")
+        assert phi(400, 300.0) == pytest.approx(phi_mpmath(400, 300.0), rel=1e-12)
+
     def test_order_above_argument_uses_the_series(self):
         # nu = 49 >= r = 45: the upward recurrence is unstable there
         assert phi(100, 45.0) == float(besselfn._series_sums(100, 45.0)[0])

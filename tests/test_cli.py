@@ -34,6 +34,13 @@ class TestBessel:
         value = float(rows[0][header.index("phi")])
         assert abs(value) < 1e-8
 
+    def test_high_order_large_argument(self, capsys):
+        # Gamma(n/2) as a float overflows past n ~ 344; the phi recurrence needs no Gamma scale.
+        code, out, _ = run_cli(capsys, "bessel", "--n", "400", "--r", "300")
+        assert code == 0
+        header, rows = csv_rows(out)
+        assert 0.0 < float(rows[0][header.index("phi")]) < 1e-60
+
     def test_sweep_and_plot(self, capsys, tmp_path):
         out_path = tmp_path / "bessel.csv"
         code, _, _ = run_cli(capsys, "bessel", "--n", "2", "--points", "12",
@@ -115,24 +122,26 @@ class TestSpectral:
         assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)
 
     def test_no_full_size_eigensolve(self, capsys, monkeypatch):
-        # A torus3 request with a symmetry and an orbit passes no N x N matrix to an
-        # eigensolver or an SVD; numpy's 2-norm reaches svd through numpy.linalg._linalg.
+        # A torus3 request with a symmetry and an orbit runs no eigensolver at all (the trig
+        # spectrum is known by construction) and passes no N x N matrix to an SVD; numpy's
+        # 2-norm reaches svd through numpy.linalg._linalg.
         seen = []
 
-        def recording(fn):
+        def recording(name, fn):
             def wrapper(a, *args, **kwargs):
-                seen.append(np.shape(a))
+                seen.append((name, np.shape(a)))
                 return fn(a, *args, **kwargs)
             return wrapper
 
         for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
             for name in ("eigh", "eigvalsh", "svd"):
-                monkeypatch.setattr(module, name, recording(getattr(module, name)))
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
         code, out, _ = run_cli(capsys, "spectral", "--domain", "torus3", "--max-freq", "2", "--t", "0.3",
                                "--symmetry", "translation", "--wave-steps", "3", "--format", "json")
         assert code == 0
         total_dim = sum(json.loads(out)["grading"])
-        assert seen and max(max(shape) for shape in seen) < total_dim
+        assert [name for name, _ in seen if name != "svd"] == []
+        assert seen and max(max(shape) for _, shape in seen) < total_dim
 
     def test_missing_complex_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectral", "--domain", "simplicial")

@@ -100,6 +100,23 @@ class TestTorus:
             build_torus_domain(4, 1)
 
 
+class TestTrigEigenpairs:
+    """The eigenpairs a trig domain knows by construction, against eigh of each L_k."""
+
+    @pytest.mark.parametrize("build", [lambda: build_circle_domain(8), lambda: build_torus_domain(2, 3),
+                                       lambda: build_torus_domain(3, 2)], ids=["circle8", "torus2-3", "torus3-2"])
+    def test_against_eigh(self, build):
+        dom = build()
+        for k in range(dom.top_degree + 1):
+            lap = dom.laplacian(k)
+            mu, w = dom.hodge_eigenpairs(k)
+            scale = max(1.0, float(mu[-1]))
+            assert np.abs(mu - np.linalg.eigh(lap)[0]).max() <= 1e-12 * scale
+            assert np.linalg.norm(lap @ w - w * mu) <= 1e-12 * scale
+            assert np.abs(w.T @ w - np.eye(dom.grading[k])).max() == 0.0
+            assert not (mu.flags.writeable or w.flags.writeable)
+
+
 class TestSimplicial:
     def test_triangle_boundary(self):
         sc = SimplicialComplex.from_maximal([[0, 1], [1, 2], [0, 2]])

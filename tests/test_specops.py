@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from besselwave import besselfn
-from besselwave.domains import SimplicialComplex, build_circle_domain, build_simplicial_domain
+from besselwave.domains import SimplicialComplex, build_circle_domain, build_simplicial_domain, build_torus_domain
 from besselwave.specops import (
     SpectralGapError,
     SymmetryPreconditionError,
@@ -227,6 +227,16 @@ class TestSymmetry:
             assert np.abs(u @ u.T - np.eye(torus2.total_dim)).max() < 1e-12
             for t in (0.3, 1.7):
                 assert symmetry_commutator(torus2, u, t) < 1e-9
+
+    def test_quarter_turn_has_order_four(self):
+        turn = torus_quarter_turn(build_torus_domain(2, 3))
+        assert np.array_equal(np.linalg.matrix_power(turn, 4), np.eye(turn.shape[0]))
+
+    def test_translations_compose(self, torus3):
+        for dom, a, b in ((build_torus_domain(2, 3), (0.2, 0.45), (0.37, -0.1)),
+                          (torus3, (0.2, 0.45, 0.05), (0.37, -0.1, 0.6))):
+            ab = torus_translation(dom, a) @ torus_translation(dom, b)
+            assert np.abs(ab - torus_translation(dom, np.add(a, b))).max() <= 1e-12
 
     def test_identity(self, circle4):
         assert symmetry_commutator(circle4, np.eye(circle4.total_dim), 0.7) == 0.0

@@ -82,7 +82,7 @@ class TestDeformedSolutions:
         f = unit_rate_f(circle4, rng)
         sol = velocity_solution(circle4, f, q=1)
         for t in (0.2, 0.8):
-            direct = deformed_d(circle4, t, f, q=1)
+            direct = deformed_d(circle4, t, f)
             assert np.abs(sol.at(t).coefficients - direct.coefficients).max() < 1e-13
 
     def test_velocity_q1_is_classical(self, circle4, rng):
