@@ -177,6 +177,8 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_wave(args) -> int:
+    if args.amplitudes < 0:
+        raise ValueError(f"--amplitudes must be >= 0, got {args.amplitudes}")
     domain = _build_domain(args)
     rng = np.random.default_rng(np.random.Philox(args.seed))
     raw = rng.standard_normal(domain.grading[0])
@@ -285,7 +287,7 @@ def _cmd_probe(args) -> int:
 def _cmd_curvature(args) -> int:
     chart = _chart_from_args(args)
     point = tuple(float(s) for s in args.point.split(",")) if args.point else _default_point(chart)
-    hs = [args.h] if args.h else [0.05 * (i + 1) for i in range(6)]
+    hs = [args.h] if args.h is not None else [0.05 * (i + 1) for i in range(6)]
     rows = []
     for h in hs:
         rows.append([

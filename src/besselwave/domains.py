@@ -9,13 +9,14 @@ Two families are built here:
 Every domain carries the exterior-derivative blocks d_k.  The basis is
 orthonormal, so adjoints are plain transposes and the Hodge Laplacian of
 degree k is L_k = d_{k-1} d_{k-1}^T + d_k^T d_k, an n_k x n_k matrix.  The
-spectral calculus needs only the eigenpairs (mu_k, W_k) of each L_k.  The
-trig basis diagonalizes every L_k, so a trig domain knows them by
-construction (mu = 4 pi^2 |m|^2, W_k a permutation); a simplicial domain
-eigensolves each L_k on first use and keeps the result, at a cost of
-sum_k n_k^3, not the N^3 of the stacked N x N Dirac matrix D = d + d^T.
-D and its dense eigendecomposition stay readable, computed on first
-access, as an oracle.
+spectral calculus needs only even functions g(sqrt L_k), applied one degree
+at a time by `SpectralDomain.even_apply` from the values g(sqrt mu_k) on the
+spectrum `laplacian_spectrum(k)`.  The trig basis diagonalizes every L_k, so
+a trig domain keeps only mu = 4 pi^2 |m|^2 in basis order and applies g as a
+diagonal; a simplicial domain eigensolves each L_k on first use and keeps
+the eigenpairs, at a cost of sum_k n_k^3, not the N^3 of the stacked N x N
+Dirac matrix D = d + d^T.  D and its dense eigendecomposition stay
+readable, computed on first access, as an oracle.
 """
 
 from __future__ import annotations
@@ -74,13 +75,14 @@ class Cochain:
 
 @dataclass(frozen=True)
 class SpectralDomain:
-    """Graded complex with per-degree Hodge eigenpairs.
+    """Graded complex with an even functional calculus per degree.
 
     grading[k] is the dimension of the degree-k cochain space and
-    d_blocks[k] maps degree k to k+1.  `hodge_eigenpairs(k)` is the cached
-    eigendecomposition of L_k; `dirac`, `eigenvalues` and `eigenvectors`
-    (the stacked Dirac matrix and its dense eigendecomposition) are
-    computed on first access and serve as the dense oracle.
+    d_blocks[k] maps degree k to k+1.  `laplacian_spectrum(k)` is the cached
+    spectrum of L_k and `even_apply` applies a function of it; `dirac`,
+    `eigenvalues` and `eigenvectors` (the stacked Dirac matrix and its dense
+    eigendecomposition) are computed on first access and serve as the dense
+    oracle.
     """
 
     name: str
@@ -89,7 +91,7 @@ class SpectralDomain:
     d_blocks: tuple[np.ndarray, ...]
     labels: tuple[BasisLabel, ...] | None = None
     offsets: tuple[int, ...] = field(default=())
-    _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def total_dim(self) -> int:
@@ -159,14 +161,25 @@ class SpectralDomain:
             lap += self.d_blocks[k].T @ self.d_blocks[k]
         return lap
 
-    def hodge_eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(mu_k, W_k) with L_k W_k = W_k diag(mu_k), mu_k ascending; computed once, read-only.
+    def laplacian_spectrum(self, k: int) -> np.ndarray:
+        """mu_k, the eigenvalues of L_k in the order `even_apply` reads them; read-only."""
+        return self._eigenpairs(k)[0]
 
-        Trig domains fill these at build time.  Elsewhere L_k is eigensolved
-        here, and the residual max_j ||L_k w_j - mu_j w_j|| must stay below
-        EIGEN_RESIDUAL_BOUND times max(1, max |mu_k|).
+    def even_apply(self, k: int, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """g(sqrt L_k) x from values = g(sqrt mu_k); x is a degree-k vector or has n_k rows."""
+        mu, w = self._eigenpairs(k)
+        values = np.reshape(values, mu.shape + (1,) * (np.ndim(x) - 1))
+        return values * x if w is None else w @ (values * (w.T @ x))
+
+    def _eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(mu_k, W_k) with L_k W_k = W_k diag(mu_k); computed once, read-only.
+
+        Trig domains fill mu_k at build time, with W_k = None for the
+        identity.  Elsewhere L_k is eigensolved here, and the residual
+        max_j ||L_k w_j - mu_j w_j|| must stay below EIGEN_RESIDUAL_BOUND
+        times max(1, max |mu_k|).
         """
-        pairs = self._eigenpairs.get(k)
+        pairs = self._spectra.get(k)
         if pairs is None:
             lap = self.laplacian(k)
             mu, w = np.linalg.eigh(lap)
@@ -177,7 +190,7 @@ class SpectralDomain:
                 raise AssertionError(f"degree-{k} eigendecomposition residual {worst} on {self.name}")
             mu.setflags(write=False)
             w.setflags(write=False)
-            pairs = self._eigenpairs[k] = (mu, w)
+            pairs = self._spectra[k] = (mu, w)
         return pairs
 
 
@@ -229,9 +242,9 @@ def _trig_domain(name: str, q: int, max_freq: int) -> SpectralDomain:
 
     Each form component has the scalar basis {1, sqrt2 cos 2 pi m.x,
     sqrt2 sin 2 pi m.x} over the canonical modes m.  Every basis vector is an
-    eigenvector of every L_k with eigenvalue 4 pi^2 |m|^2, so the eigenpair
-    cache is filled here: mu_k sorted by a stable argsort, W_k the matching
-    permutation.  No eigensolver runs on a trig domain.
+    eigenvector of every L_k with eigenvalue 4 pi^2 |m|^2, so the spectrum
+    is stored here in basis order and L_k acts as a diagonal.  No
+    eigensolver runs on a trig domain.
     """
     if max_freq < 1:
         raise ValueError("max_freq must be >= 1")
@@ -265,13 +278,8 @@ def _trig_domain(name: str, q: int, max_freq: int) -> SpectralDomain:
     mu_scalar = 4.0 * math.pi**2 * np.array([sum(c * c for c in m) for _, m in scalars], dtype=float)
     for k in range(q + 1):
         mu = np.tile(mu_scalar, len(subsets[k]))
-        order = np.argsort(mu, kind="stable")
-        w = np.zeros((mu.size, mu.size))
-        w[order, np.arange(mu.size)] = 1.0
-        mu = mu[order]
         mu.setflags(write=False)
-        w.setflags(write=False)
-        domain._eigenpairs[k] = (mu, w)
+        domain._spectra[k] = (mu, None)
     return domain
 
 
@@ -391,8 +399,8 @@ def build_simplicial_domain(complex_: SimplicialComplex) -> SpectralDomain:
 
 
 def spectrum_by_degree(domain: SpectralDomain, degree: int) -> np.ndarray:
-    """Eigenvalues of the Hodge Laplacian L_k of one degree, ascending (the cached mu_k)."""
-    return domain.hodge_eigenpairs(degree)[0]
+    """Eigenvalues of the Hodge Laplacian L_k of one degree, ascending."""
+    return np.sort(domain.laplacian_spectrum(degree))
 
 
 def domain_spectra_json(domain: SpectralDomain) -> list[dict]:

@@ -301,6 +301,8 @@ def jacobi_field(chart: SurfaceChart, p, theta: float, t: float, steps: int | No
 
 
 def wavefront(chart: SurfaceChart, p, t: float, n_theta: int, steps: int | None = None) -> WaveFront:
+    if n_theta < 1:
+        raise ValueError(f"a wave front needs n_theta >= 1, got {n_theta}")
     angles = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     pts, tans, jac = _integrate_front(chart, p, angles, t, steps, want_jacobi=True)
     return WaveFront((float(p[0]), float(p[1])), t, angles, pts, tans, jac)
@@ -370,6 +372,8 @@ def global_cancellation(chart: SurfaceChart, oneform, t: float, n_centers: int,
 def r2d2_curvature(chart: SurfaceChart, p, h: float, n_theta: int = 64,
                    steps: int | None = None) -> float:
     """(2 |W_h| - |W_2h|) / (2 pi h^3), the limit-free two-radius estimate."""
+    if h <= 0:
+        raise ValueError(f"need a radius h > 0, got {h}")
     w1 = wavefront_length(chart, p, h, n_theta, steps)
     w2 = wavefront_length(chart, p, 2.0 * h, n_theta, steps)
     return (2.0 * w1 - w2) / (2.0 * math.pi * h**3)
@@ -378,6 +382,8 @@ def r2d2_curvature(chart: SurfaceChart, p, h: float, n_theta: int = 64,
 def puiseux_curvature(chart: SurfaceChart, p, r: float, n_theta: int = 64,
                       steps: int | None = None) -> float:
     """3 (2 pi r - |W_r|) / (pi r^3), the classical circumference defect."""
+    if r <= 0:
+        raise ValueError(f"need a radius r > 0, got {r}")
     w = wavefront_length(chart, p, r, n_theta, steps)
     return 3.0 * (2.0 * math.pi * r - w) / (math.pi * r**3)
 

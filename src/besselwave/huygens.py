@@ -353,8 +353,8 @@ def locality_probe(
     """
     if q not in (2, 3):
         raise ValueError("locality probe supports q in {2, 3}")
-    if max_freq < 1 or sigma <= 0 or t <= 0 or annulus_width <= 0:
-        raise ValueError("max_freq, sigma, t and annulus_width must be positive")
+    if max_freq < 1 or sigma <= 0 or t <= 0 or annulus_width <= 0 or grid_points < 1:
+        raise ValueError("max_freq, sigma, t, annulus_width and grid_points must be positive")
     if t + annulus_width >= 0.5:
         raise ValueError(
             f"t + annulus width = {t + annulus_width} reaches half the torus diameter"

@@ -3,14 +3,13 @@
 Every operator here is an even function of the Dirac operator D, that is a
 function g(sqrt L) of the Hodge Laplacian, composed with d, d^* or D.  One
 primitive, `functional_calculus`, applies g(sqrt L_k) to a degree-k
-cochain as W_k (g(sqrt mu_k) * W_k^T u), with (mu_k, W_k) the cached
-eigenpairs of L_k (known by construction on the circle and tori, one eigh
-per degree on a simplicial complex); g is evaluated once per distinct
-root, so it is even by construction and the result keeps the input degree
-exactly.  For smooth
-even g, g(sqrt mu) is a smooth function of mu, so the roots need no more
-precision than mu has.  The odd operators (D_t and the discrete wave map) are D composed with an
-even function, and every dense matrix is assembled block by block over
+cochain through the domain's `even_apply` (a diagonal on the circle and
+tori, the cached eigenpairs of L_k on a simplicial complex); g is evaluated
+once per distinct root of the spectrum, so it is even by construction and
+the result keeps the input degree exactly.  For smooth even g, g(sqrt mu)
+is a smooth function of mu, so the roots need no more precision than mu
+has.  The odd operators (D_t and the discrete wave map) are D composed with
+an even function, and every dense matrix is assembled block by block over
 degrees: no N x N eigensolve or SVD runs.
 
 The bounded derivative d_t = t phi_{q+2}(tD) d, its adjoint, the deformed
@@ -29,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from . import besselfn
-from .domains import BasisLabel, Cochain, SpectralDomain, spectrum_by_degree
+from .domains import BasisLabel, Cochain, SpectralDomain
 
 __all__ = [
     "SpectralGapError",
@@ -96,8 +95,8 @@ def _roots(domain: SpectralDomain, k: int) -> np.ndarray:
     (the orbit weight |psi|) would see.  Every mu below
     ROOT_FLOOR * max(1, max mu) is therefore an exact zero.
     """
-    mu = spectrum_by_degree(domain, k)
-    floor = ROOT_FLOOR * max(1.0, float(mu[-1])) if mu.size else 0.0
+    mu = domain.laplacian_spectrum(k)
+    floor = ROOT_FLOOR * max(1.0, float(mu.max())) if mu.size else 0.0
     return np.sqrt(np.where(mu > floor, mu, 0.0))
 
 
@@ -108,28 +107,21 @@ def _values_by_degree(domain: SpectralDomain, g) -> list[np.ndarray]:
     return np.split(vals, np.cumsum([r.size for r in roots])[:-1])
 
 
-def _block(domain: SpectralDomain, k: int, values: np.ndarray) -> np.ndarray:
-    """The n_k x n_k matrix W_k diag(values) W_k^T."""
-    _, w = domain.hodge_eigenpairs(k)
-    return (w * values) @ w.T
-
-
 def _block_diagonal(domain: SpectralDomain, values: list[np.ndarray]) -> np.ndarray:
     out = np.zeros((domain.total_dim, domain.total_dim))
     for k, vals in enumerate(values):
         block = domain.degree_slice(k)
-        out[block, block] = _block(domain, k, vals)
+        out[block, block] = domain.even_apply(k, vals, np.eye(domain.grading[k]))
     return out
 
 
 def _dirac_times(domain: SpectralDomain, values: list[np.ndarray]) -> np.ndarray:
-    """D g(|D|) as a dense matrix: d_k G_k below the diagonal and d_k^T G_{k+1} above it."""
-    blocks = [_block(domain, k, vals) for k, vals in enumerate(values)]
+    """D g(|D|) as a dense matrix: G_{k+1} d_k = d_k G_k below the diagonal, its transpose above."""
     out = np.zeros((domain.total_dim, domain.total_dim))
     for k, d in enumerate(domain.d_blocks):
         lo, hi = domain.degree_slice(k), domain.degree_slice(k + 1)
-        out[hi, lo] = d @ blocks[k]
-        out[lo, hi] = d.T @ blocks[k + 1]
+        out[hi, lo] = domain.even_apply(k + 1, values[k + 1], d)
+        out[lo, hi] = out[hi, lo].T
     return out
 
 
@@ -141,12 +133,10 @@ def spectral_matrix(domain: SpectralDomain, g) -> np.ndarray:
 def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
     """g(sqrt L) u for a pure-degree cochain u; the result has u's degree.
 
-    With (mu_k, W_k) the eigenpairs of L_k this is W_k (g(sqrt mu_k) * W_k^T u),
-    at cost O(n_k^2).
+    Costs O(n_k) on a trig domain and O(n_k^2) on a simplicial one.
     """
-    _, w = domain.hodge_eigenpairs(u.degree)
     vals = _even_values(g, _roots(domain, u.degree))
-    return Cochain(u.degree, w @ (vals * (w.T @ u.coefficients)))
+    return Cochain(u.degree, domain.even_apply(u.degree, vals, u.coefficients))
 
 
 def _bounded_profile(domain: SpectralDomain, t: float):
@@ -238,7 +228,7 @@ def betti(domain: SpectralDomain, t: float, degree: int, tol: float | None = Non
     nearby = evals[(evals > tol / 10.0) & (evals < tol * 10.0)]
     if nearby.size:
         raise SpectralGapError(
-            f"eigenvalues {nearby[:4]} sit within a factor 10 of the kernel threshold {tol:.3e}"
+            f"eigenvalues {np.sort(nearby)[:4]} sit within a factor 10 of the kernel threshold {tol:.3e}"
         )
     return int(np.sum(evals < tol))
 
@@ -274,7 +264,7 @@ def symmetry_commutator(domain: SpectralDomain, unitary: np.ndarray, t: float) -
     _, profile = _deformed_values(domain, t)
     worst = 0.0
     for k, d in enumerate(domain.d_blocks):
-        dt = _block(domain, k + 1, profile[k + 1]) @ d
+        dt = domain.even_apply(k + 1, profile[k + 1], d)
         worst = max(worst, _norm2(blocks[k + 1] @ dt - dt @ blocks[k]))
     return worst
 
@@ -371,6 +361,8 @@ def discrete_wave_orbit(domain: SpectralDomain, h: float, u: np.ndarray, v: np.n
     Summed over modes the bound is u^T G u + v^T G v - u^T D_h G v, with G
     the even function 1 / (1 - |psi_{q+2}(h |D|)| / 2).
     """
+    if steps < 0:
+        raise ValueError(f"a wave orbit needs steps >= 0, got {steps}")
     dh, psi, norm = _wave_map(domain, h)
     weight = _block_diagonal(domain, [1.0 / (1.0 - np.abs(a) / 2.0) for a in psi])
     cu, cv = np.array(u, dtype=float), np.array(v, dtype=float)

@@ -312,5 +312,14 @@ class TestConfigAndErrors:
             assert code == 2, g11
             assert err.startswith("error:"), err
 
+    @pytest.mark.parametrize("argv", [
+        ("huygens-probe", "--grid", "0"), ("huygens-probe", "--grid", "-4"),
+        ("curvature", "--h", "-0.1"), ("curvature", "--h", "0"),
+        ("curvature", "--h", "0.1", "--ntheta", "0"), ("front", "--ntheta", "0"),
+        ("wave", "--amplitudes", "-1"), ("spectral", "--wave-steps", "-3"),
+    ], ids=" ".join)
+    def test_nonpositive_sizes_exit_2(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 2
+
     def test_missing_config_exit_2(self, capsys):
         assert run_cli(capsys, "bessel", "--config", "/nonexistent.json")[0] == 2

@@ -186,6 +186,17 @@ class TestCurvatureEstimates:
         assert r2d2_boundary(2.0, 0.005) == pytest.approx(0.5, abs=1e-4)
         assert abs(r2d2_boundary(1e6, 0.01)) < 1e-5
 
+    @pytest.mark.parametrize("h", [0.0, -0.1])
+    def test_nonpositive_radius_rejected(self, h):
+        with pytest.raises(ValueError):
+            r2d2_curvature(sphere_chart(), SPHERE_POINT, h)
+        with pytest.raises(ValueError):
+            puiseux_curvature(sphere_chart(), SPHERE_POINT, h)
+
+    def test_empty_front_rejected(self):
+        with pytest.raises(ValueError):
+            wavefront(flat_chart(), (0.0, 0.0), 0.5, 0)
+
     def test_boundary_domain_guard(self):
         with pytest.raises(ValueError):
             r2d2_boundary(1.0, 1.0)

@@ -185,6 +185,11 @@ class TestLocalityProbe:
         assert not result.resolved
         assert result.spectral_tail > 1e-6
 
+    @pytest.mark.parametrize("grid", [0, -4])
+    def test_nonpositive_grid_rejected(self, grid):
+        with pytest.raises(ValueError):
+            locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=grid)
+
     def test_torus_diameter_guard(self):
         with pytest.raises(ValueError):
             locality_probe(2, 64, 0.02, 0.4, 0.12)

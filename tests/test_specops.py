@@ -282,6 +282,11 @@ class TestDiscreteWaveMap:
         assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)
         assert orbit["bound"] < 100.0
 
+    def test_negative_steps_rejected(self, circle4):
+        zero = np.zeros(circle4.total_dim)
+        with pytest.raises(ValueError):
+            discrete_wave_orbit(circle4, 0.01, zero, zero, -3)
+
 
 class TestDenseDiracOracle:
     """Each per-degree path against the eigendecomposition of the dense N x N Dirac matrix."""
