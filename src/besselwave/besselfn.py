@@ -10,21 +10,20 @@ for small n: phi_1 = cos, phi_2 = J0, phi_3 = sinc, phi_4 = 2 J1(r)/r.
 The rescaled profile psi_n(r) = r phi_n(r) stays bounded on [0, inf).
 
 Evaluation strategy: for |r| <= 40 the alternating series is summed in exact
-integer arithmetic (single running denominator, no rounding until the final
-float conversion), which removes the catastrophic cancellation a float sum
-suffers for moderate r.  For |r| > 40, phi_n comes from the upward recurrence
+integer arithmetic: integer numerators over one running denominator, rounded
+once by the final int / int division, which Python rounds correctly.  That
+removes the catastrophic cancellation a float sum suffers for moderate r.
+For |r| > 40, phi_n comes from the upward recurrence
 phi_{m+4} = m(m+2)/r^2 (phi_{m+2} - phi_m), which is the recurrence of J_nu,
 nu = n/2 - 1, scaled by Gamma(n/2) (r/2)^(-nu); where nu >= r it comes from
 the exact series instead (see _phi_large).
 
-All functions are pure; coefficient caches are guarded by a lock and safe
-for concurrent readers once warm.
+All functions are pure.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 __all__ = [
@@ -43,10 +42,6 @@ MAX_TERMS = 400
 
 class BesselDomainError(ValueError):
     """Raised for arguments outside the profile family's domain."""
-
-
-_coeff_cache: dict[tuple[int, int], Fraction] = {}
-_cache_lock = threading.Lock()
 
 
 def _check_n(n) -> int:
@@ -73,29 +68,19 @@ def series_coefficient(n: int, k: int) -> Fraction:
     n = _check_n(n)
     if k < 0:
         raise BesselDomainError(f"coefficient index must be >= 0, got {k}")
-    with _cache_lock:
-        have = max((kk for (nn, kk) in _coeff_cache if nn == n), default=-1)
-        if have < k:
-            value = _coeff_cache.get((n, have), Fraction(1))
-            for j in range(have + 1, k + 1):
-                if j == 0:
-                    value = Fraction(1)
-                else:
-                    value = value / ((-2 * j) * (n - 2 + 2 * j))
-                _coeff_cache[(n, j)] = value
-        return _coeff_cache[(n, k)]
+    return Fraction(1, math.prod((-2 * j) * (n - 2 + 2 * j) for j in range(1, k + 1)))
 
 
-def _series_sums(n: int, r: float) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact partial sums (phi, phi', phi'') of the profile series at r.
+def _series_sums(n: int, r: float) -> tuple[int, int, int, int]:
+    """Integer numerators of phi, r phi' and r^2 phi'' at r != 0, and their common denominator.
 
-    Sums sum b_k r^2k, sum 2k b_k r^(2k-1), sum 2k(2k-1) b_k r^(2k-2) with a
-    single running integer denominator.  Truncation: the next term must be
-    below 2^-50 of each partial sum it feeds, so all three sums meet the
-    relative target simultaneously.
+    Sums sum b_k r^2k, sum 2k b_k r^2k, sum 2k(2k-1) b_k r^2k with a single
+    running integer denominator.  Truncation: the next term must be below
+    2^-50 of each partial sum it feeds, so all three sums meet the relative
+    target simultaneously.
     """
-    fr = Fraction(r)
-    a, b = (fr * fr).numerator, (fr * fr).denominator
+    p, q = r.as_integer_ratio()
+    a, b = p * p, q * q
     t_num = 1          # term numerator over the running denominator
     den = 1
     s0 = 1             # phi partial sum numerator
@@ -114,10 +99,7 @@ def _series_sums(n: int, r: float) -> tuple[Fraction, Fraction, Fraction]:
             break
     else:
         raise BesselDomainError(f"series for phi_{n}({r}) did not converge in {MAX_TERMS} terms")
-    phi_val = Fraction(s0, den)
-    dphi_val = Fraction(s1, den) / fr if fr else Fraction(0)
-    d2phi_val = Fraction(s2, den) / (fr * fr) if fr else 2 * series_coefficient(n, 1)
-    return phi_val, dphi_val, d2phi_val
+    return s0, s1, s2, den
 
 
 def _bessel_j_hankel(nu: float, r: float) -> float:
@@ -170,7 +152,8 @@ def phi(n: int, r: float) -> float:
     if x == 0.0:
         return 1.0
     if x <= max(SERIES_CUTOFF, 0.5 * n - 1.0):
-        return float(_series_sums(n, x)[0])
+        s0, _, _, den = _series_sums(n, x)
+        return s0 / den
     return _phi_large(n, x)
 
 
@@ -191,7 +174,9 @@ def phi_derivative(n: int, r: float) -> float:
     if r == 0.0:
         return 0.0
     if abs(r) <= SERIES_CUTOFF:
-        return float(_series_sums(n, r)[1])
+        _, s1, _, den = _series_sums(n, r)
+        p, q = r.as_integer_ratio()
+        return (s1 * q) / (den * p)
     return -(r / n) * phi(n + 2, abs(r))
 
 
@@ -210,8 +195,11 @@ def ode_residual(n: int, r: float) -> float:
     if r <= 0.0:
         raise BesselDomainError(f"ode_residual needs r > 0, got {r}")
     if r <= SERIES_CUTOFF:
-        p0, p1, p2 = _series_sums(n, r)
-        return float(p2 + (n - 1) * p1 / Fraction(r) + p0)
+        # phi'' + (n-1) phi'/r + phi = (r^2 phi'' + (n-1) r phi' + r^2 phi) / r^2, r^2 = a/b
+        s0, s1, s2, den = _series_sums(n, r)
+        p, q = r.as_integer_ratio()
+        a, b = p * p, q * q
+        return ((s2 + (n - 1) * s1) * b + s0 * a) / (den * a)
     # Large-r branch: express phi' and phi'' through higher profiles.
     p0 = phi(n, r)
     p1 = -(r / n) * phi(n + 2, r)

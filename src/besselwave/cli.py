@@ -67,6 +67,8 @@ def _param_comment(args, keys: list[str]) -> str:
 
 
 def _cmd_bessel(args) -> int:
+    if args.r is None and args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     if args.r is not None:
         rs = [args.r]
     else:
@@ -111,6 +113,8 @@ def _build_domain(args):
 
 
 def _cmd_spectral(args) -> int:
+    if args.wave_steps and not 0.0 < args.wave_norm < 1.0:
+        raise ValueError(f"--wave-norm must lie in (0, 1), got {args.wave_norm}")
     domain = _build_domain(args)
     payload = {
         "domain": domain.name,
@@ -218,6 +222,8 @@ def _cmd_wave(args) -> int:
 def _cmd_pizzetti(args) -> int:
     from .polyforms import random_multipoly
 
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     rng = np.random.default_rng(np.random.Philox(args.seed))
     rows = []
     failures = 0

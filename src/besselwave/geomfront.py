@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprgrammar import compile_expression, compile_trees, derivative, parse_expression
+from .exprgrammar import compile_trees, derivative, parse_expression
 
 __all__ = [
     "ChartDomainError",
@@ -75,14 +75,12 @@ class SurfaceChart:
 
     jet(x, y) returns (g11, g12, g22, g11_x, g12_x, g22_x, g11_y, g12_y,
     g22_y, g11_yy, g12_xy, g22_xx) in one evaluation; constant entries come
-    back as scalars.  straight_geodesics holds when the metric is the
-    constant identity; periodic marks the unit torus.
+    back as scalars; metric(x, y) is its first three entries.
+    straight_geodesics holds when the metric is the constant identity;
+    periodic marks the unit torus.
     """
 
     name: str
-    g11: callable
-    g12: callable
-    g22: callable
     bounds: tuple[float, float, float, float]
     jet: callable
     straight_geodesics: bool
@@ -99,7 +97,7 @@ class SurfaceChart:
             raise ChartDomainError(f"point ({x}, {y}) outside rectangle {self.bounds} of {self.name}")
 
     def metric(self, x, y) -> tuple:
-        return self.g11(x, y), self.g12(x, y), self.g22(x, y)
+        return self.jet(x, y)[:3]
 
 
 @dataclass(frozen=True)
@@ -127,8 +125,7 @@ def chart_from_expressions(g11: str, g12: str, g22: str, bounds, name: str = "cu
     d_y = [derivative(t, "y") for t in (e, f, g)]
     jet = compile_trees((e, f, g, *d_x, *d_y, derivative(d_y[0], "y"), derivative(d_x[1], "y"),
                          derivative(d_x[2], "x")))
-    chart = SurfaceChart(name, compile_expression(g11), compile_expression(g12), compile_expression(g22),
-                         tuple(float(b) for b in bounds), jet, (e, f, g) == (1.0, 0.0, 1.0))
+    chart = SurfaceChart(name, tuple(float(b) for b in bounds), jet, (e, f, g) == (1.0, 0.0, 1.0))
     x_min, x_max, y_min, y_max = chart.bounds
     gx, gy = np.meshgrid(np.linspace(x_min, x_max, CHECK_POINTS), np.linspace(y_min, y_max, CHECK_POINTS))
     a, b, c = chart.metric(gx, gy)

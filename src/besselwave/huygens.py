@@ -386,9 +386,10 @@ def locality_probe(
     m_sq = sum(m.astype(float) ** 2 for m in mesh)
     bump_hat = np.where(band, np.exp(-2.0 * math.pi**2 * sigma**2 * m_sq), 0.0)
 
-    lam = 2.0 * math.pi * np.sqrt(m_sq)
-    bessel_mult = _even_values(lambda r: t * besselfn.phi(q + 2, t * r), lam)
-    sinc_mult = _even_values(lambda r: t * besselfn.phi(3, t * r), lam)
+    # the bump is exactly 0 out of band, so the multipliers are only needed in band
+    lam = np.where(band, 2.0 * math.pi * np.sqrt(m_sq), 0.0)
+    mults = _even_values(lambda r: (t * besselfn.phi(q + 2, t * r), t * besselfn.phi(3, t * r)), lam)
+    bessel_mult, sinc_mult = mults[..., 0], mults[..., 1]
 
     axes = np.arange(n)
     wrapped = ((axes + n // 2) % n - n // 2) / n

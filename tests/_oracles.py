@@ -71,6 +71,38 @@ class DenseDiracOracle:
         return math.sqrt(float(np.sum((uc**2 - a * uc * vc + vc**2) / (1.0 - np.abs(a) / 2.0))))
 
 
+def series_sums_fraction(n: int, r: float) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact partial sums (phi, phi', phi'') of the profile series at r != 0, as Fractions.
+
+    The slow-path oracle for besselfn's integer series: the same terms and
+    truncation rule, with every sum carried as a reduced Fraction.
+    """
+    fr = Fraction(r)
+    a, b = (fr * fr).numerator, (fr * fr).denominator
+    t_num = 1
+    den = 1
+    s0, s1, s2 = 1, 0, 0
+    for k in range(1, besselfn.MAX_TERMS + 1):
+        c = b * (2 * k) * (n - 2 + 2 * k)
+        t_num = t_num * (-a)
+        s0 = s0 * c + t_num
+        s1 = s1 * c + 2 * k * t_num
+        s2 = s2 * c + 2 * k * (2 * k - 1) * t_num
+        den *= c
+        tail0 = abs(t_num) << besselfn.RELATIVE_TARGET_BITS
+        tail2 = (abs(t_num) * (2 * k + 2) * (2 * k + 1)) << besselfn.RELATIVE_TARGET_BITS
+        if tail0 <= abs(s0) and tail2 <= max(abs(s2), 1):
+            break
+    else:
+        raise besselfn.BesselDomainError(f"series for phi_{n}({r}) did not converge")
+    return Fraction(s0, den), Fraction(s1, den) / fr, Fraction(s2, den) / (fr * fr)
+
+
+def _metric_entries(chart):
+    """g11, g12, g22 as separate callables of (x, y), read from chart.metric alone."""
+    return [lambda x, y, i=i: chart.metric(x, y)[i] for i in range(3)]
+
+
 def fd_christoffel(chart, x: float, y: float, step: float = 1e-5) -> np.ndarray:
     """Gamma[k][i][j] from central differences of the metric callables.
 
@@ -81,7 +113,7 @@ def fd_christoffel(chart, x: float, y: float, step: float = 1e-5) -> np.ndarray:
     h = step
     a, b, c = (float(v) for v in chart.metric(x, y))
     partials = []
-    for comp in (chart.g11, chart.g12, chart.g22):
+    for comp in _metric_entries(chart):
         partials.append(((comp(x + h, y) - comp(x - h, y)) / (2 * h),
                          (comp(x, y + h) - comp(x, y - h)) / (2 * h)))
     (a_x, a_y), (b_x, b_y), (c_x, c_y) = partials
@@ -102,7 +134,7 @@ def fd_brioschi(chart, x: float, y: float, step: float = 1e-4) -> float:
 
     The slow-path oracle for geomfront.gauss_curvature_brioschi.
     """
-    e, f, g = chart.g11, chart.g12, chart.g22
+    e, f, g = _metric_entries(chart)
     h = step
 
     def d_x(fn):

@@ -17,7 +17,7 @@ from besselwave.besselfn import (
 )
 from besselwave import oracles
 
-from _oracles import decay_envelope, phi_mpmath
+from _oracles import decay_envelope, phi_mpmath, series_sums_fraction
 
 # Frozen at calibration time: sup over r in [10, 200] of |psi_{q+2}(r)| r^((q-1)/2).
 DECAY_CONSTANTS = {
@@ -121,7 +121,7 @@ class TestPhi:
         # Exact series still converges a little past the switch; both
         # branches must agree there.
         for n in (1, 2, 3, 6, 9):
-            exact = float(besselfn._series_sums(n, 42.0)[0])
+            exact = float(series_sums_fraction(n, 42.0)[0])
             assert besselfn._phi_large(n, 42.0) == pytest.approx(exact, abs=1e-12)
 
     def test_every_order_across_the_seam(self):
@@ -140,9 +140,23 @@ class TestPhi:
 
     def test_order_above_argument_uses_the_series(self):
         # nu = 49 >= r = 45: the upward recurrence is unstable there
-        assert phi(100, 45.0) == float(besselfn._series_sums(100, 45.0)[0])
+        assert phi(100, 45.0) == float(series_sums_fraction(100, 45.0)[0])
         with pytest.raises(BesselDomainError):
             phi(2000, 900.0)
+
+    def test_integer_series_matches_the_fraction_oracle(self):
+        # The integer sums are rounded once by int / int; the oracle rounds
+        # the same rationals as reduced Fractions, so the bits must agree.
+        points = [(n, float(r)) for n in range(1, 61) for r in np.linspace(0.0, 40.0, 49)[1:]]
+        for n, r in points + [(100, 45.0), (90, 41.0)]:
+            p0, p1, p2 = series_sums_fraction(n, r)
+            assert repr(phi(n, r)) == repr(float(p0)), (n, r)
+            assert repr(psi(n, r)) == repr(r * float(p0)), (n, r)
+            if r > besselfn.SERIES_CUTOFF:
+                continue
+            assert repr(phi_derivative(n, r)) == repr(float(p1)), (n, r)
+            assert repr(phi_derivative(n, -r)) == repr(float(series_sums_fraction(n, -r)[1])), (n, r)
+            assert repr(ode_residual(n, r)) == repr(float(p2 + (n - 1) * p1 / Fraction(r) + p0)), (n, r)
 
 
 class TestPsi:

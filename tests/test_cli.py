@@ -317,9 +317,16 @@ class TestConfigAndErrors:
         ("curvature", "--h", "-0.1"), ("curvature", "--h", "0"),
         ("curvature", "--h", "0.1", "--ntheta", "0"), ("front", "--ntheta", "0"),
         ("wave", "--amplitudes", "-1"), ("spectral", "--wave-steps", "-3"),
+        ("pizzetti", "--count", "0"), ("pizzetti", "--count", "-1"),
+        ("bessel", "--points", "0"),
+        ("spectral", "--wave-steps", "3", "--wave-norm", "0"),
+        ("spectral", "--wave-steps", "3", "--wave-norm", "-0.5"),
+        ("spectral", "--wave-steps", "3", "--wave-norm", "1"),
     ], ids=" ".join)
     def test_nonpositive_sizes_exit_2(self, capsys, argv):
-        assert run_cli(capsys, *argv)[0] == 2
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:"), err
 
     def test_missing_config_exit_2(self, capsys):
         assert run_cli(capsys, "bessel", "--config", "/nonexistent.json")[0] == 2

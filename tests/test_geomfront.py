@@ -292,7 +292,7 @@ class TestChartConstruction:
         chart = chart_from_expressions("1", "0", "sin(x)^2", (0.05, math.pi - 0.05, -10, 10))
         sphere = sphere_chart()
         for x in (0.7, 1.4, 2.2):
-            assert chart.g22(x, 0.0) == pytest.approx(float(np.asarray(sphere.g22(x, 0.0))))
+            assert chart.metric(x, 0.0)[2] == pytest.approx(float(np.asarray(sphere.metric(x, 0.0)[2])))
         assert gauss_curvature_brioschi(chart, 1.2, 0.0) == pytest.approx(1.0, abs=1e-5)
 
     def test_expression_rejects_unknown_names(self):
