@@ -28,16 +28,11 @@ from .specops import (
     SymmetryPreconditionError,
     WaveMapNormError,
     betti,
-    circle_translation,
     deformed_d,
     deformed_d_adjoint,
-    deformed_dirac,
     deformed_dirac_norm,
-    deformed_laplacian,
     discrete_wave_orbit,
-    discrete_wave_step,
     functional_calculus,
-    spectral_matrix,
     symmetry_commutator,
     torus_quarter_turn,
     torus_translation,
@@ -47,7 +42,6 @@ from .waveforms import (
     MonomialSourceCertificate,
     WaveSolution,
     bessel_acceleration,
-    classical_solution,
     classical_wave,
     factorization_check,
     monomial_source_solution,

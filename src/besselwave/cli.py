@@ -115,6 +115,8 @@ def _build_domain(args):
 def _cmd_spectral(args) -> int:
     if args.wave_steps and not 0.0 < args.wave_norm < 1.0:
         raise ValueError(f"--wave-norm must lie in (0, 1), got {args.wave_norm}")
+    if args.tol is not None and args.t is None:
+        raise ValueError("--tol sets the Betti kernel threshold and needs --t")
     domain = _build_domain(args)
     payload = {
         "domain": domain.name,
@@ -183,6 +185,8 @@ def _cmd_spectral(args) -> int:
 def _cmd_wave(args) -> int:
     if args.amplitudes < 0:
         raise ValueError(f"--amplitudes must be >= 0, got {args.amplitudes}")
+    if args.kind == "classical" and args.q is not None:
+        raise ValueError("--q sets the Bessel index of the velocity and position solutions; classical has none")
     domain = _build_domain(args)
     rng = np.random.default_rng(np.random.Philox(args.seed))
     raw = rng.standard_normal(domain.grading[0])

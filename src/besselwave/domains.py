@@ -15,8 +15,11 @@ spectrum `laplacian_spectrum(k)`.  The trig basis diagonalizes every L_k, so
 a trig domain keeps only mu = 4 pi^2 |m|^2 in basis order and applies g as a
 diagonal; a simplicial domain eigensolves each L_k on first use and keeps
 the eigenpairs, at a cost of sum_k n_k^3, not the N^3 of the stacked N x N
-Dirac matrix D = d + d^T.  D and its dense eigendecomposition stay
-readable, computed on first access, as an oracle.
+Dirac matrix D = d + d^T.  No operator of the calculus is assembled from
+D; the only N x N operators of the library are the discrete wave orbit's
+D_h and the symmetry unitaries (`specops`).  D and its dense
+eigendecomposition stay readable, computed on first access, for the
+benchmark and the dense test oracle.
 """
 
 from __future__ import annotations
@@ -81,8 +84,8 @@ class SpectralDomain:
     d_blocks[k] maps degree k to k+1.  `laplacian_spectrum(k)` is the cached
     spectrum of L_k and `even_apply` applies a function of it; `dirac`,
     `eigenvalues` and `eigenvectors` (the stacked Dirac matrix and its dense
-    eigendecomposition) are computed on first access and serve as the dense
-    oracle.
+    eigendecomposition) are computed on first access for the benchmark and
+    the dense test oracle.
     """
 
     name: str
@@ -123,19 +126,15 @@ class SpectralDomain:
         vec[self.degree_slice(c.degree)] = c.coefficients
         return vec
 
-    def d_full(self) -> np.ndarray:
-        """The stacked exterior derivative (strictly lower block structure)."""
-        n = self.total_dim
-        out = np.zeros((n, n))
-        for k, blk in enumerate(self.d_blocks):
-            out[self.degree_slice(k + 1), self.degree_slice(k)] = blk
-        return out
-
     @cached_property
     def dirac(self) -> np.ndarray:
-        """The stacked symmetric Dirac matrix D = d + d^T, N x N."""
-        d = self.d_full()
-        return d + d.T
+        """The stacked symmetric Dirac matrix D = d + d^T, N x N; its strict lower triangle is d."""
+        out = np.zeros((self.total_dim, self.total_dim))
+        for k, blk in enumerate(self.d_blocks):
+            lo, hi = self.degree_slice(k), self.degree_slice(k + 1)
+            out[hi, lo] = blk
+            out[lo, hi] = blk.T
+        return out
 
     @cached_property
     def _dirac_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +167,8 @@ class SpectralDomain:
     def even_apply(self, k: int, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """g(sqrt L_k) x from values = g(sqrt mu_k); x is a degree-k vector or has n_k rows."""
         mu, w = self._eigenpairs(k)
+        if np.shape(x)[:1] != mu.shape:
+            raise ValueError(f"degree-{k} operand needs {mu.size} rows, got shape {np.shape(x)}")
         values = np.reshape(values, mu.shape + (1,) * (np.ndim(x) - 1))
         return values * x if w is None else w @ (values * (w.T @ x))
 

@@ -9,15 +9,16 @@ once per distinct root of the spectrum, so it is even by construction and
 the result keeps the input degree exactly.  For smooth even g, g(sqrt mu)
 is a smooth function of mu, so the roots need no more precision than mu
 has.  The odd operators (D_t and the discrete wave map) are D composed with
-an even function, and every dense matrix is assembled block by block over
-degrees: no N x N eigensolve or SVD runs.
+an even function, applied one degree at a time: no N x N eigensolve or SVD
+runs, and the only N x N matrices built are the symmetry unitaries and the
+discrete wave map's D_h, which the orbit applies at every step.
 
-The bounded derivative d_t = t phi_{q+2}(tD) d, its adjoint, the deformed
-Dirac/Laplacian, kernel (Betti) counting with a spectral-gap guard on the
-per-degree Laplacian spectra, symmetry commutators and the norm-contractive
-discrete wave map all live here; the Bessel index is the domain's q.  The
-torus and circle symmetries are pullbacks of x -> A x + s, A a signed
-permutation, written out in the trig basis.
+The bounded derivative d_t = t phi_{q+2}(tD) d, its adjoint, the norm of
+D_t, kernel (Betti) counting with a spectral-gap guard on the per-degree
+Laplacian spectra, symmetry commutators and the norm-contractive discrete
+wave map all live here; the Bessel index is the domain's q.  The torus and
+circle symmetries are pullbacks of x -> A x + s, A a signed permutation,
+written out in the trig basis.
 """
 
 from __future__ import annotations
@@ -34,19 +35,14 @@ __all__ = [
     "SpectralGapError",
     "SymmetryPreconditionError",
     "WaveMapNormError",
-    "spectral_matrix",
     "functional_calculus",
     "deformed_d",
     "deformed_d_adjoint",
-    "deformed_dirac",
-    "deformed_laplacian",
     "deformed_dirac_norm",
     "betti",
     "symmetry_commutator",
-    "circle_translation",
     "torus_translation",
     "torus_quarter_turn",
-    "discrete_wave_step",
     "discrete_wave_orbit",
 ]
 
@@ -100,34 +96,19 @@ def _roots(domain: SpectralDomain, k: int) -> np.ndarray:
     return np.sqrt(np.where(mu > floor, mu, 0.0))
 
 
-def _values_by_degree(domain: SpectralDomain, g) -> list[np.ndarray]:
-    """g(sqrt mu_k) for every degree k, one evaluation per distinct root over all degrees."""
-    roots = [_roots(domain, k) for k in range(domain.top_degree + 1)]
-    vals = _even_values(g, np.concatenate(roots))
-    return np.split(vals, np.cumsum([r.size for r in roots])[:-1])
-
-
-def _block_diagonal(domain: SpectralDomain, values: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros((domain.total_dim, domain.total_dim))
-    for k, vals in enumerate(values):
-        block = domain.degree_slice(k)
-        out[block, block] = domain.even_apply(k, vals, np.eye(domain.grading[k]))
-    return out
-
-
 def _dirac_times(domain: SpectralDomain, values: list[np.ndarray]) -> np.ndarray:
-    """D g(|D|) as a dense matrix: G_{k+1} d_k = d_k G_k below the diagonal, its transpose above."""
+    """D g(|D|) as a dense matrix: G_{k+1} d_k = d_k G_k below the diagonal, its transpose above.
+
+    Only the wave orbit's D_h is built this way: a step applied as d_k,
+    d_k^T and `even_apply` per degree is 5-6x slower than one dense product
+    at N = 34-216 (one BLAS thread, 2-vCPU x86 host).
+    """
     out = np.zeros((domain.total_dim, domain.total_dim))
     for k, d in enumerate(domain.d_blocks):
         lo, hi = domain.degree_slice(k), domain.degree_slice(k + 1)
         out[hi, lo] = domain.even_apply(k + 1, values[k + 1], d)
         out[lo, hi] = out[hi, lo].T
     return out
-
-
-def spectral_matrix(domain: SpectralDomain, g) -> np.ndarray:
-    """Dense matrix of g(sqrt L) = g(|D|) over the whole graded space, block-diagonal over degrees."""
-    return _block_diagonal(domain, _values_by_degree(domain, g))
 
 
 def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
@@ -160,7 +141,8 @@ def _deformed_values(domain: SpectralDomain, t: float) -> tuple[list[np.ndarray]
         p = besselfn.phi(n, x)
         return x * p, t * p  # psi_n(x) = x phi_n(x), as besselfn.psi evaluates it
 
-    pairs = _values_by_degree(domain, both)
+    roots = [_roots(domain, k) for k in range(domain.top_degree + 1)]
+    pairs = np.split(_even_values(both, np.concatenate(roots)), np.cumsum([r.size for r in roots])[:-1])
     return [v[:, 0] for v in pairs], [v[:, 1] for v in pairs]
 
 
@@ -187,16 +169,6 @@ def deformed_d_adjoint(domain: SpectralDomain, t: float, w: Cochain) -> Cochain:
     return functional_calculus(domain, _bounded_profile(domain, t), dstar)
 
 
-def deformed_dirac(domain: SpectralDomain, t: float) -> np.ndarray:
-    """D_t = psi_{q+2}(tD) = D t phi_{q+2}(t|D|) as a dense matrix; the zero matrix at t = 0."""
-    return _dirac_times(domain, _deformed_values(domain, t)[1])
-
-
-def deformed_laplacian(domain: SpectralDomain, t: float) -> np.ndarray:
-    """L_t = D_t^2 = psi_{q+2}(t sqrt L)^2, block-diagonal over degrees."""
-    return _block_diagonal(domain, [p**2 for p in _deformed_values(domain, t)[0]])
-
-
 def deformed_dirac_norm(domain: SpectralDomain, t: float) -> float:
     """Operator norm of D_t, max over degrees of |psi_{q+2}(t sqrt mu_k)|."""
     return _max_abs(_deformed_values(domain, t)[0])
@@ -216,14 +188,14 @@ def betti(domain: SpectralDomain, t: float, degree: int, tol: float | None = Non
     within a factor 10 of the threshold; if the whole deformed spectrum is
     numerically zero every mode is harmonic.
     """
+    if tol is not None and not tol > 0:
+        raise ValueError("tol must be positive")
     psi, _ = _deformed_values(domain, t)
     lam_max = _max_abs(psi) ** 2
     if lam_max < KERNEL_FLOOR:
         return domain.grading[degree]
     if tol is None:
         tol = 1e-8 * lam_max
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     evals = psi[degree] ** 2
     nearby = evals[(evals > tol / 10.0) & (evals < tol * 10.0)]
     if nearby.size:
@@ -249,6 +221,9 @@ def symmetry_commutator(domain: SpectralDomain, unitary: np.ndarray, t: float) -
     or more, are reported with the measured value.
     """
     unitary = np.asarray(unitary, dtype=float)
+    if unitary.shape != (domain.total_dim, domain.total_dim):
+        n = domain.total_dim
+        raise ValueError(f"a unitary on {domain.name} must be {n} x {n}, got shape {unitary.shape}")
     slices = [domain.degree_slice(k) for k in range(domain.top_degree + 1)]
     leak = max(
         (_norm2(unitary[a, b]) for i, a in enumerate(slices) for j, b in enumerate(slices)
@@ -319,11 +294,6 @@ def torus_translation(domain: SpectralDomain, shift) -> np.ndarray:
     return _pullback(domain, tuple(range(domain.q)), (1,) * domain.q, shift)
 
 
-def circle_translation(domain: SpectralDomain, shift: float) -> np.ndarray:
-    """Rotation of the circle by `shift`, as the exact trig-basis unitary."""
-    return _pullback(domain, (0,), (1,), [shift])
-
-
 def torus_quarter_turn(domain: SpectralDomain) -> np.ndarray:
     """Pullback of the isometry (x, y) -> (-y, x) on the 2-torus: m -> (m_2, -m_1), dx -> -dy, dy -> dx."""
     return _pullback(domain, (1, 0), (-1, 1), (0.0, 0.0))
@@ -334,40 +304,32 @@ def torus_quarter_turn(domain: SpectralDomain) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _wave_map(domain: SpectralDomain, h: float) -> tuple[np.ndarray, list[np.ndarray], float]:
-    """D_h = psi_{q+2}(hD) as a dense matrix, psi_{q+2}(h sqrt mu_k) by degree and ||D_h||.
+def discrete_wave_orbit(domain: SpectralDomain, h: float, u: np.ndarray, v: np.ndarray, steps: int) -> dict:
+    """Iterate T: (u, v) -> (D_h u - v, u), tracking the max state norm along the orbit.
 
-    Needs ||D_h|| < 1.
+    Needs ||D_h|| < 1; `steps=0` gives the bound alone and `steps=1` one
+    step of T.  Returns the orbit maximum, the final state and the
+    rotation-conjugacy bound.  On an eigenmode of D with
+    a = psi_{q+2}(h lambda) every step preserves
+    Q_a(u, v) = u^2 - a u v + v^2, and u^2 + v^2 <= Q_a / (1 - |a|/2).
+    Summed over modes the bound is u^T G u + v^T G v - u^T D_h G v, with G
+    the even function 1 / (1 - |psi_{q+2}(h |D|)| / 2), applied one degree
+    at a time.
     """
+    if steps < 0:
+        raise ValueError(f"a wave orbit needs steps >= 0, got {steps}")
     psi, profile = _deformed_values(domain, h)
     norm = _max_abs(psi)
     if norm >= 1.0:
         raise WaveMapNormError(norm)
-    return _dirac_times(domain, profile), psi, norm
-
-
-def discrete_wave_step(domain: SpectralDomain, h: float, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One step of T: (u, v) -> (D_h u - v, u); needs ||D_h|| < 1."""
-    dh, _, _ = _wave_map(domain, h)
-    return dh @ u - v, np.array(u)
-
-
-def discrete_wave_orbit(domain: SpectralDomain, h: float, u: np.ndarray, v: np.ndarray, steps: int) -> dict:
-    """Iterate T, tracking the max state norm along the orbit.
-
-    Returns the orbit maximum, the final state and the rotation-conjugacy
-    bound.  On an eigenmode of D with a = psi_{q+2}(h lambda) every step
-    preserves Q_a(u, v) = u^2 - a u v + v^2, and u^2 + v^2 <= Q_a / (1 - |a|/2).
-    Summed over modes the bound is u^T G u + v^T G v - u^T D_h G v, with G
-    the even function 1 / (1 - |psi_{q+2}(h |D|)| / 2).
-    """
-    if steps < 0:
-        raise ValueError(f"a wave orbit needs steps >= 0, got {steps}")
-    dh, psi, norm = _wave_map(domain, h)
-    weight = _block_diagonal(domain, [1.0 / (1.0 - np.abs(a) / 2.0) for a in psi])
+    dh = _dirac_times(domain, profile)
     cu, cv = np.array(u, dtype=float), np.array(v, dtype=float)
-    gv = weight @ cv
-    bound = math.sqrt(float(cu @ (weight @ cu) + cv @ gv - cu @ (dh @ gv)))
+    weight = [1.0 / (1.0 - np.abs(a) / 2.0) for a in psi]
+    gu, gv = (
+        np.concatenate([domain.even_apply(k, g, x[domain.degree_slice(k)]) for k, g in enumerate(weight)])
+        for x in (cu, cv)
+    )
+    bound = math.sqrt(float(cu @ gu + cv @ gv - cu @ (dh @ gv)))
     max_norm = math.sqrt(float(cu @ cu + cv @ cv))
     for _ in range(steps):
         cu, cv = dh @ cu - cv, cu

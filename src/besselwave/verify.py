@@ -176,6 +176,21 @@ def suite_bessel(seed: int, quick: bool) -> list[CaseResult]:
     return cases
 
 
+def _up_plus_down(dom, v: np.ndarray, up, down) -> np.ndarray:
+    """up(c) + down(c) summed over the degree parts c of v; up raises the degree by one, down lowers it.
+
+    With d and d^T this is D v; with d_t and d_t^* it is D_t v.
+    """
+    out = np.zeros(dom.total_dim)
+    for k in range(dom.top_degree + 1):
+        c = dom.cochain(k, v[dom.degree_slice(k)])
+        if k < dom.top_degree:
+            out[dom.degree_slice(k + 1)] += up(c)
+        if k > 0:
+            out[dom.degree_slice(k - 1)] += down(c)
+    return out
+
+
 def suite_spectral(seed: int, quick: bool) -> list[CaseResult]:
     rng = _rng(seed)
     cases = []
@@ -200,7 +215,10 @@ def suite_spectral(seed: int, quick: bool) -> list[CaseResult]:
     worst_vec = 0.0
     for dom in (circle, torus):
         t = 0.8
-        dt_mat = specops.deformed_dirac(dom, t)
+        d_pair = (lambda c: dom.d_blocks[c.degree] @ c.coefficients,
+                  lambda c: dom.d_blocks[c.degree - 1].T @ c.coefficients)
+        dt_pair = (lambda c: specops.deformed_d(dom, t, c).coefficients,
+                   lambda c: specops.deformed_d_adjoint(dom, t, c).coefficients)
         for k in range(dom.top_degree + 1):
             mu, w = np.linalg.eigh(dom.laplacian(k))
             for j in range(0, dom.grading[k], max(dom.grading[k] // 6, 1)):
@@ -209,10 +227,10 @@ def suite_spectral(seed: int, quick: bool) -> list[CaseResult]:
                 lam = math.sqrt(max(float(mu[j]), 0.0))
                 v = dom.embed(dom.cochain(k, w[:, j]))
                 if lam > 1e-6:
-                    v = (v + dom.dirac @ v / lam) / math.sqrt(2.0)
+                    v = (v + _up_plus_down(dom, v, *d_pair) / lam) / math.sqrt(2.0)
                 worst_vec = max(
                     worst_vec,
-                    float(np.linalg.norm(dt_mat @ v - besselfn.psi(dom.q + 2, t * lam) * v)),
+                    float(np.linalg.norm(_up_plus_down(dom, v, *dt_pair) - besselfn.psi(dom.q + 2, t * lam) * v)),
                 )
     cases.append(CaseResult.check("eigenvector_preservation", worst_vec, 1e-9))
 
@@ -243,7 +261,7 @@ def suite_spectral(seed: int, quick: bool) -> list[CaseResult]:
         CaseResult.check("betti_torus", sum(abs(b - e) for b, e in zip(b_tor, (1, 2, 1))), 0)
     )
 
-    pairs = [(circle, specops.circle_translation(circle, 1.0 / 3.0)), (torus, specops.torus_quarter_turn(torus))]
+    pairs = [(circle, specops.torus_translation(circle, [1.0 / 3.0])), (torus, specops.torus_quarter_turn(torus))]
     cases.append(CaseResult.check("symmetry_commutator", symmetry_worst(pairs), 1e-8))
 
     h = math.asin(0.9) / (2.0 * math.pi * 4)

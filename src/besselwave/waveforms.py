@@ -33,7 +33,7 @@ from .specops import functional_calculus
 __all__ = [
     "LaurentPoly",
     "WaveSolution",
-    "classical_solution",
+    "classical_wave",
     "velocity_solution",
     "position_solution",
     "pde_residual",
@@ -219,12 +219,8 @@ class WaveSolution:
         raise ValueError(f"unknown solution kind {self.kind!r}")
 
 
-def classical_solution(domain: SpectralDomain, u0: Cochain, v0: Cochain, t: float) -> Cochain:
-    """cos(tD) u0 + t sinc(tD) v0 evaluated at one time."""
-    return classical_wave(domain, u0, v0).at(t)
-
-
 def classical_wave(domain: SpectralDomain, u0: Cochain, v0: Cochain) -> WaveSolution:
+    """Solution cos(tD) u0 + t sinc(tD) v0: initial position u0, initial rate v0."""
     if u0.degree != v0.degree:
         raise ValueError("classical solution needs u0, v0 of one common degree")
     return WaveSolution(domain=domain, kind="classical", q=domain.q, u0=u0, v0=v0)

@@ -15,8 +15,7 @@ from besselwave.domains import build_circle_domain, build_torus_domain
 from besselwave.geomfront import hyperbolic_chart, r2d2_curvature, sphere_chart
 from besselwave.specops import (
     betti,
-    circle_translation,
-    deformed_laplacian,
+    deformed_dirac_norm,
     discrete_wave_orbit,
     torus_quarter_turn,
     torus_translation,
@@ -88,8 +87,8 @@ def test_criterion_7_harmonic_persistence():
     circle = build_circle_domain(8)
     assert betti(circle, 1.0 / math.sqrt(5.0), 0) == 1
     assert betti(circle, 1.0 / math.sqrt(5.0), 1) == 1
-    # t = 1/2: the full deformed Laplacian is numerically zero
-    assert float(np.max(np.abs(deformed_laplacian(circle, 0.5)))) < 1e-24
+    # t = 1/2: the full deformed Laplacian L_t = D_t^2 is numerically zero
+    assert deformed_dirac_norm(circle, 0.5) ** 2 < 1e-24
     for k in (0, 1):
         assert betti(circle, 0.5, k) == 2 * 8 + 1
     # t = 1/4: the extra kernel sits exactly at the even frequencies
@@ -105,7 +104,7 @@ def test_criterion_8_symmetry_commutators():
     circle = build_circle_domain(4)
     torus = build_torus_domain(2, 2)
     worst = verify.symmetry_worst([
-        (circle, circle_translation(circle, 1.0 / 3.0)),
+        (circle, torus_translation(circle, [1.0 / 3.0])),
         (torus, torus_translation(torus, (0.2, 0.45))),
         (torus, torus_quarter_turn(torus)),
     ])

@@ -322,6 +322,7 @@ class TestConfigAndErrors:
         ("spectral", "--wave-steps", "3", "--wave-norm", "0"),
         ("spectral", "--wave-steps", "3", "--wave-norm", "-0.5"),
         ("spectral", "--wave-steps", "3", "--wave-norm", "1"),
+        ("spectral", "--tol", "1e-3"), ("wave", "--kind", "classical", "--q", "7"),
     ], ids=" ".join)
     def test_nonpositive_sizes_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

@@ -1,27 +1,29 @@
 """Functional calculus, bounded derivative, Betti counting, symmetries, wave map."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from besselwave import besselfn
-from besselwave.domains import SimplicialComplex, build_circle_domain, build_simplicial_domain, build_torus_domain
+from besselwave.domains import (
+    Cochain,
+    SimplicialComplex,
+    build_circle_domain,
+    build_simplicial_domain,
+    build_torus_domain,
+)
 from besselwave.specops import (
     SpectralGapError,
     SymmetryPreconditionError,
     WaveMapNormError,
     betti,
-    circle_translation,
     deformed_d,
     deformed_d_adjoint,
-    deformed_dirac,
     deformed_dirac_norm,
-    deformed_laplacian,
     discrete_wave_orbit,
-    discrete_wave_step,
     functional_calculus,
-    spectral_matrix,
     symmetry_commutator,
     torus_quarter_turn,
     torus_translation,
@@ -34,6 +36,18 @@ OCTAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
               [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]
 
 
+def deformed_dirac_apply(dom, t, v):
+    """D_t v = d_t v + d_t^* v, one degree at a time."""
+    out = np.zeros(dom.total_dim)
+    for k in range(dom.top_degree + 1):
+        c = dom.cochain(k, v[dom.degree_slice(k)])
+        if k < dom.top_degree:
+            out[dom.degree_slice(k + 1)] += deformed_d(dom, t, c).coefficients
+        if k > 0:
+            out[dom.degree_slice(k - 1)] += deformed_d_adjoint(dom, t, c).coefficients
+    return out
+
+
 class TestFunctionalCalculus:
     def test_square_gives_laplacian(self, rng):
         dom = build_circle_domain(2)
@@ -43,20 +57,9 @@ class TestFunctionalCalculus:
         full = dom.dirac @ dom.dirac @ dom.embed(u)
         assert np.linalg.norm(dom.embed(out) - full) < 1e-10
 
-    def test_matches_dense_oracle(self, circle4, torus2, rng):
-        octa = build_simplicial_domain(SimplicialComplex.from_maximal(OCTAHEDRON))
-
-        def g(r):
-            return math.cos(0.7 * r) + 0.3 * besselfn.phi(4, 0.5 * r)
-
-        for dom in (circle4, torus2, octa):
-            dense = spectral_matrix(dom, g)
-            for k in range(dom.top_degree + 1):
-                u = dom.cochain(k, rng.standard_normal(dom.grading[k]))
-                want = (dense @ dom.embed(u))[dom.degree_slice(k)]
-                got = functional_calculus(dom, g, u)
-                assert got.degree == k
-                assert np.linalg.norm(got.coefficients - want) <= 1e-12 * np.linalg.norm(want)
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="needs 9 rows"):
+            functional_calculus(build_circle_domain(4), math.cos, Cochain(0, [1.0]))
 
     def test_one_evaluation_per_distinct_abs_eigenvalue(self, torus2, rng):
         calls = []
@@ -145,30 +148,28 @@ class TestDeformedD:
 
 class TestDeformedDirac:
     def test_half_period_vanishes(self, circle4):
-        assert np.abs(deformed_dirac(circle4, 0.5)).max() < 1e-12
+        assert deformed_dirac_norm(circle4, 0.5) < 1e-12
 
     def test_zero_time(self, circle4):
-        assert np.abs(deformed_dirac(circle4, 0.0)).max() == 0.0
+        assert deformed_dirac_norm(circle4, 0.0) == 0.0
 
     def test_norm_against_dense(self, circle4, torus2):
         for dom in (circle4, torus2):
+            oracle = DenseDiracOracle(dom)
             for t in (0.17, 0.8):
-                dense = np.linalg.norm(deformed_dirac(dom, t), 2)
+                dense = np.linalg.norm(oracle.deformed_dirac(t, dom.q + 2), 2)
                 assert deformed_dirac_norm(dom, t) == pytest.approx(dense, abs=1e-10)
-
-    def test_laplacian_is_square(self, circle4):
-        dt = deformed_dirac(circle4, 0.37)
-        lt = deformed_laplacian(circle4, 0.37)
-        assert np.abs(dt @ dt - lt).max() < 1e-10
 
     def test_eigenvector_preservation(self, torus2):
         t = 0.8
-        dt = deformed_dirac(torus2, t)
+        dense = DenseDiracOracle(torus2).deformed_dirac(t, torus2.q + 2)
         for j in range(0, torus2.total_dim, 17):
             v = torus2.eigenvectors[:, j]
             lam = torus2.eigenvalues[j]
             expect = besselfn.psi(torus2.q + 2, t * lam)
-            assert np.linalg.norm(dt @ v - expect * v) < 1e-9
+            got = deformed_dirac_apply(torus2, t, v)
+            assert np.linalg.norm(got - dense @ v) <= 1e-12 * np.linalg.norm(dense)
+            assert np.linalg.norm(got - expect * v) < 1e-9
 
 
 class TestBetti:
@@ -192,18 +193,11 @@ class TestBetti:
         t = 1.0 / math.sqrt(7.0)
         assert [betti(torus2, t, k) for k in range(3)] == [1, 2, 1]
 
-    def test_matches_dense_deformed_laplacian(self, circle8, torus2):
-        octa = build_simplicial_domain(SimplicialComplex.from_maximal(OCTAHEDRON))
-        for dom in (circle8, torus2, octa):
-            for t in (1.0 / math.sqrt(7.0), 0.5, 0.25):
-                lt = deformed_laplacian(dom, t)
-                lt_max = float(np.max(np.linalg.eigvalsh(lt)))
-                for k in range(dom.top_degree + 1):
-                    block = lt[dom.degree_slice(k), dom.degree_slice(k)]
-                    dense = int(np.sum(np.linalg.eigvalsh(block) < 1e-8 * lt_max))
-                    if lt_max < 1e-24:  # the whole deformed spectrum vanishes
-                        dense = dom.grading[k]
-                    assert betti(dom, t, k) == dense
+    def test_nonpositive_tol_rejected(self, circle8):
+        for t in (0.5, 0.0):  # the whole deformed spectrum vanishes at both
+            for tol in (-1.0, 0.0):
+                with pytest.raises(ValueError, match="tol must be positive"):
+                    betti(circle8, t, 0, tol=tol)
 
     def test_gap_error(self, circle8):
         # a threshold planted inside the occupied part of the spectrum
@@ -217,7 +211,7 @@ class TestBetti:
 
 class TestSymmetry:
     def test_circle_translation(self, circle4):
-        u = circle_translation(circle4, 1.0 / 3.0)
+        u = torus_translation(circle4, [1.0 / 3.0])
         assert np.abs(u @ u.T - np.eye(circle4.total_dim)).max() < 1e-12
         for t in (0.3, 1.7):
             assert symmetry_commutator(circle4, u, t) < 1e-10
@@ -241,6 +235,12 @@ class TestSymmetry:
     def test_identity(self, circle4):
         assert symmetry_commutator(circle4, np.eye(circle4.total_dim), 0.7) == 0.0
 
+    def test_unitary_of_the_wrong_shape_rejected(self, circle4):
+        n = circle4.total_dim
+        for bad in (np.eye(n + 3), np.ones(n), np.eye(n)[:, :-1]):
+            with pytest.raises(ValueError, match=f"must be {n} x {n}"):
+                symmetry_commutator(circle4, bad, 0.3)
+
     def test_precondition_failure_reports_measure(self, circle4, rng):
         bad = np.linalg.qr(rng.standard_normal((circle4.total_dim, circle4.total_dim)))[0]
         with pytest.raises(SymmetryPreconditionError) as err:
@@ -251,14 +251,14 @@ class TestSymmetry:
 class TestDiscreteWaveMap:
     def test_zero_state(self, circle4):
         h = 0.01
-        u, v = discrete_wave_step(circle4, h, np.zeros(circle4.total_dim), np.zeros(circle4.total_dim))
+        u, v = discrete_wave_orbit(circle4, h, np.zeros(circle4.total_dim), np.zeros(circle4.total_dim), 1)["final"]
         assert np.all(u == 0) and np.all(v == 0)
 
     def test_norm_precondition(self, circle4, rng):
         # sin(pi/2) = 1 at the first mode for h = 1/4
         state = rng.standard_normal(circle4.total_dim)
         with pytest.raises(WaveMapNormError) as err:
-            discrete_wave_step(circle4, 0.25, state, state)
+            discrete_wave_orbit(circle4, 0.25, state, state, 1)
         assert err.value.measured >= 1.0
 
     def test_eigenmode_ellipse_invariant(self, circle4):
@@ -282,6 +282,21 @@ class TestDiscreteWaveMap:
         assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)
         assert orbit["bound"] < 100.0
 
+    def test_orbit_holds_one_square_matrix(self, torus3, rng):
+        # D_h is the one N x N operator of the orbit; its bound applies G per degree.
+        n = torus3.total_dim
+        h = 0.9 / math.sqrt(float(torus3.laplacian_spectrum(0).max()))
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+        discrete_wave_orbit(torus3, h, u, v, 5)  # warm imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            discrete_wave_orbit(torus3, h, u, v, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n == 1000
+        assert peak <= 1.5 * n * n * 8
+
     def test_negative_steps_rejected(self, circle4):
         zero = np.zeros(circle4.total_dim)
         with pytest.raises(ValueError):
@@ -300,13 +315,12 @@ class TestDenseDiracOracle:
     def close(got, want, rel=1e-12):
         return np.linalg.norm(np.asarray(got) - want) <= rel * np.linalg.norm(want)
 
-    def test_functional_calculus_and_spectral_matrix(self, domains, rng):
+    def test_functional_calculus(self, domains, rng):
         def g(r):
             return math.cos(0.7 * r) + 0.3 * besselfn.phi(4, 0.5 * r)
 
         for dom, oracle in domains:
             dense = oracle.even(g)
-            assert self.close(spectral_matrix(dom, g), dense)
             for k in range(dom.top_degree + 1):
                 u = dom.cochain(k, rng.standard_normal(dom.grading[k]))
                 want = (dense @ dom.embed(u))[dom.degree_slice(k)]
@@ -315,12 +329,13 @@ class TestDenseDiracOracle:
     def test_deformed_dirac_and_norm(self, domains):
         for dom, oracle in domains:
             for t in (0.17, 1.0 / math.sqrt(7.0), 0.8):
-                assert self.close(deformed_dirac(dom, t), oracle.deformed_dirac(t, dom.q + 2))
+                got = np.column_stack([deformed_dirac_apply(dom, t, e) for e in np.eye(dom.total_dim)])
+                assert self.close(got, oracle.deformed_dirac(t, dom.q + 2))
                 want = float(np.max(np.abs(oracle.psi(t, dom.q + 2))))
                 assert deformed_dirac_norm(dom, t) == pytest.approx(want, rel=1e-12)
 
-    def test_betti(self, domains):
-        for dom, oracle in domains:
+    def test_betti(self, domains, circle8):
+        for dom, oracle in domains + [(circle8, DenseDiracOracle(circle8))]:
             for t in (1.0 / math.sqrt(7.0), 0.5, 0.25):
                 a = oracle.psi(t, dom.q + 2)
                 lt = (oracle.vec * a**2) @ oracle.vec.T
@@ -346,7 +361,7 @@ class TestDenseDiracOracle:
                 unitary = np.eye(dom.total_dim)
             else:
                 unitary = torus_translation(dom, [0.3] * dom.q)
-            d_full = dom.d_full()
+            d_full = np.tril(dom.dirac, -1)
             for t in (0.3, 1.7):
                 dt = oracle.even(lambda r: t * besselfn.phi(dom.q + 2, t * r)) @ d_full
                 want = np.linalg.norm(unitary @ dt - dt @ unitary, 2)
@@ -360,7 +375,7 @@ class TestDenseDiracOracle:
                 block = dom.degree_slice(k)
                 n = dom.grading[k]
                 unitary[block, block] = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            d_full = dom.d_full()
+            d_full = np.tril(dom.dirac, -1)
             want = np.linalg.norm(unitary @ d_full - d_full @ unitary, 2)
             with pytest.raises(SymmetryPreconditionError) as err:
                 symmetry_commutator(dom, unitary, 0.5)

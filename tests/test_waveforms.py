@@ -11,7 +11,6 @@ from besselwave.specops import deformed_d
 from besselwave.waveforms import (
     LaurentPoly,
     bessel_acceleration,
-    classical_solution,
     classical_wave,
     factorization_check,
     monomial_source_solution,
@@ -37,7 +36,7 @@ class TestClassical:
     def test_initial_position(self, circle4, rng):
         u0 = circle4.cochain(0, rng.standard_normal(circle4.grading[0]))
         v0 = circle4.cochain(0, rng.standard_normal(circle4.grading[0]))
-        out = classical_solution(circle4, u0, v0, 0.0)
+        out = classical_wave(circle4, u0, v0).at(0.0)
         assert np.abs(out.coefficients - u0.coefficients).max() < 1e-14
 
     def test_dalembert(self, circle4, rng):
