@@ -184,11 +184,9 @@ def ode_residual(n: int, r: float) -> float:
     """Defect phi'' + (n-1) phi'/r + phi of the series evaluation at r > 0.
 
     The coefficient (n-1)/r is singular at 0, so r = 0 is rejected.  Past
-    SERIES_CUTOFF, phi' and phi'' come from phi_{n+2} and phi_{n+4}, which the
-    same three-term recurrence as phi_n produces, so the defect there is an
-    identity of that recurrence and checks nothing about the values; the
-    mpmath test test_every_order_across_the_seam in tests/test_besselfn.py is
-    the check on that branch.
+    SERIES_CUTOFF, phi' and phi'' come from phi_{n+2} and phi_{n+4} by the
+    recurrence that gives phi_n, so the defect there is an identity of that
+    recurrence; the verify row large_r_against_exact_series checks the values.
     """
     n = _check_n(n)
     r = _check_r(r)

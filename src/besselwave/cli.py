@@ -24,6 +24,7 @@ from .domains import (
     domain_spectra_json,
     spectrum_by_degree,
 )
+from .polyforms import MultiPoly, random_multipoly
 from .svgfig import polyline_chart
 
 __all__ = ["main", "console_main"]
@@ -113,10 +114,16 @@ def _build_domain(args):
 
 
 def _cmd_spectral(args) -> int:
-    if args.wave_steps and not 0.0 < args.wave_norm < 1.0:
-        raise ValueError(f"--wave-norm must lie in (0, 1), got {args.wave_norm}")
     if args.tol is not None and args.t is None:
         raise ValueError("--tol sets the Betti kernel threshold and needs --t")
+    if args.shift is not None and args.symmetry != "translation":
+        raise ValueError("--shift sets the translation and needs --symmetry translation")
+    if args.wave_norm is not None and not args.wave_steps:
+        raise ValueError("--wave-norm sets the orbit step and needs --wave-steps")
+    shift = 1.0 / 3.0 if args.shift is None else args.shift
+    wave_norm = 0.9 if args.wave_norm is None else args.wave_norm
+    if args.wave_steps and not 0.0 < wave_norm < 1.0:
+        raise ValueError(f"--wave-norm must lie in (0, 1), got {wave_norm}")
     domain = _build_domain(args)
     payload = {
         "domain": domain.name,
@@ -131,7 +138,7 @@ def _cmd_spectral(args) -> int:
         }
     if args.symmetry:
         if args.symmetry == "translation":
-            unitary = specops.torus_translation(domain, [args.shift] * domain.q)
+            unitary = specops.torus_translation(domain, [shift] * domain.q)
         else:
             unitary = specops.torus_quarter_turn(domain)
         t_val = args.t if args.t is not None else 0.3
@@ -147,7 +154,7 @@ def _cmd_spectral(args) -> int:
         # |psi_n(x)| <= |x|, so h = wave_norm / max|lambda| keeps ||D_h|| <= wave_norm for
         # every q; a zero spectrum has D_h = 0 for every h.
         top = max(float(spectrum_by_degree(domain, k)[-1]) for k in range(domain.top_degree + 1))
-        h = args.wave_norm / (math.sqrt(max(top, 0.0)) or 1.0)
+        h = wave_norm / (math.sqrt(max(top, 0.0)) or 1.0)
         orbit = specops.discrete_wave_orbit(
             domain, h, state[: domain.total_dim], state[domain.total_dim :], args.wave_steps
         )
@@ -224,8 +231,6 @@ def _cmd_wave(args) -> int:
 
 
 def _cmd_pizzetti(args) -> int:
-    from .polyforms import random_multipoly
-
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     rng = np.random.default_rng(np.random.Philox(args.seed))
@@ -249,8 +254,6 @@ def _cmd_pizzetti(args) -> int:
 def _cmd_polarize(args) -> int:
     exponents = tuple(int(s) for s in args.exponents.split(","))
     terms = huygens.polarization_expand(exponents)
-    from .polyforms import MultiPoly
-
     verified = huygens.polarization_reconstruct(exponents) == MultiPoly.monomial(len(exponents), exponents)
     n = sum(exponents)
     rows = [[sign] + list(coeffs) + [power] for sign, coeffs, power in terms]
@@ -423,9 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, help="deformation parameter for the Betti table")
     p.add_argument("--tol", type=float, help="kernel threshold override")
     p.add_argument("--symmetry", choices=("translation", "quarter-turn"))
-    p.add_argument("--shift", type=float, default=1.0 / 3.0)
+    p.add_argument("--shift", type=float, help="translation shift per axis (default 1/3); needs --symmetry translation")
     p.add_argument("--wave-steps", type=int, default=0)
-    p.add_argument("--wave-norm", type=float, default=0.9)
+    p.add_argument("--wave-norm", type=float, help="bound on ||D_h|| in (0, 1) (default 0.9); needs --wave-steps")
     p.set_defaults(func=_cmd_spectral)
 
     p = sub.add_parser("wave", help="solution snapshots and residual sweeps")

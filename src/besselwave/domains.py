@@ -16,10 +16,10 @@ a trig domain keeps only mu = 4 pi^2 |m|^2 in basis order and applies g as a
 diagonal; a simplicial domain eigensolves each L_k on first use and keeps
 the eigenpairs, at a cost of sum_k n_k^3, not the N^3 of the stacked N x N
 Dirac matrix D = d + d^T.  No operator of the calculus is assembled from
-D; the only N x N operators of the library are the discrete wave orbit's
-D_h and the symmetry unitaries (`specops`).  D and its dense
-eigendecomposition stay readable, computed on first access, for the
-benchmark and the dense test oracle.
+D; the only N x N operator of the library is the discrete wave orbit's
+D_h (`specops`), and a symmetry is one n_k x n_k block per degree, indexed
+within the degree.  D and its dense eigendecomposition stay readable,
+computed on first access, for the benchmark and the dense test oracle.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ are compared.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import accumulate, combinations, product as iter_product
 
 import numpy as np
 
@@ -46,6 +47,8 @@ __all__ = [
     "locality_probe",
 ]
 
+# Total-degree cap of `polarization_expand`: it bounds only the printed 2^n-row
+# table, since `polarization_reconstruct` sums that table in integers.
 POLARIZATION_DEGREE_CAP = 12
 
 
@@ -153,10 +156,7 @@ def pizzetti_constant(n: int, k: int) -> int:
     phi_n; the Laplacian-power averages use it with alternating signs
     absorbed, because the operator convention has L = -Delta.
     """
-    value = 1
-    for j in range(1, k + 1):
-        value *= 2 * j * (n - 2 + 2 * j)
-    return value
+    return math.prod(2 * j * (n - 2 + 2 * j) for j in range(1, k + 1))
 
 
 def _laplacian_series(g: MultiPoly, n: int) -> MultiPoly:
@@ -192,13 +192,6 @@ def pizzetti_sphere(g: MultiPoly, q: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _divergence_scalar(f: PolyKForm) -> MultiPoly:
-    """The scalar of df for a (q-1)-form f, df = scalar * dx_1..dx_q."""
-    q = f.nvars
-    df = f.exterior_derivative()
-    return df.component(tuple(range(q)))
-
-
 def flux_average_exact(f: PolyKForm, q: int) -> MultiPoly:
     """Average flux of the (q-1)-form f through W_t(0), as a polynomial in t.
 
@@ -228,7 +221,8 @@ def flux_average_exact(f: PolyKForm, q: int) -> MultiPoly:
 
 def flux_corollary_check(f: PolyKForm, q: int) -> float:
     """Max coefficient deviation of t E_ball[df] - q flux/|W_t|; exactly 0."""
-    lhs = MultiPoly(1, {(1,): Fraction(1)}) * pizzetti_ball(_divergence_scalar(f), q)
+    div = f.exterior_derivative().component(tuple(range(f.nvars)))  # df = div dx_1..dx_q
+    lhs = MultiPoly(1, {(1,): Fraction(1)}) * pizzetti_ball(div, q)
     rhs = flux_average_exact(f, q) * q
     diff = lhs - rhs
     return max((abs(float(c)) for c in diff.terms.values()), default=0.0)
@@ -258,34 +252,29 @@ def polarization_expand(exponents) -> list[tuple[int, tuple[int, ...], int]]:
         raise PolarizationDegreeError(
             f"total degree {n} exceeds the expansion cap {POLARIZATION_DEGREE_CAP}"
         )
-    terms = []
-    for signs in iter_product((1, -1), repeat=n):
-        sign = 1
-        for s in signs:
-            sign *= s
-        coeffs = []
-        pos = 0
-        for m in exponents:
-            coeffs.append(sum(signs[pos : pos + m]))
-            pos += m
-        terms.append((sign, tuple(coeffs), n))
-    return terms
+    cuts = list(accumulate(exponents, initial=0))
+    return [(math.prod(signs), tuple(sum(signs[a:b]) for a, b in zip(cuts, cuts[1:])), n)
+            for signs in iter_product((1, -1), repeat=n)]
 
 
 def polarization_reconstruct(exponents) -> MultiPoly:
-    """Expand the signed combination exactly; equals the monomial."""
+    """Sum the signed table of `polarization_expand` exactly; equals the monomial.
+
+    Rows with one coefficient tuple a merge into an integer weight w_a; by the
+    multinomial theorem the coefficient of x^e, |e| = n, is sum_a w_a a^e / (e! 2^n).
+    """
     exponents = tuple(int(m) for m in exponents)
-    terms = polarization_expand(exponents)
-    n = sum(exponents)
-    k = len(exponents)
-    total = MultiPoly.zero(k)
-    for sign, coeffs, power in terms:
-        linear = MultiPoly(k, {tuple(1 if i == j else 0 for i in range(k)): Fraction(c)
-                               for j, c in enumerate(coeffs) if c})
-        if not linear.terms and power > 0:
-            continue
-        total = total + (linear**power) * sign
-    return total * Fraction(1, math.factorial(n) * 2**n)
+    weights = Counter()
+    for sign, coeffs, _ in polarization_expand(exponents):
+        weights[coeffs] += sign
+    n, k = sum(exponents), len(exponents)
+    terms = {}
+    for bars in combinations(range(n + k - 1), k - 1):  # the e with |e| = n, by stars and bars
+        cuts = (-1,) + bars + (n + k - 1,)
+        e = tuple(hi - lo - 1 for lo, hi in zip(cuts, cuts[1:]))
+        num = sum(w * math.prod(c**p for c, p in zip(a, e)) for a, w in weights.items() if w)
+        terms[e] = Fraction(num, math.prod(math.factorial(p) for p in e) * 2**n)
+    return MultiPoly(k, terms)
 
 
 def finite_difference_identity(n: int, j: int) -> int:
@@ -294,7 +283,7 @@ def finite_difference_identity(n: int, j: int) -> int:
         raise ValueError("need 0 <= j <= n")
     total = 0
     for k in range(n + 1):
-        total += (-1) ** k * math.comb(n, k) * (k**j if (k or j) else 1)
+        total += (-1) ** k * math.comb(n, k) * k**j
     return total
 
 

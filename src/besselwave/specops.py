@@ -10,15 +10,16 @@ the result keeps the input degree exactly.  For smooth even g, g(sqrt mu)
 is a smooth function of mu, so the roots need no more precision than mu
 has.  The odd operators (D_t and the discrete wave map) are D composed with
 an even function, applied one degree at a time: no N x N eigensolve or SVD
-runs, and the only N x N matrices built are the symmetry unitaries and the
-discrete wave map's D_h, which the orbit applies at every step.
+runs, and the only N x N matrix built is the discrete wave map's D_h, which
+the orbit applies at every step.
 
 The bounded derivative d_t = t phi_{q+2}(tD) d, its adjoint, the norm of
 D_t, kernel (Betti) counting with a spectral-gap guard on the per-degree
 Laplacian spectra, symmetry commutators and the norm-contractive discrete
-wave map all live here; the Bessel index is the domain's q.  The torus and
-circle symmetries are pullbacks of x -> A x + s, A a signed permutation,
-written out in the trig basis.
+wave map all live here; the Bessel index is the domain's q.  A symmetry is
+one n_k x n_k block per degree, so it keeps degrees by its type.  The torus
+and circle symmetries are pullbacks of x -> A x + s, A a signed
+permutation, written out block by block in the trig basis.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ class SpectralGapError(ValueError):
 
 
 class SymmetryPreconditionError(ValueError):
-    """The proposed unitary mixes degrees or does not commute with d to begin with."""
+    """The proposed symmetry does not commute with d to begin with."""
 
-    def __init__(self, measured: float, what: str = "|| U d - d U ||"):
+    def __init__(self, measured: float):
         self.measured = measured
-        super().__init__(f"{what} = {measured:.3e} violates the 1e-10 precondition")
+        super().__init__(f"|| U d - d U || = {measured:.3e} violates the 1e-10 precondition")
 
 
 class WaveMapNormError(ValueError):
@@ -210,60 +211,48 @@ def betti(domain: SpectralDomain, t: float, degree: int, tol: float | None = Non
 # ---------------------------------------------------------------------------
 
 
-def symmetry_commutator(domain: SpectralDomain, unitary: np.ndarray, t: float) -> float:
-    """|| U d_t - d_t U || for a degree-preserving unitary that commutes with d.
+def symmetry_commutator(domain: SpectralDomain, blocks, t: float) -> float:
+    """|| U d_t - d_t U || for a symmetry U = (U_0, ..., U_top), one n_k x n_k block per degree.
 
-    For a degree-preserving U both commutators map degree k to degree k+1
-    only, so their 2-norms are the largest over k of
+    U keeps degrees by its type, so both commutators map degree k to degree
+    k+1 only, and their 2-norms are the largest over k of
     || U_{k+1} X_k - X_k U_k ||, with X_k = d_k for the precondition and
-    X_k = t phi_{q+2}(t sqrt L_{k+1}) d_k for d_t.  An off-degree block of U
-    of norm 1e-10 or more, and then a precondition || U d - d U || of 1e-10
-    or more, are reported with the measured value.
+    X_k = t phi_{q+2}(t sqrt L_{k+1}) d_k for d_t.  A precondition
+    || U d - d U || of 1e-10 or more is reported with the measured value.
     """
-    unitary = np.asarray(unitary, dtype=float)
-    if unitary.shape != (domain.total_dim, domain.total_dim):
-        n = domain.total_dim
-        raise ValueError(f"a unitary on {domain.name} must be {n} x {n}, got shape {unitary.shape}")
-    slices = [domain.degree_slice(k) for k in range(domain.top_degree + 1)]
-    leak = max(
-        (_norm2(unitary[a, b]) for i, a in enumerate(slices) for j, b in enumerate(slices)
-         if i != j and np.any(unitary[a, b])),
-        default=0.0,
-    )
-    if leak >= 1e-10:
-        raise SymmetryPreconditionError(leak, "off-degree block of U")
-    blocks = [unitary[s, s] for s in slices]
-    pre = max(_norm2(blocks[k + 1] @ d - d @ blocks[k]) for k, d in enumerate(domain.d_blocks))
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    shapes, want = [b.shape for b in blocks], [(n, n) for n in domain.grading]
+    if shapes != want:
+        raise ValueError(f"a symmetry on {domain.name} needs one block per degree, shapes {want}; got {shapes}")
+    pre = max(float(np.linalg.norm(blocks[k + 1] @ d - d @ blocks[k], 2)) for k, d in enumerate(domain.d_blocks))
     if pre >= 1e-10:
         raise SymmetryPreconditionError(pre)
     _, profile = _deformed_values(domain, t)
     worst = 0.0
     for k, d in enumerate(domain.d_blocks):
         dt = domain.even_apply(k + 1, profile[k + 1], d)
-        worst = max(worst, _norm2(blocks[k + 1] @ dt - dt @ blocks[k]))
+        worst = max(worst, float(np.linalg.norm(blocks[k + 1] @ dt - dt @ blocks[k], 2)))
     return worst
 
 
-def _norm2(matrix: np.ndarray) -> float:
-    return float(np.linalg.norm(matrix, 2))
-
-
-def _pullback(domain: SpectralDomain, axes, signs, shift) -> np.ndarray:
+def _pullback(domain: SpectralDomain, axes, signs, shift) -> tuple[np.ndarray, ...]:
     """Pullback of the torus isometry x -> A x + shift, (A x)_i = signs[i] x_{axes[i]}, in the trig basis.
 
     The mode m goes to A^T m and the phase rotates by 2 pi m.shift; a mode
     whose first nonzero entry turns negative is negated back, which
     reverses the rotation and flips the sign of sin.  dx_i pulls back to
     signs[i] dx_{axes[i]}, and a form component takes the sign of the sort
-    that puts its new axes in order.  The result is an exact signed
-    permutation-rotation, so it commutes with d to machine precision.
+    that puts its new axes in order.  The result is one n_k x n_k block per
+    degree, indexed within the degree: an exact signed permutation-rotation
+    that commutes with d to machine precision.
     """
     if domain.labels is None or len(axes) != domain.q:
         raise ValueError(f"no pullback of a {len(axes)}-torus isometry on the {domain.name} domain")
-    index = {lbl: i for i, lbl in enumerate(domain.labels)}
+    index = {lbl: i - domain.offsets[lbl.degree] for i, lbl in enumerate(domain.labels)}
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    u = np.zeros((domain.total_dim, domain.total_dim))
-    for i, (k, subset, phase, mode) in enumerate(domain.labels):
+    blocks = tuple(np.zeros((n, n)) for n in domain.grading)
+    for (k, subset, phase, mode), col in index.items():
+        u = blocks[k]
         image = [axes[a] for a in subset]
         sign = math.prod(signs[a] for a in subset) * (-1) ** sum(a > b for a, b in combinations(image, 2))
         pulled = [0] * domain.q
@@ -276,26 +265,26 @@ def _pullback(domain: SpectralDomain, axes, signs, shift) -> np.ndarray:
             return index[BasisLabel(k, tuple(sorted(image)), phase_to, mode_to)]
 
         if phase == "const":
-            u[row("const"), i] = sign
+            u[row("const"), col] = sign
             continue
         angle = 2.0 * math.pi * float(np.dot(mode, shift))
         c, s = math.cos(angle), flip * math.sin(angle)
         if phase == "cos":  # cos(w + a) = cos a cos w - sin a sin w
-            u[row("cos"), i] = sign * c
-            u[row("sin"), i] = -sign * s
+            u[row("cos"), col] = sign * c
+            u[row("sin"), col] = -sign * s
         else:  # sin(w + a) = cos a sin w + sin a cos w, times -1 where the mode was negated
-            u[row("sin"), i] = sign * flip * c
-            u[row("cos"), i] = sign * flip * s
-    return u
+            u[row("sin"), col] = sign * flip * c
+            u[row("cos"), col] = sign * flip * s
+    return blocks
 
 
-def torus_translation(domain: SpectralDomain, shift) -> np.ndarray:
-    """Pullback of x -> x + shift in the trig basis: per-mode rotations."""
+def torus_translation(domain: SpectralDomain, shift) -> tuple[np.ndarray, ...]:
+    """Pullback of x -> x + shift in the trig basis, one block per degree of per-mode rotations."""
     return _pullback(domain, tuple(range(domain.q)), (1,) * domain.q, shift)
 
 
-def torus_quarter_turn(domain: SpectralDomain) -> np.ndarray:
-    """Pullback of the isometry (x, y) -> (-y, x) on the 2-torus: m -> (m_2, -m_1), dx -> -dy, dy -> dx."""
+def torus_quarter_turn(domain: SpectralDomain) -> tuple[np.ndarray, ...]:
+    """Pullback of (x, y) -> (-y, x) on the 2-torus, one block per degree: m -> (m_2, -m_1), dx -> -dy, dy -> dx."""
     return _pullback(domain, (1, 0), (-1, 1), (0.0, 0.0))
 
 

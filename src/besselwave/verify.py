@@ -64,6 +64,19 @@ def bessel_identities(qs, rs) -> tuple[float, float, float]:
     return worst_ode, worst_rec, worst_closed
 
 
+def large_r_worst(ns, rs) -> float:
+    """Worst |phi(n, r) - exact integer series| over min(1, Gamma(n/2) (r/2)^(1 - n/2) sqrt(2/(pi r))), r > 40.
+
+    The integer series cannot suffer cancellation; `phi` takes the recurrence there.
+    """
+    worst = 0.0
+    for n, r in itertools.product(ns, rs):
+        s0, _, _, den = besselfn._series_sums(n, r)
+        log_env = math.lgamma(0.5 * n) - (0.5 * n - 1.0) * math.log(0.5 * r) + 0.5 * math.log(2.0 / (math.pi * r))
+        worst = max(worst, abs(besselfn.phi(n, r) - s0 / den) / min(1.0, math.exp(log_env)))
+    return worst
+
+
 def residual_worst(domains, qs, rng: np.random.Generator, dt: float | None = None) -> float:
     """Worst wave-equation defect of the velocity and position solutions, one datum per domain."""
     worst = 0.0
@@ -173,6 +186,9 @@ def suite_bessel(seed: int, quick: bool) -> list[CaseResult]:
         abs(besselfn.phi(n, r) - besselfn.phi(n, -r)) for n in qs for r in (0.3, 2.7, 17.0, 55.0)
     )
     cases.append(CaseResult.check("evenness", worst_even, 0.0))
+    # Past r = 40 the ODE residual is an identity of the recurrence; this row checks the values.
+    worst_large = large_r_worst((1, 2, 3, 5, 8, 12, 20, 30), (40.5, 57.3, 83.9, 118.2, 150.0))
+    cases.append(CaseResult.check("large_r_against_exact_series", worst_large, 1e-12))
     return cases
 
 
@@ -320,7 +336,7 @@ def suite_pizzetti(seed: int, quick: bool) -> list[CaseResult]:
     cases = [CaseResult.check(f"pizzetti_exactness_{count}", float(mismatches), 0.0)]
 
     coeff_bad = 0
-    for n in (2, 3, 4, 5, 6):
+    for n in range(2, 13):
         for k in range(6):
             lhs = Fraction(1, huygens.pizzetti_constant(n, k))
             rhs = abs(besselfn.series_coefficient(n, k))

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from besselwave import besselfn
+from besselwave import besselfn, huygens, verify
 from besselwave.cli import main
 from besselwave.domains import SimplicialComplex
 
@@ -175,6 +175,20 @@ class TestPizzettiPolarize:
         assert len(rows) == 4
         assert "reproduces the monomial: True" in out
 
+    def test_polarize_checks_its_printed_table(self, capsys, monkeypatch):
+        # One row's sign flipped in the table the command prints: the verified line must say so.
+        expand = huygens.polarization_expand
+
+        def flipped(exponents):
+            rows = expand(exponents)
+            sign, coeffs, power = rows[3]
+            return rows[:3] + [(-sign, coeffs, power)] + rows[4:]
+
+        monkeypatch.setattr(huygens, "polarization_expand", flipped)
+        code, out, _ = run_cli(capsys, "polarize", "--exponents", "2,1")
+        assert code == 1
+        assert "reproduces the monomial: False" in out
+
 
 class TestProbe:
     def test_small_resolved_run(self, capsys, tmp_path):
@@ -243,7 +257,7 @@ ACCEPTANCE_BOUNDS = {
     "deformed_residuals": 1e-6, "dalembert_anchor": 1e-12, "pizzetti_exactness_30": 0.0,
     "flux_corollary_10": 0.0, "monomial_reconstruction": 0.0, "finite_difference_table": 0.0,
     "symmetry_commutator": 1e-8, "sphere_front_length": 1e-6, "r2d2_sphere": 3e-3,
-    "r2d2_hyperbolic": 3e-3, "torus_global_cancellation": 1e-6,
+    "r2d2_hyperbolic": 3e-3, "torus_global_cancellation": 1e-6, "large_r_against_exact_series": 1e-12,
 }
 
 
@@ -278,6 +292,14 @@ class TestVerifyAll:
         bounds = {case["name"]: case["bound"] for suite in payload["suites"] for case in suite["cases"]}
         for name, literal in ACCEPTANCE_BOUNDS.items():
             assert bounds[name] == literal, name
+
+
+def test_large_r_row_fails_on_the_wrong_order(monkeypatch):
+    # Past r = 40 phi comes from _phi_large; two orders too low must turn the row to fail.
+    exact = besselfn._phi_large
+    monkeypatch.setattr(besselfn, "_phi_large", lambda n, r: exact(n - 2, r))
+    row = next(c for c in verify.suite_bessel(42, True) if c.name == "large_r_against_exact_series")
+    assert row.status == "fail" and row.measured > 0.4
 
 
 class TestConfigAndErrors:
@@ -323,6 +345,9 @@ class TestConfigAndErrors:
         ("spectral", "--wave-steps", "3", "--wave-norm", "-0.5"),
         ("spectral", "--wave-steps", "3", "--wave-norm", "1"),
         ("spectral", "--tol", "1e-3"), ("wave", "--kind", "classical", "--q", "7"),
+        ("spectral", "--shift", "0.2"),
+        ("spectral", "--domain", "torus2", "--symmetry", "quarter-turn", "--shift", "0.2"),
+        ("spectral", "--wave-norm", "0.5"),
     ], ids=" ".join)
     def test_nonpositive_sizes_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

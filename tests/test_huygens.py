@@ -148,6 +148,11 @@ class TestPolarization:
         with pytest.raises(PolarizationDegreeError):
             polarization_expand((7, 6))
 
+    @pytest.mark.parametrize("exponents", [(4, 4, 4), (3, 3, 3, 3), (6, 5, 1)])
+    def test_reconstruction_at_the_degree_cap(self, exponents):
+        assert sum(exponents) == 12
+        assert polarization_reconstruct(exponents) == MultiPoly.monomial(len(exponents), exponents)
+
     def test_finite_difference_values(self):
         assert finite_difference_identity(3, 2) == 0
         assert finite_difference_identity(3, 3) == -6
