@@ -28,6 +28,7 @@ from .specops import (
     SymmetryPreconditionError,
     WaveMapNormError,
     betti,
+    betti_numbers,
     deformed_d,
     deformed_d_adjoint,
     deformed_dirac_norm,

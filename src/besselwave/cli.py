@@ -133,8 +133,7 @@ def _cmd_spectral(args) -> int:
     if args.t is not None:
         payload["betti"] = {
             "t": args.t,
-            "by_degree": [specops.betti(domain, args.t, k, tol=args.tol)
-                          for k in range(domain.top_degree + 1)],
+            "by_degree": specops.betti_numbers(domain, args.t, tol=args.tol),
         }
     if args.symmetry:
         if args.symmetry == "translation":
@@ -522,7 +521,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, geomfront.ChartExitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

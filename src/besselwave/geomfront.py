@@ -6,9 +6,16 @@ returns the metric, its six first partials and the three second partials
 the Brioschi formula needs, all differentiated exactly from the
 expressions.  Christoffel symbols (closed 2-D form) and the Gauss curvature
 (Brioschi determinant) both read the jet.  Geodesics solve
-xdd^k + Gamma^k_ij xd^i xd^j = 0 with a classical 4th-order Runge-Kutta
-integrator, vectorized over launch angles, evaluating the jet once per
-stage; the Jacobi field J'' + K J = 0, J(0) = 0, J'(0) = 1 rides along.
+xdd^k + Gamma^k_ij xd^i xd^j = 0, and the Jacobi field J'' + K J = 0,
+J(0) = 0, J'(0) = 1 rides along.  The joint system is integrated by the
+adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett
+& Wanner, Solving ODEs I, II.4-II.6), vectorized over launch angles with
+one jet evaluation per stage: one step size serves every angle, chosen so
+that the local error estimate, in the max-norm over all components and
+angles, stays below TOL (1 + max(|y|, |y_new|)).  A step that leaves the
+chart rectangle is bisected on its continuous extension, so
+ChartExitError carries the exit time to about TOL.  An explicit `steps=`
+runs classical RK4 with that many equal steps instead, the test oracle.
 Charts whose metric is the constant identity have straight geodesics.
 Wave-front lengths are the angular integral of |J|, and two limit-free
 curvature estimates come from comparing front lengths at one and two radii.
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +57,7 @@ __all__ = [
     "gauss_curvature_brioschi",
 ]
 
-DEFAULT_STEP = 1e-3
+TOL = 1e-12
 CHECK_POINTS = 7
 
 
@@ -240,9 +248,114 @@ def _rhs(chart: SurfaceChart, state: np.ndarray, want_jacobi: bool) -> np.ndarra
     return np.array(out)
 
 
+def _outside(chart: SurfaceChart, state: np.ndarray) -> bool:
+    if chart.periodic:
+        return False
+    x_min, x_max, y_min, y_max = chart.bounds
+    return bool(np.any(state[0] < x_min) or np.any(state[0] > x_max) or
+                np.any(state[1] < y_min) or np.any(state[1] > y_max))
+
+
+def _rk4(chart: SurfaceChart, f, state: np.ndarray, t: float, steps: int) -> np.ndarray:
+    """Classical RK4 with `steps` equal steps; the oracle of the adaptive path."""
+    h = t / steps
+    for step in range(steps):
+        k1 = f(state)
+        k2 = f(state + 0.5 * h * k1)
+        k3 = f(state + 0.5 * h * k2)
+        k4 = f(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if _outside(chart, state):
+            raise ChartExitError((step + 1) * h)
+    return state
+
+
+# Dormand & Prince (1980): stage rows (the last is the 5th-order solution,
+# whose slope is the next step's first stage), 5th- minus 4th-order weights,
+# and the weights of Hairer's 4th-order continuous extension (HNW II.6).
+_DP_A = np.array([
+    [0.0] * 7,
+    [1 / 5] + [0.0] * 6,
+    [3 / 40, 9 / 40] + [0.0] * 5,
+    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656] + [0.0] * 2,
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+                  701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423])
+
+
+def _scaled_max(v: np.ndarray, y: np.ndarray) -> float:
+    return float(np.max(np.abs(v) / (TOL * (1.0 + np.abs(y)))))
+
+
+def _initial_step(f, y: np.ndarray, f0: np.ndarray, t: float) -> float:
+    """Starting step of HNW II.4 in the scaled max-norm; one extra jet evaluation."""
+    d0, d1 = _scaled_max(y, y), _scaled_max(f0, y)
+    h0 = 0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6
+    d2 = _scaled_max(f(y + math.copysign(h0, t) * f0) - f0, y) / h0
+    h1 = (0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 1e-15 else max(1e-6, 1e-3 * h0)
+    return math.copysign(min(100.0 * h0, h1, abs(t)), t)
+
+
+def _exit_time(chart: SurfaceChart, y0: np.ndarray, y1: np.ndarray, k: np.ndarray, t0: float, h: float) -> float:
+    """Bisect the step's continuous extension for the time it leaves the rectangle (y0 inside, y1 outside)."""
+    dy = y1 - y0
+    b = h * k[0] - dy
+    c = dy - h * k[6] - b
+    d = h * np.tensordot(_DP_D, k, axes=1)
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _outside(chart, y0 + mid * (dy + (1.0 - mid) * (b + mid * (c + (1.0 - mid) * d)))):
+            hi = mid
+        else:
+            lo = mid
+    return t0 + hi * h
+
+
+def _dormand_prince(chart: SurfaceChart, f, y: np.ndarray, t: float) -> np.ndarray:
+    """Adaptive Dormand-Prince 5(4) from 0 to t (backward for t < 0).
+
+    One step serves every launch angle: the local error estimate is taken
+    in the max-norm over all components and angles, scaled by
+    TOL (1 + max(|y|, |y_new|)), and an accepted step costs six jet
+    evaluations (the first stage is the last one of the step before).
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"a geodesic needs a finite time, got {t}")
+    if t == 0.0:
+        return y
+    k = np.empty((7,) + y.shape)
+    flat = k.reshape(7, -1)
+    k[0] = f(y)
+    h = _initial_step(f, y, k[0], t)
+    t_now, fac_max = 0.0, 10.0
+    while t_now != t:
+        last = abs(h) >= abs(t - t_now)
+        if last:
+            h = t - t_now
+        elif t_now + h == t_now:
+            raise ValueError(f"step size underflow at t = {t_now!r}: the metric is not smooth along the geodesic")
+        for i in range(1, 7):
+            y_new = y + h * (_DP_A[i, :i] @ flat[:i]).reshape(y.shape)
+            k[i] = f(y_new)
+        err = _scaled_max(h * (_DP_E @ flat).reshape(y.shape), np.maximum(np.abs(y), np.abs(y_new)))
+        if err <= 1.0:
+            if _outside(chart, y_new):
+                raise ChartExitError(_exit_time(chart, y, y_new, k, t_now, h))
+            y, k[0] = y_new, k[6]
+            t_now = t if last else t_now + h
+        fac = min(fac_max, max(0.2, 0.9 * max(err, 1e-10) ** -0.2)) if math.isfinite(err) else 0.2
+        fac_max = 10.0 if err <= 1.0 else 1.0
+        h *= fac
+    return y
+
+
 def _integrate_front(chart: SurfaceChart, p, thetas: np.ndarray, t: float,
                      steps: int | None, want_jacobi: bool):
-    """RK4 on the geodesic (+ Jacobi) system for a batch of angles."""
+    """Geodesic (+ Jacobi) endpoints for a batch of angles: DP5(4), or RK4 with `steps` steps."""
     x0, y0 = float(p[0]), float(p[1])
     chart.require(x0, y0)
     thetas = np.asarray(thetas, dtype=float)
@@ -262,24 +375,12 @@ def _integrate_front(chart: SurfaceChart, p, thetas: np.ndarray, t: float,
                 exit_t = min(exit_t, float(np.min(hits)))
             raise ChartExitError(exit_t)
         return pts, tans, np.full(thetas.shape, t)
-    if steps is None:
-        steps = max(int(math.ceil(abs(t) / DEFAULT_STEP)), 8)
-    h = t / steps
     vx, vy = _unit_velocity(chart, x0, y0, thetas)
     state = np.array([np.full(thetas.shape, x0), np.full(thetas.shape, y0), vx, vy])
     if want_jacobi:
         state = np.concatenate([state, np.zeros((1,) + thetas.shape), np.ones((1,) + thetas.shape)])
-    x_min, x_max, y_min, y_max = chart.bounds
-    for step in range(steps):
-        k1 = _rhs(chart, state, want_jacobi)
-        k2 = _rhs(chart, state + 0.5 * h * k1, want_jacobi)
-        k3 = _rhs(chart, state + 0.5 * h * k2, want_jacobi)
-        k4 = _rhs(chart, state + h * k3, want_jacobi)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not chart.periodic:
-            if np.any(state[0] < x_min) or np.any(state[0] > x_max) or \
-               np.any(state[1] < y_min) or np.any(state[1] > y_max):
-                raise ChartExitError((step + 1) * h)
+    f = partial(_rhs, chart, want_jacobi=want_jacobi)
+    state = _dormand_prince(chart, f, state, t) if steps is None else _rk4(chart, f, state, t, steps)
     pts = np.stack([state[0], state[1]], axis=-1)
     tans = np.stack([state[2], state[3]], axis=-1)
     return pts, tans, state[4] if want_jacobi else np.full(thetas.shape, np.nan)

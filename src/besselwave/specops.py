@@ -41,6 +41,7 @@ __all__ = [
     "deformed_d_adjoint",
     "deformed_dirac_norm",
     "betti",
+    "betti_numbers",
     "symmetry_commutator",
     "torus_translation",
     "torus_quarter_turn",
@@ -189,21 +190,33 @@ def betti(domain: SpectralDomain, t: float, degree: int, tol: float | None = Non
     within a factor 10 of the threshold; if the whole deformed spectrum is
     numerically zero every mode is harmonic.
     """
+    return _kernel_dims(domain, t, [degree], tol)[0]
+
+
+def betti_numbers(domain: SpectralDomain, t: float, tol: float | None = None) -> list[int]:
+    """betti(domain, t, k) for every degree k, from one evaluation of the profile."""
+    return _kernel_dims(domain, t, range(domain.top_degree + 1), tol)
+
+
+def _kernel_dims(domain: SpectralDomain, t: float, degrees, tol: float | None) -> list[int]:
     if tol is not None and not tol > 0:
         raise ValueError("tol must be positive")
     psi, _ = _deformed_values(domain, t)
     lam_max = _max_abs(psi) ** 2
     if lam_max < KERNEL_FLOOR:
-        return domain.grading[degree]
+        return [domain.grading[k] for k in degrees]
     if tol is None:
         tol = 1e-8 * lam_max
-    evals = psi[degree] ** 2
-    nearby = evals[(evals > tol / 10.0) & (evals < tol * 10.0)]
-    if nearby.size:
-        raise SpectralGapError(
-            f"eigenvalues {np.sort(nearby)[:4]} sit within a factor 10 of the kernel threshold {tol:.3e}"
-        )
-    return int(np.sum(evals < tol))
+    dims = []
+    for k in degrees:
+        evals = psi[k] ** 2
+        nearby = evals[(evals > tol / 10.0) & (evals < tol * 10.0)]
+        if nearby.size:
+            raise SpectralGapError(
+                f"eigenvalues {np.sort(nearby)[:4]} sit within a factor 10 of the kernel threshold {tol:.3e}"
+            )
+        dims.append(int(np.sum(evals < tol)))
+    return dims
 
 
 # ---------------------------------------------------------------------------

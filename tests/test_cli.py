@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from besselwave import besselfn, huygens, verify
+from besselwave import besselfn, huygens, specops, verify
 from besselwave.cli import main
 from besselwave.domains import SimplicialComplex
 
@@ -143,6 +143,22 @@ class TestSpectral:
         assert [name for name, _ in seen if name != "svd"] == []
         assert seen and max(max(shape) for _, shape in seen) < total_dim
 
+    def test_one_profile_evaluation_per_request(self, capsys, monkeypatch):
+        # the Betti table of every degree shares one profile evaluation, the commutator takes one more
+        calls = []
+        deformed = specops._deformed_values
+
+        def counting(*args):
+            calls.append(args)
+            return deformed(*args)
+
+        monkeypatch.setattr(specops, "_deformed_values", counting)
+        code, out, _ = run_cli(capsys, "spectral", "--domain", "torus2", "--max-freq", "3", "--t", "0.3",
+                               "--symmetry", "quarter-turn", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["betti"]["by_degree"] == [1, 2, 1]
+        assert len(calls) <= 2
+
     def test_missing_complex_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectral", "--domain", "simplicial")
         assert code == 2
@@ -248,6 +264,13 @@ class TestCurvatureFront:
         assert code == 0
         header, rows = csv_rows(out)
         assert abs(float(rows[0][header.index("r2d2")]) - 0.9975) < 3e-3
+
+    @pytest.mark.parametrize("command", [("front", "--t", "3"), ("curvature", "--h", "1.5")])
+    def test_chart_exit_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command[0], "--chart", "hyperbolic", "--point", "0,0.1", *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: trajectory left the chart rectangle"), err
 
 
 # The contracted acceptance literal of each verify-all case that measures a

@@ -1,5 +1,6 @@
 """Charts, geodesics, Jacobi fields, wave-front lengths and curvature estimates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,6 +126,63 @@ class TestJacobi:
                 assert jacobi_field(hyper, HYPERBOLIC_POINT, float(theta), t, steps=600) >= t
 
 
+LENS = "exp(2*exp(-(x^2+y^2)))"
+
+
+class TestAdaptiveIntegrator:
+    @pytest.mark.parametrize("build, p, t", [
+        (sphere_chart, SPHERE_POINT, 1.0),
+        (hyperbolic_chart, HYPERBOLIC_POINT, 1.0),
+        (lambda: chart_from_expressions("exp(x/pi)", "-sin(x*y)/4", "cosh(y)^2", (-2, 2, -2, 2)), (0.1, 0.2), 1.0),
+        (lambda: chart_from_expressions(LENS, "0", LENS, (-12, 12, -12, 12)), (-2.0, 0.0), 2.0),
+    ], ids=["sphere", "hyperbolic", "g12", "lens"])
+    def test_matches_the_rk4_oracle(self, build, p, t):
+        chart = build()
+        adaptive = wavefront(chart, p, t, 16)
+        oracle = wavefront(chart, p, t, 16, steps=int(1000 * t))
+        assert np.abs(adaptive.points - oracle.points).max() < 1e-9
+        assert np.abs(adaptive.tangents - oracle.tangents).max() < 1e-9
+        assert np.abs(adaptive.jacobi - oracle.jacobi).max() < 1e-9
+
+    def test_zero_time(self):
+        front = wavefront(sphere_chart(), SPHERE_POINT, 0.0, 8)
+        assert np.all(front.jacobi == 0.0)
+        assert np.all(front.points == np.array(SPHERE_POINT))
+
+    def test_backward(self):
+        assert jacobi_field(sphere_chart(), SPHERE_POINT, 1.0, -0.5) == pytest.approx(-math.sin(0.5), abs=1e-10)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite time"):
+            geodesic(sphere_chart(), SPHERE_POINT, 0.3, t)
+
+    def test_exit_time_on_dense_output(self):
+        # straight down the y axis, y(t) = exp(-t) meets the chart's edge y = 0.02 at t = ln 50
+        with pytest.raises(ChartExitError) as err:
+            geodesic(hyperbolic_chart(), HYPERBOLIC_POINT, -math.pi / 2, 5.0)
+        assert abs(err.value.exit_time - math.log(50.0)) <= 1e-6
+
+    def test_jet_evaluations(self):
+        calls = []
+        chart = sphere_chart()
+
+        def jet(x, y):
+            calls.append(np.shape(x))
+            return chart.jet(x, y)
+
+        sphere = dataclasses.replace(chart, jet=jet)
+        assert abs(wavefront_length(sphere, SPHERE_POINT, 1.0) - 2 * math.pi * math.sin(1.0)) < 1e-10
+        assert len(calls) <= 800
+
+    def test_undefined_metric_stops_the_step(self):
+        # sqrt(x) is NaN past x = 0, which the geodesic from (0.5, 0) reaches near t = 0.6
+        with np.errstate(invalid="ignore", divide="ignore"):
+            chart = chart_from_expressions("1 + x^0.5", "0", "1", (-1, 1, -1, 1))
+            with pytest.raises(ValueError, match="step size"):
+                geodesic(chart, (0.5, 0.0), math.pi, 1.0)
+
+
 class TestWaveFrontLength:
     def test_sphere(self):
         for t in (0.3, 0.7, 1.0):
@@ -242,8 +300,7 @@ class TestLineIntegrals:
     def test_self_intersection_flag(self):
         # a slow conformal lens folds the front into a swallowtail caustic
         # once t passes the focal distance; before that the flag stays off
-        expr = "exp(2*exp(-(x^2+y^2)))"
-        lens = chart_from_expressions(expr, "0", expr, (-12, 12, -12, 12), name="lens")
+        lens = chart_from_expressions(LENS, "0", LENS, (-12, 12, -12, 12), name="lens")
         field = (lambda x, y: -y, lambda x, y: x)
         before = wavefront_line_integral(lens, field, (-2.0, 0.0), 2.0, n_theta=256)
         after = wavefront_line_integral(lens, field, (-2.0, 0.0), 5.0, n_theta=256)

@@ -19,6 +19,7 @@ from besselwave.specops import (
     SymmetryPreconditionError,
     WaveMapNormError,
     betti,
+    betti_numbers,
     deformed_d,
     deformed_d_adjoint,
     deformed_dirac_norm,
@@ -209,6 +210,8 @@ class TestBetti:
             for tol in (-1.0, 0.0):
                 with pytest.raises(ValueError, match="tol must be positive"):
                     betti(circle8, t, 0, tol=tol)
+                with pytest.raises(ValueError, match="tol must be positive"):
+                    betti_numbers(circle8, t, tol=tol)
 
     def test_gap_error(self, circle8):
         # a threshold planted inside the occupied part of the spectrum
@@ -218,6 +221,8 @@ class TestBetti:
         mid = besselfn.psi(3, t * float(np.median(lam))) ** 2
         with pytest.raises(SpectralGapError):
             betti(circle8, t, 0, tol=mid)
+        with pytest.raises(SpectralGapError):
+            betti_numbers(circle8, t, tol=mid)
 
 
 class TestSymmetry:
@@ -369,12 +374,15 @@ class TestDenseDiracOracle:
                 a = oracle.psi(t, dom.q + 2)
                 lt = (oracle.vec * a**2) @ oracle.vec.T
                 lt_max = float(np.max(a**2))
+                table = []
                 for k in range(dom.top_degree + 1):
                     block = lt[dom.degree_slice(k), dom.degree_slice(k)]
                     dense = int(np.sum(np.linalg.eigvalsh(block) < 1e-8 * lt_max))
                     if lt_max < 1e-24:
                         dense = dom.grading[k]
                     assert betti(dom, t, k) == dense
+                    table.append(dense)
+                assert betti_numbers(dom, t) == table
 
     def test_orbit_bound(self, domains, rng):
         for dom, oracle in domains:
