@@ -102,10 +102,8 @@ def _cmd_bessel(args) -> int:
 def _build_domain(args):
     if args.domain == "circle":
         return build_circle_domain(args.max_freq)
-    if args.domain == "torus2":
-        return build_torus_domain(2, args.max_freq)
-    if args.domain == "torus3":
-        return build_torus_domain(3, args.max_freq)
+    if args.domain in ("torus2", "torus3"):
+        return build_torus_domain(int(args.domain[-1]), args.max_freq)
     if args.domain == "simplicial":
         if not args.complex:
             raise ValueError("--complex FILE.json is required for the simplicial domain")
@@ -196,7 +194,7 @@ def _cmd_wave(args) -> int:
     domain = _build_domain(args)
     rng = np.random.default_rng(np.random.Philox(args.seed))
     raw = rng.standard_normal(domain.grading[0])
-    df = domain.d_blocks[0] @ raw
+    df = domain.apply_d(0, raw)
     f = domain.cochain(0, raw / np.linalg.norm(df))
     if args.kind == "classical":
         solution = waveforms.classical_wave(domain, domain.zero_cochain(1), domain.cochain(1, df / np.linalg.norm(df)))

@@ -1,25 +1,14 @@
-"""Discrete spectral domains: graded cochain spaces with a symmetric Dirac matrix.
+"""Discrete spectral domains: graded cochain spaces held as stacks of small independent complexes.
 
-Two families are built here:
-
-* trigonometric domains, one builder for both: band-limited trig k-form
-  components on the unit circle (q = 1) and the flat unit tori (q = 2, 3),
-* finite abstract simplicial complexes with signed incidence matrices.
-
-Every domain carries the exterior-derivative blocks d_k.  The basis is
-orthonormal, so adjoints are plain transposes and the Hodge Laplacian of
-degree k is L_k = d_{k-1} d_{k-1}^T + d_k^T d_k, an n_k x n_k matrix.  The
-spectral calculus needs only even functions g(sqrt L_k), applied one degree
-at a time by `SpectralDomain.even_apply` from the values g(sqrt mu_k) on the
-spectrum `laplacian_spectrum(k)`.  The trig basis diagonalizes every L_k, so
-a trig domain keeps only mu = 4 pi^2 |m|^2 in basis order and applies g as a
-diagonal; a simplicial domain eigensolves each L_k on first use and keeps
-the eigenpairs, at a cost of sum_k n_k^3, not the N^3 of the stacked N x N
-Dirac matrix D = d + d^T.  No operator of the calculus is assembled from
-D; the only N x N operator of the library is the discrete wave orbit's
-D_h (`specops`), and a symmetry is one n_k x n_k block per degree, indexed
-within the degree.  D and its dense eigendecomposition stay readable,
-computed on first access, for the benchmark and the dense test oracle.
+Trig k-forms on the unit circle (q = 1) and the flat unit q-tori come from
+one builder; simplicial complexes carry signed incidence matrices.  The
+basis is orthonormal, so adjoints are transposes.  Nothing couples two
+blocks of a domain: a trig domain is one complex per canonical mode m plus
+the constant mode, a simplicial complex is one block.  Blocks of one shape
+form a `Stack`, and d, its adjoint, the even calculus g(sqrt L_k) of
+`even_apply` and the isometries of `torus_pullback` act stack by stack.  A
+trig domain knows its spectrum mu = 4 pi^2 |m|^2 by construction; a
+simplicial one eigensolves each L_k at build.
 """
 
 from __future__ import annotations
@@ -27,9 +16,9 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -37,21 +26,28 @@ __all__ = [
     "DomainSizeError",
     "ComplexClosureError",
     "Cochain",
+    "Stack",
+    "BlockMap",
     "SpectralDomain",
     "SimplicialComplex",
     "build_circle_domain",
     "build_torus_domain",
     "build_simplicial_domain",
+    "torus_pullback",
     "spectrum_by_degree",
     "domain_spectra_json",
 ]
 
 EIGEN_RESIDUAL_BOUND = 1e-10
-DIMENSION_CAP = 6000
+SIZE_CAP_BYTES = 2**27  # of the wave orbit's D_h, one square matrix per block, a trig domain's largest array
 
-# phase is "const", "cos" or "sin"; mode is a frequency vector (empty for
-# simplicial domains); subset is the ordered axis tuple of the form component.
+# phase is "const", "cos" or "sin"; mode is a frequency vector; subset is the
+# ordered axis tuple of the form component.
 BasisLabel = namedtuple("BasisLabel", "degree subset phase mode")
+
+# One stack's part of a degree-preserving map: block b goes to block image[b]
+# through blocks[k][b] on degree k.  A symmetry is one BlockMap per stack.
+BlockMap = namedtuple("BlockMap", "image blocks")
 
 
 class DomainSizeError(ValueError):
@@ -77,24 +73,40 @@ class Cochain:
 
 
 @dataclass(frozen=True)
-class SpectralDomain:
-    """Graded complex with an even functional calculus per degree.
+class Stack:
+    """B blocks of one shape, none coupled to another.
 
-    grading[k] is the dimension of the degree-k cochain space and
-    d_blocks[k] maps degree k to k+1.  `laplacian_spectrum(k)` is the cached
-    spectrum of L_k and `even_apply` applies a function of it; `dirac`,
-    `eigenvalues` and `eigenvectors` (the stacked Dirac matrix and its dense
-    eigendecomposition) are computed on first access for the benchmark and
-    the dense test oracle.
+    index[k] is (B, w_k), the positions in degree k of each block's degree-k
+    basis; d[k] is (B, w_{k+1}, w_k), each block's piece of d_k; basis[k] is
+    (B, w_k, w_k), each block's eigenvectors of L_k, or None where the basis
+    diagonalizes L_k; modes is the (B, q) frequencies of a trig stack.
+    """
+
+    index: tuple[np.ndarray, ...]
+    d: tuple[np.ndarray, ...]
+    basis: tuple[np.ndarray | None, ...]
+    modes: np.ndarray | None = None
+
+    def even(self, k: int, values: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        """g(sqrt L_k) on block operands xb, (B, w_k, c), from the degree's values = g(sqrt mu_k)."""
+        v, w = values[self.index[k]][..., None], self.basis[k]
+        return v * xb if w is None else w @ (v * (np.swapaxes(w, 1, 2) @ xb))
+
+
+@dataclass(frozen=True)
+class SpectralDomain:
+    """Graded complex held as stacks of blocks, with an even functional calculus per degree.
+
+    grading[k] is the dimension of the degree-k cochain space; spectra[k]
+    is mu_k, the spectrum of L_k in the order `even_apply` reads it (basis
+    order on a trig domain, the order of `Stack.basis` on a simplicial one).
     """
 
     name: str
     q: int
     grading: tuple[int, ...]
-    d_blocks: tuple[np.ndarray, ...]
-    labels: tuple[BasisLabel, ...] | None = None
-    offsets: tuple[int, ...] = field(default=())
-    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    stacks: tuple[Stack, ...]
+    spectra: tuple[np.ndarray, ...]
 
     @property
     def total_dim(self) -> int:
@@ -104,37 +116,83 @@ class SpectralDomain:
     def top_degree(self) -> int:
         return len(self.grading) - 1
 
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        return tuple(int(x) for x in np.cumsum((0,) + self.grading[:-1]))
+
+    def check_degree(self, k: int) -> int:
+        if not 0 <= k <= self.top_degree:
+            raise ValueError(f"degree {k} out of range 0..{self.top_degree} for {self.name}")
+        return k
+
     def degree_slice(self, k: int) -> slice:
-        if not (0 <= k <= self.top_degree):
-            raise ValueError(f"degree {k} out of range for {self.name}")
-        return slice(self.offsets[k], self.offsets[k] + self.grading[k])
+        return slice(self.offsets[self.check_degree(k)], self.offsets[k] + self.grading[k])
 
     def cochain(self, degree: int, coefficients) -> Cochain:
         coefficients = np.asarray(coefficients, dtype=float)
-        if coefficients.shape != (self.grading[degree],):
-            raise ValueError(
-                f"degree-{degree} cochain needs {self.grading[degree]} coefficients, "
-                f"got shape {coefficients.shape}"
-            )
+        if coefficients.shape != (self.grading[self.check_degree(degree)],):
+            raise ValueError(f"degree-{degree} cochain needs {self.grading[degree]} coefficients, "
+                             f"got shape {coefficients.shape}")
         return Cochain(degree, coefficients)
 
     def zero_cochain(self, degree: int) -> Cochain:
-        return Cochain(degree, np.zeros(self.grading[degree]))
+        return Cochain(degree, np.zeros(self.grading[self.check_degree(degree)]))
 
     def embed(self, c: Cochain) -> np.ndarray:
         vec = np.zeros(self.total_dim)
         vec[self.degree_slice(c.degree)] = c.coefficients
         return vec
 
+    def laplacian_spectrum(self, k: int) -> np.ndarray:
+        """mu_k, the eigenvalues of L_k in the order `even_apply` reads them; read-only."""
+        return self.spectra[self.check_degree(k)]
+
+    def even_apply(self, k: int, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """g(sqrt L_k) x from values = g(sqrt mu_k); x is a degree-k vector or has n_k rows."""
+        values = np.asarray(values)
+        if all(s.basis[self.check_degree(k)] is None for s in self.stacks):  # the basis diagonalizes L_k
+            return (values[:, None] * self._rows(k, x)).reshape(np.shape(x))
+        return self._blockwise(k, k, x, lambda s, xb: s.even(k, values, xb))
+
+    def apply_d(self, k: int, x: np.ndarray) -> np.ndarray:
+        """d_k x for x of degree k (a vector or n_k rows); the result has degree k + 1."""
+        return self._blockwise(k, k + 1, x, lambda s, xb: s.d[k] @ xb)
+
+    def apply_d_adjoint(self, k: int, y: np.ndarray) -> np.ndarray:
+        """d_k^T y for y of degree k + 1 (a vector or n_{k+1} rows); the result has degree k."""
+        return self._blockwise(k + 1, k, y, lambda s, yb: np.swapaxes(s.d[k], 1, 2) @ yb)
+
+    def _rows(self, k: int, x) -> np.ndarray:
+        if np.shape(x)[:1] != (self.grading[self.check_degree(k)],):
+            raise ValueError(f"degree-{k} operand needs {self.grading[k]} rows, got shape {np.shape(x)}")
+        return np.reshape(x, (self.grading[k], -1))
+
+    def _blockwise(self, src: int, dst: int, x, op) -> np.ndarray:
+        """op(stack, x[index[src]]) scattered to index[dst], one batched call per stack; the blocks tile each degree."""
+        flat = self._rows(src, x)
+        out = np.empty((self.grading[self.check_degree(dst)], flat.shape[1]))
+        for s in self.stacks:
+            out[s.index[dst]] = op(s, flat[s.index[src]])
+        return out.reshape((self.grading[dst],) + np.shape(x)[1:])
+
+    # Dense views, computed on first access for the benchmark and the test oracles.
+
+    @cached_property
+    def d_blocks(self) -> tuple[np.ndarray, ...]:
+        """d_k as dense n_{k+1} x n_k matrices."""
+        out = tuple(np.zeros((self.grading[k + 1], self.grading[k])) for k in range(self.top_degree))
+        for k, blk in enumerate(out):
+            for s in self.stacks:
+                blk[s.index[k + 1][:, :, None], s.index[k][:, None, :]] = s.d[k]
+        return out
+
     @cached_property
     def dirac(self) -> np.ndarray:
         """The stacked symmetric Dirac matrix D = d + d^T, N x N; its strict lower triangle is d."""
-        out = np.zeros((self.total_dim, self.total_dim))
+        low = np.zeros((self.total_dim, self.total_dim))
         for k, blk in enumerate(self.d_blocks):
-            lo, hi = self.degree_slice(k), self.degree_slice(k + 1)
-            out[hi, lo] = blk
-            out[lo, hi] = blk.T
-        return out
+            low[self.degree_slice(k + 1), self.degree_slice(k)] = blk
+        return low + low.T
 
     @cached_property
     def _dirac_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -151,66 +209,39 @@ class SpectralDomain:
         return self._dirac_eigh[1]
 
     def laplacian(self, k: int) -> np.ndarray:
-        """Hodge Laplacian of degree k, d_{k-1} d_{k-1}^T + d_k^T d_k."""
-        self.degree_slice(k)  # rejects a degree out of range
-        lap = np.zeros((self.grading[k], self.grading[k]))
-        if k > 0:
-            lap += self.d_blocks[k - 1] @ self.d_blocks[k - 1].T
-        if k < self.top_degree:
-            lap += self.d_blocks[k].T @ self.d_blocks[k]
-        return lap
+        """The Hodge Laplacian of degree k as a dense matrix."""
+        return _laplacian(self.d_blocks, self.grading, self.check_degree(k))
 
-    def laplacian_spectrum(self, k: int) -> np.ndarray:
-        """mu_k, the eigenvalues of L_k in the order `even_apply` reads them; read-only."""
-        return self._eigenpairs(k)[0]
-
-    def even_apply(self, k: int, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """g(sqrt L_k) x from values = g(sqrt mu_k); x is a degree-k vector or has n_k rows."""
-        mu, w = self._eigenpairs(k)
-        if np.shape(x)[:1] != mu.shape:
-            raise ValueError(f"degree-{k} operand needs {mu.size} rows, got shape {np.shape(x)}")
-        values = np.reshape(values, mu.shape + (1,) * (np.ndim(x) - 1))
-        return values * x if w is None else w @ (values * (w.T @ x))
-
-    def _eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """(mu_k, W_k) with L_k W_k = W_k diag(mu_k); computed once, read-only.
-
-        Trig domains fill mu_k at build time, with W_k = None for the
-        identity.  Elsewhere L_k is eigensolved here, and the residual
-        max_j ||L_k w_j - mu_j w_j|| must stay below EIGEN_RESIDUAL_BOUND
-        times max(1, max |mu_k|).
-        """
-        pairs = self._spectra.get(k)
-        if pairs is None:
-            lap = self.laplacian(k)
-            mu, w = np.linalg.eigh(lap)
-            residual = np.linalg.norm(lap @ w - w * mu, axis=0)
-            worst = float(residual.max()) if residual.size else 0.0
-            scale = max(1.0, float(np.max(np.abs(mu))) if mu.size else 1.0)
-            if worst > EIGEN_RESIDUAL_BOUND * scale:
-                raise AssertionError(f"degree-{k} eigendecomposition residual {worst} on {self.name}")
-            mu.setflags(write=False)
-            w.setflags(write=False)
-            pairs = self._spectra[k] = (mu, w)
-        return pairs
+    @cached_property
+    def labels(self) -> tuple[BasisLabel, ...] | None:
+        """One BasisLabel per basis vector of a trig domain, in basis order; None on a simplicial one."""
+        modes = self.stacks[-1].modes
+        if modes is None:
+            return None
+        scalars = [("const", (0,) * self.q)] + [(p, m) for m in map(tuple, modes.tolist()) for p in ("cos", "sin")]
+        return tuple(BasisLabel(k, s, p, m) for k in range(self.q + 1)
+                     for s in combinations(range(self.q), k) for p, m in scalars)
 
 
-def _assemble(name, q, grading, d_blocks, labels=None) -> SpectralDomain:
-    offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(grading)[:-1]]))
-    # d_{k+1} d_k must vanish; exact for integer incidence, ~1e-13 for trig.
-    for k in range(len(d_blocks) - 1):
-        comp = d_blocks[k + 1] @ d_blocks[k]
-        worst = float(np.max(np.abs(comp))) if comp.size else 0.0
-        if worst > 1e-12 * max(1.0, float(np.max(np.abs(d_blocks[k])))):
+def _laplacian(d, grading, k: int) -> np.ndarray:
+    """L_k = d_{k-1} d_{k-1}^T + d_k^T d_k from dense d."""
+    lap = np.zeros((grading[k], grading[k]))
+    if k > 0:
+        lap += d[k - 1] @ d[k - 1].T
+    if k < len(grading) - 1:
+        lap += d[k].T @ d[k]
+    return lap
+
+
+def _assemble(name, q, grading, stacks, spectra) -> SpectralDomain:
+    # d_{k+1} d_k must vanish block by block; exact for integer incidence, ~1e-13 for trig.
+    for k in range(len(grading) - 2):
+        worst = max(float(np.max(np.abs(s.d[k + 1] @ s.d[k]), initial=0.0)) for s in stacks)
+        if worst > 1e-12 * max(1.0, *(float(np.max(np.abs(s.d[k]), initial=0.0)) for s in stacks)):
             raise AssertionError(f"d o d = {worst} on degree {k} of {name}")
-    return SpectralDomain(
-        name=name,
-        q=q,
-        grading=tuple(int(g) for g in grading),
-        d_blocks=tuple(np.asarray(b, dtype=float) for b in d_blocks),
-        labels=tuple(labels) if labels is not None else None,
-        offsets=offsets,
-    )
+    for mu in spectra:
+        mu.setflags(write=False)
+    return SpectralDomain(name, q, tuple(int(g) for g in grading), tuple(stacks), tuple(spectra))
 
 
 # ---------------------------------------------------------------------------
@@ -218,70 +249,51 @@ def _assemble(name, q, grading, d_blocks, labels=None) -> SpectralDomain:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_modes(q: int, max_freq: int):
-    """Zero mode plus one representative per +-m pair (first nonzero > 0), in lexicographic order."""
-    box = product(range(-max_freq, max_freq + 1), repeat=q)
-    return [(0,) * q] + [m for m in box if next((c for c in m if c), 0) > 0]
+def _canonical_modes(q: int, max_freq: int) -> np.ndarray:
+    """One representative per +-m pair of nonzero modes (first nonzero entry > 0), (B, q), lexicographic."""
+    box = np.indices((2 * max_freq + 1,) * q).reshape(q, -1).T - max_freq
+    return box[box[np.arange(len(box)), np.argmax(box != 0, axis=1)] > 0]
 
 
-def _partial_matrix(scalars, axis: int) -> np.ndarray:
-    """d/dx_axis in the orthonormal trig scalar basis."""
-    index = {lbl: i for i, lbl in enumerate(scalars)}
-    n = len(scalars)
-    mat = np.zeros((n, n))
-    for i, (phase, mode) in enumerate(scalars):
-        w = 2.0 * math.pi * mode[axis]
-        if phase == "cos" and w:
-            mat[index[("sin", mode)], i] = -w
-        elif phase == "sin" and w:
-            mat[index[("cos", mode)], i] = w
-    return mat
+def _exterior(q: int, k: int) -> np.ndarray:
+    """dx_a ^ from k- to (k+1)-forms, one C(q, k+1) x C(q, k) matrix per axis a: (-1)^i where a is S'[i]."""
+    cols = {s: i for i, s in enumerate(combinations(range(q), k))}
+    out = np.zeros((q, math.comb(q, k + 1), len(cols)))
+    for r, s in enumerate(combinations(range(q), k + 1)):
+        for i, a in enumerate(s):
+            out[a, r, cols[s[:i] + s[i + 1 :]]] = -1.0 if i % 2 else 1.0
+    return out
 
 
 def _trig_domain(name: str, q: int, max_freq: int) -> SpectralDomain:
     """Band-limited trig forms on the flat unit q-torus; q = 1 is the circle.
 
     Each form component has the scalar basis {1, sqrt2 cos 2 pi m.x,
-    sqrt2 sin 2 pi m.x} over the canonical modes m.  Every basis vector is an
-    eigenvector of every L_k with eigenvalue 4 pi^2 |m|^2, so the spectrum
-    is stored here in basis order and L_k acts as a diagonal.  No
-    eigensolver runs on a trig domain.
+    sqrt2 sin 2 pi m.x} over the canonical modes m.  On the block of m,
+    d_k = sum_a 2 pi m_a (dx_a ^) (x) J with J (cos, sin) = (-sin, cos), and
+    L_k = 4 pi^2 |m|^2; the constant mode is one block with d = 0.
     """
     if max_freq < 1:
         raise ValueError("max_freq must be >= 1")
-    scalars = [
-        (phase, m)
-        for m in _canonical_modes(q, max_freq)
-        for phase in (("cos", "sin") if any(m) else ("const",))
-    ]
-    n_scalar = len(scalars)
-    partials = [_partial_matrix(scalars, axis) for axis in range(q)]
-    subsets = [list(combinations(range(q), k)) for k in range(q + 1)]
-    grading = [len(subsets[k]) * n_scalar for k in range(q + 1)]
+    nbytes = 8 * (((2 * max_freq + 1) ** q + 1) // 2) * 4 ** (q + 1)  # every mode's block, padded to 2^(q+1) wide
+    if nbytes > SIZE_CAP_BYTES:
+        raise DomainSizeError(f"{name} at max_freq={max_freq} needs {nbytes} bytes of per-mode blocks, "
+                              f"above the cap of {SIZE_CAP_BYTES} bytes")
+    modes = _canonical_modes(q, max_freq)
+    n_scalar = 1 + 2 * len(modes)
+    widths = [math.comb(q, k) for k in range(q + 1)]
 
-    d_blocks = []
-    for k in range(q):
-        blk = np.zeros((grading[k + 1], grading[k]))
-        row_of = {s: i for i, s in enumerate(subsets[k + 1])}
-        for col, subset in enumerate(subsets[k]):
-            c0 = col * n_scalar
-            for axis in range(q):
-                if axis in subset:
-                    continue
-                pos = sum(1 for a in subset if a < axis)
-                sign = -1.0 if pos % 2 else 1.0
-                r0 = row_of[tuple(sorted(subset + (axis,)))] * n_scalar
-                blk[r0 : r0 + n_scalar, c0 : c0 + n_scalar] += sign * partials[axis]
-        d_blocks.append(blk)
+    def stack(ms, first, phases):  # each mode's cos (and sin) in every component, component-major
+        jay = np.array([[0.0, 1.0], [-1.0, 0.0]])[:phases, :phases]
+        index = [np.arange(w)[:, None] * n_scalar + first[:, None, None] + np.arange(phases) for w in widths]
+        d = [2.0 * math.pi * ms @ np.kron(_exterior(q, k), jay).reshape(q, -1) for k in range(q)]
+        d = [x.reshape(len(ms), phases * widths[k + 1], -1) for k, x in enumerate(d)]
+        return Stack(tuple(i.reshape(len(ms), -1) for i in index), tuple(d), (None,) * (q + 1), ms)
 
-    labels = [BasisLabel(k, s, p, m) for k in range(q + 1) for s in subsets[k] for p, m in scalars]
-    domain = _assemble(name, q, tuple(grading), tuple(d_blocks), labels)
-    mu_scalar = 4.0 * math.pi**2 * np.array([sum(c * c for c in m) for _, m in scalars], dtype=float)
-    for k in range(q + 1):
-        mu = np.tile(mu_scalar, len(subsets[k]))
-        mu.setflags(write=False)
-        domain._spectra[k] = (mu, None)
-    return domain
+    stacks = (stack(np.zeros((1, q), dtype=int), np.zeros(1, dtype=int), 1),
+              stack(modes, 1 + 2 * np.arange(len(modes)), 2))
+    mu_scalar = 4.0 * math.pi**2 * np.concatenate([[0.0], np.repeat(np.sum(modes * modes, axis=1), 2)])
+    return _assemble(name, q, [w * n_scalar for w in widths], stacks, [np.tile(mu_scalar, w) for w in widths])
 
 
 def build_circle_domain(max_freq: int) -> SpectralDomain:
@@ -293,16 +305,43 @@ def build_circle_domain(max_freq: int) -> SpectralDomain:
 
 
 def build_torus_domain(q: int, max_freq: int) -> SpectralDomain:
-    """Full graded complex of band-limited trig forms on the flat unit q-torus, q in {2, 3}."""
-    if q not in (2, 3):
-        raise ValueError("torus domains support q in {2, 3}")
-    total = (2 * max_freq + 1) ** q * 2**q
-    if total > DIMENSION_CAP:
-        raise DomainSizeError(
-            f"torus q={q}, max_freq={max_freq} needs total dimension {total} "
-            f"above the cap {DIMENSION_CAP}"
-        )
+    """Full graded complex of band-limited trig forms on the flat unit q-torus, q >= 1, within SIZE_CAP_BYTES."""
+    if q < 1:
+        raise ValueError(f"a torus needs q >= 1, got {q}")
     return _trig_domain(f"torus{q}", q, max_freq)
+
+
+def torus_pullback(domain: SpectralDomain, axes, signs, shift) -> tuple[BlockMap, ...]:
+    """Pullback of the torus isometry x -> A x + shift, (A x)_i = signs[i] x_{axes[i]}, block by block.
+
+    dx_a pulls back to signs[a] dx_{axes[a]}: on k-forms that is Lambda^k(P),
+    the k x k minors of P[axes[a], a] = signs[a].  The block of mode m goes
+    to that of P m, negated back where its first nonzero entry turns
+    negative; R(m) rotates its (cos, sin) by 2 pi m.shift and flips sin on
+    a negated mode.  A block's matrix on degree k is Lambda^k(P) (x) R(m).
+    """
+    q = domain.q
+    if len(axes) != q or domain.stacks[-1].modes is None:
+        raise ValueError(f"no pullback of a {len(axes)}-torus isometry on the {domain.name} domain")
+    if sorted(axes) != list(range(q)) or len(signs) != q or any(s not in (-1, 1) for s in signs):
+        raise ValueError(f"axes {axes} with signs {signs} is not a signed permutation of {q} axes")
+    perm = np.zeros((q, q), dtype=int)
+    perm[list(axes), range(q)] = signs
+    forms = [np.array([[np.linalg.det(perm[np.ix_(r, c)]) for c in subsets] for r in subsets])
+             for subsets in (list(combinations(range(q), k)) for k in range(q + 1))]
+    maps = []
+    for s in domain.stacks:
+        pulled = s.modes @ perm.T
+        flip = np.where(pulled[np.arange(len(pulled)), np.argmax(pulled != 0, axis=1)] < 0, -1, 1)
+        f = int(np.abs(s.modes).max())
+        keys = [np.ravel_multi_index((m + f).T, (2 * f + 1,) * q) for m in (s.modes, flip[:, None] * pulled)]
+        angle = 2.0 * math.pi * (s.modes @ np.atleast_1d(np.asarray(shift, dtype=float)))
+        c, sn = np.cos(angle), np.sin(angle)
+        width = s.index[0].shape[1]  # (cos, sin), or the constant mode alone, where cos 0 = 1
+        rot = np.stack([c, sn, -flip * sn, flip * c], axis=-1).reshape(-1, 2, 2)[:, :width, :width]
+        maps.append(BlockMap(np.searchsorted(*keys), tuple(
+            np.einsum("ij,bkl->bikjl", lam, rot).reshape(len(rot), len(lam) * width, -1) for lam in forms)))
+    return tuple(maps)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +366,8 @@ class SimplicialComplex:
                 continue
             for face in combinations(s, len(s) - 1):
                 if face not in seen:
-                    raise ComplexClosureError(
-                        f"complex is not downward closed: face {face} of {s} is missing"
-                    )
-        self.by_dim: list[list[tuple[int, ...]]] = []
-        top = max(len(s) for s in seen) - 1
-        for k in range(top + 1):
-            self.by_dim.append(sorted(s for s in seen if len(s) == k + 1))
+                    raise ComplexClosureError(f"complex is not downward closed: face {face} of {s} is missing")
+        self.by_dim = [sorted(s for s in seen if len(s) == k + 1) for k in range(max(map(len, seen)))]
 
     @classmethod
     def from_maximal(cls, faces) -> "SimplicialComplex":
@@ -347,15 +381,13 @@ class SimplicialComplex:
     @classmethod
     def from_json(cls, source) -> "SimplicialComplex":
         """Accepts a dict, a JSON string, or a path to a JSON file."""
-        if isinstance(source, dict):
-            payload = source
-        else:
+        payload = source
+        if not isinstance(source, dict):
             text = str(source)
-            if text.lstrip().startswith("{"):
-                payload = json.loads(text)
-            else:
+            if not text.lstrip().startswith("{"):
                 with open(text, "r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
+                    text = fh.read()
+            payload = json.loads(text)
         if "simplices" not in payload:
             raise ValueError('JSON complex must have a "simplices" key')
         return cls(payload["simplices"])
@@ -387,11 +419,24 @@ class SimplicialComplex:
 
 
 def build_simplicial_domain(complex_: SimplicialComplex) -> SpectralDomain:
-    """Dirac domain of a finite simplicial complex (q = top dimension)."""
-    top = complex_.top_dimension
-    grading = complex_.counts()
-    d_blocks = tuple(complex_.incidence(k) for k in range(top))
-    return _assemble("simplicial", max(top, 1), grading, d_blocks, labels=None)
+    """Dirac domain of a finite simplicial complex (q = top dimension), one block.
+
+    Each L_k is eigensolved here; the residual max_j ||L_k w_j - mu_j w_j||
+    must stay below EIGEN_RESIDUAL_BOUND times max(1, max |mu_k|).
+    """
+    top, grading = complex_.top_dimension, complex_.counts()
+    d = [complex_.incidence(k) for k in range(top)]
+    spectra, basis = [], []
+    for k in range(top + 1):
+        lap = _laplacian(d, grading, k)
+        mu, w = np.linalg.eigh(lap)
+        worst = float(np.max(np.linalg.norm(lap @ w - w * mu, axis=0), initial=0.0))
+        if worst > EIGEN_RESIDUAL_BOUND * max(1.0, float(np.max(np.abs(mu), initial=0.0))):
+            raise AssertionError(f"degree-{k} eigendecomposition residual {worst} on the simplicial domain")
+        spectra.append(mu)
+        basis.append(w[None])
+    block = Stack(tuple(np.arange(n)[None] for n in grading), tuple(m[None] for m in d), tuple(basis))
+    return _assemble("simplicial", max(top, 1), grading, (block,), spectra)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,8 @@ def chart_from_expressions(g11: str, g12: str, g22: str, bounds, name: str = "cu
     x_min, x_max, y_min, y_max = chart.bounds
     gx, gy = np.meshgrid(np.linspace(x_min, x_max, CHECK_POINTS), np.linspace(y_min, y_max, CHECK_POINTS))
     a, b, c = chart.metric(gx, gy)
+    if not all(np.all(np.isfinite(v)) for v in (a, b, c)):  # NaN fails no comparison below
+        raise PositiveDefiniteError(f"metric of {name} is not finite on the rectangle")
     if np.any(a <= 0) or np.any(a * c - b**2 <= 0):
         raise PositiveDefiniteError(f"metric of {name} is not positive-definite on the rectangle")
     return chart
@@ -323,8 +325,6 @@ def _dormand_prince(chart: SurfaceChart, f, y: np.ndarray, t: float) -> np.ndarr
     TOL (1 + max(|y|, |y_new|)), and an accepted step costs six jet
     evaluations (the first stage is the last one of the step before).
     """
-    if not math.isfinite(t):
-        raise ValueError(f"a geodesic needs a finite time, got {t}")
     if t == 0.0:
         return y
     k = np.empty((7,) + y.shape)
@@ -356,6 +356,8 @@ def _dormand_prince(chart: SurfaceChart, f, y: np.ndarray, t: float) -> np.ndarr
 def _integrate_front(chart: SurfaceChart, p, thetas: np.ndarray, t: float,
                      steps: int | None, want_jacobi: bool):
     """Geodesic (+ Jacobi) endpoints for a batch of angles: DP5(4), or RK4 with `steps` steps."""
+    if not math.isfinite(t):
+        raise ValueError(f"a geodesic needs a finite time, got {t}")
     x0, y0 = float(p[0]), float(p[1])
     chart.require(x0, y0)
     thetas = np.asarray(thetas, dtype=float)

@@ -1,36 +1,25 @@
 """Bounded functional calculus on spectral domains.
 
-Every operator here is an even function of the Dirac operator D, that is a
-function g(sqrt L) of the Hodge Laplacian, composed with d, d^* or D.  One
-primitive, `functional_calculus`, applies g(sqrt L_k) to a degree-k
-cochain through the domain's `even_apply` (a diagonal on the circle and
-tori, the cached eigenpairs of L_k on a simplicial complex); g is evaluated
-once per distinct root of the spectrum, so it is even by construction and
-the result keeps the input degree exactly.  For smooth even g, g(sqrt mu)
-is a smooth function of mu, so the roots need no more precision than mu
-has.  The odd operators (D_t and the discrete wave map) are D composed with
-an even function, applied one degree at a time: no N x N eigensolve or SVD
-runs, and the only N x N matrix built is the discrete wave map's D_h, which
-the orbit applies at every step.
-
-The bounded derivative d_t = t phi_{q+2}(tD) d, its adjoint, the norm of
-D_t, kernel (Betti) counting with a spectral-gap guard on the per-degree
-Laplacian spectra, symmetry commutators and the norm-contractive discrete
-wave map all live here; the Bessel index is the domain's q.  A symmetry is
-one n_k x n_k block per degree, so it keeps degrees by its type.  The torus
-and circle symmetries are pullbacks of x -> A x + s, A a signed
-permutation, written out block by block in the trig basis.
+Every operator here is an even function g(sqrt L) of the Hodge Laplacian,
+composed with d, d^* or D: the bounded derivative d_t = t phi_{q+2}(tD) d and
+its adjoint, the norm of D_t, kernel (Betti) counting with a spectral-gap
+guard, symmetry commutators and the norm-contractive discrete wave map; the
+Bessel index is the domain's q.  `functional_calculus` applies g(sqrt L_k)
+through the domain's `even_apply`, evaluating g once per distinct root of
+the spectrum, so the result is even by construction and keeps its degree.
+Every array here is per block, so none is N x N on a trig domain: d acts
+through `apply_d`, and the commutator and the orbit act on the stacks.  A
+symmetry is one `BlockMap` per stack (`domains.torus_pullback`).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
 from . import besselfn
-from .domains import BasisLabel, Cochain, SpectralDomain
+from .domains import BlockMap, Cochain, SpectralDomain, torus_pullback
 
 __all__ = [
     "SpectralGapError",
@@ -98,21 +87,6 @@ def _roots(domain: SpectralDomain, k: int) -> np.ndarray:
     return np.sqrt(np.where(mu > floor, mu, 0.0))
 
 
-def _dirac_times(domain: SpectralDomain, values: list[np.ndarray]) -> np.ndarray:
-    """D g(|D|) as a dense matrix: G_{k+1} d_k = d_k G_k below the diagonal, its transpose above.
-
-    Only the wave orbit's D_h is built this way: a step applied as d_k,
-    d_k^T and `even_apply` per degree is 5-6x slower than one dense product
-    at N = 34-216 (one BLAS thread, 2-vCPU x86 host).
-    """
-    out = np.zeros((domain.total_dim, domain.total_dim))
-    for k, d in enumerate(domain.d_blocks):
-        lo, hi = domain.degree_slice(k), domain.degree_slice(k + 1)
-        out[hi, lo] = domain.even_apply(k + 1, values[k + 1], d)
-        out[lo, hi] = out[hi, lo].T
-    return out
-
-
 def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
     """g(sqrt L) u for a pure-degree cochain u; the result has u's degree.
 
@@ -120,12 +94,6 @@ def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
     """
     vals = _even_values(g, _roots(domain, u.degree))
     return Cochain(u.degree, domain.even_apply(u.degree, vals, u.coefficients))
-
-
-def _bounded_profile(domain: SpectralDomain, t: float):
-    """r -> t phi_{q+2}(t r), the even multiplier of d_t."""
-    n = domain.q + 2
-    return lambda r: t * besselfn.phi(n, t * r)
 
 
 def _deformed_values(domain: SpectralDomain, t: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -155,20 +123,22 @@ def deformed_d(domain: SpectralDomain, t: float, u: Cochain) -> Cochain:
     """
     if u.degree >= domain.top_degree:
         raise ValueError(f"degree {u.degree} is the top of {domain.name}; d_t rejected")
-    du = domain.cochain(u.degree + 1, domain.d_blocks[u.degree] @ u.coefficients)
-    if t == 0.0:
-        return domain.zero_cochain(u.degree + 1)
-    return functional_calculus(domain, _bounded_profile(domain, t), du)
+    return _bounded(domain, t, u.degree + 1, domain.apply_d(u.degree, u.coefficients))
 
 
 def deformed_d_adjoint(domain: SpectralDomain, t: float, w: Cochain) -> Cochain:
     """Adjoint d_t^* w = t phi_{q+2}(tD) d^* w; degree k -> k-1."""
     if w.degree < 1:
         raise ValueError("deformed_d_adjoint needs a cochain of degree >= 1")
-    dstar = domain.cochain(w.degree - 1, domain.d_blocks[w.degree - 1].T @ w.coefficients)
+    return _bounded(domain, t, w.degree - 1, domain.apply_d_adjoint(w.degree - 1, w.coefficients))
+
+
+def _bounded(domain: SpectralDomain, t: float, k: int, x: np.ndarray) -> Cochain:
+    """t phi_{q+2}(t sqrt L_k) x for x of degree k."""
+    x = domain.cochain(k, x)
     if t == 0.0:
-        return domain.zero_cochain(w.degree - 1)
-    return functional_calculus(domain, _bounded_profile(domain, t), dstar)
+        return domain.zero_cochain(k)
+    return functional_calculus(domain, lambda r: t * besselfn.phi(domain.q + 2, t * r), x)
 
 
 def deformed_dirac_norm(domain: SpectralDomain, t: float) -> float:
@@ -201,6 +171,7 @@ def betti_numbers(domain: SpectralDomain, t: float, tol: float | None = None) ->
 def _kernel_dims(domain: SpectralDomain, t: float, degrees, tol: float | None) -> list[int]:
     if tol is not None and not tol > 0:
         raise ValueError("tol must be positive")
+    degrees = [domain.check_degree(k) for k in degrees]
     psi, _ = _deformed_values(domain, t)
     lam_max = _max_abs(psi) ** 2
     if lam_max < KERNEL_FLOOR:
@@ -224,81 +195,46 @@ def _kernel_dims(domain: SpectralDomain, t: float, degrees, tol: float | None) -
 # ---------------------------------------------------------------------------
 
 
-def symmetry_commutator(domain: SpectralDomain, blocks, t: float) -> float:
-    """|| U d_t - d_t U || for a symmetry U = (U_0, ..., U_top), one n_k x n_k block per degree.
+def symmetry_commutator(domain: SpectralDomain, symmetry, t: float) -> float:
+    """|| U d_t - d_t U || for a symmetry U given as one `BlockMap` (image, blocks) per stack of the domain.
 
-    U keeps degrees by its type, so both commutators map degree k to degree
-    k+1 only, and their 2-norms are the largest over k of
-    || U_{k+1} X_k - X_k U_k ||, with X_k = d_k for the precondition and
-    X_k = t phi_{q+2}(t sqrt L_{k+1}) d_k for d_t.  A precondition
+    U takes block b to block image[b] through blocks[k][b] on degree k, so the
+    commutator takes block b of degree k to block image[b] of degree k+1 only,
+    through U_{k+1} X_k - X_k[image] U_k (X_k = d_k for the precondition,
+    t phi_{q+2}(t sqrt L_{k+1}) d_k for d_t).  image is a permutation, so the
+    2-norm is the largest over these blocks, exactly.  A precondition
     || U d - d U || of 1e-10 or more is reported with the measured value.
     """
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    shapes, want = [b.shape for b in blocks], [(n, n) for n in domain.grading]
-    if shapes != want:
-        raise ValueError(f"a symmetry on {domain.name} needs one block per degree, shapes {want}; got {shapes}")
-    pre = max(float(np.linalg.norm(blocks[k + 1] @ d - d @ blocks[k], 2)) for k, d in enumerate(domain.d_blocks))
+    maps = [BlockMap(np.asarray(image), [np.asarray(b, dtype=float) for b in blocks]) for image, blocks in symmetry]
+    shapes = [(m.image.shape, [b.shape for b in m.blocks]) for m in maps]
+    want = [((len(s.index[0]),), [i.shape + i.shape[1:] for i in s.index]) for s in domain.stacks]
+    if shapes != want or any(not np.array_equal(np.sort(m.image), np.arange(len(m.image))) for m in maps):
+        raise ValueError(f"a symmetry on {domain.name} needs one block map per stack, a permutation image "
+                         f"and one square block per block and degree, shapes {want}; got {shapes}")
+    pre = _commutator_norm(maps, [s.d for s in domain.stacks])
     if pre >= 1e-10:
         raise SymmetryPreconditionError(pre)
-    _, profile = _deformed_values(domain, t)
+    _, g = _deformed_values(domain, t)  # d_t = g(|D|) d, block by block
+    return _commutator_norm(maps, [[s.even(k + 1, g[k + 1], d) for k, d in enumerate(s.d)] for s in domain.stacks])
+
+
+def _commutator_norm(maps, pieces) -> float:
     worst = 0.0
-    for k, d in enumerate(domain.d_blocks):
-        dt = domain.even_apply(k + 1, profile[k + 1], d)
-        worst = max(worst, float(np.linalg.norm(blocks[k + 1] @ dt - dt @ blocks[k], 2)))
+    for (image, blocks), xs in zip(maps, pieces):
+        for k, x in enumerate(xs):
+            comm = blocks[k + 1] @ x - x[image] @ blocks[k]
+            worst = max(worst, float(np.max(np.linalg.norm(comm, 2, axis=(1, 2)))))
     return worst
 
 
-def _pullback(domain: SpectralDomain, axes, signs, shift) -> tuple[np.ndarray, ...]:
-    """Pullback of the torus isometry x -> A x + shift, (A x)_i = signs[i] x_{axes[i]}, in the trig basis.
-
-    The mode m goes to A^T m and the phase rotates by 2 pi m.shift; a mode
-    whose first nonzero entry turns negative is negated back, which
-    reverses the rotation and flips the sign of sin.  dx_i pulls back to
-    signs[i] dx_{axes[i]}, and a form component takes the sign of the sort
-    that puts its new axes in order.  The result is one n_k x n_k block per
-    degree, indexed within the degree: an exact signed permutation-rotation
-    that commutes with d to machine precision.
-    """
-    if domain.labels is None or len(axes) != domain.q:
-        raise ValueError(f"no pullback of a {len(axes)}-torus isometry on the {domain.name} domain")
-    index = {lbl: i - domain.offsets[lbl.degree] for i, lbl in enumerate(domain.labels)}
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    blocks = tuple(np.zeros((n, n)) for n in domain.grading)
-    for (k, subset, phase, mode), col in index.items():
-        u = blocks[k]
-        image = [axes[a] for a in subset]
-        sign = math.prod(signs[a] for a in subset) * (-1) ** sum(a > b for a, b in combinations(image, 2))
-        pulled = [0] * domain.q
-        for a, m in enumerate(mode):
-            pulled[axes[a]] = signs[a] * m
-        flip = -1 if next((c for c in pulled if c), 0) < 0 else 1
-        mode_to = tuple(flip * c for c in pulled)
-
-        def row(phase_to):
-            return index[BasisLabel(k, tuple(sorted(image)), phase_to, mode_to)]
-
-        if phase == "const":
-            u[row("const"), col] = sign
-            continue
-        angle = 2.0 * math.pi * float(np.dot(mode, shift))
-        c, s = math.cos(angle), flip * math.sin(angle)
-        if phase == "cos":  # cos(w + a) = cos a cos w - sin a sin w
-            u[row("cos"), col] = sign * c
-            u[row("sin"), col] = -sign * s
-        else:  # sin(w + a) = cos a sin w + sin a cos w, times -1 where the mode was negated
-            u[row("sin"), col] = sign * flip * c
-            u[row("cos"), col] = sign * flip * s
-    return blocks
+def torus_translation(domain: SpectralDomain, shift) -> tuple[BlockMap, ...]:
+    """Pullback of x -> x + shift in the trig basis: every mode block keeps its place and rotates."""
+    return torus_pullback(domain, tuple(range(domain.q)), (1,) * domain.q, shift)
 
 
-def torus_translation(domain: SpectralDomain, shift) -> tuple[np.ndarray, ...]:
-    """Pullback of x -> x + shift in the trig basis, one block per degree of per-mode rotations."""
-    return _pullback(domain, tuple(range(domain.q)), (1,) * domain.q, shift)
-
-
-def torus_quarter_turn(domain: SpectralDomain) -> tuple[np.ndarray, ...]:
-    """Pullback of (x, y) -> (-y, x) on the 2-torus, one block per degree: m -> (m_2, -m_1), dx -> -dy, dy -> dx."""
-    return _pullback(domain, (1, 0), (-1, 1), (0.0, 0.0))
+def torus_quarter_turn(domain: SpectralDomain) -> tuple[BlockMap, ...]:
+    """Pullback of (x, y) -> (-y, x) on the 2-torus: m -> (m_2, -m_1), dx -> -dy, dy -> dx."""
+    return torus_pullback(domain, (1, 0), (-1, 1), (0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +260,38 @@ def discrete_wave_orbit(domain: SpectralDomain, h: float, u: np.ndarray, v: np.n
     norm = _max_abs(psi)
     if norm >= 1.0:
         raise WaveMapNormError(norm)
-    dh = _dirac_times(domain, profile)
     cu, cv = np.array(u, dtype=float), np.array(v, dtype=float)
     weight = [1.0 / (1.0 - np.abs(a) / 2.0) for a in psi]
-    gu, gv = (
-        np.concatenate([domain.even_apply(k, g, x[domain.degree_slice(k)]) for k, g in enumerate(weight)])
-        for x in (cu, cv)
-    )
-    bound = math.sqrt(float(cu @ gu + cv @ gv - cu @ (dh @ gv)))
-    max_norm = math.sqrt(float(cu @ cu + cv @ cv))
+    gu, gv = (np.concatenate([domain.even_apply(k, g, x[domain.degree_slice(k)]) for k, g in enumerate(weight)])
+              for x in (cu, cv))
+    pos, dh = _block_dirac(domain, profile)
+    su, sv, sg = (np.append(x, 0.0)[pos][..., None] for x in (cu, cv, gv))  # one (W, 1) column per block
+    bound = math.sqrt(float(cu @ gu + cv @ gv - np.vdot(su, dh @ sg)))
+    sq_u, sq_v = float(cu @ cu), float(cv @ cv)
+    max_norm = math.sqrt(sq_u + sq_v)
     for _ in range(steps):
-        cu, cv = dh @ cu - cv, cu
-        max_norm = max(max_norm, math.sqrt(float(cu @ cu + cv @ cv)))
-    return {"max_norm": max_norm, "bound": bound, "final": (cu, cv), "dirac_norm": norm}
+        su, sv = dh @ su - sv, su
+        sq_u, sq_v = float(np.vdot(su, su)), sq_u
+        max_norm = max(max_norm, math.sqrt(sq_u + sq_v))
+    final = np.empty((2, domain.total_dim + 1))
+    final[:, pos] = su[..., 0], sv[..., 0]
+    return {"max_norm": max_norm, "bound": bound, "final": (final[0, :-1], final[1, :-1]), "dirac_norm": norm}
 
+
+def _block_dirac(domain: SpectralDomain, profile: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """D t phi_{q+2}(t|D|) as one (M, W, W) matrix per block of every stack, and the (M, W) positions of its entries.
+
+    A block narrower than the widest is padded with zero rows and columns
+    at position N, so one batched product applies the whole operator.
+    """
+    width = max(sum(i.shape[1] for i in s.index) for s in domain.stacks)
+    positions, mats = [], []
+    for s in domain.stacks:
+        order = np.concatenate([domain.offsets[k] + i for k, i in enumerate(s.index)], axis=1)
+        edge = np.cumsum([0] + [i.shape[1] for i in s.index])
+        dh = np.zeros((len(order), width, width))
+        for k, d in enumerate(s.d):
+            dh[:, edge[k + 1] : edge[k + 2], edge[k] : edge[k + 1]] = s.even(k + 1, profile[k + 1], d)
+        positions.append(np.pad(order, ((0, 0), (0, width - order.shape[1])), constant_values=domain.total_dim))
+        mats.append(dh + np.swapaxes(dh, 1, 2))
+    return np.concatenate(positions), np.concatenate(mats)

@@ -229,7 +229,7 @@ def classical_wave(domain: SpectralDomain, u0: Cochain, v0: Cochain) -> WaveSolu
 def _solution_from_df(domain: SpectralDomain, f: Cochain, kind: str, q) -> WaveSolution:
     if f.degree >= domain.top_degree:
         raise ValueError(f"{kind} solution needs f below the top degree")
-    df = domain.cochain(f.degree + 1, domain.d_blocks[f.degree] @ f.coefficients)
+    df = domain.cochain(f.degree + 1, domain.apply_d(f.degree, f.coefficients))
     return WaveSolution(domain=domain, kind=kind, q=domain.q if q is None else int(q), u0=df)
 
 
@@ -272,7 +272,7 @@ def pde_residual(solution: WaveSolution, t: float, dt: float | None = None) -> f
     um2, um1, u0, up1, up2 = samples
     u_tt = (-um2 + 16.0 * um1 - 30.0 * u0 + 16.0 * up1 - up2) / (12.0 * dt * dt)
     u_t = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * dt)
-    lap = solution.domain.laplacian(solution.degree) @ u0
+    lap = solution.domain.even_apply(solution.degree, solution.domain.laplacian_spectrum(solution.degree), u0)
     if solution.kind == "classical":
         defect = u_tt + lap
     elif solution.kind == "velocity":

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -69,6 +70,82 @@ class DenseDiracOracle:
         a = self.psi(h, n)
         uc, vc = self.vec.T @ u, self.vec.T @ v
         return math.sqrt(float(np.sum((uc**2 - a * uc * vc + vc**2) / (1.0 - np.abs(a) / 2.0))))
+
+
+def label_d_blocks(domain) -> list[np.ndarray]:
+    """The dense d_k of a trig domain from its basis labels alone, one entry at a time.
+
+    The slow path of the per-mode pieces: d of sqrt2 cos 2 pi m.x dx_S is
+    -2 pi m_a sqrt2 sin 2 pi m.x dx_a ^ dx_S summed over axes a, d of sin
+    the same with cos and a plus sign, and dx_a ^ dx_S is (-1)^(number of
+    axes of S below a) times the sorted component.
+    """
+    index = {lbl: i - domain.offsets[lbl.degree] for i, lbl in enumerate(domain.labels)}
+    out = [np.zeros((domain.grading[k + 1], domain.grading[k])) for k in range(domain.top_degree)]
+    for lbl, col in index.items():
+        if lbl.degree == domain.top_degree or lbl.phase == "const":
+            continue
+        to = "sin" if lbl.phase == "cos" else "cos"
+        for a, m in enumerate(lbl.mode):
+            if a in lbl.subset or not m:
+                continue
+            sign = -1.0 if sum(b < a for b in lbl.subset) % 2 else 1.0
+            w = 2.0 * math.pi * m
+            row = index[type(lbl)(lbl.degree + 1, tuple(sorted(lbl.subset + (a,))), to, lbl.mode)]
+            out[lbl.degree][row, col] = sign * (-w if lbl.phase == "cos" else w)
+    return out
+
+
+def label_pullback(domain, axes, signs, shift) -> list[np.ndarray]:
+    """One dense n_k x n_k matrix per degree of the torus isometry x -> A x + shift, from the basis labels.
+
+    The slow path of `domains.torus_pullback`: (A x)_i = signs[i] x_{axes[i]};
+    the mode m goes to A^T m, negated back (reversing the rotation and the
+    sign of sin) where its first nonzero entry turns negative; the phase
+    rotates by 2 pi m.shift; dx_i pulls back to signs[i] dx_{axes[i]}.
+    """
+    index = {lbl: i - domain.offsets[lbl.degree] for i, lbl in enumerate(domain.labels)}
+    shift = np.atleast_1d(np.asarray(shift, dtype=float))
+    blocks = [np.zeros((n, n)) for n in domain.grading]
+    for lbl, col in index.items():
+        image = [axes[a] for a in lbl.subset]
+        sign = math.prod(signs[a] for a in lbl.subset) * (-1) ** sum(a > b for a, b in combinations(image, 2))
+        pulled = [0] * domain.q
+        for a, m in enumerate(lbl.mode):
+            pulled[axes[a]] = signs[a] * m
+        flip = -1 if next((c for c in pulled if c), 0) < 0 else 1
+        target = (lbl.degree, tuple(sorted(image)))
+        mode_to = tuple(flip * c for c in pulled)
+
+        def row(phase):
+            return index[type(lbl)(*target, phase, mode_to)]
+
+        u = blocks[lbl.degree]
+        if lbl.phase == "const":
+            u[row("const"), col] = sign
+            continue
+        angle = 2.0 * math.pi * float(np.dot(lbl.mode, shift))
+        c, s = math.cos(angle), flip * math.sin(angle)
+        if lbl.phase == "cos":
+            u[row("cos"), col], u[row("sin"), col] = sign * c, -sign * s
+        else:
+            u[row("sin"), col], u[row("cos"), col] = sign * flip * c, sign * flip * s
+    return blocks
+
+
+def dense_symmetry(domain, symmetry) -> list[np.ndarray]:
+    """One dense n_k x n_k matrix per degree of a symmetry given block by block."""
+    out = [np.zeros((n, n)) for n in domain.grading]
+    for stack, (image, blocks) in zip(domain.stacks, symmetry):
+        for k, idx in enumerate(stack.index):
+            out[k][idx[image][:, :, None], idx[:, None, :]] = blocks[k]
+    return out
+
+
+def block_identity(domain) -> list[tuple]:
+    """The identity symmetry, one (image, blocks) pair per stack."""
+    return [(np.arange(len(s.index[0])), [np.broadcast_to(np.eye(i.shape[1]), i.shape + i.shape[1:]) for i in s.index])
+            for s in domain.stacks]
 
 
 def series_sums_fraction(n: int, r: float) -> tuple[Fraction, Fraction, Fraction]:

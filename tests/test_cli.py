@@ -265,6 +265,16 @@ class TestCurvatureFront:
         header, rows = csv_rows(out)
         assert abs(float(rows[0][header.index("r2d2")]) - 0.9975) < 3e-3
 
+    @pytest.mark.parametrize("argv", [("front", "--chart", "torus", "--t", "nan"),
+                                      ("curvature", "--chart", "torus", "--h", "inf"),
+                                      ("front", "--chart", "flat", "--t", "nan"),
+                                      ("front", "--chart", "sphere", "--t=-inf")], ids=" ".join)
+    def test_non_finite_time_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a geodesic needs a finite time"), err
+
     @pytest.mark.parametrize("command", [("front", "--t", "3"), ("curvature", "--h", "1.5")])
     def test_chart_exit_is_usage_error(self, capsys, command):
         code, out, err = run_cli(capsys, command[0], "--chart", "hyperbolic", "--point", "0,0.1", *command[1:])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from besselwave.domains import (
+    SIZE_CAP_BYTES,
     ComplexClosureError,
     DomainSizeError,
     SimplicialComplex,
@@ -18,7 +19,7 @@ from besselwave.domains import (
     spectrum_by_degree,
 )
 
-from _oracles import exact_rank, jacobi_eigh
+from _oracles import exact_rank, jacobi_eigh, label_d_blocks
 
 
 def harmonic_count(domain, degree, tol=1e-9):
@@ -91,14 +92,25 @@ class TestTorus:
             block = torus2.degree_slice(k)
             assert np.abs(torus2.laplacian(k) - lap[block, block]).max() < 1e-10
 
-    def test_dimension_cap(self):
-        with pytest.raises(DomainSizeError) as err:
-            build_torus_domain(3, 8)
-        assert "39304" in str(err.value)
+    def test_byte_cap(self):
+        # torus3 at max_freq 40 has 265721 mode blocks of 16 x 16 doubles; torus8 at 1 has 3281 of 512 x 512.
+        for q, max_freq, nbytes in ((3, 40, 8 * 265721 * 16**2), (8, 1, 8 * 3281 * 512**2)):
+            with pytest.raises(DomainSizeError) as err:
+                build_torus_domain(q, max_freq)
+            assert f"needs {nbytes} bytes" in str(err.value)
+            assert f"cap of {SIZE_CAP_BYTES} bytes" in str(err.value)
 
-    def test_q_validation(self):
+    def test_q_below_one_rejected(self):
         with pytest.raises(ValueError):
-            build_torus_domain(4, 1)
+            build_torus_domain(0, 2)
+
+    @pytest.mark.parametrize("q, max_freq", [(1, 4), (2, 3), (3, 2), (4, 1), (5, 1)])
+    def test_d_blocks_match_the_labels(self, q, max_freq):
+        # the per-mode pieces, scattered, against d assembled entry by entry from the basis labels
+        dom = build_torus_domain(q, max_freq)
+        assert dom.grading == tuple(math.comb(q, k) * (2 * max_freq + 1) ** q for k in range(q + 1))
+        for got, want in zip(dom.d_blocks, label_d_blocks(dom), strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTrigEigenpairs:
@@ -192,6 +204,42 @@ class TestPerDegreeLaplacian:
             circle4.laplacian(2)
 
 
+class TestBlockOperators:
+    """apply_d, apply_d_adjoint and even_apply act stack by stack; the dense views are their oracle."""
+
+    @pytest.fixture(scope="class")
+    def domains(self, circle4, torus3):
+        octa = build_simplicial_domain(SimplicialComplex.from_maximal(
+            [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1], [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]))
+        return [circle4, torus3, octa, build_torus_domain(4, 1)]
+
+    def test_apply_d_and_adjoint_against_dense(self, domains, rng):
+        for dom in domains:
+            for k, d in enumerate(dom.d_blocks):
+                x = rng.standard_normal(dom.grading[k])
+                y = rng.standard_normal((dom.grading[k + 1], 3))
+                assert np.abs(dom.apply_d(k, x) - d @ x).max() <= 1e-12 * np.abs(d).max() * np.abs(x).max()
+                assert np.abs(dom.apply_d_adjoint(k, y) - d.T @ y).max() <= 1e-12 * np.abs(d).max() * np.abs(y).max()
+
+    def test_even_apply_against_dense_laplacian(self, domains, rng):
+        for dom in domains:
+            for k in range(dom.top_degree + 1):
+                x = rng.standard_normal((dom.grading[k], 2))
+                want = dom.laplacian(k) @ x
+                got = dom.even_apply(k, dom.laplacian_spectrum(k), x)
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    def test_degree_out_of_range(self, circle4):
+        x = np.zeros(circle4.grading[0])
+        for k in (-1, 1, 2):
+            with pytest.raises(ValueError):
+                circle4.apply_d(k, x)
+            with pytest.raises(ValueError):
+                circle4.apply_d_adjoint(k, x)
+        with pytest.raises(ValueError, match="needs 9 rows"):
+            circle4.apply_d(0, np.zeros(8))
+
+
 class TestSpectraExport:
     def test_schema(self, circle4):
         payload = domain_spectra_json(circle4)
@@ -202,3 +250,13 @@ class TestSpectraExport:
     def test_cochain_validation(self, circle4):
         with pytest.raises(ValueError):
             circle4.cochain(0, np.zeros(circle4.grading[0] + 1))
+
+    def test_cochain_degree_out_of_range(self, circle4):
+        # a negative degree must not index the grading from its end
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                circle4.cochain(k, np.zeros(circle4.grading[0]))
+            with pytest.raises(ValueError, match="out of range"):
+                circle4.zero_cochain(k)
+            with pytest.raises(ValueError, match="out of range"):
+                circle4.laplacian_spectrum(k)

@@ -26,3 +26,18 @@ def test_package_reexports_are_module_exports():
         if alias.name not in importlib.import_module(f"besselwave.{node.module}").__all__
     ]
     assert stray == []
+
+
+DENSE_VIEWS = {"d_blocks", "dirac", "eigenvalues", "eigenvectors"}
+
+
+def test_dense_views_are_read_only_in_domains():
+    # The dense N x N views exist for the benchmark and the test oracles; the library acts on the blocks.
+    readers = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(Path(besselwave.__file__).parent.glob("*.py"))
+        if path.name != "domains.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in DENSE_VIEWS
+    ]
+    assert readers == []

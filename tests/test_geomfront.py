@@ -176,9 +176,10 @@ class TestAdaptiveIntegrator:
         assert len(calls) <= 800
 
     def test_undefined_metric_stops_the_step(self):
-        # sqrt(x) is NaN past x = 0, which the geodesic from (0.5, 0) reaches near t = 0.6
+        # The metric is NaN for x in (-0.3, -0.1), between the sample points x = -1/3 and 0 of the
+        # chart check, and the geodesic from (0.5, 0) reaches x = -0.1 near t = 0.7.
         with np.errstate(invalid="ignore", divide="ignore"):
-            chart = chart_from_expressions("1 + x^0.5", "0", "1", (-1, 1, -1, 1))
+            chart = chart_from_expressions("1 + ((x + 0.3) * (x + 0.1))^0.5", "0", "1", (-1, 1, -1, 1))
             with pytest.raises(ValueError, match="step size"):
                 geodesic(chart, (0.5, 0.0), math.pi, 1.0)
 
@@ -344,6 +345,14 @@ class TestChartConstruction:
     def test_positive_definite_guard(self):
         with pytest.raises(PositiveDefiniteError):
             chart_from_expressions("-1", "0", "1", (-1, 1, -1, 1))
+
+    def test_metric_not_finite_on_the_grid_rejected(self):
+        # x^0.5 is NaN for x < 0, and NaN fails every comparison of the definiteness check
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(PositiveDefiniteError, match="not finite"):
+                chart_from_expressions("1 + x^0.5", "0", "1", (-1, 1, -1, 1))
+            with pytest.raises(PositiveDefiniteError, match="not finite"):
+                chart_from_expressions("1", "(y - 0.9)^0.5 / 10", "4", (-1, 1, 0.5, 1))
 
     def test_expression_chart_matches_builtin(self):
         chart = chart_from_expressions("1", "0", "sin(x)^2", (0.05, math.pi - 0.05, -10, 10))

@@ -13,6 +13,7 @@ from besselwave.domains import (
     build_circle_domain,
     build_simplicial_domain,
     build_torus_domain,
+    domain_spectra_json,
 )
 from besselwave.specops import (
     SpectralGapError,
@@ -29,23 +30,31 @@ from besselwave.specops import (
     torus_quarter_turn,
     torus_translation,
 )
+from besselwave.domains import torus_pullback
 
-from _oracles import DenseDiracOracle
+from _oracles import DenseDiracOracle, block_identity, dense_symmetry, label_pullback
 
 
 OCTAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
               [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]
 
 
-def block_diagonal(blocks):
-    """The N x N block diagonal of a symmetry given as one block per degree."""
-    n = sum(len(b) for b in blocks)
-    out = np.zeros((n, n))
-    start = 0
-    for b in blocks:
-        out[start : start + len(b), start : start + len(b)] = b
-        start += len(b)
+def dense_unitary(dom, symmetry):
+    """The N x N matrix of a symmetry given block by block."""
+    out = np.zeros((dom.total_dim, dom.total_dim))
+    for k, blk in enumerate(dense_symmetry(dom, symmetry)):
+        out[dom.degree_slice(k), dom.degree_slice(k)] = blk
     return out
+
+
+def random_block_orthogonal(dom, rng, shuffle=False):
+    """Random orthogonal matrices per block and degree; with shuffle, each stack's blocks also change places."""
+    maps = []
+    for s in dom.stacks:
+        n_blocks = len(s.index[0])
+        image = rng.permutation(n_blocks) if shuffle else np.arange(n_blocks)
+        maps.append((image, [np.linalg.qr(rng.standard_normal(i.shape + i.shape[1:]))[0] for i in s.index]))
+    return maps
 
 
 def deformed_dirac_apply(dom, t, v):
@@ -119,6 +128,14 @@ class TestDeformedD:
         const[0] = 1.0  # the constant 0-form spans the harmonic kernel
         for t in (0.1, 0.9, 2.5):
             assert deformed_d(circle4, t, circle4.cochain(0, const)).norm() < 1e-13
+
+    def test_degree_below_zero_rejected(self, circle4, rng):
+        # a degree -1 cochain must not reach d_{top-1} through negative indexing
+        x = rng.standard_normal(circle4.grading[-1])
+        with pytest.raises(ValueError):
+            deformed_d(circle4, 0.5, Cochain(-1, x))
+        with pytest.raises(ValueError):
+            deformed_d_adjoint(circle4, 0.5, Cochain(2, x))
 
     def test_top_degree_rejected(self, circle4, rng):
         w = circle4.cochain(1, rng.standard_normal(circle4.grading[1]))
@@ -205,6 +222,12 @@ class TestBetti:
         t = 1.0 / math.sqrt(7.0)
         assert [betti(torus2, t, k) for k in range(3)] == [1, 2, 1]
 
+    def test_degree_out_of_range(self):
+        circle3 = build_circle_domain(3)
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                betti(circle3, 0.3, k)
+
     def test_nonpositive_tol_rejected(self, circle8):
         for t in (0.5, 0.0):  # the whole deformed spectrum vanishes at both
             for tol in (-1.0, 0.0):
@@ -226,60 +249,123 @@ class TestBetti:
 
 
 class TestSymmetry:
+    @staticmethod
+    def assert_block_form(dom, symmetry):
+        assert len(symmetry) == len(dom.stacks)
+        for stack, (image, blocks) in zip(dom.stacks, symmetry):
+            assert image.shape == stack.index[0].shape[:1]
+            assert [b.shape for b in blocks] == [i.shape + i.shape[1:] for i in stack.index]
+
     def test_circle_translation(self, circle4):
-        blocks = torus_translation(circle4, [1.0 / 3.0])
-        assert [b.shape for b in blocks] == [(n, n) for n in circle4.grading]
-        u = block_diagonal(blocks)
+        sym = torus_translation(circle4, [1.0 / 3.0])
+        self.assert_block_form(circle4, sym)
+        u = dense_unitary(circle4, sym)
         assert np.abs(u @ u.T - np.eye(circle4.total_dim)).max() < 1e-12
         for t in (0.3, 1.7):
-            assert symmetry_commutator(circle4, blocks, t) < 1e-10
+            assert symmetry_commutator(circle4, sym, t) < 1e-10
 
     def test_torus_translation_and_quarter_turn(self, torus2):
-        for blocks in (torus_translation(torus2, (0.2, 0.45)), torus_quarter_turn(torus2)):
-            assert [b.shape for b in blocks] == [(n, n) for n in torus2.grading]
-            u = block_diagonal(blocks)
+        for sym in (torus_translation(torus2, (0.2, 0.45)), torus_quarter_turn(torus2)):
+            self.assert_block_form(torus2, sym)
+            u = dense_unitary(torus2, sym)
             assert np.abs(u @ u.T - np.eye(torus2.total_dim)).max() < 1e-12
             for t in (0.3, 1.7):
-                assert symmetry_commutator(torus2, blocks, t) < 1e-9
+                assert symmetry_commutator(torus2, sym, t) < 1e-9
+
+    def test_against_the_label_pullback(self, torus3):
+        # the blocks written vectorized over modes against the entry-by-entry pullback of the basis labels
+        cases = [(build_torus_domain(2, 3), (1, 0), (-1, 1), (0.0, 0.0)),
+                 (build_torus_domain(2, 3), (0, 1), (1, 1), (0.2, 0.45)),
+                 (torus3, (2, 0, 1), (1, -1, -1), (0.37, -0.1, 0.6)),
+                 (build_torus_domain(4, 1), (3, 1, 0, 2), (-1, 1, 1, -1), (0.1, 0.2, 0.3, 0.4))]
+        for dom, axes, signs, shift in cases:
+            got = dense_symmetry(dom, torus_pullback(dom, axes, signs, shift))
+            # the angles 2 pi m.shift are summed in another order, so they agree to a few ulp of their size
+            angle = 2.0 * math.pi * int(np.abs(dom.stacks[-1].modes).max()) * float(np.sum(np.abs(shift)))
+            for a, b in zip(got, label_pullback(dom, axes, signs, shift), strict=True):
+                assert np.abs(a - b).max() <= 4 * np.finfo(float).eps * max(1.0, angle)
 
     def test_quarter_turn_has_order_four(self):
-        turn = block_diagonal(torus_quarter_turn(build_torus_domain(2, 3)))
+        dom = build_torus_domain(2, 3)
+        turn = dense_unitary(dom, torus_quarter_turn(dom))
         assert np.array_equal(np.linalg.matrix_power(turn, 4), np.eye(turn.shape[0]))
 
     def test_translations_compose(self, torus3):
         for dom, a, b in ((build_torus_domain(2, 3), (0.2, 0.45), (0.37, -0.1)),
                           (torus3, (0.2, 0.45, 0.05), (0.37, -0.1, 0.6))):
-            ab = block_diagonal(torus_translation(dom, a)) @ block_diagonal(torus_translation(dom, b))
-            assert np.abs(ab - block_diagonal(torus_translation(dom, np.add(a, b)))).max() <= 1e-12
+            ab = dense_unitary(dom, torus_translation(dom, a)) @ dense_unitary(dom, torus_translation(dom, b))
+            assert np.abs(ab - dense_unitary(dom, torus_translation(dom, np.add(a, b)))).max() <= 1e-12
 
     def test_identity(self, circle4):
-        assert symmetry_commutator(circle4, [np.eye(n) for n in circle4.grading], 0.7) == 0.0
+        assert symmetry_commutator(circle4, block_identity(circle4), 0.7) == 0.0
 
     def test_unitary_of_the_wrong_shape_rejected(self, circle4):
-        n0, n1 = circle4.grading
+        (image0, blocks0), (image1, blocks1) = block_identity(circle4)
         n = circle4.total_dim
-        for bad in ([np.eye(n)], [np.eye(n0)], [np.eye(n0), np.eye(n1), np.eye(1)],
-                    [np.eye(n0), np.eye(n1 + 1)], [np.eye(n0), np.ones(n1)], [np.eye(n0), np.eye(n1)[:, :-1]]):
-            with pytest.raises(ValueError, match="one block per degree"):
+        for bad in ([np.eye(n)], [np.eye(n0) for n0 in circle4.grading], [(image0, blocks0)],
+                    [(image0, blocks0), (image1, blocks1[:1])],
+                    [(image0, blocks0), (image1, [blocks1[0], blocks1[1][:, :, :-1]])],
+                    [(image0, blocks0), (image1[::-1][1:], blocks1)],
+                    [(image0, blocks0), (np.zeros_like(image1), blocks1)]):
+            with pytest.raises(ValueError):
                 symmetry_commutator(circle4, bad, 0.3)
+        with pytest.raises(ValueError, match="one block map per stack"):
+            symmetry_commutator(circle4, [(image0, blocks0), (np.zeros_like(image1), blocks1)], 0.3)
+
+    def test_no_pullback_off_a_torus(self, circle4):
+        octa = build_simplicial_domain(SimplicialComplex.from_maximal(OCTAHEDRON))
+        for dom, axes, signs in ((octa, (0, 1), (1, 1)), (circle4, (0, 1), (1, 1)), (circle4, (0,), (2,))):
+            with pytest.raises(ValueError):
+                torus_pullback(dom, axes, signs, [0.1] * len(axes))
 
     def test_precondition_failure_reports_measure(self, circle4, rng):
-        bad = [np.linalg.qr(rng.standard_normal((n, n)))[0] for n in circle4.grading]
         with pytest.raises(SymmetryPreconditionError) as err:
-            symmetry_commutator(circle4, bad, 0.5)
+            symmetry_commutator(circle4, random_block_orthogonal(circle4, rng), 0.5)
         assert err.value.measured > 1e-10
 
     def test_no_full_size_unitary(self, torus3):
-        # torus3 at max_freq 2 has N = 1000; its translation blocks hold 0.31 N^2 entries.
+        # torus3 at max_freq 2 has N = 1000 in 63 blocks of at most 16 x 16.
         n = torus3.total_dim
+        sym = torus_translation(torus3, (0.2, 0.45, 0.05))  # warm imports and caches outside the trace
         tracemalloc.start()
         try:
             worst = symmetry_commutator(torus3, torus_translation(torus3, (0.2, 0.45, 0.05)), 0.3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert n == 1000 and worst < 1e-9
-        assert peak < n * n * 8
+        assert n == 1000 and worst < 1e-9 and sym
+        assert peak < n * n * 8 / 10
+
+
+class TestHigherTori:
+    """The paper's d_t in four and five dimensions."""
+
+    @pytest.fixture(scope="class", params=[(4, 1), (4, 2), (5, 1)], ids=["torus4-1", "torus4-2", "torus5-1"])
+    def dom(self, request):
+        return build_torus_domain(*request.param)
+
+    def test_deformed_d_squared_zero(self, dom, rng):
+        for k in range(dom.top_degree - 1):
+            u = dom.cochain(k, rng.standard_normal(dom.grading[k]))
+            for t in (0.3, 1.1):
+                w = deformed_d(dom, t, u)
+                assert deformed_d(dom, t, w).norm() <= 1e-12 * max(1.0, w.norm())
+
+    def test_translation_commutes(self, dom):
+        for t in (0.3, 1.7):
+            assert symmetry_commutator(dom, torus_translation(dom, [0.3] * dom.q), t) <= 1e-10
+
+    def test_betti_binomial(self, dom):
+        assert betti_numbers(dom, 1.0 / math.sqrt(7.0)) == [math.comb(dom.q, k) for k in range(dom.q + 1)]
+
+
+def test_torus4_norm_against_dense():
+    dom = build_torus_domain(4, 1)
+    oracle = DenseDiracOracle(dom)
+    assert dom.total_dim == 1296
+    for t in (0.17, 1.0 / math.sqrt(7.0), 0.8):
+        want = float(np.max(np.abs(oracle.psi(t, dom.q + 2))))
+        assert deformed_dirac_norm(dom, t) == pytest.approx(want, rel=1e-12)
 
 
 class TestDiscreteWaveMap:
@@ -316,8 +402,8 @@ class TestDiscreteWaveMap:
         assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)
         assert orbit["bound"] < 100.0
 
-    def test_orbit_holds_one_square_matrix(self, torus3, rng):
-        # D_h is the one N x N operator of the orbit; its bound applies G per degree.
+    def test_orbit_holds_no_full_size_array(self, torus3, rng):
+        # D_h is held as 63 blocks of 16 x 16; the bound applies G per degree.
         n = torus3.total_dim
         h = 0.9 / math.sqrt(float(torus3.laplacian_spectrum(0).max()))
         u, v = rng.standard_normal(n), rng.standard_normal(n)
@@ -329,7 +415,30 @@ class TestDiscreteWaveMap:
         finally:
             tracemalloc.stop()
         assert n == 1000
-        assert peak <= 1.5 * n * n * 8
+        assert peak < n * n * 8 / 10
+
+    def test_torus3_request_holds_no_full_size_array(self, rng):
+        # what `spectral --domain torus3 --max-freq 2 --t 0.3 --symmetry translation --wave-steps 50` computes
+        def request():
+            dom = build_torus_domain(3, 2)
+            spectra = domain_spectra_json(dom)
+            table = betti_numbers(dom, 0.3)
+            commutator = symmetry_commutator(dom, torus_translation(dom, [1.0 / 3.0] * 3), 0.3)
+            h = 0.9 / math.sqrt(float(dom.laplacian_spectrum(0).max()))
+            orbit = discrete_wave_orbit(dom, h, state[: dom.total_dim], state[dom.total_dim:], 50)
+            return dom.total_dim, spectra, table, commutator, orbit
+
+        state = rng.standard_normal(2000)
+        request()  # warm imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            n, _, table, commutator, orbit = request()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n == 1000 and table == [1, 3, 3, 1] and commutator < 1e-10
+        assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)
+        assert peak < n * n * 8 / 10
 
     def test_negative_steps_rejected(self, circle4):
         zero = np.zeros(circle4.total_dim)
@@ -395,10 +504,10 @@ class TestDenseDiracOracle:
     def test_symmetry_commutator(self, domains, rng):
         for dom, oracle in domains:
             if dom.labels is None:
-                blocks = [np.eye(n) for n in dom.grading]
+                blocks = block_identity(dom)
             else:
                 blocks = torus_translation(dom, [0.3] * dom.q)
-            unitary = block_diagonal(blocks)
+            unitary = dense_unitary(dom, blocks)
             d_full = np.tril(dom.dirac, -1)
             for t in (0.3, 1.7):
                 dt = oracle.even(lambda r: t * besselfn.phi(dom.q + 2, t * r)) @ d_full
@@ -406,10 +515,10 @@ class TestDenseDiracOracle:
                 assert abs(symmetry_commutator(dom, blocks, t) - want) <= 1e-12 * np.linalg.norm(dt, 2)
 
     def test_precondition_is_the_full_norm(self, domains, rng):
-        # A degree-preserving unitary that does not commute with d.
+        # A degree-preserving unitary that does not commute with d: random orthogonal blocks, shuffled.
         for dom, _ in domains:
-            blocks = [np.linalg.qr(rng.standard_normal((n, n)))[0] for n in dom.grading]
-            unitary = block_diagonal(blocks)
+            blocks = random_block_orthogonal(dom, rng, shuffle=True)
+            unitary = dense_unitary(dom, blocks)
             d_full = np.tril(dom.dirac, -1)
             want = np.linalg.norm(unitary @ d_full - d_full @ unitary, 2)
             with pytest.raises(SymmetryPreconditionError) as err:
