@@ -56,7 +56,6 @@ from .polyforms import MultiPoly, PolyKForm, random_kform, random_multipoly
 from .huygens import (
     LocalityProbeResult,
     PolarizationDegreeError,
-    SphereIntegral,
     ball_average_exact,
     finite_difference_identity,
     flux_average_exact,
@@ -69,7 +68,6 @@ from .huygens import (
     polarization_normalization,
     polarization_reconstruct,
     sphere_average_exact,
-    sphere_monomial_integral,
     sphere_moment_ratio,
 )
 from .geomfront import (

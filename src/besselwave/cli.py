@@ -76,7 +76,7 @@ def _cmd_bessel(args) -> int:
         rs = list(np.linspace(args.r_min, args.r_max, args.points))
     rows = []
     for r in rs:
-        residual = besselfn.ode_residual(args.n, r) if r > 0 else 0.0
+        residual = besselfn.ode_residual(args.n, abs(r)) if r else 0.0  # the ODE is invariant under r -> -r
         rows.append(
             [r, besselfn.phi(args.n, r), besselfn.psi(args.n, r), besselfn.phi_derivative(args.n, r), residual]
         )
@@ -501,7 +501,9 @@ def main(argv=None) -> int:
         try:
             with open(argv[idx + 1], "r", encoding="utf-8") as fh:
                 defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError, IndexError) as exc:
+            if not isinstance(defaults, dict):
+                raise ValueError(f"expected a JSON object, got {type(defaults).__name__}")
+        except (OSError, ValueError, IndexError) as exc:
             sys.stderr.write(f"error: cannot read config: {exc}\n")
             return 2
         del argv[idx : idx + 2]

@@ -388,9 +388,12 @@ class SimplicialComplex:
                 with open(text, "r", encoding="utf-8") as fh:
                     text = fh.read()
             payload = json.loads(text)
-        if "simplices" not in payload:
-            raise ValueError('JSON complex must have a "simplices" key')
-        return cls(payload["simplices"])
+        if not isinstance(payload, dict) or "simplices" not in payload:
+            raise ValueError('JSON complex must be an object with a "simplices" key')
+        simplices = payload["simplices"]
+        if not isinstance(simplices, list) or not all(isinstance(s, list) for s in simplices):
+            raise ValueError('"simplices" must be a list of vertex lists')
+        return cls(simplices)
 
     def to_json(self) -> dict:
         return {"simplices": [list(s) for layer in self.by_dim for s in layer]}

@@ -1,10 +1,13 @@
 """Sphere and ball averaging oracles, polarization identity, locality probe.
 
-The exact side works over rational polynomials: monomial integrals over the
-unit sphere are closed-form Gamma ratios, ball and sphere averages become
-polynomials in the radius, and the Laplacian-power series with constants
-C(n, k) = prod_{j=1..k} 2j (n - 2 + 2j) must reproduce those averages as a
-polynomial identity (ball: n = q + 2, sphere: n = q).
+The exact side works over rational polynomials.  A sphere moment is one
+integer formula, E_S[x^alpha] = prod_i (alpha_i - 1)!! / (q (q + 2) ...
+(q + |alpha| - 2)) for even alpha and 0 otherwise, so ball and sphere
+averages become polynomials in the radius, and the Laplacian-power series
+with constants C(n, k) = prod_{j=1..k} 2j (n - 2 + 2j) must reproduce those
+averages as a polynomial identity (ball: n = q + 2, sphere: n = q).  The
+flux of a (q-1)-form through the sphere is the sphere average of its radial
+contraction, one power of t lower.
 
 The numeric side probes sharp wave fronts: a band-limited radial bump is
 propagated on a flat torus with the bounded smoothed-derivative multiplier
@@ -28,8 +31,6 @@ from .polyforms import MultiPoly, PolyKForm
 from .specops import _even_values
 
 __all__ = [
-    "SphereIntegral",
-    "sphere_monomial_integral",
     "sphere_moment_ratio",
     "ball_average_exact",
     "sphere_average_exact",
@@ -57,70 +58,22 @@ class PolarizationDegreeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact sphere integrals and averages
+# exact sphere moments and averages
 # ---------------------------------------------------------------------------
 
 
-def _gamma_half(two_a: int) -> tuple[Fraction, int]:
-    """Gamma(two_a / 2) as (rational, power of sqrt(pi)); two_a >= 1."""
-    if two_a < 1:
-        raise ValueError("gamma argument must be >= 1/2")
-    if two_a % 2 == 0:
-        return Fraction(math.factorial(two_a // 2 - 1)), 0
-    k = (two_a - 1) // 2
-    return Fraction(math.factorial(2 * k), 4**k * math.factorial(k)), 1
+def sphere_moment_ratio(q: int, alpha) -> Fraction:
+    """E over the unit sphere S^(q-1) of x^alpha, exactly.
 
-
-@dataclass(frozen=True)
-class SphereIntegral:
-    """Exact value rational * pi^pi_power of a sphere monomial integral."""
-
-    rational: Fraction
-    pi_power: int
-
-    @property
-    def value(self) -> float:
-        return float(self.rational) * math.pi**self.pi_power
-
-    def __bool__(self) -> bool:
-        return bool(self.rational)
-
-
-def sphere_monomial_integral(q: int, alpha) -> SphereIntegral:
-    """integral over S^(q-1) of x^alpha dS, exactly.
-
-    Zero unless every exponent is even; otherwise
-    2 prod_i Gamma((alpha_i + 1)/2) / Gamma((|alpha| + q)/2), with the
-    half-integer Gamma values expanded so the result is rational * pi^m.
+    Zero when any alpha_i is odd; otherwise
+    prod_i (alpha_i - 1)!! / (q (q + 2) ... (q + |alpha| - 2))
+    (Folland, Amer. Math. Monthly 108 (2001) 446-448).
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != q or any(a < 0 for a in alpha):
+    if q < 1 or len(alpha) != q or min(alpha) < 0:
         raise ValueError(f"multi-index {alpha} invalid for q={q}")
     if any(a % 2 for a in alpha):
-        return SphereIntegral(Fraction(0), 0)
-    num = Fraction(2)
-    sqrt_pi = 0
-    for a in alpha:
-        g, s = _gamma_half(a + 1)
-        num *= g
-        sqrt_pi += s
-    gd, sd = _gamma_half(sum(alpha) + q)
-    num /= gd
-    sqrt_pi -= sd
-    if sqrt_pi % 2:
-        raise AssertionError("sqrt(pi) parity cannot be odd here")
-    return SphereIntegral(num, sqrt_pi // 2)
-
-
-def sphere_moment_ratio(q: int, alpha) -> Fraction:
-    """Exact ratio of the monomial sphere integral to the sphere area."""
-    top = sphere_monomial_integral(q, alpha)
-    bottom = sphere_monomial_integral(q, (0,) * q)
-    if top.pi_power != bottom.pi_power and top.rational:
-        raise AssertionError("pi powers must agree")
-    return top.rational / bottom.rational
+        return Fraction(0)
+    return Fraction(math.prod(math.prod(range(1, a, 2)) for a in alpha), math.prod(range(q, q + sum(alpha), 2)))
 
 
 def _average_poly(g: MultiPoly, q: int, ball: bool) -> MultiPoly:
@@ -195,28 +148,18 @@ def pizzetti_sphere(g: MultiPoly, q: int) -> MultiPoly:
 def flux_average_exact(f: PolyKForm, q: int) -> MultiPoly:
     """Average flux of the (q-1)-form f through W_t(0), as a polynomial in t.
 
-    The form is converted to the vector field F_i = (-1)^i f_{complement(i)}
-    whose divergence is the df scalar; the flux average is the sphere mean
-    of F(t u) . u.
+    The form is the vector field F_i = (-1)^i f_{complement(i)} whose
+    divergence is the df scalar.  Its radial contraction G = x . F has
+    G(t u) = t F(t u) . u, so the flux average is the sphere average of G
+    one power of t lower.
     """
     if f.nvars != q or f.degree != q - 1:
         raise ValueError("flux average needs a (q-1)-form on R^q")
-    out: dict[tuple[int], Fraction] = {}
+    radial = MultiPoly.zero(q)
     for i in range(q):
-        key = tuple(a for a in range(q) if a != i)
-        poly = f.component(key)
-        if poly.is_zero:
-            continue
-        sign = -1 if i % 2 else 1
-        for expo, coeff in poly.terms.items():
-            shifted = list(expo)
-            shifted[i] += 1
-            ratio = sphere_moment_ratio(q, tuple(shifted))
-            if not ratio:
-                continue
-            total = sum(expo)
-            out[(total,)] = out.get((total,), Fraction(0)) + sign * coeff * ratio
-    return MultiPoly(1, out)
+        signed_axis = MultiPoly.monomial(q, [int(a == i) for a in range(q)], (-1) ** i)
+        radial = radial + signed_axis * f.component(tuple(a for a in range(q) if a != i))
+    return MultiPoly(1, {(e - 1,): c for (e,), c in sphere_average_exact(radial, q).terms.items()})
 
 
 def flux_corollary_check(f: PolyKForm, q: int) -> float:

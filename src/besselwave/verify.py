@@ -27,6 +27,9 @@ from .polyforms import MultiPoly, PolyKForm, random_kform, random_multipoly
 __all__ = ["CaseResult", "run_all", "SUITES"]
 
 SPHERE_POINT = (math.pi / 2, 0.3)
+# The full run also checks the exact Pizzetti and flux identities past q = 3.
+HIGH_QS = (4, 5, 6)
+HIGH_Q_COUNT = 9
 
 
 @dataclass(frozen=True)
@@ -103,21 +106,20 @@ def dalembert_worst(circle, rng: np.random.Generator, draws: int) -> float:
     return worst
 
 
-def pizzetti_mismatches(rng: np.random.Generator, count: int) -> int:
-    """Pizzetti ball and sphere series that differ from the exact averages, q = 1, 2, 3 in turn."""
+def pizzetti_mismatches(rng: np.random.Generator, count: int, qs) -> int:
+    """Pizzetti ball and sphere series that differ from the exact averages, the dimensions qs in turn."""
     mismatches = 0
-    for i in range(count):
-        q = (1, 2, 3)[i % 3]
+    for q in itertools.islice(itertools.cycle(qs), count):
         g = random_multipoly(rng, q, 8)
         mismatches += huygens.pizzetti_ball(g, q) != huygens.ball_average_exact(g, q)
         mismatches += huygens.pizzetti_sphere(g, q) != huygens.sphere_average_exact(g, q)
     return mismatches
 
 
-def flux_worst(rng: np.random.Generator, count: int) -> float:
-    """Worst flux-corollary deviation over random (q-1)-forms, q = 2, 3 in turn."""
-    qs = ((2, 3)[i % 2] for i in range(count))
-    return max(huygens.flux_corollary_check(random_kform(rng, q, q - 1, 4), q) for q in qs)
+def flux_worst(rng: np.random.Generator, count: int, qs) -> float:
+    """Worst flux-corollary deviation over random (q-1)-forms, the dimensions qs in turn."""
+    return max(huygens.flux_corollary_check(random_kform(rng, q, q - 1, 4), q)
+               for q in itertools.islice(itertools.cycle(qs), count))
 
 
 def polarization_failures(max_degree: int) -> tuple[int, int, int]:
@@ -328,8 +330,11 @@ def suite_wave(seed: int, quick: bool) -> list[CaseResult]:
 
 def suite_pizzetti(seed: int, quick: bool) -> list[CaseResult]:
     count = 30 if quick else 200
-    mismatches = pizzetti_mismatches(_rng(seed), count)
+    mismatches = pizzetti_mismatches(_rng(seed), count, (1, 2, 3))
     cases = [CaseResult.check(f"pizzetti_exactness_{count}", float(mismatches), 0.0)]
+    if not quick:
+        mismatches = pizzetti_mismatches(_rng(seed), HIGH_Q_COUNT, HIGH_QS)
+        cases.append(CaseResult.check(f"pizzetti_exactness_q4_6_{HIGH_Q_COUNT}", float(mismatches), 0.0))
 
     coeff_bad = 0
     for n in range(2, 13):
@@ -384,7 +389,11 @@ def suite_cartan(seed: int, quick: bool) -> list[CaseResult]:
 
 def suite_flux(seed: int, quick: bool) -> list[CaseResult]:
     count = 10 if quick else 50
-    return [CaseResult.check(f"flux_corollary_{count}", flux_worst(_rng(seed), count), 0.0)]
+    cases = [CaseResult.check(f"flux_corollary_{count}", flux_worst(_rng(seed), count, (2, 3)), 0.0)]
+    if not quick:
+        worst = flux_worst(_rng(seed), HIGH_Q_COUNT, HIGH_QS)
+        cases.append(CaseResult.check(f"flux_corollary_q4_6_{HIGH_Q_COUNT}", worst, 0.0))
+    return cases
 
 
 def suite_geometry(seed: int, quick: bool) -> list[CaseResult]:

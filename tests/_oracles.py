@@ -283,6 +283,62 @@ def endpoint_average_exact(g):
     return MultiPoly(1, out)
 
 
+def _gamma_half(two_a: int) -> tuple[Fraction, int]:
+    """Gamma(two_a / 2) as (rational, power of sqrt(pi)); two_a >= 1."""
+    if two_a % 2 == 0:
+        return Fraction(math.factorial(two_a // 2 - 1)), 0
+    k = (two_a - 1) // 2
+    return Fraction(math.factorial(2 * k), 4**k * math.factorial(k)), 1
+
+
+def sphere_monomial_integral(q: int, alpha) -> tuple[Fraction, int]:
+    """integral over S^(q-1) of x^alpha dS as (rational, power of pi).
+
+    The slow-path oracle for huygens.sphere_moment_ratio: zero unless every
+    exponent is even, else 2 prod_i Gamma((alpha_i + 1)/2) / Gamma((|alpha| + q)/2)
+    with the half-integer Gamma values expanded into rationals and sqrt(pi)s.
+    """
+    if any(a % 2 for a in alpha):
+        return Fraction(0), 0
+    value, sqrt_pi = Fraction(2), 0
+    for a in alpha:
+        g, s = _gamma_half(a + 1)
+        value *= g
+        sqrt_pi += s
+    g, s = _gamma_half(sum(alpha) + q)
+    if (sqrt_pi - s) % 2:
+        raise AssertionError("sqrt(pi) parity cannot be odd here")
+    return value / g, (sqrt_pi - s) // 2
+
+
+def gamma_moment_ratio(q: int, alpha) -> Fraction:
+    """The sphere moment as the ratio of two Gamma-form integrals; the pi powers must agree."""
+    top, top_pi = sphere_monomial_integral(q, alpha)
+    area, area_pi = sphere_monomial_integral(q, (0,) * q)
+    if top and top_pi != area_pi:
+        raise AssertionError("pi powers must agree")
+    return top / area
+
+
+def flux_average_loop(f, q: int):
+    """Average flux of the (q-1)-form f through W_t(0), one Gamma-form moment per term.
+
+    The slow path of huygens.flux_average_exact: each term c x^e of the
+    component F_i = (-1)^i f_{complement(i)} contributes c E_S[x^e x_i] t^|e|.
+    """
+    from besselwave.polyforms import MultiPoly
+
+    out = {}
+    for i in range(q):
+        poly = f.component(tuple(a for a in range(q) if a != i))
+        for expo, coeff in poly.terms.items():
+            shifted = list(expo)
+            shifted[i] += 1
+            total = sum(expo)
+            out[(total,)] = out.get((total,), Fraction(0)) + (-1) ** i * coeff * gamma_moment_ratio(q, shifted)
+    return MultiPoly(1, out)
+
+
 def decay_envelope(n: int, r: float) -> float:
     """min(1, Gamma(n/2) (r/2)^(-nu) sqrt(2/(pi r))), nu = n/2 - 1: the size of |phi_n(r)|."""
     nu = 0.5 * n - 1.0

@@ -56,6 +56,15 @@ class TestBessel:
         assert all(len(row) == len(header) for row in rows)
         float(rows[0][0])  # first column parses as a number
 
+    def test_negative_r_residual_mirrors_positive(self, capsys):
+        # phi is even and the ODE is invariant under r -> -r, so the residual column is even too
+        code, out, _ = run_cli(capsys, "bessel", "--n", "3", "--r-min", "-2", "--r-max", "2", "--points", "5")
+        assert code == 0
+        header, rows = csv_rows(out)
+        col = header.index("ode_residual")
+        by_r = {float(row[0]): row[col] for row in rows}
+        assert [by_r[-r] for r in (1.0, 2.0)] == [by_r[r] for r in (1.0, 2.0)]
+
 
 class TestSpectral:
     def test_json_schema(self, capsys):
@@ -163,6 +172,12 @@ class TestSpectral:
         code, _, err = run_cli(capsys, "spectral", "--domain", "simplicial")
         assert code == 2
         assert "complex" in err
+
+    @pytest.mark.parametrize("complex_json", ['{"simplices": 5}', '{"simplices": [1, 2]}'])
+    def test_malformed_complex_is_usage_error(self, capsys, complex_json):
+        code, _, err = run_cli(capsys, "spectral", "--domain", "simplicial", "--complex", complex_json)
+        assert code == 2
+        assert err.startswith("error:"), err
 
 
 class TestWave:
@@ -386,6 +401,13 @@ class TestConfigAndErrors:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error:"), err
+
+    def test_non_object_config_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "bessel", "--config", str(config), "--r", "1")
+        assert code == 2
+        assert err.startswith("error: cannot read config:"), err
 
     def test_missing_config_exit_2(self, capsys):
         assert run_cli(capsys, "bessel", "--config", "/nonexistent.json")[0] == 2

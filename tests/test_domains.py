@@ -186,6 +186,11 @@ class TestSimplicial:
         with pytest.raises(ValueError):
             SimplicialComplex.from_json({"cells": [[0]]})
 
+    @pytest.mark.parametrize("source", ['{"simplices": 5}', '{"simplices": [1, 2]}'])
+    def test_json_simplices_must_be_vertex_lists(self, source):
+        with pytest.raises(ValueError, match="list of vertex lists"):
+            SimplicialComplex.from_json(source)
+
 
 class TestPerDegreeLaplacian:
     def test_blocks_of_dirac_squared(self, circle4, torus3):

@@ -10,7 +10,6 @@ from besselwave import besselfn
 from besselwave.domains import DomainSizeError
 from besselwave.huygens import (
     PolarizationDegreeError,
-    SphereIntegral,
     ball_average_exact,
     finite_difference_identity,
     flux_average_exact,
@@ -23,35 +22,54 @@ from besselwave.huygens import (
     polarization_normalization,
     polarization_reconstruct,
     sphere_average_exact,
-    sphere_monomial_integral,
     sphere_moment_ratio,
 )
-from besselwave.polyforms import MultiPoly, PolyKForm, random_kform, random_multipoly
+from besselwave.polyforms import MultiPoly, PolyKForm, _exponents_up_to, random_kform, random_multipoly
 
-from _oracles import endpoint_average_exact, interval_average_exact
+from _oracles import (
+    endpoint_average_exact,
+    flux_average_loop,
+    gamma_moment_ratio,
+    interval_average_exact,
+    sphere_monomial_integral,
+)
 
 
 class TestSphereIntegrals:
     def test_circle_circumference(self):
-        assert sphere_monomial_integral(2, (0, 0)) == SphereIntegral(Fraction(2), 1)
+        assert sphere_moment_ratio(2, (0, 0)) == 1
+        assert sphere_monomial_integral(2, (0, 0)) == (Fraction(2), 1)
 
     def test_symmetry_third_of_area(self):
-        assert sphere_monomial_integral(3, (2, 0, 0)) == SphereIntegral(Fraction(4, 3), 1)
+        assert sphere_moment_ratio(3, (2, 0, 0)) == Fraction(1, 3)
+        assert sum(sphere_moment_ratio(3, e) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2))) == 1
 
     def test_odd_vanishes(self):
-        assert not sphere_monomial_integral(2, (1, 1))
-        assert not sphere_monomial_integral(3, (2, 1, 0))
+        assert not sphere_moment_ratio(2, (1, 1))
+        assert not sphere_moment_ratio(3, (2, 1, 0))
 
     def test_float_value(self):
-        assert sphere_monomial_integral(2, (0, 0)).value == pytest.approx(2 * math.pi)
+        # the mean of cos^2 over the circle
+        thetas = np.linspace(0, 2 * math.pi, 20001)[:-1]
+        assert float(sphere_moment_ratio(2, (2, 0))) == pytest.approx(float(np.mean(np.cos(thetas) ** 2)), abs=1e-12)
 
     def test_quadrature_cross_check(self):
-        # x^2 y^2 over the unit circle: integral of cos^2 sin^2 = pi/4
-        got = sphere_monomial_integral(2, (2, 2))
-        assert got == SphereIntegral(Fraction(1, 4), 1)
+        # x^2 y^2 over the unit circle: the mean of cos^2 sin^2 is 1/8
+        got = sphere_moment_ratio(2, (2, 2))
+        assert got == Fraction(1, 8)
         thetas = np.linspace(0, 2 * math.pi, 20001)[:-1]
-        numeric = np.mean(np.cos(thetas) ** 2 * np.sin(thetas) ** 2) * 2 * math.pi
-        assert got.value == pytest.approx(float(numeric), abs=1e-12)
+        numeric = np.mean(np.cos(thetas) ** 2 * np.sin(thetas) ** 2)
+        assert float(got) == pytest.approx(float(numeric), abs=1e-12)
+
+    def test_matches_the_gamma_oracle(self):
+        for q in range(1, 7):
+            for alpha in _exponents_up_to(q, 12):
+                assert sphere_moment_ratio(q, alpha) == gamma_moment_ratio(q, alpha), (q, alpha)
+
+    @pytest.mark.parametrize("alpha", [(1,), (1, -1), (0, 0, 0)])
+    def test_bad_multi_index_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            sphere_moment_ratio(2, alpha)
 
 
 class TestExactAverages:
@@ -121,6 +139,12 @@ class TestFluxCorollary:
             for _ in range(10):
                 f = random_kform(rng, q, q - 1, 4)
                 assert flux_corollary_check(f, q) == 0.0
+
+    def test_matches_the_term_loop_oracle(self, rng):
+        for q in (2, 3, 4, 5, 6):
+            for _ in range(8):
+                f = random_kform(rng, q, q - 1, 4)
+                assert flux_average_exact(f, q) == flux_average_loop(f, q)
 
     def test_wrong_degree_rejected(self):
         f = PolyKForm(3, 1, {(0,): MultiPoly.constant(3, 1)})
