@@ -296,7 +296,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_curvature(args) -> int:
     chart = _chart_from_args(args)
-    point = tuple(float(s) for s in args.point.split(",")) if args.point else _default_point(chart)
+    point = _point_from_args(args, chart)
     hs = [args.h] if args.h is not None else [0.05 * (i + 1) for i in range(6)]
     rows = []
     for h in hs:
@@ -323,7 +323,7 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_front(args) -> int:
     chart = _chart_from_args(args)
-    point = tuple(float(s) for s in args.point.split(",")) if args.point else _default_point(chart)
+    point = _point_from_args(args, chart)
     front = geomfront.wavefront(chart, point, args.t, args.ntheta)
     comments = [
         f"subcommand=front chart={chart.name} point={point} t={args.t} "
@@ -373,7 +373,12 @@ def _chart_from_args(args):
     return geomfront.chart_by_name(args.chart)
 
 
-def _default_point(chart):
+def _point_from_args(args, chart):
+    if args.point:
+        point = tuple(float(s) for s in args.point.split(","))
+        if len(point) != 2:
+            raise ValueError(f"--point takes two numbers x,y, got {args.point!r}")
+        return point
     defaults = {
         "sphere": (math.pi / 2, 0.0),
         "hyperbolic": (0.0, 1.0),

@@ -15,8 +15,10 @@ that the local error estimate, in the max-norm over all components and
 angles, stays below TOL (1 + max(|y|, |y_new|)).  A step that leaves the
 chart rectangle is bisected on its continuous extension, so
 ChartExitError carries the exit time to about TOL.  An explicit `steps=`
-runs classical RK4 with that many equal steps instead, the test oracle.
-Charts whose metric is the constant identity have straight geodesics.
+on geodesic, jacobi_field or wavefront runs classical RK4 with that many
+equal steps instead, the test oracle.  Charts whose metric is the constant
+identity take one exact step of the same system, since their Christoffel
+symbols and K vanish.
 Wave-front lengths are the angular integral of |J|, and two limit-free
 curvature estimates come from comparing front lengths at one and two radii.
 """
@@ -238,16 +240,14 @@ def _unit_velocity(chart: SurfaceChart, x0: float, y0: float, thetas: np.ndarray
     return vx, vy
 
 
-def _rhs(chart: SurfaceChart, state: np.ndarray, want_jacobi: bool) -> np.ndarray:
+def _rhs(chart: SurfaceChart, state: np.ndarray) -> np.ndarray:
+    """Derivative of the joint state (x, y, x', y', J, J')."""
     x, y, vx, vy = state[0], state[1], state[2], state[3]
     jet = chart.jet(x, y)
     c111, c112, c122, c211, c212, c222 = _christoffel(jet)
     ax = -(c111 * vx * vx + 2.0 * c112 * vx * vy + c122 * vy * vy)
     ay = -(c211 * vx * vx + 2.0 * c212 * vx * vy + c222 * vy * vy)
-    out = [vx, vy, ax, ay]
-    if want_jacobi:
-        out += [state[5], -_brioschi(jet) * state[4]]
-    return np.array(out)
+    return np.array([vx, vy, ax, ay, state[5], -_brioschi(jet) * state[4]])
 
 
 def _outside(chart: SurfaceChart, state: np.ndarray) -> bool:
@@ -353,76 +353,62 @@ def _dormand_prince(chart: SurfaceChart, f, y: np.ndarray, t: float) -> np.ndarr
     return y
 
 
-def _integrate_front(chart: SurfaceChart, p, thetas: np.ndarray, t: float,
-                     steps: int | None, want_jacobi: bool):
-    """Geodesic (+ Jacobi) endpoints for a batch of angles: DP5(4), or RK4 with `steps` steps."""
+def _integrate_front(chart: SurfaceChart, p, thetas: np.ndarray, t: float, steps: int | None) -> np.ndarray:
+    """Joint state (x, y, x', y', J, J') at time t, one column per launch angle.
+
+    A straight chart takes one Euler step, exact there because the
+    Christoffel symbols and K vanish; other charts run DP5(4), or RK4 with
+    `steps` steps.
+    """
     if not math.isfinite(t):
         raise ValueError(f"a geodesic needs a finite time, got {t}")
     x0, y0 = float(p[0]), float(p[1])
     chart.require(x0, y0)
-    thetas = np.asarray(thetas, dtype=float)
+    vx, vy = _unit_velocity(chart, x0, y0, np.asarray(thetas, dtype=float))
+    ones = np.ones(vx.shape)
+    state = np.array([x0 * ones, y0 * ones, vx, vy, 0.0 * ones, ones])
+    f = partial(_rhs, chart)
     if chart.straight_geodesics:
-        pts = np.stack([x0 + t * np.cos(thetas), y0 + t * np.sin(thetas)], axis=-1)
-        tans = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-        if not chart.periodic and not chart.contains(pts[..., 0], pts[..., 1]):
+        state = state + t * f(state)
+        if _outside(chart, state):
             x_min, x_max, y_min, y_max = chart.bounds
-            exit_t = t
-            for direction, lo, hi, start in (
-                (np.cos(thetas), x_min, x_max, x0),
-                (np.sin(thetas), y_min, y_max, y0),
-            ):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    hits = np.where(direction > 0, (hi - start) / direction,
-                                    np.where(direction < 0, (lo - start) / direction, np.inf))
-                exit_t = min(exit_t, float(np.min(hits)))
-            raise ChartExitError(exit_t)
-        return pts, tans, np.full(thetas.shape, t)
-    vx, vy = _unit_velocity(chart, x0, y0, thetas)
-    state = np.array([np.full(thetas.shape, x0), np.full(thetas.shape, y0), vx, vy])
-    if want_jacobi:
-        state = np.concatenate([state, np.zeros((1,) + thetas.shape), np.ones((1,) + thetas.shape)])
-    f = partial(_rhs, chart, want_jacobi=want_jacobi)
-    state = _dormand_prince(chart, f, state, t) if steps is None else _rk4(chart, f, state, t, steps)
-    pts = np.stack([state[0], state[1]], axis=-1)
-    tans = np.stack([state[2], state[3]], axis=-1)
-    return pts, tans, state[4] if want_jacobi else np.full(thetas.shape, np.nan)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hits = [np.where(d > 0, (hi - s) / d, np.where(d < 0, (lo - s) / d, np.inf))
+                        for d, lo, hi, s in ((vx, x_min, x_max, x0), (vy, y_min, y_max, y0))]
+            raise ChartExitError(min(t, *(float(np.min(h)) for h in hits)))
+    elif steps is None:
+        state = _dormand_prince(chart, f, state, t)
+    else:
+        state = _rk4(chart, f, state, t, steps)
+    return state
 
 
 def geodesic(chart: SurfaceChart, p, theta: float, t: float, steps: int | None = None):
     """Endpoint and tangent of the unit-speed geodesic from p in direction theta."""
-    pts, tans, _ = _integrate_front(chart, p, np.array([theta]), t, steps, want_jacobi=False)
-    return (float(pts[0, 0]), float(pts[0, 1])), (float(tans[0, 0]), float(tans[0, 1]))
+    x, y, vx, vy = _integrate_front(chart, p, np.array([theta]), t, steps)[:4, 0]
+    return (float(x), float(y)), (float(vx), float(vy))
 
 
 def jacobi_field(chart: SurfaceChart, p, theta: float, t: float, steps: int | None = None) -> float:
     """J(t) along the geodesic, J'' + K J = 0 with J(0) = 0, J'(0) = 1."""
-    _, _, jac = _integrate_front(chart, p, np.array([theta]), t, steps, want_jacobi=True)
-    return float(jac[0])
+    return float(_integrate_front(chart, p, np.array([theta]), t, steps)[4, 0])
 
 
 def wavefront(chart: SurfaceChart, p, t: float, n_theta: int, steps: int | None = None) -> WaveFront:
     if n_theta < 1:
         raise ValueError(f"a wave front needs n_theta >= 1, got {n_theta}")
     angles = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    pts, tans, jac = _integrate_front(chart, p, angles, t, steps, want_jacobi=True)
-    return WaveFront((float(p[0]), float(p[1])), t, angles, pts, tans, jac)
+    state = _integrate_front(chart, p, angles, t, steps)
+    return WaveFront((float(p[0]), float(p[1])), t, angles, state[:2].T, state[2:4].T, state[4])
 
 
-def wavefront_length(chart: SurfaceChart, p, t: float, n_theta: int = 64,
-                     steps: int | None = None) -> float:
+def wavefront_length(chart: SurfaceChart, p, t: float, n_theta: int = 64) -> float:
     """|W_t(p)| = integral over angles of |J(t, theta)| (trapezoid rule)."""
-    front = wavefront(chart, p, t, n_theta, steps)
+    front = wavefront(chart, p, t, n_theta)
     return float(np.mean(np.abs(front.jacobi)) * 2.0 * math.pi)
 
 
-def _wrap_for_eval(chart: SurfaceChart, pts: np.ndarray) -> np.ndarray:
-    if chart.periodic:
-        return np.mod(pts, 1.0)
-    return pts
-
-
-def wavefront_line_integral(chart: SurfaceChart, oneform, p, t: float,
-                            n_theta: int = 1024, steps: int | None = None) -> LineIntegralResult:
+def wavefront_line_integral(chart: SurfaceChart, oneform, p, t: float, n_theta: int = 1024) -> LineIntegralResult:
     """Trapezoid line integral of P dx + Q dy over the closed front polyline.
 
     Endpoints are ordered by launch angle; a non-monotone winding of the
@@ -430,9 +416,8 @@ def wavefront_line_integral(chart: SurfaceChart, oneform, p, t: float,
     self-intersection warning flag.
     """
     p_fn, q_fn = oneform
-    front = wavefront(chart, p, t, n_theta, steps)
-    pts = front.points
-    ev = _wrap_for_eval(chart, pts)
+    pts = wavefront(chart, p, t, n_theta).points
+    ev = np.mod(pts, 1.0) if chart.periodic else pts
     p_vals = np.asarray(p_fn(ev[:, 0], ev[:, 1]), dtype=float)
     q_vals = np.asarray(q_fn(ev[:, 0], ev[:, 1]), dtype=float)
     nxt = np.roll(np.arange(n_theta), -1)
@@ -446,8 +431,7 @@ def wavefront_line_integral(chart: SurfaceChart, oneform, p, t: float,
     return LineIntegralResult(value, warn)
 
 
-def global_cancellation(chart: SurfaceChart, oneform, t: float, n_centers: int,
-                        n_theta: int = 512, steps: int | None = None) -> float:
+def global_cancellation(chart: SurfaceChart, oneform, t: float, n_centers: int, n_theta: int = 512) -> float:
     """Average front line integral over a uniform grid of centers.
 
     n_centers is rounded down to a perfect square g x g.  On symmetric
@@ -460,7 +444,7 @@ def global_cancellation(chart: SurfaceChart, oneform, t: float, n_centers: int,
     for cx in xs:
         for cy in xs:
             center = (x_min + cx * (x_max - x_min), y_min + cy * (y_max - y_min))
-            total += wavefront_line_integral(chart, oneform, center, t, n_theta, steps).value
+            total += wavefront_line_integral(chart, oneform, center, t, n_theta).value
     return total / (g * g)
 
 
@@ -469,22 +453,20 @@ def global_cancellation(chart: SurfaceChart, oneform, t: float, n_centers: int,
 # ---------------------------------------------------------------------------
 
 
-def r2d2_curvature(chart: SurfaceChart, p, h: float, n_theta: int = 64,
-                   steps: int | None = None) -> float:
+def r2d2_curvature(chart: SurfaceChart, p, h: float, n_theta: int = 64) -> float:
     """(2 |W_h| - |W_2h|) / (2 pi h^3), the limit-free two-radius estimate."""
     if h <= 0:
         raise ValueError(f"need a radius h > 0, got {h}")
-    w1 = wavefront_length(chart, p, h, n_theta, steps)
-    w2 = wavefront_length(chart, p, 2.0 * h, n_theta, steps)
+    w1 = wavefront_length(chart, p, h, n_theta)
+    w2 = wavefront_length(chart, p, 2.0 * h, n_theta)
     return (2.0 * w1 - w2) / (2.0 * math.pi * h**3)
 
 
-def puiseux_curvature(chart: SurfaceChart, p, r: float, n_theta: int = 64,
-                      steps: int | None = None) -> float:
+def puiseux_curvature(chart: SurfaceChart, p, r: float, n_theta: int = 64) -> float:
     """3 (2 pi r - |W_r|) / (pi r^3), the classical circumference defect."""
     if r <= 0:
         raise ValueError(f"need a radius r > 0, got {r}")
-    w = wavefront_length(chart, p, r, n_theta, steps)
+    w = wavefront_length(chart, p, r, n_theta)
     return 3.0 * (2.0 * math.pi * r - w) / (math.pi * r**3)
 
 

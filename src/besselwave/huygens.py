@@ -155,11 +155,13 @@ def flux_average_exact(f: PolyKForm, q: int) -> MultiPoly:
     """
     if f.nvars != q or f.degree != q - 1:
         raise ValueError("flux average needs a (q-1)-form on R^q")
-    radial = MultiPoly.zero(q)
+    radial: dict[tuple[int, ...], Fraction] = {}
     for i in range(q):
-        signed_axis = MultiPoly.monomial(q, [int(a == i) for a in range(q)], (-1) ** i)
-        radial = radial + signed_axis * f.component(tuple(a for a in range(q) if a != i))
-    return MultiPoly(1, {(e - 1,): c for (e,), c in sphere_average_exact(radial, q).terms.items()})
+        for expo, c in f.component(tuple(a for a in range(q) if a != i)).terms.items():
+            key = expo[:i] + (expo[i] + 1,) + expo[i + 1 :]
+            radial[key] = radial.get(key, Fraction(0)) + (-c if i % 2 else c)
+    average = sphere_average_exact(MultiPoly(q, radial), q)
+    return MultiPoly(1, {(e - 1,): c for (e,), c in average.terms.items()})
 
 
 def flux_corollary_check(f: PolyKForm, q: int) -> float:

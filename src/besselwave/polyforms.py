@@ -140,10 +140,14 @@ class MultiPoly:
         return MultiPoly(self.nvars, out)
 
     def laplacian(self) -> "MultiPoly":
-        out = MultiPoly.zero(self.nvars)
-        for axis in range(self.nvars):
-            out = out + self.diff(axis).diff(axis)
-        return out
+        """Sum over axes a of e_a (e_a - 1) x^(e - 2 1_a), in one pass over the terms."""
+        out: dict[tuple[int, ...], Fraction] = {}
+        for expo, coeff in self.terms.items():
+            for axis, e in enumerate(expo):
+                if e > 1:
+                    key = expo[:axis] + (e - 2,) + expo[axis + 1 :]
+                    out[key] = out.get(key, Fraction(0)) + coeff * (e * (e - 1))
+        return MultiPoly(self.nvars, out)
 
     def evaluate(self, point) -> Fraction:
         point = [_as_fraction(p) for p in point]
@@ -300,6 +304,8 @@ class PolyKForm:
 
 def random_multipoly(rng, nvars: int, degree: int) -> MultiPoly:
     """Random polynomial with small rational coefficients, for property tests."""
+    if degree < 0:
+        raise ValueError(f"polynomial degree must be >= 0, got {degree}")
     terms = {}
     for expo in _exponents_up_to(nvars, degree):
         if rng.random() < RANDOM_DENSITY:

@@ -339,6 +339,26 @@ def flux_average_loop(f, q: int):
     return MultiPoly(1, out)
 
 
+def laplacian_by_diff(g):
+    """Sum of the second partials g.diff(a).diff(a), each a polynomial of its own: the slow path of MultiPoly.laplacian."""
+    out = g.zero(g.nvars)
+    for axis in range(g.nvars):
+        out = out + g.diff(axis).diff(axis)
+    return out
+
+
+def flux_average_by_products(f, q: int):
+    """huygens.flux_average_exact with G = sum_i (-1)^i x_i f_(complement i) built from monomial products and sums."""
+    from besselwave.huygens import sphere_average_exact
+    from besselwave.polyforms import MultiPoly
+
+    radial = MultiPoly.zero(q)
+    for i in range(q):
+        signed_axis = MultiPoly.monomial(q, [int(a == i) for a in range(q)], (-1) ** i)
+        radial = radial + signed_axis * f.component(tuple(a for a in range(q) if a != i))
+    return MultiPoly(1, {(e - 1,): c for (e,), c in sphere_average_exact(radial, q).terms.items()})
+
+
 def decay_envelope(n: int, r: float) -> float:
     """min(1, Gamma(n/2) (r/2)^(-nu) sqrt(2/(pi r))), nu = n/2 - 1: the size of |phi_n(r)|."""
     nu = 0.5 * n - 1.0

@@ -396,6 +396,8 @@ class TestConfigAndErrors:
         ("spectral", "--shift", "0.2"),
         ("spectral", "--domain", "torus2", "--symmetry", "quarter-turn", "--shift", "0.2"),
         ("spectral", "--wave-norm", "0.5"),
+        ("pizzetti", "--degree", "-1", "--count", "3"),
+        ("front", "--point", "1"), ("curvature", "--point", "1,2,3"),
     ], ids=" ".join)
     def test_nonpositive_sizes_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import besselwave
+from besselwave import geomfront
 
 MODULES = [importlib.import_module(f"besselwave.{m.name}") for m in pkgutil.iter_modules(besselwave.__path__)]
 
@@ -41,3 +43,13 @@ def test_dense_views_are_read_only_in_domains():
         if isinstance(node, ast.Attribute) and node.attr in DENSE_VIEWS
     ]
     assert readers == []
+
+
+def test_steps_only_where_geomfront_integrates():
+    # `steps=` selects the RK4 oracle; the functions that only forward a front take no such knob.
+    takers = sorted(
+        name for name in geomfront.__all__
+        if inspect.isfunction(getattr(geomfront, name))
+        and "steps" in inspect.signature(getattr(geomfront, name)).parameters
+    )
+    assert takers == ["geodesic", "jacobi_field", "wavefront"]

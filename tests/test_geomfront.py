@@ -177,6 +177,30 @@ class TestAdaptiveIntegrator:
         assert abs(wavefront_length(sphere, SPHERE_POINT, 1.0) - 2 * math.pi * math.sin(1.0)) < 1e-10
         assert len(calls) <= 800
 
+    @pytest.mark.parametrize("build, p, t", [
+        (sphere_chart, SPHERE_POINT, 1.0),
+        (hyperbolic_chart, HYPERBOLIC_POINT, 1.0),
+        (lambda: chart_from_expressions(LENS, "0", LENS, (-12, 12, -12, 12)), (-2.0, 0.0), 2.0),
+        (flat_chart, (0.2, 0.1), 1.5),
+        (torus_chart, (0.5, 0.5), 0.7),
+    ], ids=["sphere", "hyperbolic", "lens", "flat", "torus"])
+    def test_one_system_for_every_entry_point(self, build, p, t):
+        # geodesic and jacobi_field read the same joint state as the front's rows; the bound is
+        # 2 ulp of each quantity's largest entry, so a different SIMD path for sin/cos cannot fail it.
+        chart = build()
+        front = wavefront(chart, p, t, 16, steps=400)
+        single = [(*geodesic(chart, p, theta, t, steps=400), jacobi_field(chart, p, theta, t, steps=400))
+                  for theta in front.angles]
+        for got, want in ((np.array([s[0] for s in single]), front.points),
+                          (np.array([s[1] for s in single]), front.tangents),
+                          (np.array([s[2] for s in single]), front.jacobi)):
+            assert np.abs(got - want).max() <= 2 * np.spacing(np.abs(want).max())
+        if chart.straight_geodesics:
+            direction = np.stack([np.cos(front.angles), np.sin(front.angles)], axis=-1)
+            assert np.array_equal(front.points, np.array(p) + t * direction)
+            assert np.array_equal(front.tangents, direction)
+            assert np.all(front.jacobi == t)
+
     def test_undefined_metric_stops_the_step(self):
         # The metric is NaN for x in (-0.3, -0.1), between the sample points x = -1/3 and 0 of the
         # chart check, and the geodesic from (0.5, 0) reaches x = -0.1 near t = 0.7.

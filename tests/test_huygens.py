@@ -28,6 +28,7 @@ from besselwave.polyforms import MultiPoly, PolyKForm, _exponents_up_to, random_
 
 from _oracles import (
     endpoint_average_exact,
+    flux_average_by_products,
     flux_average_loop,
     gamma_moment_ratio,
     interval_average_exact,
@@ -145,6 +146,12 @@ class TestFluxCorollary:
             for _ in range(8):
                 f = random_kform(rng, q, q - 1, 4)
                 assert flux_average_exact(f, q) == flux_average_loop(f, q)
+
+    def test_matches_the_product_oracle(self, rng):
+        for q in (2, 3, 4, 5, 6):
+            for _ in range(8):
+                f = random_kform(rng, q, q - 1, 6 if q < 5 else 4)
+                assert flux_average_exact(f, q) == flux_average_by_products(f, q)
 
     def test_wrong_degree_rejected(self):
         f = PolyKForm(3, 1, {(0,): MultiPoly.constant(3, 1)})

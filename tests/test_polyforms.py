@@ -7,6 +7,8 @@ import pytest
 
 from besselwave.polyforms import MultiPoly, PolyKForm, random_kform, random_multipoly
 
+from _oracles import laplacian_by_diff
+
 
 def x_(n, i):
     return MultiPoly.variable(n, i)
@@ -28,6 +30,12 @@ class TestMultiPoly:
         p = x**3 * y + y**2
         assert p.diff(0) == x**2 * y * 3
         assert p.laplacian() == x * y * 6 + 2
+
+    def test_laplacian_matches_the_diff_oracle(self, rng):
+        for nvars in range(1, 7):
+            for degree in range(0, 11, 2 if nvars > 4 else 1):
+                g = random_multipoly(rng, nvars, degree)
+                assert g.laplacian() == laplacian_by_diff(g), (nvars, degree)
 
     def test_evaluate(self):
         x, y = x_(2, 0), x_(2, 1)
@@ -128,3 +136,10 @@ class TestRandomGenerators:
     def test_degree_bound(self, rng):
         for _ in range(5):
             assert random_multipoly(rng, 3, 6).degree() <= 6
+
+    @pytest.mark.parametrize("degree", [-1, -5])
+    def test_negative_degree_rejected(self, rng, degree):
+        with pytest.raises(ValueError, match="degree"):
+            random_multipoly(rng, 2, degree)
+        with pytest.raises(ValueError, match="degree"):
+            random_kform(rng, 3, 2, degree)
