@@ -189,6 +189,8 @@ def _cmd_spectral(args) -> int:
 def _cmd_wave(args) -> int:
     if args.amplitudes < 0:
         raise ValueError(f"--amplitudes must be >= 0, got {args.amplitudes}")
+    if args.dt is not None and not (math.isfinite(args.dt) and args.dt > 0):
+        raise ValueError(f"--dt must be finite and positive, got {args.dt}")
     if args.kind == "classical" and args.q is not None:
         raise ValueError("--q sets the Bessel index of the velocity and position solutions; classical has none")
     domain = _build_domain(args)

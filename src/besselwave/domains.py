@@ -208,10 +208,6 @@ class SpectralDomain:
         """Orthonormal eigenvectors of the dense Dirac matrix, one per column."""
         return self._dirac_eigh[1]
 
-    def laplacian(self, k: int) -> np.ndarray:
-        """The Hodge Laplacian of degree k as a dense matrix."""
-        return _laplacian(self.d_blocks, self.grading, self.check_degree(k))
-
     @cached_property
     def labels(self) -> tuple[BasisLabel, ...] | None:
         """One BasisLabel per basis vector of a trig domain, in basis order; None on a simplicial one."""

@@ -245,9 +245,12 @@ def _rhs(chart: SurfaceChart, state: np.ndarray) -> np.ndarray:
     x, y, vx, vy = state[0], state[1], state[2], state[3]
     jet = chart.jet(x, y)
     c111, c112, c122, c211, c212, c222 = _christoffel(jet)
-    ax = -(c111 * vx * vx + 2.0 * c112 * vx * vy + c122 * vy * vy)
-    ay = -(c211 * vx * vx + 2.0 * c212 * vx * vy + c222 * vy * vy)
-    return np.array([vx, vy, ax, ay, state[5], -_brioschi(jet) * state[4]])
+    out = np.empty_like(state)
+    out[0], out[1], out[4] = vx, vy, state[5]
+    out[2] = -(c111 * vx * vx + 2.0 * c112 * vx * vy + c122 * vy * vy)
+    out[3] = -(c211 * vx * vx + 2.0 * c212 * vx * vy + c222 * vy * vy)
+    out[5] = -_brioschi(jet) * state[4]
+    return out
 
 
 def _outside(chart: SurfaceChart, state: np.ndarray) -> bool:

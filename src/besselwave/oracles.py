@@ -84,19 +84,12 @@ def dalembert_shift_coefficients(circle, raw: np.ndarray, t: float) -> np.ndarra
     """[f(x+t) - f(x-t)]/2 expanded in the circle trig basis.
 
     raw holds the 0-form coefficients of f; the result is in the degree-1
-    basis.  cos mode k contributes -sin(2 pi k t) to the sin mode, sin mode
-    k contributes +sin(2 pi k t) to the cos mode.
+    basis.  Both bases are the constant, then cos and sin of each mode k of
+    the circle's trig stack.  cos mode k contributes -sin(2 pi k t) to the
+    sin mode, sin mode k contributes +sin(2 pi k t) to the cos mode.
     """
-    labels = circle.labels[: circle.grading[0]]
-    index = {(l.phase, l.mode): i for i, l in enumerate(labels)}
+    s = np.array([math.sin(2.0 * math.pi * k * t) for k in circle.stacks[-1].modes[:, 0].tolist()])
     out = np.zeros_like(raw)
-    for i, lbl in enumerate(labels):
-        if lbl.phase == "const":
-            continue
-        k = lbl.mode[0]
-        s = math.sin(2.0 * math.pi * k * t)
-        if lbl.phase == "cos":
-            out[index[("sin", lbl.mode)]] += -raw[i] * s
-        else:
-            out[index[("cos", lbl.mode)]] += raw[i] * s
+    out[2::2] += -raw[1::2] * s
+    out[1::2] += raw[2::2] * s
     return out

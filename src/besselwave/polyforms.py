@@ -47,6 +47,14 @@ class MultiPoly:
                 clean[expo] = coeff
         self.terms = clean
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """A result built from well-formed terms: only the zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -81,12 +89,12 @@ class MultiPoly:
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
             out[expo] = out.get(expo, Fraction(0)) + coeff
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -97,14 +105,14 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             c = _as_fraction(other)
-            return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return MultiPoly._of(self.nvars, {e: c * v for e, v in self.terms.items()})
         other = self._coerce(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -137,7 +145,7 @@ class MultiPoly:
             if e:
                 key = expo[:axis] + (e - 1,) + expo[axis + 1 :]
                 out[key] = out.get(key, Fraction(0)) + coeff * e
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._of(self.nvars, out)
 
     def laplacian(self) -> "MultiPoly":
         """Sum over axes a of e_a (e_a - 1) x^(e - 2 1_a), in one pass over the terms."""
@@ -147,7 +155,7 @@ class MultiPoly:
                 if e > 1:
                     key = expo[:axis] + (e - 2,) + expo[axis + 1 :]
                     out[key] = out.get(key, Fraction(0)) + coeff * (e * (e - 1))
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._of(self.nvars, out)
 
     def evaluate(self, point) -> Fraction:
         point = [_as_fraction(p) for p in point]

@@ -1,18 +1,17 @@
 """Closed-form wave solutions and independent residual verification.
 
-Three solution families on a spectral domain:
+Each family is one row (offset, power): u(t) = t^power phi_{q+offset}(tD) u0.
 
-* classical:  u(t) = cos(tD) u0 + t sinc(tD) v0  solves  u_tt + L u = 0,
-* velocity:   u(t) = t phi_{q+2}(tD) d f          solves  B_tt u + L u = 0
-              with u(0) = 0 and initial rate d f,
-* position:   u(t) = phi_q(tD) d f                solves  R_tt u + L u = 0
-              with u(0) = d f and zero initial rate,
+* velocity (2, 1): t phi_{q+2}(tD) d f, with u(0) = 0 and initial rate d f,
+* position (0, 0): phi_q(tD) d f, with u(0) = d f and zero initial rate.
 
-where B_tt h = h'' + (q-1)(h'/t - h/t^2) is the singular radial
-acceleration with unit angular momentum and R_tt h = h'' + (q-1) h'/t the
-zero-angular-momentum one.  The residual harness never differentiates
-symbolically in t: it uses 4th-order finite-difference stencils, so it is
-an independent check of the closed forms.
+Both solve u_tt + (q-1)(u_t/t - power u/t^2) + L u = 0: the singular radial
+acceleration B_tt h = h'' + (q-1)(h'/t - h/t^2) for velocity and
+R_tt h = h'' + (q-1) h'/t for position.  The classical solution
+cos(tD) u0 + (sin(tD)/D) v0 of u_tt + L u = 0 is the q = 1 pair, where
+phi_1 = cos, t phi_3(t lam) = sin(t lam)/lam and both accelerations are h''.
+The residual harness never differentiates symbolically in t: its 4th-order
+finite-difference stencils check the closed forms independently.
 
 The same accelerations act symbolically on exact Laurent polynomials for
 the factorization identity and the monomial source problem.
@@ -75,10 +74,7 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, Fraction(0)) - c
-        return LaurentPoly(out)
+        return self + (-other)
 
     def __neg__(self):
         return LaurentPoly({p: -c for p, c in self.coeffs.items()})
@@ -119,11 +115,7 @@ class LaurentPoly:
 
 def bessel_acceleration(h: LaurentPoly, q: int) -> LaurentPoly:
     """h'' + (q-1)(h'/t - h/t^2), exactly."""
-    return (
-        h.derivative().derivative()
-        + h.derivative().shift_power(-1).scale(q - 1)
-        - h.shift_power(-2).scale(q - 1)
-    )
+    return radial_acceleration(h, q) - h.shift_power(-2).scale(q - 1)
 
 
 def radial_acceleration(h: LaurentPoly, q: int) -> LaurentPoly:
@@ -180,15 +172,8 @@ def monomial_source_solution(q: int, n: int) -> MonomialSourceCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _sinc_multiplier(t: float):
-    # t*sinc(t lam) = sin(t lam)/lam with the lam -> 0 limit equal to t.
-    def fn(lam: float) -> float:
-        x = t * lam
-        if abs(x) < 1e-8:
-            return t * (1.0 - x * x / 6.0)
-        return math.sin(x) / lam
-
-    return fn
+# (profile offset, power of t) per family: u(t) = t^power phi_{q+offset}(tD) u0.
+_FAMILIES = {"velocity": (2, 1), "position": (0, 0)}
 
 
 @dataclass(frozen=True)
@@ -201,36 +186,43 @@ class WaveSolution:
     u0: Cochain
     v0: Cochain | None = None
 
+    def __post_init__(self):
+        if self.kind != "classical" and self.kind not in _FAMILIES:
+            raise ValueError(f"unknown solution kind {self.kind!r}")
+        if self.kind == "classical" and self.q != 1:
+            raise ValueError(f"the classical solution is the q = 1 pair, got q={self.q}")
+
     @property
     def degree(self) -> int:
         return self.u0.degree
 
     def at(self, t: float) -> Cochain:
+        if not math.isfinite(t):
+            raise ValueError(f"a wave solution needs a finite time, got {t}")
         dom = self.domain
-        if self.kind == "classical":
+        if self.kind == "classical":  # the q = 1 pair in closed form
             pos = functional_calculus(dom, lambda lam: math.cos(t * lam), self.u0)
-            vel = functional_calculus(dom, _sinc_multiplier(t), self.v0)
+            vel = functional_calculus(dom, lambda lam: math.sin(t * lam) / lam if lam else t, self.v0)
             return Cochain(self.degree, pos.coefficients + vel.coefficients)
-        if self.kind == "velocity":
-            n = self.q + 2
-            return functional_calculus(dom, lambda lam: t * besselfn.phi(n, t * lam), self.u0)
-        if self.kind == "position":
-            return functional_calculus(dom, lambda lam: besselfn.phi(self.q, t * lam), self.u0)
-        raise ValueError(f"unknown solution kind {self.kind!r}")
+        offset, power = _FAMILIES[self.kind]
+        return functional_calculus(dom, lambda lam: t**power * besselfn.phi(self.q + offset, t * lam), self.u0)
 
 
 def classical_wave(domain: SpectralDomain, u0: Cochain, v0: Cochain) -> WaveSolution:
-    """Solution cos(tD) u0 + t sinc(tD) v0: initial position u0, initial rate v0."""
+    """Solution cos(tD) u0 + (sin(tD)/D) v0: initial position u0, initial rate v0."""
     if u0.degree != v0.degree:
         raise ValueError("classical solution needs u0, v0 of one common degree")
-    return WaveSolution(domain=domain, kind="classical", q=domain.q, u0=u0, v0=v0)
+    return WaveSolution(domain=domain, kind="classical", q=1, u0=u0, v0=v0)
 
 
 def _solution_from_df(domain: SpectralDomain, f: Cochain, kind: str, q) -> WaveSolution:
+    q = domain.q if q is None else int(q)
+    if q < 1:
+        raise ValueError(f"{kind} solution needs q >= 1, got q={q}")
     if f.degree >= domain.top_degree:
         raise ValueError(f"{kind} solution needs f below the top degree")
     df = domain.cochain(f.degree + 1, domain.apply_d(f.degree, f.coefficients))
-    return WaveSolution(domain=domain, kind=kind, q=domain.q if q is None else int(q), u0=df)
+    return WaveSolution(domain=domain, kind=kind, q=q, u0=df)
 
 
 def velocity_solution(domain: SpectralDomain, f: Cochain, q: int | None = None) -> WaveSolution:
@@ -264,8 +256,8 @@ def pde_residual(solution: WaveSolution, t: float, dt: float | None = None) -> f
     """
     if dt is None:
         dt = residual_step(solution)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if t < 5.0 * dt:
         raise ValueError(f"residual stencil needs t >= 5 dt, got t={t}, dt={dt}")
     samples = [solution.at(t + j * dt).coefficients for j in (-2, -1, 0, 1, 2)]
@@ -273,12 +265,6 @@ def pde_residual(solution: WaveSolution, t: float, dt: float | None = None) -> f
     u_tt = (-um2 + 16.0 * um1 - 30.0 * u0 + 16.0 * up1 - up2) / (12.0 * dt * dt)
     u_t = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * dt)
     lap = solution.domain.even_apply(solution.degree, solution.domain.laplacian_spectrum(solution.degree), u0)
-    if solution.kind == "classical":
-        defect = u_tt + lap
-    elif solution.kind == "velocity":
-        defect = u_tt + (solution.q - 1) * (u_t / t - u0 / (t * t)) + lap
-    elif solution.kind == "position":
-        defect = u_tt + (solution.q - 1) * (u_t / t) + lap
-    else:
-        raise ValueError(f"unknown solution kind {solution.kind!r}")
+    _, power = _FAMILIES.get(solution.kind, (0, 0))  # classical has q = 1, where power drops out
+    defect = u_tt + (solution.q - 1) * (u_t / t - power * u0 / (t * t)) + lap
     return float(np.linalg.norm(defect))

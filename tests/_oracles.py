@@ -133,6 +133,17 @@ def label_pullback(domain, axes, signs, shift) -> list[np.ndarray]:
     return blocks
 
 
+def dense_laplacian(domain, k: int) -> np.ndarray:
+    """L_k = d_{k-1} d_{k-1}^T + d_k^T d_k from the dense d_blocks; k outside [0, top] raises."""
+    d = domain.d_blocks
+    lap = np.zeros((domain.grading[domain.check_degree(k)],) * 2)
+    if k > 0:
+        lap += d[k - 1] @ d[k - 1].T
+    if k < domain.top_degree:
+        lap += d[k].T @ d[k]
+    return lap
+
+
 def dense_symmetry(domain, symmetry) -> list[np.ndarray]:
     """One dense n_k x n_k matrix per degree of a symmetry given block by block."""
     out = [np.zeros((n, n)) for n in domain.grading]

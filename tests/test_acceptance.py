@@ -12,11 +12,9 @@ import pytest
 
 from besselwave import verify
 from besselwave.domains import build_circle_domain, build_torus_domain
-from besselwave.geomfront import hyperbolic_chart, r2d2_curvature, sphere_chart
 from besselwave.specops import (
     betti,
     deformed_dirac_norm,
-    discrete_wave_orbit,
     torus_quarter_turn,
     torus_translation,
 )
@@ -133,9 +131,8 @@ def test_criterion_9_huygens_locality_probe():
 def test_criterion_10_geometry():
     worst_len = verify.sphere_front_worst((0.25, 0.5, 0.75, 1.0))
     assert worst_len < 1e-6
-    sphere_k = r2d2_curvature(sphere_chart(), (math.pi / 2, 0.3), 0.1)
+    sphere_k, hyper_k = verify.r2d2_curvatures(0.1)
     assert abs(sphere_k - 0.9975) < 3e-3
-    hyper_k = r2d2_curvature(hyperbolic_chart(), (0.0, 1.0), 0.1)
     assert abs(hyper_k + 1.0025) < 3e-3
     cancellation = verify.torus_cancellation(256)
     assert cancellation < 1e-6
@@ -146,13 +143,7 @@ def test_criterion_10_geometry():
 
 def test_criterion_11_discrete_wave_map():
     circle = build_circle_domain(4)
-    h = math.asin(0.9) / (2.0 * math.pi * 4)
-    rng = _philox(11)
-    state = rng.standard_normal(2 * circle.total_dim)
-    state /= np.linalg.norm(state)
-    orbit = discrete_wave_orbit(
-        circle, h, state[: circle.total_dim], state[circle.total_dim:], 10_000
-    )
+    orbit = verify.wave_map_orbit(circle, math.asin(0.9) / (2.0 * math.pi * 4), _philox(11), 10_000)
     assert orbit["dirac_norm"] == pytest.approx(0.9, abs=1e-12)
     # zero violations of the per-mode ellipse bound along the whole orbit
     assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)

@@ -190,6 +190,23 @@ class TestWave:
         for row in rows:
             assert float(row[1]) < 1e-6
 
+    EDGES = [
+        (("--kind", "velocity", "--q", "-1"), "velocity solution needs q >= 1, got q=-1"),
+        (("--kind", "velocity", "--q", "0"), "velocity solution needs q >= 1, got q=0"),
+        (("--kind", "position", "--q", "0"), "position solution needs q >= 1, got q=0"),
+        (("--dt", "nan"), "--dt must be finite and positive, got nan"),
+        (("--dt", "inf"), "--dt must be finite and positive, got inf"),
+        (("--kind", "classical", "--t-values", "inf"), "a wave solution needs a finite time, got inf"),
+        (("--kind", "velocity", "--t-values", "inf"), "a wave solution needs a finite time, got inf"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", EDGES, ids=[" ".join(argv) for argv, _ in EDGES])
+    def test_edges_fail_loudly(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "wave", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestPizzettiPolarize:
     def test_pizzetti_deterministic(self, capsys):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import besselwave
 from besselwave import geomfront
+from besselwave.domains import SpectralDomain
 
 MODULES = [importlib.import_module(f"besselwave.{m.name}") for m in pkgutil.iter_modules(besselwave.__path__)]
 
@@ -43,6 +44,11 @@ def test_dense_views_are_read_only_in_domains():
         if isinstance(node, ast.Attribute) and node.attr in DENSE_VIEWS
     ]
     assert readers == []
+
+
+def test_spectral_domain_has_no_dense_laplacian():
+    # L_k is read through laplacian_spectrum and even_apply; the dense matrix is a test oracle.
+    assert not hasattr(SpectralDomain, "laplacian")
 
 
 def test_steps_only_where_geomfront_integrates():

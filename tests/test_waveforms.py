@@ -10,6 +10,7 @@ from besselwave.domains import build_circle_domain, build_torus_domain
 from besselwave.specops import deformed_d
 from besselwave.waveforms import (
     LaurentPoly,
+    WaveSolution,
     bessel_acceleration,
     classical_wave,
     factorization_check,
@@ -88,10 +89,12 @@ class TestDeformedSolutions:
         raw = rng.standard_normal(circle4.grading[0])
         f = circle4.cochain(0, raw)
         df = circle4.cochain(1, circle4.d_blocks[0] @ raw)
-        vs = velocity_solution(circle4, f, q=1)
-        cs = classical_wave(circle4, circle4.zero_cochain(1), df)
-        for t in (0.1, 1.0 / 3.0, 0.9):
-            assert np.abs(vs.at(t).coefficients - cs.at(t).coefficients).max() < 1e-12
+        # velocity is the sin(tD)/D half of the classical pair, position the cos(tD) half
+        pairs = ((velocity_solution(circle4, f, q=1), classical_wave(circle4, circle4.zero_cochain(1), df)),
+                 (position_solution(circle4, f, q=1), classical_wave(circle4, df, circle4.zero_cochain(1))))
+        for deformed, classical in pairs:
+            for t in (0.1, 1.0 / 3.0, 0.9):
+                assert np.abs(deformed.at(t).coefficients - classical.at(t).coefficients).max() < 1e-12
 
     def test_position_initial_data(self, torus2, rng):
         raw = rng.standard_normal(torus2.grading[0])
@@ -127,6 +130,34 @@ class TestDeformedSolutions:
     def test_degree_bookkeeping(self, torus2, rng):
         f = torus2.cochain(1, rng.standard_normal(torus2.grading[1]))
         assert velocity_solution(torus2, f).at(0.4).degree == 2
+
+    def test_classical_is_the_q1_pair(self, torus2):
+        zero = torus2.zero_cochain(0)
+        assert classical_wave(torus2, zero, zero).q == 1
+
+    def test_kind_checked_on_construction(self, circle4):
+        with pytest.raises(ValueError, match="unknown solution kind 'bogus'"):
+            WaveSolution(domain=circle4, kind="bogus", q=1, u0=circle4.zero_cochain(0))
+        with pytest.raises(ValueError, match="the classical solution is the q = 1 pair"):
+            WaveSolution(domain=circle4, kind="classical", q=3, u0=circle4.zero_cochain(0))
+
+    def test_q_below_one_rejected(self, circle4, rng):
+        f = unit_rate_f(circle4, rng)
+        for build in (velocity_solution, position_solution):
+            for q in (0, -1):
+                with pytest.raises(ValueError, match=f"needs q >= 1, got q={q}"):
+                    build(circle4, f, q=q)
+
+    def test_non_finite_time_rejected(self, circle4, rng):
+        f = unit_rate_f(circle4, rng)
+        zero = circle4.zero_cochain(0)
+        for sol in (velocity_solution(circle4, f), position_solution(circle4, f), classical_wave(circle4, zero, zero)):
+            for t in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="a wave solution needs a finite time"):
+                    sol.at(t)
+            for t in (math.inf, math.nan):  # t = -inf stops at the stencil guard t >= 5 dt
+                with pytest.raises(ValueError, match="a wave solution needs a finite time"):
+                    pde_residual(sol, t)
 
 
 class TestResidualHarness:
@@ -182,6 +213,12 @@ class TestResidualHarness:
         sol = velocity_solution(circle4, unit_rate_f(circle4, rng))
         with pytest.raises(ValueError):
             pde_residual(sol, 1e-3, dt=1e-3)
+
+    def test_non_finite_step_rejected(self, circle4, rng):
+        sol = velocity_solution(circle4, unit_rate_f(circle4, rng))
+        for dt in (math.nan, math.inf, 0.0, -1e-3):
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                pde_residual(sol, 1.0, dt=dt)
 
     def test_asymptotic_amplitude_band(self):
         dom = build_circle_domain(1)
