@@ -24,7 +24,8 @@ from .domains import (
     domain_spectra_json,
     spectrum_by_degree,
 )
-from .polyforms import MultiPoly, random_multipoly
+from .exprgrammar import compile_expression
+from .polyforms import MultiPoly
 from .svgfig import polyline_chart
 
 __all__ = ["main", "console_main"]
@@ -51,15 +52,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _plot_path(args) -> str:
-    if args.out:
-        stem = args.out.rsplit(".", 1)[0]
-        return stem + ".svg"
-    return f"besselwave_{args.command}.svg"
-
-
-def _param_comment(args, keys: list[str]) -> str:
-    return " ".join(f"{k}={getattr(args, k.replace('-', '_'))}" for k in keys)
+def _table(args, comments: list[str], header: list[str], rows: list[list], plot=None) -> None:
+    """Write the CSV; with --plot, also the SVG of plot = (title, x_label, y_label, [(name, xs, ys), ...])."""
+    _emit(_csv(comments, header, rows), args.out)
+    if plot is not None and args.plot:
+        title, x_label, y_label, series = plot
+        path = args.out.rsplit(".", 1)[0] + ".svg" if args.out else f"besselwave_{args.command}.svg"
+        polyline_chart(path, series, title=title, x_label=x_label, y_label=y_label)
 
 
 # ---------------------------------------------------------------------------
@@ -81,21 +80,12 @@ def _cmd_bessel(args) -> int:
             [r, besselfn.phi(args.n, r), besselfn.psi(args.n, r), besselfn.phi_derivative(args.n, r), residual]
         )
     comments = [
-        f"subcommand=bessel n={args.n} "
-        + _param_comment(args, ["r", "r_min", "r_max", "points"])
-        + f" seed={args.seed}"
+        f"subcommand=bessel n={args.n} r={args.r} r_min={args.r_min} r_max={args.r_max} "
+        f"points={args.points} seed={args.seed}"
     ]
-    text = _csv(comments, ["r", "phi", "psi", "phi_derivative", "ode_residual"], rows)
-    _emit(text, args.out)
-    if args.plot:
-        polyline_chart(
-            _plot_path(args),
-            [("phi", [row[0] for row in rows], [row[1] for row in rows]),
-             ("psi", [row[0] for row in rows], [row[2] for row in rows])],
-            title=f"Bessel profile n={args.n}",
-            x_label="r",
-            y_label="value",
-        )
+    cols = list(zip(*rows))
+    _table(args, comments, ["r", "phi", "psi", "phi_derivative", "ode_residual"], rows,
+           (f"Bessel profile n={args.n}", "r", "value", [("phi", cols[0], cols[1]), ("psi", cols[0], cols[2])]))
     return 0
 
 
@@ -145,16 +135,12 @@ def _cmd_spectral(args) -> int:
             "commutator": specops.symmetry_commutator(domain, unitary, t_val),
         }
     if args.wave_steps:
-        rng = np.random.default_rng(np.random.Philox(args.seed))
-        state = rng.standard_normal(2 * domain.total_dim)
-        state /= np.linalg.norm(state)
         # |psi_n(x)| <= |x|, so h = wave_norm / max|lambda| keeps ||D_h|| <= wave_norm for
         # every q; a zero spectrum has D_h = 0 for every h.
         top = max(float(spectrum_by_degree(domain, k)[-1]) for k in range(domain.top_degree + 1))
         h = wave_norm / (math.sqrt(max(top, 0.0)) or 1.0)
-        orbit = specops.discrete_wave_orbit(
-            domain, h, state[: domain.total_dim], state[domain.total_dim :], args.wave_steps
-        )
+        rng = np.random.default_rng(np.random.Philox(args.seed))
+        orbit = verify.wave_map_orbit(domain, h, rng, args.wave_steps)
         payload["wave_orbit"] = {
             "h": h,
             "steps": args.wave_steps,
@@ -182,7 +168,7 @@ def _cmd_spectral(args) -> int:
         if "wave_orbit" in payload:
             o = payload["wave_orbit"]
             comments.append(f"wave_orbit max_norm={o['max_norm']!r} bound={o['bound']!r}")
-        _emit(_csv(comments, ["degree", "index", "laplacian_eigenvalue"], rows), args.out)
+        _table(args, comments, ["degree", "index", "laplacian_eigenvalue"], rows)
     return 0
 
 
@@ -210,22 +196,16 @@ def _cmd_wave(args) -> int:
     n_amp = min(domain.grading[solution.degree], args.amplitudes)
     for t in t_values:
         u = solution.at(t)
-        residual = waveforms.pde_residual(solution, t, dt) if t >= 5 * dt else math.nan
+        residual = waveforms.pde_residual(solution, t, dt)
         rows.append([t, residual, u.norm()] + [float(a) for a in np.abs(u.coefficients[:n_amp])])
     comments = [
         f"subcommand=wave domain={args.domain} kind={args.kind} q={args.q} "
         f"max-freq={args.max_freq} dt={dt} seed={args.seed}"
     ]
     header = ["t", "residual", "norm"] + [f"amp_{i}" for i in range(n_amp)]
-    _emit(_csv(comments, header, rows), args.out)
-    if args.plot:
-        polyline_chart(
-            _plot_path(args),
-            [("norm", [r[0] for r in rows], [r[2] for r in rows])],
-            title=f"{args.kind} solution, {args.domain}",
-            x_label="t",
-            y_label="norm",
-        )
+    cols = list(zip(*rows))
+    _table(args, comments, header, rows,
+           (f"{args.kind} solution, {args.domain}", "t", "norm", [("norm", cols[0], cols[2])]))
     return 0
 
 
@@ -233,20 +213,14 @@ def _cmd_pizzetti(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     rng = np.random.default_rng(np.random.Philox(args.seed))
-    rows = []
-    failures = 0
-    for i in range(args.count):
-        q = (1, 2, 3)[i % 3]
-        g = random_multipoly(rng, q, args.degree)
-        ball_ok = huygens.pizzetti_ball(g, q) == huygens.ball_average_exact(g, q)
-        sphere_ok = huygens.pizzetti_sphere(g, q) == huygens.sphere_average_exact(g, q)
-        failures += (not ball_ok) + (not sphere_ok)
-        rows.append([i, q, g.degree(), int(ball_ok), int(sphere_ok)])
+    rows = verify.pizzetti_rows(rng, args.count, (1, 2, 3), args.degree)
+    failures = sum((not ball) + (not sphere) for _, _, ball, sphere in rows)
     comments = [
         f"subcommand=pizzetti count={args.count} degree={args.degree} seed={args.seed}",
         f"failures={failures}",
     ]
-    _emit(_csv(comments, ["index", "q", "poly_degree", "ball_exact", "sphere_exact"], rows), args.out)
+    _table(args, comments, ["index", "q", "poly_degree", "ball_exact", "sphere_exact"],
+           [[i, q, degree, int(ball), int(sphere)] for i, (q, degree, ball, sphere) in enumerate(rows)])
     return 0 if failures == 0 else 1
 
 
@@ -261,7 +235,7 @@ def _cmd_polarize(args) -> int:
         f"normalization=1/(n!*2^n) with n={n}; combination reproduces the monomial: {verified}",
     ]
     header = ["sign"] + [f"a_{i}" for i in range(len(exponents))] + ["power"]
-    _emit(_csv(comments, header, rows), args.out)
+    _table(args, comments, header, rows)
     return 0 if verified else 1
 
 
@@ -283,49 +257,30 @@ def _cmd_probe(args) -> int:
         [float(r), float(d), float(c)]
         for r, d, c in zip(result.radii, result.deformed_profile, result.classical_profile)
     ]
-    _emit(_csv(comments, ["radius", "deformed_mass", "classical_mass"], rows), args.out)
-    if args.plot:
-        polyline_chart(
-            _plot_path(args),
-            [("deformed", [r[0] for r in rows], [r[1] for r in rows]),
-             ("classical", [r[0] for r in rows], [r[2] for r in rows])],
-            title=f"interior leakage profile, q={args.q}, t={args.t}",
-            x_label="torus radius",
-            y_label="mass fraction",
-        )
+    _table(args, comments, ["radius", "deformed_mass", "classical_mass"], rows,
+           (f"interior leakage profile, q={args.q}, t={args.t}", "torus radius", "mass fraction",
+            [("deformed", result.radii, result.deformed_profile),
+             ("classical", result.radii, result.classical_profile)]))
     return 0
 
 
 def _cmd_curvature(args) -> int:
-    chart = _chart_from_args(args)
-    point = _point_from_args(args, chart)
+    chart, point = _chart_point(args)
     hs = [args.h] if args.h is not None else [0.05 * (i + 1) for i in range(6)]
-    rows = []
-    for h in hs:
-        rows.append([
-            h,
-            geomfront.r2d2_curvature(chart, point, h, args.ntheta),
-            geomfront.puiseux_curvature(chart, point, h, args.ntheta),
-        ])
+    rows = [[h, geomfront.r2d2_curvature(chart, point, h, args.ntheta),
+             geomfront.puiseux_curvature(chart, point, h, args.ntheta)] for h in hs]
     comments = [
         f"subcommand=curvature chart={chart.name} point={point} ntheta={args.ntheta} seed={args.seed}"
     ]
-    _emit(_csv(comments, ["h", "r2d2", "puiseux"], rows), args.out)
-    if args.plot:
-        polyline_chart(
-            _plot_path(args),
-            [("r2d2", [r[0] for r in rows], [r[1] for r in rows]),
-             ("puiseux", [r[0] for r in rows], [r[2] for r in rows])],
-            title=f"curvature estimates on {chart.name}",
-            x_label="h",
-            y_label="K",
-        )
+    cols = list(zip(*rows))
+    _table(args, comments, ["h", "r2d2", "puiseux"], rows,
+           (f"curvature estimates on {chart.name}", "h", "K",
+            [("r2d2", cols[0], cols[1]), ("puiseux", cols[0], cols[2])]))
     return 0
 
 
 def _cmd_front(args) -> int:
-    chart = _chart_from_args(args)
-    point = _point_from_args(args, chart)
+    chart, point = _chart_point(args)
     front = geomfront.wavefront(chart, point, args.t, args.ntheta)
     comments = [
         f"subcommand=front chart={chart.name} point={point} t={args.t} "
@@ -333,10 +288,10 @@ def _cmd_front(args) -> int:
         f"front_length={float(np.mean(np.abs(front.jacobi)) * 2 * math.pi)!r}",
     ]
     if args.oneform:
-        p_src, q_src = args.oneform.split(";")
-        from .exprgrammar import compile_expression
-
-        oneform = (compile_expression(p_src), compile_expression(q_src))
+        sources = args.oneform.split(";")
+        if len(sources) != 2:
+            raise ValueError(f'--oneform takes two expressions "P;Q", got {args.oneform!r}')
+        oneform = tuple(compile_expression(src) for src in sources)
         res = geomfront.wavefront_line_integral(chart, oneform, point, args.t, args.ntheta)
         comments.append(
             f"line_integral={res.value!r} self_intersection_warning={res.front_self_intersects}"
@@ -345,15 +300,9 @@ def _cmd_front(args) -> int:
         [float(th), float(x), float(y), float(j)]
         for th, (x, y), j in zip(front.angles, front.points, front.jacobi)
     ]
-    _emit(_csv(comments, ["theta", "x", "y", "jacobi"], rows), args.out)
-    if args.plot:
-        polyline_chart(
-            _plot_path(args),
-            [("front", [r[1] for r in rows] + [rows[0][1]], [r[2] for r in rows] + [rows[0][2]])],
-            title=f"wave front on {chart.name}, t={args.t}",
-            x_label="x",
-            y_label="y",
-        )
+    closed = list(zip(*(rows + rows[:1])))
+    _table(args, comments, ["theta", "x", "y", "jacobi"], rows,
+           (f"wave front on {chart.name}, t={args.t}", "x", "y", [("front", closed[1], closed[2])]))
     return 0
 
 
@@ -366,31 +315,24 @@ def _cmd_verify_all(args) -> int:
     return 0 if report["status"] == "pass" else 1
 
 
-def _chart_from_args(args):
+def _chart_point(args):
+    """The chart of --chart and the point of --point; the default point is the centre of the chart's rectangle."""
     if args.chart == "custom":
         if not (args.g11 and args.g12 is not None and args.g22):
             raise ValueError("custom charts need --g11, --g12, --g22 expressions")
         bounds = tuple(float(s) for s in args.bounds.split(","))
-        return geomfront.chart_from_expressions(args.g11, args.g12, args.g22, bounds)
-    return geomfront.chart_by_name(args.chart)
-
-
-def _point_from_args(args, chart):
+        chart = geomfront.chart_from_expressions(args.g11, args.g12, args.g22, bounds)
+    else:
+        chart = geomfront.chart_by_name(args.chart)
     if args.point:
         point = tuple(float(s) for s in args.point.split(","))
         if len(point) != 2:
             raise ValueError(f"--point takes two numbers x,y, got {args.point!r}")
-        return point
-    defaults = {
-        "sphere": (math.pi / 2, 0.0),
-        "hyperbolic": (0.0, 1.0),
-        "torus": (0.5, 0.5),
-        "flat": (0.0, 0.0),
-    }
-    if chart.name in defaults:
-        return defaults[chart.name]
+        return chart, point
+    if chart.name == "hyperbolic":
+        return chart, (0.0, 1.0)  # its rectangle is unbounded above
     x_min, x_max, y_min, y_max = chart.bounds
-    return (0.5 * (x_min + x_max), 0.5 * (y_min + y_max))
+    return chart, (0.5 * (x_min + x_max), 0.5 * (y_min + y_max))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +354,19 @@ def _build_parser() -> argparse.ArgumentParser:
         if plot:
             p.add_argument("--plot", action="store_true", help="write an SVG next to --out")
 
+    def domain(p):
+        p.add_argument("--domain", choices=("circle", "torus2", "torus3", "simplicial"), default="circle")
+        p.add_argument("--max-freq", type=int, default=3)
+        p.add_argument("--complex", help="JSON file with {\"simplices\": [...]}")
+
+    def chart(p, default):
+        p.add_argument("--chart", default=default)
+        p.add_argument("--point")
+        p.add_argument("--g11")
+        p.add_argument("--g12")
+        p.add_argument("--g22")
+        p.add_argument("--bounds", default="-2,2,-2,2")
+
     p = sub.add_parser("bessel", help="profile tables and identity checks")
     common(p, plot=True)
     p.add_argument("--n", type=int, default=3)
@@ -424,9 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="domain spectra, Betti tables, symmetries, wave orbits")
     common(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--domain", choices=("circle", "torus2", "torus3", "simplicial"), default="circle")
-    p.add_argument("--max-freq", type=int, default=3)
-    p.add_argument("--complex", help="JSON file with {\"simplices\": [...]}")
+    domain(p)
     p.add_argument("--t", type=float, help="deformation parameter for the Betti table")
     p.add_argument("--tol", type=float, help="kernel threshold override")
     p.add_argument("--symmetry", choices=("translation", "quarter-turn"))
@@ -437,9 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wave", help="solution snapshots and residual sweeps")
     common(p, plot=True)
-    p.add_argument("--domain", choices=("circle", "torus2", "torus3", "simplicial"), default="circle")
-    p.add_argument("--max-freq", type=int, default=3)
-    p.add_argument("--complex")
+    domain(p)
     p.add_argument("--kind", choices=("velocity", "position", "classical"), default="velocity")
     p.add_argument("--q", type=int, default=None, help="Bessel index override")
     p.add_argument("--t-values", default="0.5,1.0,2.0")
@@ -470,27 +421,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curvature", help="two-radius and circumference-defect curvature sweeps")
     common(p, plot=True)
-    p.add_argument("--chart", default="sphere")
+    chart(p, "sphere")
     p.add_argument("--h", type=float)
-    p.add_argument("--point")
     p.add_argument("--ntheta", type=int, default=64)
-    p.add_argument("--g11")
-    p.add_argument("--g12")
-    p.add_argument("--g22")
-    p.add_argument("--bounds", default="-2,2,-2,2")
     p.set_defaults(func=_cmd_curvature)
 
     p = sub.add_parser("front", help="wave-front polylines and line integrals")
     common(p, plot=True)
-    p.add_argument("--chart", default="flat")
-    p.add_argument("--point")
+    chart(p, "flat")
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--ntheta", type=int, default=256)
     p.add_argument("--oneform", help='pair of expressions "P;Q"')
-    p.add_argument("--g11")
-    p.add_argument("--g12")
-    p.add_argument("--g22")
-    p.add_argument("--bounds", default="-2,2,-2,2")
     p.set_defaults(func=_cmd_front)
 
     p = sub.add_parser("verify-all", help="run every property suite, JSON pass/fail report")

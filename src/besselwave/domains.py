@@ -321,6 +321,9 @@ def torus_pullback(domain: SpectralDomain, axes, signs, shift) -> tuple[BlockMap
         raise ValueError(f"no pullback of a {len(axes)}-torus isometry on the {domain.name} domain")
     if sorted(axes) != list(range(q)) or len(signs) != q or any(s not in (-1, 1) for s in signs):
         raise ValueError(f"axes {axes} with signs {signs} is not a signed permutation of {q} axes")
+    shift = np.atleast_1d(np.asarray(shift, dtype=float))
+    if shift.shape != (q,) or not np.all(np.isfinite(shift)):
+        raise ValueError(f"shift must be {q} finite numbers, got {shift.tolist()}")
     perm = np.zeros((q, q), dtype=int)
     perm[list(axes), range(q)] = signs
     forms = [np.array([[np.linalg.det(perm[np.ix_(r, c)]) for c in subsets] for r in subsets])
@@ -331,7 +334,7 @@ def torus_pullback(domain: SpectralDomain, axes, signs, shift) -> tuple[BlockMap
         flip = np.where(pulled[np.arange(len(pulled)), np.argmax(pulled != 0, axis=1)] < 0, -1, 1)
         f = int(np.abs(s.modes).max())
         keys = [np.ravel_multi_index((m + f).T, (2 * f + 1,) * q) for m in (s.modes, flip[:, None] * pulled)]
-        angle = 2.0 * math.pi * (s.modes @ np.atleast_1d(np.asarray(shift, dtype=float)))
+        angle = 2.0 * math.pi * (s.modes @ shift)
         c, sn = np.cos(angle), np.sin(angle)
         width = s.index[0].shape[1]  # (cos, sin), or the constant mode alone, where cos 0 = 1
         rot = np.stack([c, sn, -flip * sn, flip * c], axis=-1).reshape(-1, 2, 2)[:, :width, :width]

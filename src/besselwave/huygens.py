@@ -287,8 +287,10 @@ def locality_probe(
     """
     if q not in (2, 3):
         raise ValueError("locality probe supports q in {2, 3}")
-    if max_freq < 1 or sigma <= 0 or t <= 0 or annulus_width <= 0 or grid_points < 1:
-        raise ValueError("max_freq, sigma, t, annulus_width and grid_points must be positive")
+    if max_freq < 1 or grid_points < 1:
+        raise ValueError(f"max_freq and grid_points must be positive, got {max_freq} and {grid_points}")
+    if not all(math.isfinite(v) and v > 0 for v in (sigma, t, annulus_width)):
+        raise ValueError(f"sigma={sigma}, t={t} and annulus_width={annulus_width} must be finite and positive")
     if t + annulus_width >= 0.5:
         raise ValueError(
             f"t + annulus width = {t + annulus_width} reaches half the torus diameter"

@@ -106,14 +106,16 @@ def dalembert_worst(circle, rng: np.random.Generator, draws: int) -> float:
     return worst
 
 
+def pizzetti_rows(rng: np.random.Generator, count: int, qs, degree: int = 8) -> list[tuple[int, int, bool, bool]]:
+    """(q, polynomial degree, ball exact, sphere exact) per random polynomial, the dimensions qs in turn."""
+    polys = [(q, random_multipoly(rng, q, degree)) for q in itertools.islice(itertools.cycle(qs), count)]
+    return [(q, g.degree(), huygens.pizzetti_ball(g, q) == huygens.ball_average_exact(g, q),
+             huygens.pizzetti_sphere(g, q) == huygens.sphere_average_exact(g, q)) for q, g in polys]
+
+
 def pizzetti_mismatches(rng: np.random.Generator, count: int, qs) -> int:
     """Pizzetti ball and sphere series that differ from the exact averages, the dimensions qs in turn."""
-    mismatches = 0
-    for q in itertools.islice(itertools.cycle(qs), count):
-        g = random_multipoly(rng, q, 8)
-        mismatches += huygens.pizzetti_ball(g, q) != huygens.ball_average_exact(g, q)
-        mismatches += huygens.pizzetti_sphere(g, q) != huygens.sphere_average_exact(g, q)
-    return mismatches
+    return sum((not ball) + (not sphere) for _, _, ball, sphere in pizzetti_rows(rng, count, qs))
 
 
 def flux_worst(rng: np.random.Generator, count: int, qs) -> float:
@@ -160,11 +162,11 @@ def r2d2_curvatures(h: float) -> tuple[float, float]:
             geomfront.r2d2_curvature(geomfront.hyperbolic_chart(), (0.0, 1.0), h))
 
 
-def wave_map_orbit(circle, h: float, rng: np.random.Generator, steps: int) -> dict:
+def wave_map_orbit(domain, h: float, rng: np.random.Generator, steps: int) -> dict:
     """`discrete_wave_orbit` with step h from a unit state (u, v) drawn from rng."""
-    state = rng.standard_normal(2 * circle.total_dim)
+    state = rng.standard_normal(2 * domain.total_dim)
     state /= np.linalg.norm(state)
-    return specops.discrete_wave_orbit(circle, h, state[: circle.total_dim], state[circle.total_dim :], steps)
+    return specops.discrete_wave_orbit(domain, h, state[: domain.total_dim], state[domain.total_dim :], steps)
 
 
 def torus_cancellation(centers: int) -> float:

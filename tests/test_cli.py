@@ -198,6 +198,9 @@ class TestWave:
         (("--dt", "inf"), "--dt must be finite and positive, got inf"),
         (("--kind", "classical", "--t-values", "inf"), "a wave solution needs a finite time, got inf"),
         (("--kind", "velocity", "--t-values", "inf"), "a wave solution needs a finite time, got inf"),
+        (("--kind", "classical", "--t-values", "0.001,0.5"),
+         "residual stencil needs t >= 5 dt, got t=0.001, dt=0.00026525823848649226"),
+        (("--t-values", "0"), "residual stencil needs t >= 5 dt, got t=0.0, dt=0.00026525823848649226"),
     ]
 
     @pytest.mark.parametrize("argv, message", EDGES, ids=[" ".join(argv) for argv, _ in EDGES])
@@ -259,6 +262,27 @@ class TestProbe:
     def test_diameter_guard_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "huygens-probe", "--t", "0.4", "--w", "0.2")
         assert code == 2
+
+
+PLOTS = [
+    (("bessel", "--n", "2", "--points", "12"), 2),
+    (("wave", "--kind", "position", "--q", "2", "--t-values", "0.5,1,2"), 1),
+    (("huygens-probe", "--q", "2", "--max-freq", "32", "--sigma", "0.04", "--t", "0.3", "--w", "0.1",
+      "--grid", "128"), 2),
+    (("curvature", "--h", "0.1"), 2),
+    (("front", "--ntheta", "32"), 1),
+]
+
+
+@pytest.mark.parametrize("argv, series", PLOTS, ids=[argv[0] for argv, _ in PLOTS])
+def test_plot_next_to_out_repeats_byte_for_byte(capsys, tmp_path, argv, series):
+    written = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / run / "table.csv"), "--plot")[0] == 0
+        written.append([(tmp_path / run / name).read_bytes() for name in ("table.csv", "table.svg")])
+    assert written[0] == written[1]
+    assert written[0][1].count(b"<polyline") == series
 
 
 class TestCurvatureFront:
@@ -420,6 +444,21 @@ class TestConfigAndErrors:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error:"), err
+
+    LOUD = [
+        (("huygens-probe", "--q", "2", "--max-freq", "32", "--grid", "128", "--sigma", "nan"),
+         "sigma=nan, t=0.3 and annulus_width=0.05 must be finite and positive"),
+        (("spectral", "--domain", "torus2", "--max-freq", "1", "--symmetry", "translation", "--shift", "nan"),
+         "shift must be 2 finite numbers, got [nan, nan]"),
+        (("spectral", "--domain", "torus2", "--max-freq", "1", "--symmetry", "translation", "--shift", "inf"),
+         "shift must be 2 finite numbers, got [inf, inf]"),
+        (("front", "--ntheta", "16", "--oneform", "x"), """--oneform takes two expressions "P;Q", got 'x'"""),
+        (("front", "--ntheta", "16", "--oneform", "x;y;z"), """--oneform takes two expressions "P;Q", got 'x;y;z'"""),
+    ]
+
+    @pytest.mark.parametrize("argv, message", LOUD, ids=[" ".join(argv) for argv, _ in LOUD])
+    def test_non_finite_or_misshapen_input_fails_loudly(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_non_object_config_exit_2(self, capsys, tmp_path):
         config = tmp_path / "config.json"

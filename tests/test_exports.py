@@ -7,7 +7,7 @@ import pkgutil
 from pathlib import Path
 
 import besselwave
-from besselwave import geomfront
+from besselwave import cli, geomfront
 from besselwave.domains import SpectralDomain
 
 MODULES = [importlib.import_module(f"besselwave.{m.name}") for m in pkgutil.iter_modules(besselwave.__path__)]
@@ -59,3 +59,12 @@ def test_steps_only_where_geomfront_integrates():
         and "steps" in inspect.signature(getattr(geomfront, name)).parameters
     )
     assert takers == ["geodesic", "jacobi_field", "wavefront"]
+
+
+def test_cli_plots_through_one_writer_and_measures_through_verify():
+    # `_table` is the one place an SVG is written; the wave orbit and the Pizzetti rows are `verify`'s.
+    nodes = list(ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))))
+    charts = [n for n in nodes if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "polyline_chart"]
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None) for n in nodes}
+    assert len(charts) == 1
+    assert names.isdisjoint({"discrete_wave_orbit", "random_multipoly"})

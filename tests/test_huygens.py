@@ -226,6 +226,12 @@ class TestLocalityProbe:
         with pytest.raises(ValueError):
             locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=grid)
 
+    @pytest.mark.parametrize("sigma, t, width", [(math.nan, 0.3, 0.1), (math.inf, 0.3, 0.1), (0.04, math.nan, 0.1),
+                                                 (0.04, -math.inf, 0.1), (0.04, 0.3, math.nan), (0.0, 0.3, 0.1)])
+    def test_non_finite_or_nonpositive_widths_rejected(self, sigma, t, width):
+        with pytest.raises(ValueError, match="annulus_width=.* must be finite and positive"):
+            locality_probe(2, 32, sigma, t, width, grid_points=128)
+
     def test_torus_diameter_guard(self):
         with pytest.raises(ValueError):
             locality_probe(2, 64, 0.02, 0.4, 0.12)

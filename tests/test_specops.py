@@ -296,6 +296,15 @@ class TestSymmetry:
             ab = dense_unitary(dom, torus_translation(dom, a)) @ dense_unitary(dom, torus_translation(dom, b))
             assert np.abs(ab - dense_unitary(dom, torus_translation(dom, np.add(a, b)))).max() <= 1e-12
 
+    @pytest.mark.parametrize("shift", [[0.1], 0.1, [math.nan, 0.2], [0.1, math.inf], [0.1, 0.2, 0.3]])
+    def test_shift_is_q_finite_numbers(self, torus2, shift):
+        with pytest.raises(ValueError, match="shift must be 2 finite numbers"):
+            torus_translation(torus2, shift)
+
+    def test_scalar_shift_on_the_circle(self, circle4):
+        by_scalar, by_list = (dense_unitary(circle4, torus_translation(circle4, s)) for s in (0.25, [0.25]))
+        assert np.array_equal(by_scalar, by_list)
+
     def test_identity(self, circle4):
         assert symmetry_commutator(circle4, block_identity(circle4), 0.7) == 0.0
 
