@@ -90,6 +90,8 @@ def _cmd_bessel(args) -> int:
 
 
 def _build_domain(args):
+    if args.complex is not None and args.domain != "simplicial":
+        raise ValueError("--complex names the simplicial complex and needs --domain simplicial")
     if args.domain == "circle":
         return build_circle_domain(args.max_freq)
     if args.domain in ("torus2", "torus3"):
@@ -240,6 +242,10 @@ def _cmd_polarize(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    defaults = {2: (64, 0.02, 0.05, 256), 3: (24, 0.035, 0.1, 32)}[args.q]  # 32^3 points stay under the cap
+    for name, value in zip(("max_freq", "sigma", "w", "grid"), defaults):
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     result = huygens.locality_probe(
         args.q, args.max_freq, args.sigma, args.t, args.w, grid_points=args.grid
     )
@@ -285,7 +291,7 @@ def _cmd_front(args) -> int:
     comments = [
         f"subcommand=front chart={chart.name} point={point} t={args.t} "
         f"ntheta={args.ntheta} seed={args.seed}",
-        f"front_length={float(np.mean(np.abs(front.jacobi)) * 2 * math.pi)!r}",
+        f"front_length={front.length!r}",
     ]
     if args.oneform:
         sources = args.oneform.split(";")
@@ -320,10 +326,13 @@ def _chart_point(args):
     if args.chart == "custom":
         if not (args.g11 and args.g12 is not None and args.g22):
             raise ValueError("custom charts need --g11, --g12, --g22 expressions")
-        bounds = tuple(float(s) for s in args.bounds.split(","))
+        bounds = tuple(float(s) for s in (args.bounds or "-2,2,-2,2").split(","))
         chart = geomfront.chart_from_expressions(args.g11, args.g12, args.g22, bounds)
     else:
         chart = geomfront.chart_by_name(args.chart)
+        given = [f"--{name}" for name in ("g11", "g12", "g22", "bounds") if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"custom-chart flags {', '.join(given)} need --chart custom, got --chart {args.chart}")
     if args.point:
         point = tuple(float(s) for s in args.point.split(","))
         if len(point) != 2:
@@ -365,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--g11")
         p.add_argument("--g12")
         p.add_argument("--g22")
-        p.add_argument("--bounds", default="-2,2,-2,2")
+        p.add_argument("--bounds", help="x_min,x_max,y_min,y_max of a custom chart (default -2,2,-2,2)")
 
     p = sub.add_parser("bessel", help="profile tables and identity checks")
     common(p, plot=True)
@@ -412,11 +421,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("huygens-probe", help="interior-leakage comparison on the flat torus")
     common(p, plot=True)
     p.add_argument("--q", type=int, default=2, choices=(2, 3))
-    p.add_argument("--max-freq", type=int, default=64)
-    p.add_argument("--sigma", type=float, default=0.02)
+    p.add_argument("--max-freq", type=int, help="default 64 at q = 2, 24 at q = 3")
+    p.add_argument("--sigma", type=float, help="default 0.02 at q = 2, 0.035 at q = 3")
     p.add_argument("--t", type=float, default=0.3)
-    p.add_argument("--w", type=float, default=0.05)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--w", type=float, help="default 0.05 at q = 2, 0.1 at q = 3")
+    p.add_argument("--grid", type=int, help="default 256 at q = 2, 32 at q = 3")
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("curvature", help="two-radius and circumference-defect curvature sweeps")

@@ -14,11 +14,10 @@ one jet evaluation per stage: one step size serves every angle, chosen so
 that the local error estimate, in the max-norm over all components and
 angles, stays below TOL (1 + max(|y|, |y_new|)).  A step that leaves the
 chart rectangle is bisected on its continuous extension, so
-ChartExitError carries the exit time to about TOL.  An explicit `steps=`
-on geodesic, jacobi_field or wavefront runs classical RK4 with that many
-equal steps instead, the test oracle.  Charts whose metric is the constant
-identity take one exact step of the same system, since their Christoffel
-symbols and K vanish.
+ChartExitError carries the exit time to about TOL.  Charts whose metric is
+the constant identity take one exact step of the same system, since their
+Christoffel symbols and K vanish; an exit there is bisected on the same
+extension, which is the straight line when every stage equals the slope.
 Wave-front lengths are the angular integral of |J|, and two limit-free
 curvature estimates come from comparing front lengths at one and two radii.
 """
@@ -121,6 +120,11 @@ class WaveFront:
     tangents: np.ndarray  # (n, 2)
     jacobi: np.ndarray    # (n,)
 
+    @property
+    def length(self) -> float:
+        """|W_t(p)| = integral over angles of |J(t, theta)| (trapezoid rule)."""
+        return float(np.mean(np.abs(self.jacobi)) * 2.0 * math.pi)
+
 
 @dataclass(frozen=True)
 class LineIntegralResult:
@@ -130,12 +134,15 @@ class LineIntegralResult:
 
 def chart_from_expressions(g11: str, g12: str, g22: str, bounds, name: str = "custom") -> SurfaceChart:
     """Chart from grammar strings in x and y, checked positive-definite on a 7 x 7 sample grid."""
+    bounds = tuple(float(b) for b in bounds)
+    if len(bounds) != 4 or not all(-math.inf < lo < hi < math.inf for lo, hi in (bounds[:2], bounds[2:])):
+        raise ValueError(f"chart bounds must be four finite numbers x_min < x_max, y_min < y_max, got {bounds}")
     e, f, g = (parse_expression(s) for s in (g11, g12, g22))
     d_x = [derivative(t, "x") for t in (e, f, g)]
     d_y = [derivative(t, "y") for t in (e, f, g)]
     jet = compile_trees((e, f, g, *d_x, *d_y, derivative(d_y[0], "y"), derivative(d_x[1], "y"),
                          derivative(d_x[2], "x")))
-    chart = SurfaceChart(name, tuple(float(b) for b in bounds), jet, (e, f, g) == (1.0, 0.0, 1.0))
+    chart = SurfaceChart(name, bounds, jet, (e, f, g) == (1.0, 0.0, 1.0))
     x_min, x_max, y_min, y_max = chart.bounds
     gx, gy = np.meshgrid(np.linspace(x_min, x_max, CHECK_POINTS), np.linspace(y_min, y_max, CHECK_POINTS))
     a, b, c = chart.metric(gx, gy)
@@ -227,8 +234,11 @@ def gauss_curvature_brioschi(chart: SurfaceChart, x, y):
 # ---------------------------------------------------------------------------
 
 
-def _unit_velocity(chart: SurfaceChart, x0: float, y0: float, thetas: np.ndarray):
-    """Velocity of metric norm one in the orthonormal frame aligned with d/dx."""
+def _launch(chart: SurfaceChart, p, thetas) -> np.ndarray:
+    """Joint state at t = 0, one column per launch angle: J = 0, J' = 1 and a velocity
+    of metric norm one in the orthonormal frame aligned with d/dx."""
+    x0, y0 = float(p[0]), float(p[1])
+    chart.require(x0, y0)
     a, b, c = (float(np.asarray(v)) for v in chart.metric(x0, y0))
     e1 = np.array([1.0 / math.sqrt(a), 0.0])
     # Gram-Schmidt: e2 proportional to d/dy - (b/a) d/dx
@@ -237,7 +247,8 @@ def _unit_velocity(chart: SurfaceChart, x0: float, y0: float, thetas: np.ndarray
     e2 = w / wn
     vx = np.cos(thetas) * e1[0] + np.sin(thetas) * e2[0]
     vy = np.cos(thetas) * e1[1] + np.sin(thetas) * e2[1]
-    return vx, vy
+    ones = np.ones(vx.shape)
+    return np.array([x0 * ones, y0 * ones, vx, vy, 0.0 * ones, ones])
 
 
 def _rhs(chart: SurfaceChart, state: np.ndarray) -> np.ndarray:
@@ -259,20 +270,6 @@ def _outside(chart: SurfaceChart, state: np.ndarray) -> bool:
     x_min, x_max, y_min, y_max = chart.bounds
     return bool(np.any(state[0] < x_min) or np.any(state[0] > x_max) or
                 np.any(state[1] < y_min) or np.any(state[1] > y_max))
-
-
-def _rk4(chart: SurfaceChart, f, state: np.ndarray, t: float, steps: int) -> np.ndarray:
-    """Classical RK4 with `steps` equal steps; the oracle of the adaptive path."""
-    h = t / steps
-    for step in range(steps):
-        k1 = f(state)
-        k2 = f(state + 0.5 * h * k1)
-        k3 = f(state + 0.5 * h * k2)
-        k4 = f(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if _outside(chart, state):
-            raise ChartExitError((step + 1) * h)
-    return state
 
 
 # Dormand & Prince (1980): stage rows (the last is the 5th-order solution,
@@ -356,59 +353,47 @@ def _dormand_prince(chart: SurfaceChart, f, y: np.ndarray, t: float) -> np.ndarr
     return y
 
 
-def _integrate_front(chart: SurfaceChart, p, thetas: np.ndarray, t: float, steps: int | None) -> np.ndarray:
+def _integrate_front(chart: SurfaceChart, p, thetas, t: float) -> np.ndarray:
     """Joint state (x, y, x', y', J, J') at time t, one column per launch angle.
 
     A straight chart takes one Euler step, exact there because the
-    Christoffel symbols and K vanish; other charts run DP5(4), or RK4 with
-    `steps` steps.
+    Christoffel symbols and K vanish; other charts run DP5(4).
     """
     if not math.isfinite(t):
         raise ValueError(f"a geodesic needs a finite time, got {t}")
-    x0, y0 = float(p[0]), float(p[1])
-    chart.require(x0, y0)
-    vx, vy = _unit_velocity(chart, x0, y0, np.asarray(thetas, dtype=float))
-    ones = np.ones(vx.shape)
-    state = np.array([x0 * ones, y0 * ones, vx, vy, 0.0 * ones, ones])
+    state = _launch(chart, p, thetas)
     f = partial(_rhs, chart)
-    if chart.straight_geodesics:
-        state = state + t * f(state)
-        if _outside(chart, state):
-            x_min, x_max, y_min, y_max = chart.bounds
-            with np.errstate(divide="ignore", invalid="ignore"):
-                hits = [np.where(d > 0, (hi - s) / d, np.where(d < 0, (lo - s) / d, np.inf))
-                        for d, lo, hi, s in ((vx, x_min, x_max, x0), (vy, y_min, y_max, y0))]
-            raise ChartExitError(min(t, *(float(np.min(h)) for h in hits)))
-    elif steps is None:
-        state = _dormand_prince(chart, f, state, t)
-    else:
-        state = _rk4(chart, f, state, t, steps)
-    return state
+    if not chart.straight_geodesics:
+        return _dormand_prince(chart, f, state, t)
+    slope = f(state)
+    end = state + t * slope
+    if _outside(chart, end):
+        raise ChartExitError(_exit_time(chart, state, end, np.broadcast_to(slope, (7,) + state.shape), 0.0, t))
+    return end
 
 
-def geodesic(chart: SurfaceChart, p, theta: float, t: float, steps: int | None = None):
+def geodesic(chart: SurfaceChart, p, theta: float, t: float):
     """Endpoint and tangent of the unit-speed geodesic from p in direction theta."""
-    x, y, vx, vy = _integrate_front(chart, p, np.array([theta]), t, steps)[:4, 0]
+    x, y, vx, vy = _integrate_front(chart, p, [theta], t)[:4, 0]
     return (float(x), float(y)), (float(vx), float(vy))
 
 
-def jacobi_field(chart: SurfaceChart, p, theta: float, t: float, steps: int | None = None) -> float:
+def jacobi_field(chart: SurfaceChart, p, theta: float, t: float) -> float:
     """J(t) along the geodesic, J'' + K J = 0 with J(0) = 0, J'(0) = 1."""
-    return float(_integrate_front(chart, p, np.array([theta]), t, steps)[4, 0])
+    return float(_integrate_front(chart, p, [theta], t)[4, 0])
 
 
-def wavefront(chart: SurfaceChart, p, t: float, n_theta: int, steps: int | None = None) -> WaveFront:
+def wavefront(chart: SurfaceChart, p, t: float, n_theta: int) -> WaveFront:
     if n_theta < 1:
         raise ValueError(f"a wave front needs n_theta >= 1, got {n_theta}")
     angles = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    state = _integrate_front(chart, p, angles, t, steps)
+    state = _integrate_front(chart, p, angles, t)
     return WaveFront((float(p[0]), float(p[1])), t, angles, state[:2].T, state[2:4].T, state[4])
 
 
 def wavefront_length(chart: SurfaceChart, p, t: float, n_theta: int = 64) -> float:
     """|W_t(p)| = integral over angles of |J(t, theta)| (trapezoid rule)."""
-    front = wavefront(chart, p, t, n_theta)
-    return float(np.mean(np.abs(front.jacobi)) * 2.0 * math.pi)
+    return wavefront(chart, p, t, n_theta).length
 
 
 def wavefront_line_integral(chart: SurfaceChart, oneform, p, t: float, n_theta: int = 1024) -> LineIntegralResult:

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from besselwave import besselfn
+from besselwave import besselfn, geomfront
 from besselwave.oracles import dalembert_shift_coefficients  # noqa: F401  (re-exported for the tests)
 
 
@@ -252,6 +252,27 @@ def fd_brioschi(chart, x: float, y: float, step: float = 1e-4) -> float:
         [0.5 * d_x(g), fv, gv],
     ])
     return float((np.linalg.det(first) - np.linalg.det(second)) / (ev * gv - fv * fv) ** 2)
+
+
+def rk4_front(chart, p, thetas, t: float, steps: int) -> np.ndarray:
+    """Classical RK4 with `steps` equal steps on geomfront's own joint system.
+
+    The oracle of the adaptive path: it starts from geomfront._launch,
+    integrates geomfront._rhs, returns the state (x, y, x', y', J, J') with one
+    column per launch angle, and raises ChartExitError at the first step that
+    ends outside the chart.
+    """
+    state = geomfront._launch(chart, p, thetas)
+    h = t / steps
+    for step in range(steps):
+        k1 = geomfront._rhs(chart, state)
+        k2 = geomfront._rhs(chart, state + 0.5 * h * k1)
+        k3 = geomfront._rhs(chart, state + 0.5 * h * k2)
+        k4 = geomfront._rhs(chart, state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not chart.contains(state[0], state[1]):
+            raise geomfront.ChartExitError((step + 1) * h)
+    return state
 
 
 def exact_rank(matrix) -> int:

@@ -259,6 +259,17 @@ class TestProbe:
         payload = json.loads(out)
         assert payload["status"] == "unresolved"
 
+    @pytest.mark.parametrize("q, comment", [
+        (2, "# subcommand=huygens-probe q=2 max-freq=64 sigma=0.02 t=0.3 w=0.05 grid=256 seed=42"),
+        (3, "# subcommand=huygens-probe q=3 max-freq=24 sigma=0.035 t=0.3 w=0.1 grid=32 seed=42"),
+    ])
+    def test_defaults_per_q_run_resolved(self, capsys, q, comment):
+        code, out, err = run_cli(capsys, "huygens-probe", "--q", str(q))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == comment
+        leakage = dict(item.split("=") for item in out.splitlines()[1][2:].split())
+        assert float(leakage["deformed_leakage"]) < float(leakage["classical_leakage"])
+
     def test_diameter_guard_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "huygens-probe", "--t", "0.4", "--w", "0.2")
         assert code == 2
@@ -439,6 +450,9 @@ class TestConfigAndErrors:
         ("spectral", "--wave-norm", "0.5"),
         ("pizzetti", "--degree", "-1", "--count", "3"),
         ("front", "--point", "1"), ("curvature", "--point", "1,2,3"),
+        ("curvature", "--chart", "sphere", "--g11", "2", "--h", "0.1"),
+        ("curvature", "--chart", "sphere", "--bounds", "0,1,0,1", "--h", "0.1"),
+        ("spectral", "--domain", "circle", "--max-freq", "1", "--complex", "/nonexistent.json"),
     ], ids=" ".join)
     def test_nonpositive_sizes_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -454,6 +468,16 @@ class TestConfigAndErrors:
          "shift must be 2 finite numbers, got [inf, inf]"),
         (("front", "--ntheta", "16", "--oneform", "x"), """--oneform takes two expressions "P;Q", got 'x'"""),
         (("front", "--ntheta", "16", "--oneform", "x;y;z"), """--oneform takes two expressions "P;Q", got 'x;y;z'"""),
+        (("curvature", "--chart", "custom", "--g11", "1", "--g12", "0", "--g22", "1", "--bounds", "1,2,3", "--h", "0.1"),
+         "chart bounds must be four finite numbers x_min < x_max, y_min < y_max, got (1.0, 2.0, 3.0)"),
+        (("curvature", "--chart", "custom", "--g11", "1", "--g12", "0", "--g22", "1", "--bounds=-1,1,-inf,inf",
+          "--h", "0.1"),
+         "chart bounds must be four finite numbers x_min < x_max, y_min < y_max, got (-1.0, 1.0, -inf, inf)"),
+        (("curvature", "--chart", "custom", "--g11", "1", "--g12", "0", "--g22", "1", "--bounds=1,-1,-1,1", "--h", "0.1"),
+         "chart bounds must be four finite numbers x_min < x_max, y_min < y_max, got (1.0, -1.0, -1.0, 1.0)"),
+        (("front", "--chart", "custom", "--g11", "1", "--g12", "0", "--g22", "1", "--bounds=-1,1,-1,1",
+          "--point", "0.9,0", "--t", "-1", "--ntheta", "8"),
+         "trajectory left the chart rectangle near t = -0.100000"),
     ]
 
     @pytest.mark.parametrize("argv, message", LOUD, ids=[" ".join(argv) for argv, _ in LOUD])

@@ -51,14 +51,22 @@ def test_spectral_domain_has_no_dense_laplacian():
     assert not hasattr(SpectralDomain, "laplacian")
 
 
-def test_steps_only_where_geomfront_integrates():
-    # `steps=` selects the RK4 oracle; the functions that only forward a front take no such knob.
-    takers = sorted(
+def test_geomfront_integrates_without_a_fixed_step_path():
+    # Fixed-step RK4 is the test oracle `_oracles.rk4_front`: no public geomfront function takes
+    # `steps`, and no module of the package defines `_rk4`.
+    takers = [
         name for name in geomfront.__all__
         if inspect.isfunction(getattr(geomfront, name))
         and "steps" in inspect.signature(getattr(geomfront, name)).parameters
-    )
-    assert takers == ["geodesic", "jacobi_field", "wavefront"]
+    ]
+    assert takers == []
+    defined = {
+        node.name
+        for path in Path(besselwave.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_rk4" not in defined
 
 
 def test_cli_plots_through_one_writer_and_measures_through_verify():

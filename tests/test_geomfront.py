@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import fd_brioschi, fd_christoffel
+from _oracles import fd_brioschi, fd_christoffel, rk4_front
 from besselwave.exprgrammar import ExpressionError, compile_expression
 from besselwave.geomfront import (
     ChartExitError,
     PositiveDefiniteError,
+    _integrate_front,
     chart_from_expressions,
     christoffel,
     flat_chart,
@@ -81,20 +82,20 @@ class TestGeodesics:
         ])
         e2 = np.array([-math.sin(SPHERE_POINT[1]), math.cos(SPHERE_POINT[1]), 0.0])
         for theta in (0.0, 0.9, 2.2):
-            end, _ = geodesic(sphere, SPHERE_POINT, theta, t, steps=1000)
+            end = rk4_front(sphere, SPHERE_POINT, [theta], t, 1000)[:2, 0]
             v0 = math.cos(theta) * e1 + math.sin(theta) * e2
             expect = math.cos(t) * p0 + math.sin(t) * v0
             assert np.abs(embed_sphere(*end) - expect).max() < 1e-8
 
     def test_meridian_colatitude_advance(self):
         # great-circle arc: along a meridian the colatitude moves at unit rate
-        end, _ = geodesic(sphere_chart(), (0.05, 0.0), 0.0, 0.9, steps=1000)
+        end = rk4_front(sphere_chart(), (0.05, 0.0), [0.0], 0.9, 1000)[:2, 0]
         assert end[0] == pytest.approx(0.05 + 0.9, abs=1e-8)
         assert end[1] == pytest.approx(0.0, abs=1e-10)
 
     def test_metric_speed_preserved(self):
         hyper = hyperbolic_chart()
-        end, tan = geodesic(hyper, HYPERBOLIC_POINT, 0.4, 3.0, steps=3000)
+        end, tan = rk4_front(hyper, HYPERBOLIC_POINT, [0.4], 3.0, 3000)[:4, 0].reshape(2, 2)
         a, b, c = hyper.metric(end[0], end[1])
         speed = a * tan[0] ** 2 + 2 * b * tan[0] * tan[1] + c * tan[1] ** 2
         assert abs(speed - 1.0) < 1e-8
@@ -102,7 +103,13 @@ class TestGeodesics:
     def test_exit_reports_time(self):
         with pytest.raises(ChartExitError) as err:
             geodesic(flat_chart(extent=1.0), (0.9, 0.0), 0.0, 1.0)
-        assert 0.0 < err.value.exit_time <= 1.0
+        assert abs(err.value.exit_time - 0.1) <= 1e-12
+
+    def test_backward_exit_reports_negative_time(self):
+        # facing away from the edge x = 1 and run backward, x(t) = 0.9 - t crosses it at t = -0.1
+        with pytest.raises(ChartExitError) as err:
+            geodesic(flat_chart(extent=1.0), (0.9, 0.0), math.pi, -1.0)
+        assert abs(err.value.exit_time + 0.1) <= 1e-12
 
 
 class TestJacobi:
@@ -110,21 +117,21 @@ class TestJacobi:
         assert jacobi_field(flat_chart(), (0, 0), 0.3, 1.2) == pytest.approx(1.2, abs=1e-12)
 
     def test_sphere_sine(self):
-        assert jacobi_field(sphere_chart(), SPHERE_POINT, 1.0, 0.9, steps=900) == pytest.approx(
+        assert rk4_front(sphere_chart(), SPHERE_POINT, [1.0], 0.9, 900)[4, 0] == pytest.approx(
             math.sin(0.9), abs=1e-8
         )
 
     def test_hyperbolic_sinh(self):
-        assert jacobi_field(hyperbolic_chart(), HYPERBOLIC_POINT, 1.0, 0.9, steps=900) == pytest.approx(
+        assert rk4_front(hyperbolic_chart(), HYPERBOLIC_POINT, [1.0], 0.9, 900)[4, 0] == pytest.approx(
             math.sinh(0.9), abs=1e-8
         )
 
     def test_negative_curvature_spreads(self):
         hyper = hyperbolic_chart()
         for t in (0.3, 0.8, 1.5):
-            front = wavefront(hyper, HYPERBOLIC_POINT, t, 8, steps=600)
+            front = wavefront(hyper, HYPERBOLIC_POINT, t, 8)
             assert np.array_equal(front.angles, np.linspace(0.0, 2 * math.pi, 9)[:-1])
-            for theta, j in zip(front.angles, front.jacobi):
+            for theta, j in zip(front.angles, rk4_front(hyper, HYPERBOLIC_POINT, front.angles, t, 600)[4]):
                 assert j >= t, theta
 
 
@@ -141,10 +148,10 @@ class TestAdaptiveIntegrator:
     def test_matches_the_rk4_oracle(self, build, p, t):
         chart = build()
         adaptive = wavefront(chart, p, t, 16)
-        oracle = wavefront(chart, p, t, 16, steps=int(1000 * t))
-        assert np.abs(adaptive.points - oracle.points).max() < 1e-9
-        assert np.abs(adaptive.tangents - oracle.tangents).max() < 1e-9
-        assert np.abs(adaptive.jacobi - oracle.jacobi).max() < 1e-9
+        oracle = rk4_front(chart, p, adaptive.angles, t, int(1000 * t))
+        assert np.abs(adaptive.points - oracle[:2].T).max() < 1e-9
+        assert np.abs(adaptive.tangents - oracle[2:4].T).max() < 1e-9
+        assert np.abs(adaptive.jacobi - oracle[4]).max() < 1e-9
 
     def test_zero_time(self):
         front = wavefront(sphere_chart(), SPHERE_POINT, 0.0, 8)
@@ -185,16 +192,20 @@ class TestAdaptiveIntegrator:
         (torus_chart, (0.5, 0.5), 0.7),
     ], ids=["sphere", "hyperbolic", "lens", "flat", "torus"])
     def test_one_system_for_every_entry_point(self, build, p, t):
-        # geodesic and jacobi_field read the same joint state as the front's rows; the bound is
-        # 2 ulp of each quantity's largest entry, so a different SIMD path for sin/cos cannot fail it.
+        # Under the oracle's fixed steps a single-angle run gives the batched run's rows; the bound
+        # is 2 ulp of each quantity's largest entry, so a different SIMD path for sin/cos cannot fail it.
+        # geodesic and jacobi_field return the rows of the library's own single-angle state.
         chart = build()
-        front = wavefront(chart, p, t, 16, steps=400)
-        single = [(*geodesic(chart, p, theta, t, steps=400), jacobi_field(chart, p, theta, t, steps=400))
-                  for theta in front.angles]
-        for got, want in ((np.array([s[0] for s in single]), front.points),
-                          (np.array([s[1] for s in single]), front.tangents),
-                          (np.array([s[2] for s in single]), front.jacobi)):
-            assert np.abs(got - want).max() <= 2 * np.spacing(np.abs(want).max())
+        front = wavefront(chart, p, t, 16)
+        batched = rk4_front(chart, p, front.angles, t, 400)
+        single = np.stack([rk4_front(chart, p, [theta], t, 400)[:, 0] for theta in front.angles], axis=1)
+        for rows in (slice(0, 2), slice(2, 4), slice(4, 5)):
+            want = batched[rows]
+            assert np.abs(single[rows] - want).max() <= 2 * np.spacing(np.abs(want).max())
+        for theta in front.angles:
+            x, y, vx, vy, j = _integrate_front(chart, p, [theta], t)[:5, 0]
+            assert geodesic(chart, p, theta, t) == ((x, y), (vx, vy))
+            assert jacobi_field(chart, p, theta, t) == j
         if chart.straight_geodesics:
             direction = np.stack([np.cos(front.angles), np.sin(front.angles)], axis=-1)
             assert np.array_equal(front.points, np.array(p) + t * direction)
@@ -224,6 +235,11 @@ class TestWaveFrontLength:
     def test_hyperbolic(self):
         got = wavefront_length(hyperbolic_chart(), HYPERBOLIC_POINT, 0.7, 64)
         assert abs(got - 2 * math.pi * math.sinh(0.7)) < 1e-6
+
+    def test_length_is_the_front_length(self):
+        front = wavefront(sphere_chart(), SPHERE_POINT, 0.5, 32)
+        assert front.length == wavefront_length(sphere_chart(), SPHERE_POINT, 0.5, 32)
+        assert front.length == float(np.mean(np.abs(front.jacobi)) * 2 * math.pi)
 
     def test_front_record(self):
         front = wavefront(sphere_chart(), SPHERE_POINT, 0.5, 32)
@@ -379,6 +395,12 @@ class TestChartConstruction:
                 chart_from_expressions("1 + x^0.5", "0", "1", (-1, 1, -1, 1))
             with pytest.raises(PositiveDefiniteError, match="not finite"):
                 chart_from_expressions("1", "(y - 0.9)^0.5 / 10", "4", (-1, 1, 0.5, 1))
+
+    @pytest.mark.parametrize("bounds", [(1, 2, 3), (-1, 1, -1, 1, 0), (-1, 1, -math.inf, math.inf),
+                                        (-1, 1, 0, math.nan), (1, -1, -1, 1), (-1, 1, 1, 1)], ids=str)
+    def test_bounds_are_four_finite_increasing_numbers(self, bounds):
+        with pytest.raises(ValueError, match="x_min < x_max, y_min < y_max"):
+            chart_from_expressions("1", "0", "1", bounds)
 
     def test_expression_chart_matches_builtin(self):
         chart = chart_from_expressions("1", "0", "sin(x)^2", (0.05, math.pi - 0.05, -10, 10))
