@@ -187,6 +187,8 @@ def ode_residual(n: int, r: float) -> float:
     SERIES_CUTOFF, phi' and phi'' come from phi_{n+2} and phi_{n+4} by the
     recurrence that gives phi_n, so the defect there is an identity of that
     recurrence; the verify row large_r_against_exact_series checks the values.
+    Where phi_{n+4}(r) is below the normal float range or r^2 overflows,
+    that identity has lost its digits, and BesselDomainError is raised.
     """
     n = _check_n(n)
     r = _check_r(r)
@@ -199,7 +201,10 @@ def ode_residual(n: int, r: float) -> float:
         a, b = p * p, q * q
         return ((s2 + (n - 1) * s1) * b + s0 * a) / (den * a)
     # Large-r branch: express phi' and phi'' through higher profiles.
-    p0 = phi(n, r)
-    p1 = -(r / n) * phi(n + 2, r)
-    p2 = -phi(n + 2, r) / n + (r * r) * phi(n + 4, r) / (n * (n + 2))
+    p0, high, higher = phi(n, r), phi(n + 2, r), phi(n + 4, r)
+    if abs(higher) < 2.0**-1022 or math.isinf(r * r):  # 2^-1022 is the smallest normal double
+        raise BesselDomainError(f"ode_residual at n={n}, r={r}: phi_{n + 4}(r) = {higher:.3e} is below "
+                                "the normal doubles, or r^2 overflows")
+    p1 = -(r / n) * high
+    p2 = -high / n + (r * r) * higher / (n * (n + 2))
     return p2 + (n - 1) * p1 / r + p0

@@ -242,7 +242,7 @@ def _cmd_polarize(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    defaults = {2: (64, 0.02, 0.05, 256), 3: (24, 0.035, 0.1, 32)}[args.q]  # 32^3 points stay under the cap
+    defaults = {2: (64, 0.02, 0.05, 256), 3: (24, 0.035, 0.1, 32)}[args.q]  # q = 3 runs on 64^3 points
     for name, value in zip(("max_freq", "sigma", "w", "grid"), defaults):
         if getattr(args, name) is None:
             setattr(args, name, value)
@@ -255,7 +255,7 @@ def _cmd_probe(args) -> int:
         return 1
     comments = [
         f"subcommand=huygens-probe q={args.q} max-freq={args.max_freq} sigma={args.sigma} "
-        f"t={args.t} w={args.w} grid={args.grid} seed={args.seed}",
+        f"t={args.t} w={args.w} grid={result.grid} seed={args.seed}",
         f"deformed_leakage={result.deformed_leakage!r} classical_leakage={result.classical_leakage!r}",
         f"spectral_tail={result.spectral_tail!r}",
     ]
@@ -425,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, help="default 0.02 at q = 2, 0.035 at q = 3")
     p.add_argument("--t", type=float, default=0.3)
     p.add_argument("--w", type=float, help="default 0.05 at q = 2, 0.1 at q = 3")
-    p.add_argument("--grid", type=int, help="default 256 at q = 2, 32 at q = 3")
+    p.add_argument("--grid", type=int, help="default 256 at q = 2, 32 at q = 3; doubled until it resolves the band")
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("curvature", help="two-radius and circumference-defect curvature sweeps")

@@ -25,10 +25,9 @@ from itertools import accumulate, combinations, product as iter_product
 
 import numpy as np
 
-from . import besselfn
 from .domains import DomainSizeError
 from .polyforms import MultiPoly, PolyKForm
-from .specops import _even_values
+from .specops import _profile
 
 __all__ = [
     "sphere_moment_ratio",
@@ -263,6 +262,7 @@ class LocalityProbeResult:
     radii: np.ndarray | None = None
     deformed_profile: np.ndarray | None = None
     classical_profile: np.ndarray | None = None
+    grid: int | None = None  # points per axis the probe ran on, after doubling; None if it did not run
 
 
 def locality_probe(
@@ -322,10 +322,11 @@ def locality_probe(
     m_sq = sum(m.astype(float) ** 2 for m in mesh)
     bump_hat = np.where(band, np.exp(-2.0 * math.pi**2 * sigma**2 * m_sq), 0.0)
 
-    # the bump is exactly 0 out of band, so the multipliers are only needed in band
-    lam = np.where(band, 2.0 * math.pi * np.sqrt(m_sq), 0.0)
-    mults = _even_values(lambda r: (t * besselfn.phi(q + 2, t * r), t * besselfn.phi(3, t * r)), lam)
-    bessel_mult, sinc_mult = mults[..., 0], mults[..., 1]
+    # the bump is exactly 0 out of band, so the multipliers are only needed there, once per |m|^2
+    levels, inverse = np.unique(m_sq[band], return_inverse=True)
+    lam = 2.0 * math.pi * np.sqrt(levels)
+    bessel_mult, sinc_mult = np.zeros((2,) + band.shape)
+    bessel_mult[band], sinc_mult[band] = (t * _profile(order, t, lam)[inverse] for order in (q + 2, 3))
 
     axes = np.arange(n)
     wrapped = ((axes + n // 2) % n - n // 2) / n
@@ -347,13 +348,5 @@ def locality_probe(
 
     deformed_leak, deformed_profile, centers = leakage_and_profile(bessel_mult)
     classical_leak, classical_profile, _ = leakage_and_profile(sinc_mult)
-    return LocalityProbeResult(
-        True,
-        None,
-        tail,
-        deformed_leak,
-        classical_leak,
-        centers,
-        deformed_profile,
-        classical_profile,
-    )
+    return LocalityProbeResult(True, None, tail, deformed_leak, classical_leak, centers,
+                               deformed_profile, classical_profile, n)

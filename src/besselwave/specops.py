@@ -62,19 +62,21 @@ class WaveMapNormError(ValueError):
 
 
 def _even_values(g, radii: np.ndarray) -> np.ndarray:
-    """g(|x|) for every entry of radii, one evaluation per distinct rounded |x|.
-
-    g may return a tuple of numbers; the values then gain a trailing axis.
-    """
-    uniq, inverse = np.unique(np.round(np.abs(radii), 12), return_inverse=True)
+    """g(|x|) for every entry of radii, one evaluation per distinct |x|."""
+    uniq, inverse = np.unique(np.abs(radii), return_inverse=True)
     vals = np.array([g(float(u)) for u in uniq], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("scalar function is not finite on the spectrum")
     return vals[inverse.reshape(np.shape(radii))]
 
 
+def _profile(n: int, t: float, radii: np.ndarray) -> np.ndarray:
+    """phi_n(t r) for every entry r of radii, one besselfn.phi call per distinct r: the calculus's one profile."""
+    return _even_values(lambda r: besselfn.phi(n, t * r), radii)
+
+
 def _roots(domain: SpectralDomain, k: int) -> np.ndarray:
-    """The |lambda| of D on degree k: sqrt(mu) over the Laplacian spectrum of that degree.
+    """The |lambda| of D on degree k: sqrt(mu) over the Laplacian spectrum of that degree, rounded to 12 decimals.
 
     On a simplicial domain eigh resolves mu only to about n eps max(mu) (a
     trig spectrum is exact), and the root of that noise is ~1e-8 of the
@@ -84,7 +86,7 @@ def _roots(domain: SpectralDomain, k: int) -> np.ndarray:
     """
     mu = domain.laplacian_spectrum(k)
     floor = ROOT_FLOOR * max(1.0, float(mu.max())) if mu.size else 0.0
-    return np.sqrt(np.where(mu > floor, mu, 0.0))
+    return np.round(np.sqrt(np.where(mu > floor, mu, 0.0)), 12)
 
 
 def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
@@ -104,16 +106,11 @@ def _deformed_values(domain: SpectralDomain, t: float) -> tuple[list[np.ndarray]
     even factor of D_t = D t phi_{q+2}(t|D|).  phi is evaluated once per
     distinct root over all degrees.
     """
-    n = domain.q + 2
-
-    def both(r: float) -> tuple[float, float]:
-        x = t * r
-        p = besselfn.phi(n, x)
-        return x * p, t * p  # psi_n(x) = x phi_n(x), as besselfn.psi evaluates it
-
     roots = [_roots(domain, k) for k in range(domain.top_degree + 1)]
-    pairs = np.split(_even_values(both, np.concatenate(roots)), np.cumsum([r.size for r in roots])[:-1])
-    return [v[:, 0] for v in pairs], [v[:, 1] for v in pairs]
+    radii, cuts = np.concatenate(roots), np.cumsum([r.size for r in roots])[:-1]
+    phi = _profile(domain.q + 2, t, radii)
+    # psi_n(x) = x phi_n(x) with x = t r formed first, as besselfn.psi evaluates it
+    return np.split(t * radii * phi, cuts), np.split(t * phi, cuts)
 
 
 def deformed_d(domain: SpectralDomain, t: float, u: Cochain) -> Cochain:
@@ -135,10 +132,7 @@ def deformed_d_adjoint(domain: SpectralDomain, t: float, w: Cochain) -> Cochain:
 
 def _bounded(domain: SpectralDomain, t: float, k: int, x: np.ndarray) -> Cochain:
     """t phi_{q+2}(t sqrt L_k) x for x of degree k."""
-    x = domain.cochain(k, x)
-    if t == 0.0:
-        return domain.zero_cochain(k)
-    return functional_calculus(domain, lambda r: t * besselfn.phi(domain.q + 2, t * r), x)
+    return Cochain(k, domain.even_apply(k, t * _profile(domain.q + 2, t, _roots(domain, k)), x))
 
 
 def deformed_dirac_norm(domain: SpectralDomain, t: float) -> float:

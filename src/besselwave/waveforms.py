@@ -25,9 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import besselfn
 from .domains import Cochain, SpectralDomain, spectrum_by_degree
-from .specops import functional_calculus
+from .specops import _profile, _roots, functional_calculus
 
 __all__ = [
     "LaurentPoly",
@@ -205,7 +204,8 @@ class WaveSolution:
             vel = functional_calculus(dom, lambda lam: math.sin(t * lam) / lam if lam else t, self.v0)
             return Cochain(self.degree, pos.coefficients + vel.coefficients)
         offset, power = _FAMILIES[self.kind]
-        return functional_calculus(dom, lambda lam: t**power * besselfn.phi(self.q + offset, t * lam), self.u0)
+        vals = t**power * _profile(self.q + offset, t, _roots(dom, self.degree))
+        return Cochain(self.degree, dom.even_apply(self.degree, vals, self.u0.coefficients))
 
 
 def classical_wave(domain: SpectralDomain, u0: Cochain, v0: Cochain) -> WaveSolution:
@@ -216,13 +216,15 @@ def classical_wave(domain: SpectralDomain, u0: Cochain, v0: Cochain) -> WaveSolu
 
 
 def _solution_from_df(domain: SpectralDomain, f: Cochain, kind: str, q) -> WaveSolution:
-    q = domain.q if q is None else int(q)
+    q = domain.q if q is None else q
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+        raise ValueError(f"{kind} solution needs an integer q, got q={q!r}")
     if q < 1:
         raise ValueError(f"{kind} solution needs q >= 1, got q={q}")
     if f.degree >= domain.top_degree:
         raise ValueError(f"{kind} solution needs f below the top degree")
     df = domain.cochain(f.degree + 1, domain.apply_d(f.degree, f.coefficients))
-    return WaveSolution(domain=domain, kind=kind, q=q, u0=df)
+    return WaveSolution(domain=domain, kind=kind, q=int(q), u0=df)
 
 
 def velocity_solution(domain: SpectralDomain, f: Cochain, q: int | None = None) -> WaveSolution:

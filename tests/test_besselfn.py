@@ -1,6 +1,7 @@
 """Profile family: exact coefficients, closed forms, ODE and recursion checks."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +200,16 @@ class TestOdeResidual:
     def test_zero_rejected(self):
         with pytest.raises(BesselDomainError):
             ode_residual(3, 0.0)
+
+    @pytest.mark.parametrize("n, r", [(8, 1e60), (3, 1e125), (2, 1e140), (1, 1e200), (1, 1e300)])
+    def test_unresolved_large_r_rejected(self, n, r):
+        # phi_{n+4}(r) underflows to 0 (the defect would be phi_n itself) or r^2 overflows (nan)
+        with pytest.raises(BesselDomainError, match=re.escape(f"n={n}, r={r!r}")):
+            ode_residual(n, r)
+
+    def test_resolved_large_r_kept(self):
+        # phi_5(1e154) is still a normal double and r^2 is finite: the recurrence identity holds
+        assert abs(ode_residual(1, 1e154)) <= 1e-15
 
     def test_sweep(self):
         rs = np.linspace(0.15, 30.0, 120)

@@ -261,7 +261,7 @@ class TestProbe:
 
     @pytest.mark.parametrize("q, comment", [
         (2, "# subcommand=huygens-probe q=2 max-freq=64 sigma=0.02 t=0.3 w=0.05 grid=256 seed=42"),
-        (3, "# subcommand=huygens-probe q=3 max-freq=24 sigma=0.035 t=0.3 w=0.1 grid=32 seed=42"),
+        (3, "# subcommand=huygens-probe q=3 max-freq=24 sigma=0.035 t=0.3 w=0.1 grid=64 seed=42"),
     ])
     def test_defaults_per_q_run_resolved(self, capsys, q, comment):
         code, out, err = run_cli(capsys, "huygens-probe", "--q", str(q))
@@ -478,6 +478,8 @@ class TestConfigAndErrors:
         (("front", "--chart", "custom", "--g11", "1", "--g12", "0", "--g22", "1", "--bounds=-1,1,-1,1",
           "--point", "0.9,0", "--t", "-1", "--ntheta", "8"),
          "trajectory left the chart rectangle near t = -0.100000"),
+        (("bessel", "--n", "1", "--r", "1e200"),
+         "ode_residual at n=1, r=1e+200: phi_5(r) = -0.000e+00 is below the normal doubles, or r^2 overflows"),
     ]
 
     @pytest.mark.parametrize("argv, message", LOUD, ids=[" ".join(argv) for argv, _ in LOUD])

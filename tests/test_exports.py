@@ -76,3 +76,35 @@ def test_cli_plots_through_one_writer_and_measures_through_verify():
     names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None) for n in nodes}
     assert len(charts) == 1
     assert names.isdisjoint({"discrete_wave_orbit", "random_multipoly"})
+
+
+def _references(path: Path):
+    """(enclosing top-level function or None, node) for every node of a module."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) and owner is None else owner
+            yield inner, child
+            yield from walk(child, inner)
+
+    return walk(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def test_the_calculus_evaluates_the_profile_only_in_specops_profile():
+    # specops._profile is the one seam where phi_n(t r) is evaluated for d_t, the wave families and the probe,
+    # and _even_values stays private to specops.
+    package = Path(besselwave.__file__).parent
+    phi_sites = [
+        f"{name}:{owner}"
+        for name in ("specops.py", "waveforms.py", "huygens.py")
+        for owner, node in _references(package / name)
+        if (isinstance(node, ast.Attribute) and node.attr == "phi" and getattr(node.value, "id", None) == "besselfn")
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("besselfn"))
+    ]
+    assert phi_sites == ["specops.py:_profile"]
+    even_sites = {
+        path.name
+        for path in package.glob("*.py")
+        for _, node in _references(path)
+        if "_even_values" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    }
+    assert even_sites == {"specops.py"}

@@ -247,6 +247,12 @@ class TestLocalityProbe:
             locality_probe(3, 64, 0.02, 0.3, 0.05)
         assert "16777216" in str(err.value)
 
+    def test_reports_the_grid_it_ran_on(self):
+        # 32 points per axis cannot resolve |m| <= 24 (2 * 24 + 2 = 50), so the probe doubles to 64
+        assert locality_probe(3, 24, 0.035, 0.3, 0.1, grid_points=32).grid == 64
+        assert locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=128).grid == 128
+        assert locality_probe(2, 8, 0.02, 0.3, 0.05).grid is None
+
     def test_profile_masses_sum_to_one(self):
         result = locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=128)
         assert float(np.sum(result.deformed_profile)) == pytest.approx(1.0, abs=1e-12)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from besselwave import besselfn
+from besselwave import besselfn, specops
 from besselwave.domains import (
     Cochain,
     SimplicialComplex,
@@ -188,6 +188,22 @@ class TestDeformedDirac:
             for t in (0.17, 0.8):
                 dense = np.linalg.norm(oracle.deformed_dirac(t, dom.q + 2), 2)
                 assert deformed_dirac_norm(dom, t) == pytest.approx(dense, abs=1e-10)
+
+    def test_one_profile_call_per_request(self, torus3, monkeypatch):
+        # psi and t phi of every degree come from one _profile call, one phi per distinct root of all degrees
+        t, n = 0.3, torus3.q + 2
+        profile, phi = specops._profile, besselfn.phi
+        orders, args = [], []
+        monkeypatch.setattr(specops, "_profile", lambda *a: orders.append(a[0]) or profile(*a))
+        monkeypatch.setattr(besselfn, "phi", lambda *a: args.append(a[1]) or phi(*a))
+        psi, profiles = specops._deformed_values(torus3, t)
+        roots = [specops._roots(torus3, k) for k in range(torus3.top_degree + 1)]
+        assert orders == [n]
+        assert sorted(args) == sorted({t * float(r) for r in np.concatenate(roots)})
+        monkeypatch.undo()
+        for r, a, g in zip(roots, psi, profiles):
+            assert a.tolist() == [besselfn.psi(n, t * x) for x in r.tolist()]
+            assert g.tolist() == [t * besselfn.phi(n, t * x) for x in r.tolist()]
 
     def test_eigenvector_preservation(self, torus2):
         t = 0.8

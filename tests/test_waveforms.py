@@ -148,6 +148,14 @@ class TestDeformedSolutions:
                 with pytest.raises(ValueError, match=f"needs q >= 1, got q={q}"):
                     build(circle4, f, q=q)
 
+    def test_non_integer_q_rejected(self, circle4, rng):
+        f = unit_rate_f(circle4, rng)
+        for build in (velocity_solution, position_solution):
+            for q in (2.5, 2.0, True):
+                with pytest.raises(ValueError, match=f"needs an integer q, got q={q!r}"):
+                    build(circle4, f, q=q)
+            assert build(circle4, f, q=np.int64(2)).q == 2
+
     def test_non_finite_time_rejected(self, circle4, rng):
         f = unit_rate_f(circle4, rng)
         zero = circle4.zero_cochain(0)
