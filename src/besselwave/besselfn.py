@@ -9,14 +9,25 @@ the exact rationals b_k = 1 / prod_{j=1..k} (-2j)(n - 2 + 2j).  Closed forms
 for small n: phi_1 = cos, phi_2 = J0, phi_3 = sinc, phi_4 = 2 J1(r)/r.
 The rescaled profile psi_n(r) = r phi_n(r) stays bounded on [0, inf).
 
-Evaluation strategy: for |r| <= 40 the alternating series is summed in exact
-integer arithmetic: integer numerators over one running denominator, rounded
-once by the final int / int division, which Python rounds correctly.  That
-removes the catastrophic cancellation a float sum suffers for moderate r.
-For |r| > 40, phi_n comes from the upward recurrence
-phi_{m+4} = m(m+2)/r^2 (phi_{m+2} - phi_m), which is the recurrence of J_nu,
-nu = n/2 - 1, scaled by Gamma(n/2) (r/2)^(-nu); where nu >= r it comes from
-the exact series instead (see _phi_large).
+Evaluation strategy: the scalar `phi` is exact.  For |r| <= 40 the
+alternating series is summed in exact integer arithmetic: integer numerators
+over one running denominator, rounded once by the final int / int division,
+which Python rounds correctly.  That removes the catastrophic cancellation a
+float sum suffers for moderate r.  For |r| > 40, phi_n comes from the upward
+recurrence phi_{m+4} = m(m+2)/r^2 (phi_{m+2} - phi_m), which is the
+recurrence of J_nu, nu = n/2 - 1, scaled by Gamma(n/2) (r/2)^(-nu); where
+nu >= r it comes from the exact series instead (see _phi_large).
+
+`phi_array` is the float path the functional calculus uses, with `phi` as its
+oracle: within 3e-15 of the size of |phi_n| for n = 1..14 on [0, 150], and
+within 3e-14 for n up to 401.  At x = 0 it is exactly 1.  Where nu < x it takes
+the upward recurrence above: from cos x and sin x / x for odd n, and from
+the Hankel J_0 and J_1 once x > 40 for even n.  Elsewhere it sums the float
+Taylor series up to x = 2, where the series loses no digits to
+cancellation, and above that it runs Miller's backward recurrence in the
+order (Gautschi, SIAM Review 9 (1967) 24-82; DLMF 3.6(vi), 10.12, 10.60) on
+phi itself, normalized by cos x and sin x / x for odd n and by
+J_0 + 2 sum J_2k = 1 for even n.
 
 All functions are pure.
 """
@@ -25,11 +36,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache, partial
+
+import numpy as np
 
 __all__ = [
     "BesselDomainError",
     "series_coefficient",
     "phi",
+    "phi_array",
     "psi",
     "phi_derivative",
     "ode_residual",
@@ -38,6 +53,7 @@ __all__ = [
 SERIES_CUTOFF = 40.0
 RELATIVE_TARGET_BITS = 50  # 2**-50 ~ 8.9e-16, the 1e-15 stopping target
 MAX_TERMS = 400
+FLOAT_SERIES_CUTOFF = 2.0  # phi_array sums the float series up to this x
 
 
 class BesselDomainError(ValueError):
@@ -102,18 +118,19 @@ def _series_sums(n: int, r: float) -> tuple[int, int, int, int]:
     return s0, s1, s2, den
 
 
-def _bessel_j_hankel(nu: float, r: float) -> float:
-    """J_nu(r) by the Hankel asymptotic expansion, for nu in {0, 1} and r > 40.
+def _bessel_j_hankel(nu: float, r, xp=math):
+    """J_nu(r) by the Hankel asymptotic expansion, for nu in {0, 1} and r > 40; xp = numpy takes an array r.
 
     Terms are added until they stop decreasing or fall below 1e-18 of the
-    leading one; adequate to ~1e-14 relative for r > 30 and nu <= 8.
+    leading one (for an array, the largest term); adequate to ~1e-14
+    relative for r > 30 and nu <= 8.
     """
     mu = 4.0 * nu * nu
     p_sum, q_sum = 1.0, 0.0
     term = 1.0
     for k in range(1, 24):
         term *= (mu - (2 * k - 1) ** 2) / (k * 8.0 * r)
-        contrib = abs(term)
+        contrib = abs(term) if xp is math else abs(term).max()  # an array stops on its largest term
         if contrib >= 1.0 or contrib < 1e-18:
             break
         if k % 2 == 0:
@@ -121,23 +138,76 @@ def _bessel_j_hankel(nu: float, r: float) -> float:
         else:
             q_sum += term * (-1) ** ((k - 1) // 2)
     chi = r - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * r)) * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
+    return xp.sqrt(2.0 / (math.pi * r)) * (p_sum * xp.cos(chi) - q_sum * xp.sin(chi))
 
 
-def _phi_large(n: int, r: float) -> float:
-    """phi_n(r), r > 40: phi_{m+4} = m(m+2)/r^2 (phi_{m+2} - phi_m) up from phi_1 = cos r, phi_3 = sin r / r
-    (odd n) or the Hankel phi_2 = J_0, phi_4 = 2 J_1 / r (even n).
+def _phi_large(n: int, r, xp=math):
+    """phi_n(r) for nu < r (odd n) or max(40, nu) < r (even n); xp = numpy takes an array r.
 
-    This is the J_nu recurrence scaled by Gamma(n/2) (r/2)^(-nu), so it is stable only while nu < r;
-    phi sums the series at nu >= r.
+    phi_{m+4} = m(m+2)/r^2 (phi_{m+2} - phi_m) up from phi_1 = cos r, phi_3 = sin r / r (odd n) or the
+    Hankel phi_2 = J_0, phi_4 = 2 J_1 / r (even n).  This is the J_nu recurrence scaled by
+    Gamma(n/2) (r/2)^(-nu), so it is stable only while nu < r; phi sums the series at nu >= r.
     """
     if n % 2:
-        start, low, high = 1, math.cos(r), math.sin(r) / r
+        start, low = 1, xp.cos(r)
+        high = xp.sin(r) / r if n > start else None
     else:
-        start, low, high = 2, _bessel_j_hankel(0.0, r), 2.0 / r * _bessel_j_hankel(1.0, r)
-    for m in range(start, n, 2):
+        start, low = 2, _bessel_j_hankel(0.0, r, xp)
+        high = 2.0 / r * _bessel_j_hankel(1.0, r, xp) if n > start else None
+    for m in range(start, n - 2, 2):
         low, high = high, (m * (m + 2) / (r * r)) * (high - low)
-    return low
+    return high if n > start else low
+
+
+@lru_cache(maxsize=64)
+def _taylor_steps(n: int) -> np.ndarray:
+    """1 / (j (nu + j)) for j = 1, 2, ... until their running product falls below 2^-56; read-only."""
+    nu, steps, product = 0.5 * n - 1.0, [], 1.0
+    while product > 2.0**-56:
+        steps.append(1.0 / ((len(steps) + 1) * (nu + len(steps) + 1)))
+        product *= steps[-1]
+    out = np.array(steps)
+    out.flags.writeable = False
+    return out
+
+
+def _taylor_array(n: int, x: np.ndarray) -> np.ndarray:
+    """sum_k b_k x^(2k) in floats for 0 <= x <= 2, where phi_n >= J_0(2) > 1/8 for n >= 2.
+
+    b_k x^(2k) = prod_{j<=k} y / (j (nu + j)) with y = -x^2 / 4, |y| <= 1, so the terms end where
+    prod_{j<=k} 1 / (j (nu + j)) falls below 2^-56, half an ulp of the sum.
+    """
+    return 1.0 + np.cumprod(np.multiply.outer(-0.25 * x * x, _taylor_steps(n)), axis=-1).sum(axis=-1)
+
+
+def _miller_array(n: int, x: np.ndarray) -> np.ndarray:
+    """phi_n(x) for x > 2 by Miller's backward recurrence in the order, run on phi itself.
+
+    phi_{m-2} = phi_m - x^2 / ((m - 2) m) phi_{m+2}, the recurrence of J_{m/2-1} scaled by
+    Gamma(m/2) (x/2)^(1 - m/2), runs down the orders of n's parity from phi_top = 1, phi_{top+2} = 0.
+    The start, Bessel order J + 20 + sqrt(12 J) with J = max(x, nu), is 6 to 10 orders above the lowest
+    whose result is within 1e-15 of |phi_n|, for J up to 40.  The values are one multiple of phi, so they
+    stay near |phi| <= 1 and need no rescaling and no Gamma factor.  For odd n the multiple is fitted to
+    phi_1 = cos x and phi_3 = sin x / x.  For even n it is J_0 + 2 sum_k J_2k = 1 with
+    J_2k = a_k phi_{4k+2}, a_k = (x/2)^(2k) / (2k)!, summed by Horner's rule:
+    a_{k+1} / a_k = x^2 / (m (m + 2)) at m = 4k + 2.
+    """
+    big = max(float(x.max()), 0.5 * n - 1.0)
+    start, top = 2 - n % 2, 2 * int(big + 20.0 + math.sqrt(12.0 * big)) + 2 + n % 2
+    x2 = x * x
+    here, above = np.ones_like(x), np.zeros_like(x)  # phi_m and phi_{m+2}, up to one multiple
+    horner, kept = np.zeros_like(x), None
+    for m in range(top, start - 2, -2):
+        if m == n:
+            kept = here
+        if m % 4 == 2:
+            horner = here + (x2 * (1.0 / (m * (m + 2)))) * horner
+        if m > start:
+            here, above = here - (x2 * (1.0 / ((m - 2) * m))) * above, here
+    if n % 2:
+        cos, sinc = np.cos(x), np.sin(x) / x
+        return kept * (cos * cos + sinc * sinc) / (here * cos + above * sinc)
+    return kept / (2.0 * horner - here)
 
 
 def phi(n: int, r: float) -> float:
@@ -155,6 +225,34 @@ def phi(n: int, r: float) -> float:
         s0, _, _, den = _series_sums(n, x)
         return s0 / den
     return _phi_large(n, x)
+
+
+def phi_array(n: int, x) -> np.ndarray:
+    """phi_n at every entry of an array, in floats, as an array of the shape of x.
+
+    Even to the bit and exactly 1 at 0; see the module docstring for the method and its accuracy
+    against the exact scalar `phi`.
+    """
+    n = _check_n(n)
+    raw = np.asarray(x, dtype=float)
+    shape, x = raw.shape, np.abs(raw).ravel()
+    if not x.max(initial=0.0) < math.inf:  # nan compares false
+        raise BesselDomainError(f"argument must be finite, got {float(raw[~np.isfinite(raw)][0])!r}")
+    if n == 1:
+        return np.cos(x).reshape(shape)
+    # region 0: x = 0, where phi_n = 1; 1: the float series up to min(2, high); 2: Miller up to high;
+    # 3: the recurrences of _phi_large above high
+    high = 0.5 * n - 1.0 if n % 2 else max(SERIES_CUTOFF, 0.5 * n - 1.0)
+    region = np.searchsorted((0.0, min(FLOAT_SERIES_CUTOFF, high), high), x)
+    counts = np.bincount(region, minlength=4).tolist()
+    out = np.ones_like(x)
+    for label, method in ((1, _taylor_array), (2, _miller_array), (3, partial(_phi_large, xp=np))):
+        if counts[label] == x.size:
+            return method(n, x).reshape(shape)
+        if counts[label]:
+            where = region == label
+            out[where] = method(n, x[where])
+    return out.reshape(shape)
 
 
 def psi(n: int, r: float) -> float:

@@ -7,6 +7,8 @@ guard, symmetry commutators and the norm-contractive discrete wave map; the
 Bessel index is the domain's q.  `functional_calculus` applies g(sqrt L_k)
 through the domain's `even_apply`, evaluating g once per distinct root of
 the spectrum, so the result is even by construction and keeps its degree.
+The profile phi_n(t r) of every operator comes from `_profile`, one
+`besselfn.phi_array` call on the distinct roots of a request.
 Every array here is per block, so none is N x N on a trig domain: d acts
 through `apply_d`, and the commutator and the orbit act on the stacks.  A
 symmetry is one `BlockMap` per stack (`domains.torus_pullback`).
@@ -62,17 +64,21 @@ class WaveMapNormError(ValueError):
 
 
 def _even_values(g, radii: np.ndarray) -> np.ndarray:
-    """g(|x|) for every entry of radii, one evaluation per distinct |x|."""
-    uniq, inverse = np.unique(np.abs(radii), return_inverse=True)
-    vals = np.array([g(float(u)) for u in uniq], dtype=float)
-    if not np.all(np.isfinite(vals)):
+    """g(|x|) for every entry of radii, from one call of g on the array of distinct |x|."""
+    radii = np.abs(radii)
+    uniq = np.unique(radii)  # sorted, so searchsorted finds each radius in it
+    vals = np.asarray(g(uniq), dtype=float)
+    if not np.isfinite(vals).all():
         raise ValueError("scalar function is not finite on the spectrum")
-    return vals[inverse.reshape(np.shape(radii))]
+    return vals[uniq.searchsorted(radii)]
 
 
 def _profile(n: int, t: float, radii: np.ndarray) -> np.ndarray:
-    """phi_n(t r) for every entry r of radii, one besselfn.phi call per distinct r: the calculus's one profile."""
-    return _even_values(lambda r: besselfn.phi(n, t * r), radii)
+    """phi_n(t r) for every entry r of radii, from one besselfn.phi_array call on the distinct t |r|.
+
+    This is the calculus's one profile: d_t, the wave families and the probe multipliers all come from here.
+    """
+    return _even_values(lambda r: besselfn.phi_array(n, t * r), radii)
 
 
 def _roots(domain: SpectralDomain, k: int) -> np.ndarray:
@@ -94,7 +100,7 @@ def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
 
     Costs O(n_k) on a trig domain and O(n_k^2) on a simplicial one.
     """
-    vals = _even_values(g, _roots(domain, u.degree))
+    vals = _even_values(lambda roots: [g(float(r)) for r in roots], _roots(domain, u.degree))
     return Cochain(u.degree, domain.even_apply(u.degree, vals, u.coefficients))
 
 

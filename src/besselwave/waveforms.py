@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from .domains import Cochain, SpectralDomain, spectrum_by_degree
-from .specops import _profile, _roots, functional_calculus
+from .specops import _profile, _roots
 
 __all__ = [
     "LaurentPoly",
@@ -198,14 +199,15 @@ class WaveSolution:
     def at(self, t: float) -> Cochain:
         if not math.isfinite(t):
             raise ValueError(f"a wave solution needs a finite time, got {t}")
-        dom = self.domain
-        if self.kind == "classical":  # the q = 1 pair in closed form
-            pos = functional_calculus(dom, lambda lam: math.cos(t * lam), self.u0)
-            vel = functional_calculus(dom, lambda lam: math.sin(t * lam) / lam if lam else t, self.v0)
-            return Cochain(self.degree, pos.coefficients + vel.coefficients)
-        offset, power = _FAMILIES[self.kind]
-        vals = t**power * _profile(self.q + offset, t, _roots(dom, self.degree))
-        return Cochain(self.degree, dom.even_apply(self.degree, vals, self.u0.coefficients))
+        dom, roots = self.domain, _roots(self.domain, self.degree)
+        # classical is the q = 1 pair: the position family on u0 plus the velocity family on v0
+        rows = (("position", self.u0), ("velocity", self.v0)) if self.kind == "classical" else ((self.kind, self.u0),)
+        parts = []
+        for kind, u in rows:
+            offset, power = _FAMILIES[kind]
+            profile = _profile(self.q + offset, t, roots)
+            parts.append(dom.even_apply(self.degree, t**power * profile if power else profile, u.coefficients))
+        return Cochain(self.degree, reduce(np.add, parts))
 
 
 def classical_wave(domain: SpectralDomain, u0: Cochain, v0: Cochain) -> WaveSolution:

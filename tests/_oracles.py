@@ -392,10 +392,12 @@ def flux_average_by_products(f, q: int):
 
 
 def decay_envelope(n: int, r: float) -> float:
-    """min(1, Gamma(n/2) (r/2)^(-nu) sqrt(2/(pi r))), nu = n/2 - 1: the size of |phi_n(r)|."""
+    """min(1, Gamma(n/2) (r/2)^(-nu) sqrt(2/(pi r))), nu = n/2 - 1: the size of |phi_n(r)|; 1 at r = 0."""
+    if r == 0.0:
+        return 1.0
     nu = 0.5 * n - 1.0
     log_env = math.lgamma(0.5 * n) - nu * math.log(0.5 * r) + 0.5 * math.log(2.0 / (math.pi * r))
-    return min(1.0, math.exp(log_env))
+    return math.exp(min(0.0, log_env))  # min(1, exp(log_env)), without overflow at large n
 
 
 def phi_mpmath(n: int, r: float, digits: int = 30) -> float:

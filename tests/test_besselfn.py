@@ -12,6 +12,7 @@ from besselwave.besselfn import (
     BesselDomainError,
     ode_residual,
     phi,
+    phi_array,
     phi_derivative,
     psi,
     series_coefficient,
@@ -158,6 +159,62 @@ class TestPhi:
             assert repr(phi_derivative(n, r)) == repr(float(p1)), (n, r)
             assert repr(phi_derivative(n, -r)) == repr(float(series_sums_fraction(n, -r)[1])), (n, r)
             assert repr(ode_residual(n, r)) == repr(float(p2 + (n - 1) * p1 / Fraction(r) + p0)), (n, r)
+
+
+class TestPhiArray:
+    """The float array path against the exact scalar phi, relative to the size of phi_n (decay_envelope)."""
+
+    @staticmethod
+    def worst(n: int, xs) -> float:
+        xs = np.asarray(xs, dtype=float)
+        exact = np.array([phi(n, x) for x in xs.tolist()])
+        envelope = np.array([decay_envelope(n, x) for x in xs.tolist()])
+        return float(np.max(np.abs(phi_array(n, xs) - exact) / envelope))
+
+    def test_within_envelope_of_exact_phi(self):
+        xs = np.linspace(0.0, 150.0, 3001)
+        for n in range(1, 15):
+            assert self.worst(n, xs) <= 1e-12, n
+
+    def test_large_orders_keep_the_envelope(self):
+        # a float series up to x = nu + 2 would cancel here, and Gamma(n/2) overflows a float past n ~ 344
+        xs = np.concatenate([np.linspace(0.05, 60.0, 240), [39.9, 40.0, 40.1]])
+        for n in (21, 30, 41, 60, 84, 400, 401):
+            assert self.worst(n, xs) <= 1e-12, n
+
+    def test_continuous_across_the_seams(self):
+        for n in range(1, 15):
+            nu = 0.5 * n - 1.0
+            for seam in {besselfn.FLOAT_SERIES_CUTOFF, besselfn.SERIES_CUTOFF, nu, nu + 2.0} - {-0.5, 0.0}:
+                xs = np.array([np.nextafter(seam, 0.0), seam, np.nextafter(seam, np.inf)])
+                values = phi_array(n, xs)
+                assert np.all(np.abs(np.diff(values)) <= 1e-13 * decay_envelope(n, seam)), (n, seam)
+                assert self.worst(n, xs) <= 1e-12, (n, seam)
+
+    def test_one_at_zero(self):
+        for n in range(1, 15):
+            assert phi_array(n, 0.0) == 1.0
+            assert phi_array(n, np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+
+    def test_even_to_the_bit(self):
+        xs = np.linspace(0.0, 150.0, 601)
+        for n in range(1, 15):
+            assert phi_array(n, -xs).tolist() == phi_array(n, xs).tolist()
+
+    def test_keeps_shape(self):
+        assert phi_array(3, 1.5).shape == ()
+        assert phi_array(3, np.array([])).shape == (0,)
+        grid = np.linspace(0.0, 50.0, 12).reshape(3, 4)
+        assert phi_array(4, grid).shape == (3, 4)
+        assert phi_array(4, grid).ravel().tolist() == phi_array(4, grid.ravel()).tolist()
+
+    @pytest.mark.parametrize("n, x", [(True, 1.0), (2.0, 1.0), (0, 1.0), (-3, 1.0),
+                                      (3, math.nan), (3, math.inf), (3, -math.inf)])
+    def test_domain_errors_as_phi(self, n, x):
+        with pytest.raises(BesselDomainError) as scalar:
+            phi(n, x)
+        with pytest.raises(BesselDomainError, match=re.escape(str(scalar.value))):
+            phi_array(n, np.array([0.5, x]))
 
 
 class TestPsi:

@@ -97,7 +97,8 @@ def test_the_calculus_evaluates_the_profile_only_in_specops_profile():
         f"{name}:{owner}"
         for name in ("specops.py", "waveforms.py", "huygens.py")
         for owner, node in _references(package / name)
-        if (isinstance(node, ast.Attribute) and node.attr == "phi" and getattr(node.value, "id", None) == "besselfn")
+        if (isinstance(node, ast.Attribute) and node.attr in ("phi", "phi_array")
+            and getattr(node.value, "id", None) == "besselfn")
         or (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("besselfn"))
     ]
     assert phi_sites == ["specops.py:_profile"]

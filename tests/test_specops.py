@@ -32,7 +32,7 @@ from besselwave.specops import (
 )
 from besselwave.domains import torus_pullback
 
-from _oracles import DenseDiracOracle, block_identity, dense_symmetry, label_pullback
+from _oracles import DenseDiracOracle, block_identity, decay_envelope, dense_symmetry, label_pullback
 
 
 OCTAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
@@ -190,20 +190,25 @@ class TestDeformedDirac:
                 assert deformed_dirac_norm(dom, t) == pytest.approx(dense, abs=1e-10)
 
     def test_one_profile_call_per_request(self, torus3, monkeypatch):
-        # psi and t phi of every degree come from one _profile call, one phi per distinct root of all degrees
+        # psi and t phi of every degree come from one _profile call, one phi_array call on the distinct t r
         t, n = 0.3, torus3.q + 2
-        profile, phi = specops._profile, besselfn.phi
-        orders, args = [], []
+        profile, phi_array = specops._profile, besselfn.phi_array
+        orders, calls = [], []
         monkeypatch.setattr(specops, "_profile", lambda *a: orders.append(a[0]) or profile(*a))
-        monkeypatch.setattr(besselfn, "phi", lambda *a: args.append(a[1]) or phi(*a))
+        monkeypatch.setattr(besselfn, "phi_array", lambda *a: calls.append(a) or phi_array(*a))
         psi, profiles = specops._deformed_values(torus3, t)
         roots = [specops._roots(torus3, k) for k in range(torus3.top_degree + 1)]
         assert orders == [n]
-        assert sorted(args) == sorted({t * float(r) for r in np.concatenate(roots)})
+        assert len(calls) == 1 and calls[0][0] == n
+        assert calls[0][1].tolist() == sorted({t * float(r) for r in np.concatenate(roots)})
         monkeypatch.undo()
         for r, a, g in zip(roots, psi, profiles):
-            assert a.tolist() == [besselfn.psi(n, t * x) for x in r.tolist()]
-            assert g.tolist() == [t * besselfn.phi(n, t * x) for x in r.tolist()]
+            x = t * r
+            values = besselfn.phi_array(n, x)
+            assert a.tolist() == (x * values).tolist()
+            assert g.tolist() == (t * values).tolist()
+            exact = [besselfn.phi(n, v) for v in x.tolist()]
+            assert all(abs(v - e) <= 1e-12 * decay_envelope(n, s) for v, e, s in zip(values, exact, x.tolist()))
 
     def test_eigenvector_preservation(self, torus2):
         t = 0.8
