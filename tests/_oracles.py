@@ -10,7 +10,9 @@ from itertools import combinations
 import numpy as np
 
 from besselwave import besselfn, geomfront
+from besselwave.huygens import PROBE_BINS
 from besselwave.oracles import dalembert_shift_coefficients  # noqa: F401  (re-exported for the tests)
+from besselwave.specops import _profile
 
 
 def jacobi_eigh(matrix: np.ndarray, eps: float = 1e-13, max_sweeps: int = 60):
@@ -408,3 +410,39 @@ def phi_mpmath(n: int, r: float, digits: int = 30) -> float:
         x = mpmath.mpf(r)
         nu = mpmath.mpf(n) / 2 - 1
         return float(mpmath.gamma(mpmath.mpf(n) / 2) * (x / 2) ** (-nu) * mpmath.besselj(nu, x))
+
+
+def locality_probe_full_grid(q: int, max_freq: int, sigma: float, t: float, annulus_width: float, n: int):
+    """The locality probe's field on full n^q grids: meshgrids, complex `ifftn`, `np.histogram`.
+
+    Returns (deformed_leakage, classical_leakage, radii, deformed_profile,
+    classical_profile) for the grid of n points per axis the probe ran on.
+    Only the profile values come from the package (`specops._profile`).
+    """
+    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    mesh = np.meshgrid(*([freqs] * q), indexing="ij")
+    band = np.ones(mesh[0].shape, dtype=bool)
+    for m in mesh:
+        band &= np.abs(m) <= max_freq
+    m_sq = sum(m.astype(float) ** 2 for m in mesh)
+    bump_hat = np.where(band, np.exp(-2.0 * math.pi**2 * sigma**2 * m_sq), 0.0)
+    levels, inverse = np.unique(m_sq[band], return_inverse=True)
+    lam = 2.0 * math.pi * np.sqrt(levels)
+    wrapped = ((np.arange(n) + n // 2) % n - n // 2) / n
+    coord = np.meshgrid(*([wrapped] * q), indexing="ij")
+    radius = np.sqrt(sum(c**2 for c in coord))
+    interior = radius < (t - annulus_width)
+    edges = np.linspace(0.0, float(radius.max()) + 1e-12, PROBE_BINS + 1)
+
+    leakages, profiles = [], []
+    for order in (q + 2, 3):
+        mult = np.zeros(band.shape)
+        mult[band] = t * _profile(order, t, lam)[inverse]
+        density = np.zeros(band.shape)
+        for axis_mode in mesh:
+            comp = np.fft.ifftn(mult * bump_hat * (2.0j * math.pi * axis_mode)) * n**q
+            density += comp.real**2
+        total = density.sum()
+        leakages.append(float(density[interior].sum() / total))
+        profiles.append(np.histogram(radius, bins=edges, weights=density)[0] / total)
+    return leakages[0], leakages[1], 0.5 * (edges[:-1] + edges[1:]), profiles[0], profiles[1]

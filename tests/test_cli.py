@@ -462,6 +462,8 @@ class TestConfigAndErrors:
     LOUD = [
         (("huygens-probe", "--q", "2", "--max-freq", "32", "--grid", "128", "--sigma", "nan"),
          "sigma=nan, t=0.3 and annulus_width=0.05 must be finite and positive"),
+        (("huygens-probe", "--q", "2", "--t", "0.1", "--w", "0.2"),
+         "annulus_width=0.2 reaches t=0.1, so the probe interior is empty"),
         (("spectral", "--domain", "torus2", "--max-freq", "1", "--symmetry", "translation", "--shift", "nan"),
          "shift must be 2 finite numbers, got [nan, nan]"),
         (("spectral", "--domain", "torus2", "--max-freq", "1", "--symmetry", "translation", "--shift", "inf"),

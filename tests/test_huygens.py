@@ -32,6 +32,7 @@ from _oracles import (
     flux_average_loop,
     gamma_moment_ratio,
     interval_average_exact,
+    locality_probe_full_grid,
     sphere_monomial_integral,
 )
 
@@ -232,6 +233,12 @@ class TestLocalityProbe:
         with pytest.raises(ValueError, match="annulus_width=.* must be finite and positive"):
             locality_probe(2, 32, sigma, t, width, grid_points=128)
 
+    @pytest.mark.parametrize("q, t, width", [(2, 0.1, 0.2), (2, 0.1, 0.1), (3, 0.2, 0.25)])
+    def test_empty_interior_rejected(self, q, t, width):
+        # at annulus_width >= t no grid point lies at radius < t - annulus_width, and both leakages would read 0
+        with pytest.raises(ValueError, match=f"annulus_width={width} reaches t={t}"):
+            locality_probe(q, 24, 0.01, t, width, grid_points=64)
+
     def test_torus_diameter_guard(self):
         with pytest.raises(ValueError):
             locality_probe(2, 64, 0.02, 0.4, 0.12)
@@ -242,7 +249,8 @@ class TestLocalityProbe:
             raise AssertionError("the probe built a grid")
 
         monkeypatch.setattr(np.fft, "fftfreq", no_grid)
-        monkeypatch.setattr(np, "meshgrid", no_grid)
+        monkeypatch.setattr(np.fft, "rfftfreq", no_grid)
+        monkeypatch.setattr(np, "ix_", no_grid)
         with pytest.raises(DomainSizeError) as err:
             locality_probe(3, 64, 0.02, 0.3, 0.05)
         assert "16777216" in str(err.value)
@@ -252,6 +260,18 @@ class TestLocalityProbe:
         assert locality_probe(3, 24, 0.035, 0.3, 0.1, grid_points=32).grid == 64
         assert locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=128).grid == 128
         assert locality_probe(2, 8, 0.02, 0.3, 0.05).grid is None
+
+    @pytest.mark.parametrize("q, max_freq, sigma, grid", [(2, 32, 0.04, 128), (2, 32, 0.04, 131), (3, 24, 0.035, 32)])
+    def test_matches_the_full_grid_oracle(self, q, max_freq, sigma, grid):
+        result = locality_probe(q, max_freq, sigma, 0.3, 0.1, grid_points=grid)
+        deformed, classical, radii, deformed_profile, classical_profile = locality_probe_full_grid(
+            q, max_freq, sigma, 0.3, 0.1, result.grid
+        )
+        assert result.deformed_leakage == pytest.approx(deformed, rel=1e-12, abs=0.0)
+        assert result.classical_leakage == pytest.approx(classical, rel=1e-12, abs=0.0)
+        assert np.array_equal(result.radii, radii)
+        np.testing.assert_allclose(result.deformed_profile, deformed_profile, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(result.classical_profile, classical_profile, rtol=0.0, atol=1e-13)
 
     def test_profile_masses_sum_to_one(self):
         result = locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=128)
