@@ -22,11 +22,10 @@ nu >= r it comes from the exact series instead (see _phi_large).
 oracle: within 3e-15 of the size of |phi_n| for n = 1..14 on [0, 150], and
 within 3e-14 for n up to 401.  At x = 0 it is exactly 1.  Where nu < x it takes
 the upward recurrence above: from cos x and sin x / x for odd n, and from
-the Hankel J_0 and J_1 once x > 40 for even n.  Elsewhere it sums the float
-Taylor series up to x = 2, where the series loses no digits to
-cancellation, and above that it runs Miller's backward recurrence in the
-order (Gautschi, SIAM Review 9 (1967) 24-82; DLMF 3.6(vi), 10.12, 10.60) on
-phi itself, normalized by cos x and sin x / x for odd n and by
+the Hankel J_0 and J_1 once x > 40 for even n.  At every other x > 0 it runs
+Miller's backward recurrence in the order, which is stable for all x > 0
+(Gautschi, SIAM Review 9 (1967) 24-82; DLMF 3.6(vi), 10.12, 10.60), on phi
+itself, normalized by cos x and sin x / x for odd n and by
 J_0 + 2 sum J_2k = 1 for even n.
 
 All functions are pure.
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -53,7 +52,6 @@ __all__ = [
 SERIES_CUTOFF = 40.0
 RELATIVE_TARGET_BITS = 50  # 2**-50 ~ 8.9e-16, the 1e-15 stopping target
 MAX_TERMS = 400
-FLOAT_SERIES_CUTOFF = 2.0  # phi_array sums the float series up to this x
 
 
 class BesselDomainError(ValueError):
@@ -159,29 +157,9 @@ def _phi_large(n: int, r, xp=math):
     return high if n > start else low
 
 
-@lru_cache(maxsize=64)
-def _taylor_steps(n: int) -> np.ndarray:
-    """1 / (j (nu + j)) for j = 1, 2, ... until their running product falls below 2^-56; read-only."""
-    nu, steps, product = 0.5 * n - 1.0, [], 1.0
-    while product > 2.0**-56:
-        steps.append(1.0 / ((len(steps) + 1) * (nu + len(steps) + 1)))
-        product *= steps[-1]
-    out = np.array(steps)
-    out.flags.writeable = False
-    return out
-
-
-def _taylor_array(n: int, x: np.ndarray) -> np.ndarray:
-    """sum_k b_k x^(2k) in floats for 0 <= x <= 2, where phi_n >= J_0(2) > 1/8 for n >= 2.
-
-    b_k x^(2k) = prod_{j<=k} y / (j (nu + j)) with y = -x^2 / 4, |y| <= 1, so the terms end where
-    prod_{j<=k} 1 / (j (nu + j)) falls below 2^-56, half an ulp of the sum.
-    """
-    return 1.0 + np.cumprod(np.multiply.outer(-0.25 * x * x, _taylor_steps(n)), axis=-1).sum(axis=-1)
-
-
 def _miller_array(n: int, x: np.ndarray) -> np.ndarray:
-    """phi_n(x) for x > 2 by Miller's backward recurrence in the order, run on phi itself.
+    """phi_n(x) for 0 < x <= nu (odd n) or 0 < x <= max(40, nu) (even n) by Miller's backward
+    recurrence in the order, run on phi itself.
 
     phi_{m-2} = phi_m - x^2 / ((m - 2) m) phi_{m+2}, the recurrence of J_{m/2-1} scaled by
     Gamma(m/2) (x/2)^(1 - m/2), runs down the orders of n's parity from phi_top = 1, phi_{top+2} = 0.
@@ -192,7 +170,7 @@ def _miller_array(n: int, x: np.ndarray) -> np.ndarray:
     J_2k = a_k phi_{4k+2}, a_k = (x/2)^(2k) / (2k)!, summed by Horner's rule:
     a_{k+1} / a_k = x^2 / (m (m + 2)) at m = 4k + 2.
     """
-    big = max(float(x.max()), 0.5 * n - 1.0)
+    big = max(float(x.max(initial=0.0)), 0.5 * n - 1.0)
     start, top = 2 - n % 2, 2 * int(big + 20.0 + math.sqrt(12.0 * big)) + 2 + n % 2
     x2 = x * x
     here, above = np.ones_like(x), np.zeros_like(x)  # phi_m and phi_{m+2}, up to one multiple
@@ -240,13 +218,12 @@ def phi_array(n: int, x) -> np.ndarray:
         raise BesselDomainError(f"argument must be finite, got {float(raw[~np.isfinite(raw)][0])!r}")
     if n == 1:
         return np.cos(x).reshape(shape)
-    # region 0: x = 0, where phi_n = 1; 1: the float series up to min(2, high); 2: Miller up to high;
-    # 3: the recurrences of _phi_large above high
+    # region 0: x = 0, where phi_n = 1; 1: Miller up to high; 2: the recurrences of _phi_large above high
     high = 0.5 * n - 1.0 if n % 2 else max(SERIES_CUTOFF, 0.5 * n - 1.0)
-    region = np.searchsorted((0.0, min(FLOAT_SERIES_CUTOFF, high), high), x)
-    counts = np.bincount(region, minlength=4).tolist()
+    region = np.searchsorted((0.0, high), x)
+    counts = np.bincount(region, minlength=3).tolist()
     out = np.ones_like(x)
-    for label, method in ((1, _taylor_array), (2, _miller_array), (3, partial(_phi_large, xp=np))):
+    for label, method in ((1, _miller_array), (2, partial(_phi_large, xp=np))):
         if counts[label] == x.size:
             return method(n, x).reshape(shape)
         if counts[label]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -348,13 +349,20 @@ def torus_pullback(domain: SpectralDomain, axes, signs, shift) -> tuple[BlockMap
 # ---------------------------------------------------------------------------
 
 
+def _vertex(v) -> int:
+    """A vertex id as an int, by operator.index (numpy integers pass); bools and fractional ids raise."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise ValueError(f"vertex ids must be integers, got {v!r}")
+    return operator.index(v)
+
+
 class SimplicialComplex:
     """Finite abstract simplicial complex with sorted-vertex orientation."""
 
     def __init__(self, simplices):
         seen = set()
         for s in simplices:
-            s = tuple(sorted(int(v) for v in s))
+            s = tuple(sorted(_vertex(v) for v in s))
             if not s or len(set(s)) != len(s):
                 raise ValueError(f"bad simplex {s}")
             seen.add(s)
@@ -372,7 +380,7 @@ class SimplicialComplex:
     def from_maximal(cls, faces) -> "SimplicialComplex":
         closed = set()
         for f in faces:
-            f = tuple(sorted(int(v) for v in f))
+            f = tuple(sorted(_vertex(v) for v in f))
             for size in range(1, len(f) + 1):
                 closed.update(combinations(f, size))
         return cls(closed)

@@ -441,10 +441,17 @@ def global_cancellation(chart: SurfaceChart, oneform, t: float, n_centers: int, 
 # ---------------------------------------------------------------------------
 
 
+def _check_radius(name: str, r: float, power: int) -> None:
+    """ValueError where r <= 0 or the divisor r^power of a curvature estimate is below the normal floats."""
+    if r <= 0:
+        raise ValueError(f"need a radius {name} > 0, got {r}")
+    if r < 1.0 and r**power < 2.0**-1022:  # the smallest normal double; r >= 1 cannot underflow
+        raise ValueError(f"radius {name}={r!r} is too small: {name}^{power} = {r**power!r} is below the normal floats")
+
+
 def r2d2_curvature(chart: SurfaceChart, p, h: float, n_theta: int = 64) -> float:
     """(2 |W_h| - |W_2h|) / (2 pi h^3), the limit-free two-radius estimate."""
-    if h <= 0:
-        raise ValueError(f"need a radius h > 0, got {h}")
+    _check_radius("h", h, 3)
     w1 = wavefront_length(chart, p, h, n_theta)
     w2 = wavefront_length(chart, p, 2.0 * h, n_theta)
     return (2.0 * w1 - w2) / (2.0 * math.pi * h**3)
@@ -452,8 +459,7 @@ def r2d2_curvature(chart: SurfaceChart, p, h: float, n_theta: int = 64) -> float
 
 def puiseux_curvature(chart: SurfaceChart, p, r: float, n_theta: int = 64) -> float:
     """3 (2 pi r - |W_r|) / (pi r^3), the classical circumference defect."""
-    if r <= 0:
-        raise ValueError(f"need a radius r > 0, got {r}")
+    _check_radius("r", r, 3)
     w = wavefront_length(chart, p, r, n_theta)
     return 3.0 * (2.0 * math.pi * r - w) / (math.pi * r**3)
 
@@ -469,6 +475,7 @@ def r2d2_boundary(disc_radius: float, r: float) -> float:
         raise ValueError("disc radius must be positive")
     if r <= 0 or r >= disc_radius:
         raise ValueError(f"need 0 < r < R, got r={r}, R={disc_radius}")
+    _check_radius("r", r, 2)
 
     def front(radius: float) -> float:
         return 2.0 * math.pi * radius * math.acos(radius / (2.0 * disc_radius))

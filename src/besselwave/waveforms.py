@@ -257,6 +257,7 @@ def pde_residual(solution: WaveSolution, t: float, dt: float | None = None) -> f
     Second derivative by the 5-point 4th-order stencil, first derivative by
     the 4-point 4th-order stencil; the singular 1/t coefficients keep the
     harness away from t < 5 dt.  dt defaults to `residual_step(solution)`.
+    ValueError where the five stencil times are not distinct or 12 dt^2 is not a normal float.
     """
     if dt is None:
         dt = residual_step(solution)
@@ -264,9 +265,15 @@ def pde_residual(solution: WaveSolution, t: float, dt: float | None = None) -> f
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if t < 5.0 * dt:
         raise ValueError(f"residual stencil needs t >= 5 dt, got t={t}, dt={dt}")
-    samples = [solution.at(t + j * dt).coefficients for j in (-2, -1, 0, 1, 2)]
-    um2, um1, u0, up1, up2 = samples
-    u_tt = (-um2 + 16.0 * um1 - 30.0 * u0 + 16.0 * up1 - up2) / (12.0 * dt * dt)
+    times = [t + j * dt for j in (-2, -1, 0, 1, 2)]
+    um2, um1, u0, up1, up2 = (solution.at(s).coefficients for s in times)
+    scale = 12.0 * dt * dt
+    if len(set(times)) < 5:
+        raise ValueError(f"dt={dt!r} is below the spacing of floats at t={t!r}: the stencil times t + j dt, "
+                         "j = -2..2, are not five distinct floats")
+    if not 2.0**-1022 <= scale < math.inf:  # 2^-1022 is the smallest normal double
+        raise ValueError(f"dt={dt!r}: 12 dt^2 = {scale!r} is not a normal float")
+    u_tt = (-um2 + 16.0 * um1 - 30.0 * u0 + 16.0 * up1 - up2) / scale
     u_t = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * dt)
     lap = solution.domain.even_apply(solution.degree, solution.domain.laplacian_spectrum(solution.degree), u0)
     _, power = _FAMILIES.get(solution.kind, (0, 0))  # classical has q = 1, where power drops out

@@ -182,10 +182,16 @@ class TestPhiArray:
         for n in (21, 30, 41, 60, 84, 400, 401):
             assert self.worst(n, xs) <= 1e-12, n
 
+    def test_tiny_arguments(self):
+        # Miller's recurrence serves every x > 0 below the recurrence range, down to where x^2 underflows
+        xs = np.geomspace(1e-300, 2.0, 400)
+        for n in [*range(1, 15), 21, 401]:
+            assert self.worst(n, xs) <= 1e-12, n
+
     def test_continuous_across_the_seams(self):
         for n in range(1, 15):
             nu = 0.5 * n - 1.0
-            for seam in {besselfn.FLOAT_SERIES_CUTOFF, besselfn.SERIES_CUTOFF, nu, nu + 2.0} - {-0.5, 0.0}:
+            for seam in {2.0, besselfn.SERIES_CUTOFF, nu, nu + 2.0} - {-0.5, 0.0}:
                 xs = np.array([np.nextafter(seam, 0.0), seam, np.nextafter(seam, np.inf)])
                 values = phi_array(n, xs)
                 assert np.all(np.abs(np.diff(values)) <= 1e-13 * decay_envelope(n, seam)), (n, seam)

@@ -480,6 +480,17 @@ class TestConfigAndErrors:
         (("front", "--chart", "custom", "--g11", "1", "--g12", "0", "--g22", "1", "--bounds=-1,1,-1,1",
           "--point", "0.9,0", "--t", "-1", "--ntheta", "8"),
          "trajectory left the chart rectangle near t = -0.100000"),
+        (("curvature", "--chart", "sphere", "--h", "1e-110"),
+         "radius h=1e-110 is too small: h^3 = 0.0 is below the normal floats"),
+        (("curvature", "--chart", "flat", "--h", "1e-110"),
+         "radius h=1e-110 is too small: h^3 = 0.0 is below the normal floats"),
+        (("wave", "--t-values", "0.5", "--dt", "1e-17"),
+         "dt=1e-17 is below the spacing of floats at t=0.5: the stencil times t + j dt, j = -2..2, "
+         "are not five distinct floats"),
+        (("wave", "--t-values", "0.5", "--dt", "1e-100"),
+         "dt=1e-100 is below the spacing of floats at t=0.5: the stencil times t + j dt, j = -2..2, "
+         "are not five distinct floats"),
+        (("wave", "--t-values", "1e-164", "--dt", "1e-165"), "dt=1e-165: 12 dt^2 = 0.0 is not a normal float"),
         (("bessel", "--n", "1", "--r", "1e200"),
          "ode_residual at n=1, r=1e+200: phi_5(r) = -0.000e+00 is below the normal doubles, or r^2 overflows"),
     ]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -190,6 +191,25 @@ class TestSimplicial:
     def test_json_simplices_must_be_vertex_lists(self, source):
         with pytest.raises(ValueError, match="list of vertex lists"):
             SimplicialComplex.from_json(source)
+
+    @pytest.mark.parametrize("simplices, bad", [
+        ([[0], [1], [2], [0, 1], [1, 2], [0, 2.7], [2.2]], "2.7"),
+        ([[True]], "True"),
+        ([[0], [1], [0, "1"]], "'1'"),
+        ([[0], [1.0]], "1.0"),
+    ])
+    def test_vertex_ids_must_be_integers(self, simplices, bad):
+        # int() truncated 2.7 to 2 and built a different complex; True became vertex 1
+        with pytest.raises(ValueError, match=re.escape(f"vertex ids must be integers, got {bad}")):
+            SimplicialComplex(simplices)
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            SimplicialComplex.from_maximal(simplices)
+
+    def test_numpy_integer_vertex_ids_pass(self):
+        ids = np.arange(3)
+        sc = SimplicialComplex.from_maximal([[ids[0], ids[1], ids[2]]])
+        assert sc.counts() == (3, 3, 1)
+        assert all(type(v) is int for layer in sc.by_dim for s in layer for v in s)
 
 
 class TestPerDegreeLaplacian:

@@ -7,7 +7,7 @@ import pkgutil
 from pathlib import Path
 
 import besselwave
-from besselwave import cli, geomfront
+from besselwave import besselfn, cli, geomfront
 from besselwave.domains import SpectralDomain
 
 MODULES = [importlib.import_module(f"besselwave.{m.name}") for m in pkgutil.iter_modules(besselwave.__path__)]
@@ -109,3 +109,19 @@ def test_the_calculus_evaluates_the_profile_only_in_specops_profile():
         if "_even_values" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
     }
     assert even_sites == {"specops.py"}
+
+
+def test_phi_array_runs_one_method_below_the_recurrence_range():
+    # Miller's recurrence serves every 0 < x <= high and _phi_large every x above it; no float Taylor series
+    # sits beside them.
+    path = Path(besselfn.__file__)
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    functions = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+    names = {getattr(target, "id", None) for node in body if isinstance(node, ast.Assign) for target in node.targets}
+    assert [name for name in functions if name.startswith("_taylor")] == []
+    assert "FLOAT_SERIES_CUTOFF" not in names
+    dispatched = {
+        node.id for owner, node in _references(path)
+        if owner == "phi_array" and isinstance(node, ast.Name) and node.id in functions
+    }
+    assert dispatched == {"_check_n", "_miller_array", "_phi_large"}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,19 @@ class TestCurvatureEstimates:
             r2d2_curvature(sphere_chart(), SPHERE_POINT, h)
         with pytest.raises(ValueError):
             puiseux_curvature(sphere_chart(), SPHERE_POINT, h)
+
+    def test_underflowing_radius_rejected(self):
+        # h^3 (r^2 for the boundary estimate) below the normal floats divided by zero or by a subnormal
+        for chart in (sphere_chart(), flat_chart()):
+            with pytest.raises(ValueError, match=re.escape("radius h=1e-110 is too small: h^3 = 0.0")):
+                r2d2_curvature(chart, SPHERE_POINT, 1e-110)
+        with pytest.raises(ValueError, match=re.escape("radius r=1e-300 is too small: r^3 = 0.0")):
+            puiseux_curvature(sphere_chart(), SPHERE_POINT, 1e-300)
+        with pytest.raises(ValueError, match=re.escape("radius h=1e-104 is too small: h^3 = 1e-312")):
+            r2d2_curvature(sphere_chart(), SPHERE_POINT, 1e-104)
+        for r in (1e-300, 1e-160):
+            with pytest.raises(ValueError, match=re.escape(f"radius r={r!r} is too small: r^2")):
+                r2d2_boundary(1.0, r)
 
     def test_empty_front_rejected(self):
         with pytest.raises(ValueError):

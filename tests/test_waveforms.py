@@ -1,6 +1,7 @@
 """Wave solutions: residual harness, d'Alembert anchor, exact accelerations."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +228,17 @@ class TestResidualHarness:
         for dt in (math.nan, math.inf, 0.0, -1e-3):
             with pytest.raises(ValueError, match="dt must be finite and positive"):
                 pde_residual(sol, 1.0, dt=dt)
+
+    def test_step_below_float_resolution_rejected(self, circle4, rng):
+        # every stencil time rounds to t, so the quotient is rounding noise (2965 at dt = 1e-17), inf or nan
+        sol = velocity_solution(circle4, unit_rate_f(circle4, rng))
+        for dt in (1e-17, 1e-100, 1e-165):
+            with pytest.raises(ValueError, match=f"dt={dt!r} is below the spacing of floats at t=0.5"):
+                pde_residual(sol, 0.5, dt=dt)
+        for t, dt in ((1e-164, 1e-165), (5e-160, 1e-160)):  # distinct times, 12 dt^2 below the normal floats
+            with pytest.raises(ValueError, match=re.escape(f"dt={dt!r}: 12 dt^2 = ")):
+                pde_residual(sol, t, dt=dt)
+        assert pde_residual(sol, 0.5, dt=1e-3) < 1e-6
 
     def test_asymptotic_amplitude_band(self):
         dom = build_circle_domain(1)
