@@ -15,18 +15,19 @@ over one running denominator, rounded once by the final int / int division,
 which Python rounds correctly.  That removes the catastrophic cancellation a
 float sum suffers for moderate r.  For |r| > 40, phi_n comes from the upward
 recurrence phi_{m+4} = m(m+2)/r^2 (phi_{m+2} - phi_m), which is the
-recurrence of J_nu, nu = n/2 - 1, scaled by Gamma(n/2) (r/2)^(-nu); where
-nu >= r it comes from the exact series instead (see _phi_large).
+recurrence of J_nu, nu = n/2 - 1, scaled by Gamma(n/2) (r/2)^(-nu), from cos r
+and sin r / r (odd n) or from J_0 and J_1 (even n), each the first 14 terms of
+its Hankel expansion; where nu >= r it comes from the exact series instead.
 
-`phi_array` is the float path the functional calculus uses, with `phi` as its
-oracle: within 3e-15 of the size of |phi_n| for n = 1..14 on [0, 150], and
-within 3e-14 for n up to 401.  At x = 0 it is exactly 1.  Where nu < x it takes
-the upward recurrence above: from cos x and sin x / x for odd n, and from
-the Hankel J_0 and J_1 once x > 40 for even n.  At every other x > 0 it runs
-Miller's backward recurrence in the order, which is stable for all x > 0
-(Gautschi, SIAM Review 9 (1967) 24-82; DLMF 3.6(vi), 10.12, 10.60), on phi
-itself, normalized by cos x and sin x / x for odd n and by
-J_0 + 2 sum J_2k = 1 for even n.
+`phi_array` is the float path the functional calculus uses: within 3e-15 of
+the size of |phi_n| for n = 1..14 on [0, 150], and within 3e-14 for n up to
+401.  At x = 0 it is exactly 1.  Where nu < x (and x > 40 for even n) it runs
+the upward recurrence elementwise, the code `phi` runs past max(40, nu), so
+the two agree bit for bit there.  At every other x > 0 it runs Miller's
+backward recurrence in the order, which is stable for all x > 0 (Gautschi,
+SIAM Review 9 (1967) 24-82; DLMF 3.6(vi), 10.12, 10.60), on phi itself,
+normalized by cos x and sin x / x for odd n and by J_0 + 2 sum J_2k = 1 for
+even n; the exact `phi` is its oracle.
 
 All functions are pure.
 """
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -116,42 +116,34 @@ def _series_sums(n: int, r: float) -> tuple[int, int, int, int]:
     return s0, s1, s2, den
 
 
-def _bessel_j_hankel(nu: float, r, xp=math):
-    """J_nu(r) by the Hankel asymptotic expansion, for nu in {0, 1} and r > 40; xp = numpy takes an array r.
-
-    Terms are added until they stop decreasing or fall below 1e-18 of the
-    leading one (for an array, the largest term); adequate to ~1e-14
-    relative for r > 30 and nu <= 8.
-    """
+def _bessel_j_hankel(nu: float, r):
+    """J_nu(r) for nu in {0, 1} and r > 40, elementwise: the first 14 terms of the Hankel expansion, DLMF 10.17(i)."""
     mu = 4.0 * nu * nu
     p_sum, q_sum = 1.0, 0.0
     term = 1.0
-    for k in range(1, 24):
+    for k in range(1, 15):  # at r = 40 the 15th term is below 1e-18 of the first, and every term shrinks as r grows
         term *= (mu - (2 * k - 1) ** 2) / (k * 8.0 * r)
-        contrib = abs(term) if xp is math else abs(term).max()  # an array stops on its largest term
-        if contrib >= 1.0 or contrib < 1e-18:
-            break
         if k % 2 == 0:
             p_sum += term * (-1) ** (k // 2)
         else:
             q_sum += term * (-1) ** ((k - 1) // 2)
     chi = r - (0.5 * nu + 0.25) * math.pi
-    return xp.sqrt(2.0 / (math.pi * r)) * (p_sum * xp.cos(chi) - q_sum * xp.sin(chi))
+    return np.sqrt(2.0 / (math.pi * r)) * (p_sum * np.cos(chi) - q_sum * np.sin(chi))
 
 
-def _phi_large(n: int, r, xp=math):
-    """phi_n(r) for nu < r (odd n) or max(40, nu) < r (even n); xp = numpy takes an array r.
+def _phi_large(n: int, r):
+    """phi_n(r) for nu < r (odd n) or max(40, nu) < r (even n), at a float or elementwise on an array r.
 
     phi_{m+4} = m(m+2)/r^2 (phi_{m+2} - phi_m) up from phi_1 = cos r, phi_3 = sin r / r (odd n) or the
     Hankel phi_2 = J_0, phi_4 = 2 J_1 / r (even n).  This is the J_nu recurrence scaled by
     Gamma(n/2) (r/2)^(-nu), so it is stable only while nu < r; phi sums the series at nu >= r.
     """
     if n % 2:
-        start, low = 1, xp.cos(r)
-        high = xp.sin(r) / r if n > start else None
+        start, low = 1, np.cos(r)
+        high = np.sin(r) / r if n > start else None
     else:
-        start, low = 2, _bessel_j_hankel(0.0, r, xp)
-        high = 2.0 / r * _bessel_j_hankel(1.0, r, xp) if n > start else None
+        start, low = 2, _bessel_j_hankel(0.0, r)
+        high = 2.0 / r * _bessel_j_hankel(1.0, r) if n > start else None
     for m in range(start, n - 2, 2):
         low, high = high, (m * (m + 2) / (r * r)) * (high - low)
     return high if n > start else low
@@ -170,7 +162,7 @@ def _miller_array(n: int, x: np.ndarray) -> np.ndarray:
     J_2k = a_k phi_{4k+2}, a_k = (x/2)^(2k) / (2k)!, summed by Horner's rule:
     a_{k+1} / a_k = x^2 / (m (m + 2)) at m = 4k + 2.
     """
-    big = max(float(x.max(initial=0.0)), 0.5 * n - 1.0)
+    big = max(float(x.max()), 0.5 * n - 1.0)
     start, top = 2 - n % 2, 2 * int(big + 20.0 + math.sqrt(12.0 * big)) + 2 + n % 2
     x2 = x * x
     here, above = np.ones_like(x), np.zeros_like(x)  # phi_m and phi_{m+2}, up to one multiple
@@ -202,7 +194,7 @@ def phi(n: int, r: float) -> float:
     if x <= max(SERIES_CUTOFF, 0.5 * n - 1.0):
         s0, _, _, den = _series_sums(n, x)
         return s0 / den
-    return _phi_large(n, x)
+    return float(_phi_large(n, x))
 
 
 def phi_array(n: int, x) -> np.ndarray:
@@ -216,18 +208,13 @@ def phi_array(n: int, x) -> np.ndarray:
     shape, x = raw.shape, np.abs(raw).ravel()
     if not x.max(initial=0.0) < math.inf:  # nan compares false
         raise BesselDomainError(f"argument must be finite, got {float(raw[~np.isfinite(raw)][0])!r}")
-    if n == 1:
-        return np.cos(x).reshape(shape)
     # region 0: x = 0, where phi_n = 1; 1: Miller up to high; 2: the recurrences of _phi_large above high
-    high = 0.5 * n - 1.0 if n % 2 else max(SERIES_CUTOFF, 0.5 * n - 1.0)
+    high = max(0.0, 0.5 * n - 1.0) if n % 2 else max(SERIES_CUTOFF, 0.5 * n - 1.0)
     region = np.searchsorted((0.0, high), x)
-    counts = np.bincount(region, minlength=3).tolist()
     out = np.ones_like(x)
-    for label, method in ((1, _miller_array), (2, partial(_phi_large, xp=np))):
-        if counts[label] == x.size:
-            return method(n, x).reshape(shape)
-        if counts[label]:
-            where = region == label
+    for label, method in ((1, _miller_array), (2, _phi_large)):
+        where = region == label
+        if where.any():
             out[where] = method(n, x[where])
     return out.reshape(shape)
 

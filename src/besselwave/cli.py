@@ -350,14 +350,18 @@ def _chart_point(args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def config(p):  # SUPPRESS: a subcommand's default must not overwrite a --config given before the subcommand
+        p.add_argument("--config", default=argparse.SUPPRESS, help="JSON file of flag values; command-line flags win")
+
     parser = argparse.ArgumentParser(
         prog="besselwave",
         description="Bounded smoothed exterior derivative: verification runs and datasets.",
     )
-    parser.add_argument("--config", help="JSON file with default values for the flags")
+    config(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, plot=False):
+        config(p)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", help="output path (stdout when omitted)")
         if plot:
@@ -454,29 +458,28 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            with open(argv[idx + 1], "r", encoding="utf-8") as fh:
-                defaults = json.load(fh)
-            if not isinstance(defaults, dict):
-                raise ValueError(f"expected a JSON object, got {type(defaults).__name__}")
-        except (OSError, ValueError, IndexError) as exc:
-            sys.stderr.write(f"error: cannot read config: {exc}\n")
-            return 2
-        del argv[idx : idx + 2]
-        for key, value in defaults.items():
-            flag = f"--{key.replace('_', '-')}"
-            if flag not in argv and not any(a.startswith(flag + "=") for a in argv):
-                if isinstance(value, bool):
-                    if value:
-                        argv.append(flag)
-                else:
-                    argv += [flag, str(value)]
     try:
         args = parser.parse_args(argv)
+        if "config" in args:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                values = json.load(fh)
+            if not isinstance(values, dict):
+                raise ValueError(f"expected a JSON object, got {type(values).__name__}")
+            flags = []
+            for key, value in values.items():
+                if value is not False:
+                    flags += [f"--{key.replace('_', '-')}"] + ([] if value is True else [str(value)])
+            # The file's flags go right after the subcommand, so a flag on the command line wins. The
+            # subcommand is the first word equal to its name that is not the value of a `--config` (or
+            # an abbreviation of it) before the subcommand.
+            at = next(i for i, word in enumerate(argv) if word == args.command
+                      and not (i and len(argv[i - 1]) >= 3 and "--config".startswith(argv[i - 1]))) + 1
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    except (OSError, ValueError) as exc:  # argparse exits on a bad flag value, so these come from the config
+        sys.stderr.write(f"error: cannot read config: {exc}\n")
+        return 2
     try:
         return args.func(args)
     except (ValueError, OSError, geomfront.ChartExitError) as exc:

@@ -96,12 +96,14 @@ class SurfaceChart:
     periodic: bool = False
 
     def contains(self, x, y) -> bool:
+        """Whether every point (x, y) lies in the closed rectangle; floats, lists or arrays, NaN outside."""
         if self.periodic:
             return True
+        x, y = np.asarray(x), np.asarray(y)
         x_min, x_max, y_min, y_max = self.bounds
         return bool(np.all((x >= x_min) & (x <= x_max) & (y >= y_min) & (y <= y_max)))
 
-    def require(self, x: float, y: float) -> None:
+    def require(self, x, y) -> None:
         if not self.contains(x, y):
             raise ChartDomainError(f"point ({x}, {y}) outside rectangle {self.bounds} of {self.name}")
 
@@ -213,9 +215,8 @@ def _brioschi(jet):
 
 
 def christoffel(chart: SurfaceChart, x, y) -> np.ndarray:
-    """Gamma[k][i][j] at (x, y); broadcasts over array input."""
-    if np.ndim(x) == 0:
-        chart.require(float(x), float(y))
+    """Gamma[k][i][j] at (x, y); broadcasts over array input, every point inside the rectangle."""
+    chart.require(x, y)
     c = np.broadcast_arrays(*_christoffel(chart.jet(x, y)), x, y)
     return np.array([[[c[0], c[1]], [c[1], c[2]]], [[c[3], c[4]], [c[4], c[5]]]], dtype=float)
 
@@ -223,8 +224,10 @@ def christoffel(chart: SurfaceChart, x, y) -> np.ndarray:
 def gauss_curvature_brioschi(chart: SurfaceChart, x, y):
     """Gauss curvature from the metric alone (Brioschi determinant formula).
 
-    Exact metric derivatives from the chart's jet.  Broadcasts over array input.
+    Exact metric derivatives from the chart's jet.  Broadcasts over array
+    input, every point inside the rectangle.
     """
+    chart.require(x, y)
     out = _brioschi(chart.jet(x, y)) + np.zeros(np.broadcast(x, y).shape)
     return float(out) if out.ndim == 0 else out
 
@@ -262,14 +265,6 @@ def _rhs(chart: SurfaceChart, state: np.ndarray) -> np.ndarray:
     out[3] = -(c211 * vx * vx + 2.0 * c212 * vx * vy + c222 * vy * vy)
     out[5] = -_brioschi(jet) * state[4]
     return out
-
-
-def _outside(chart: SurfaceChart, state: np.ndarray) -> bool:
-    if chart.periodic:
-        return False
-    x_min, x_max, y_min, y_max = chart.bounds
-    return bool(np.any(state[0] < x_min) or np.any(state[0] > x_max) or
-                np.any(state[1] < y_min) or np.any(state[1] > y_max))
 
 
 # Dormand & Prince (1980): stage rows (the last is the 5th-order solution,
@@ -310,10 +305,11 @@ def _exit_time(chart: SurfaceChart, y0: np.ndarray, y1: np.ndarray, k: np.ndarra
     d = h * np.tensordot(_DP_D, k, axes=1)
     lo, hi = 0.0, 1.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _outside(chart, y0 + mid * (dy + (1.0 - mid) * (b + mid * (c + (1.0 - mid) * d)))):
-            hi = mid
-        else:
+        x, y = (y0 + mid * (dy + (1.0 - mid) * (b + mid * (c + (1.0 - mid) * d))))[:2]
+        if chart.contains(x, y):
             lo = mid
+        else:
+            hi = mid
     return t0 + hi * h
 
 
@@ -343,7 +339,7 @@ def _dormand_prince(chart: SurfaceChart, f, y: np.ndarray, t: float) -> np.ndarr
             k[i] = f(y_new)
         err = _scaled_max(h * (_DP_E @ flat).reshape(y.shape), np.maximum(np.abs(y), np.abs(y_new)))
         if err <= 1.0:
-            if _outside(chart, y_new):
+            if not chart.contains(y_new[0], y_new[1]):
                 raise ChartExitError(_exit_time(chart, y, y_new, k, t_now, h))
             y, k[0] = y_new, k[6]
             t_now = t if last else t_now + h
@@ -367,7 +363,7 @@ def _integrate_front(chart: SurfaceChart, p, thetas, t: float) -> np.ndarray:
         return _dormand_prince(chart, f, state, t)
     slope = f(state)
     end = state + t * slope
-    if _outside(chart, end):
+    if not chart.contains(end[0], end[1]):
         raise ChartExitError(_exit_time(chart, state, end, np.broadcast_to(slope, (7,) + state.shape), 0.0, t))
     return end
 
@@ -442,11 +438,13 @@ def global_cancellation(chart: SurfaceChart, oneform, t: float, n_centers: int, 
 
 
 def _check_radius(name: str, r: float, power: int) -> None:
-    """ValueError where r <= 0 or the divisor r^power of a curvature estimate is below the normal floats."""
+    """ValueError where r <= 0 or where 2^-52 r / r^power, the rounding of the front lengths over the divisor
+    of a curvature estimate, exceeds 1e-3; the estimate's error is a few times that floor."""
     if r <= 0:
         raise ValueError(f"need a radius {name} > 0, got {r}")
-    if r < 1.0 and r**power < 2.0**-1022:  # the smallest normal double; r >= 1 cannot underflow
-        raise ValueError(f"radius {name}={r!r} is too small: {name}^{power} = {r**power!r} is below the normal floats")
+    if r < 1.0 and r ** (power - 1) < 2.0**-52 / 1e-3:  # r < 1 first: a huge r would overflow the power
+        raise ValueError(f"radius {name}={r!r} is too small: the estimate's rounding floor "
+                         f"2^-52 {name} / {name}^{power} exceeds 1e-3")
 
 
 def r2d2_curvature(chart: SurfaceChart, p, h: float, n_theta: int = 64) -> float:

@@ -207,6 +207,22 @@ class TestPhiArray:
         for n in range(1, 15):
             assert phi_array(n, -xs).tolist() == phi_array(n, xs).tolist()
 
+    def test_each_value_depends_on_its_own_argument(self):
+        # Past the recurrence range the Hankel series sums the same terms at every r, so no value follows
+        # the smallest argument beside it
+        xs = np.concatenate([np.geomspace(40.001, 1e6, 2000), [40.5, 0.3, 0.0]])
+        for n in (1, 2, 3, 4, 6, 12, 41):
+            alone = np.array([phi_array(n, [x])[0] for x in xs.tolist()])
+            assert np.array_equal(phi_array(n, xs).view(np.int64), alone.view(np.int64)), n
+
+    def test_scalar_phi_runs_the_array_recurrence_past_the_series(self):
+        # Past max(40, nu) phi and phi_array run the same _phi_large, bit for bit
+        for n in (2, 4, 8, 12, 30, 100, 1, 3, 41):
+            seam = max(besselfn.SERIES_CUTOFF, 0.5 * n - 1.0)
+            xs = np.concatenate([[np.nextafter(seam, np.inf)], np.geomspace(seam + 1e-3, 1e5, 1500)])
+            exact = np.array([phi(n, x) for x in xs.tolist()])
+            assert np.array_equal(phi_array(n, xs).view(np.int64), exact.view(np.int64)), n
+
     def test_keeps_shape(self):
         assert phi_array(3, 1.5).shape == ()
         assert phi_array(3, np.array([])).shape == (0,)

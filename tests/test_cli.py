@@ -418,6 +418,37 @@ class TestConfigAndErrors:
         header, rows = csv_rows(out)
         assert abs(float(rows[0][header.index("phi")])) < 1e-8
 
+    def test_explicit_flag_before_config_beats_it(self, capsys, tmp_path):
+        # The config's flags go in right after the subcommand, so `--max` (argparse's abbreviation of
+        # --max-freq) wins even where it stands before --config.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_freq": 1}))
+        code, out, _ = run_cli(capsys, "spectral", "--max", "2", "--config", str(config))
+        assert code == 0
+        assert out.startswith("# subcommand=spectral domain=circle max-freq=2 "), out
+
+    def test_config_in_either_position_and_spelling(self, capsys, tmp_path):
+        # Both positions and both spellings read the file, and a missing file exits 2 in each
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 1, "r": math.pi}))
+        for form in (["--config={}", "bessel"], ["--config", "{}", "bessel"], ["bessel", "--config={}"],
+                     ["bessel", "--config", "{}"]):
+            code, out, _ = run_cli(capsys, *(word.format(config) for word in form))
+            header, rows = csv_rows(out)
+            assert code == 0 and float(rows[0][header.index("phi")]) == pytest.approx(-1.0, abs=1e-12), form
+            code, out, err = run_cli(capsys, *(word.format(tmp_path / "missing.json") for word in form))
+            assert (code, out) == (2, "") and err.startswith("error: cannot read config:"), (form, err)
+
+    def test_config_file_named_like_the_subcommand(self, capsys, tmp_path, monkeypatch):
+        # A config file named `bessel` before the subcommand `bessel`: the file's flags follow the
+        # subcommand, not the file name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bessel").write_text(json.dumps({"n": 1, "r": math.pi}))
+        for flag in ("--config", "--conf"):
+            code, out, _ = run_cli(capsys, flag, "bessel", "bessel")
+            header, rows = csv_rows(out)
+            assert code == 0 and float(rows[0][header.index("phi")]) == pytest.approx(-1.0, abs=1e-12), flag
+
     def test_bad_arguments_exit_2(self, capsys):
         assert run_cli(capsys, "bessel", "--n", "not-a-number")[0] == 2
         assert run_cli(capsys, "no-such-command")[0] == 2
@@ -481,9 +512,12 @@ class TestConfigAndErrors:
           "--point", "0.9,0", "--t", "-1", "--ntheta", "8"),
          "trajectory left the chart rectangle near t = -0.100000"),
         (("curvature", "--chart", "sphere", "--h", "1e-110"),
-         "radius h=1e-110 is too small: h^3 = 0.0 is below the normal floats"),
+         "radius h=1e-110 is too small: the estimate's rounding floor 2^-52 h / h^3 exceeds 1e-3"),
         (("curvature", "--chart", "flat", "--h", "1e-110"),
-         "radius h=1e-110 is too small: h^3 = 0.0 is below the normal floats"),
+         "radius h=1e-110 is too small: the estimate's rounding floor 2^-52 h / h^3 exceeds 1e-3"),
+        (("curvature", "--chart", "sphere", "--h", "1e-8"),
+         "radius h=1e-08 is too small: the estimate's rounding floor 2^-52 h / h^3 exceeds 1e-3"),
+        (("curvature", "--chart", "sphere", "--h", "1e200"), "trajectory left the chart rectangle near t = 1.550796"),
         (("wave", "--t-values", "0.5", "--dt", "1e-17"),
          "dt=1e-17 is below the spacing of floats at t=0.5: the stencil times t + j dt, j = -2..2, "
          "are not five distinct floats"),

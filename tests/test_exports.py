@@ -125,3 +125,18 @@ def test_phi_array_runs_one_method_below_the_recurrence_range():
         if owner == "phi_array" and isinstance(node, ast.Name) and node.id in functions
     }
     assert dispatched == {"_check_n", "_miller_array", "_phi_large"}
+
+
+def test_the_float_profile_is_one_elementwise_function():
+    # Scalars and arrays share one Hankel series and one recurrence, so no besselfn function takes an `xp`
+    # module switch, and phi_array returns once, after its region loop: no n == 1 or whole-array shortcut.
+    takers = [name for name, fn in inspect.getmembers(besselfn, inspect.isfunction)
+              if fn.__module__ == besselfn.__name__ and "xp" in inspect.signature(fn).parameters]
+    assert takers == []
+    tree = ast.parse(Path(besselfn.__file__).read_text(encoding="utf-8"))
+    phi_array = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "phi_array")
+    nodes = list(ast.walk(phi_array))
+    assert sum(isinstance(node, ast.Return) for node in nodes) == 1
+    order_tests = [ast.unparse(node) for node in nodes
+                   if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "n"]
+    assert order_tests == []

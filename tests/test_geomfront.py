@@ -10,6 +10,7 @@ import pytest
 from _oracles import fd_brioschi, fd_christoffel, rk4_front
 from besselwave.exprgrammar import ExpressionError, compile_expression
 from besselwave.geomfront import (
+    ChartDomainError,
     ChartExitError,
     PositiveDefiniteError,
     _integrate_front,
@@ -64,6 +65,25 @@ class TestChristoffel:
     def test_outside_rectangle(self):
         with pytest.raises(Exception):
             christoffel(sphere_chart(), -1.0, 0.0)
+
+    def test_contains_takes_floats_lists_and_arrays(self):
+        sphere = sphere_chart()
+        assert sphere.contains(1.0, 0.0) and not sphere.contains(4.0, 0.0)
+        assert sphere.contains([1.0, 2.0], [0.0, 5.0]) and not sphere.contains([1.0, 0.0], [0.0, 0.0])
+        assert not sphere.contains(np.array([1.0, math.nan]), np.zeros(2))
+        assert torus_chart().contains([7.0], [-3.0])
+
+    @pytest.mark.parametrize("chart, x, y", [(sphere_chart(), 0.0, 0.0), (hyperbolic_chart(), 0.0, 0.0),
+                                             (sphere_chart(), 4.0, 0.0)],
+                             ids=["sphere-pole", "hyperbolic-edge", "sphere-x4"])
+    def test_both_metric_quantities_refuse_points_outside(self, chart, x, y):
+        # Brioschi has no meaning outside the rectangle (nan at the sphere's pole and the hyperbolic
+        # boundary, a plausible 1.0 at x = 4 past the sphere's edge), whatever the shape of the point
+        for quantity in (christoffel, gauss_curvature_brioschi):
+            with pytest.raises(ChartDomainError):
+                quantity(chart, x, y)
+            with pytest.raises(ChartDomainError):
+                quantity(chart, np.array([1.0, x]), np.array([1.0, y]))
 
 
 class TestGeodesics:
@@ -296,17 +316,35 @@ class TestCurvatureEstimates:
             puiseux_curvature(sphere_chart(), SPHERE_POINT, h)
 
     def test_underflowing_radius_rejected(self):
-        # h^3 (r^2 for the boundary estimate) below the normal floats divided by zero or by a subnormal
+        # h^3 (r^2 for the boundary estimate) below the normal floats would divide by zero or by a subnormal;
+        # such a radius is far below the rounding floor, which refuses it first
+        floor = "is too small: the estimate's rounding floor 2^-52 {0} / {0}^{1} exceeds 1e-3"
         for chart in (sphere_chart(), flat_chart()):
-            with pytest.raises(ValueError, match=re.escape("radius h=1e-110 is too small: h^3 = 0.0")):
+            with pytest.raises(ValueError, match=re.escape("radius h=1e-110 " + floor.format("h", 3))):
                 r2d2_curvature(chart, SPHERE_POINT, 1e-110)
-        with pytest.raises(ValueError, match=re.escape("radius r=1e-300 is too small: r^3 = 0.0")):
+        with pytest.raises(ValueError, match=re.escape("radius r=1e-300 " + floor.format("r", 3))):
             puiseux_curvature(sphere_chart(), SPHERE_POINT, 1e-300)
-        with pytest.raises(ValueError, match=re.escape("radius h=1e-104 is too small: h^3 = 1e-312")):
+        with pytest.raises(ValueError, match=re.escape("radius h=1e-104 " + floor.format("h", 3))):
             r2d2_curvature(sphere_chart(), SPHERE_POINT, 1e-104)
         for r in (1e-300, 1e-160):
-            with pytest.raises(ValueError, match=re.escape(f"radius r={r!r} is too small: r^2")):
+            with pytest.raises(ValueError, match=re.escape(f"radius r={r!r} " + floor.format("r", 2))):
                 r2d2_boundary(1.0, r)
+
+    def test_radius_below_the_rounding_floor_rejected(self):
+        # The front lengths are rounded to ~2^-52 h, so 2^-52 h / h^3 (2^-52 r / r^2 at the boundary) bounds
+        # the digits an estimate keeps: at h = 1e-8 r2d2 read 0.0 and puiseux 12.6 on the unit sphere.
+        sphere = sphere_chart()
+        for h in (1e-8, 1e-7, 4.6e-7):
+            with pytest.raises(ValueError, match=re.escape(f"radius h={h!r} is too small")):
+                r2d2_curvature(sphere, SPHERE_POINT, h)
+            with pytest.raises(ValueError, match=re.escape(f"radius r={h!r} is too small")):
+                puiseux_curvature(sphere, SPHERE_POINT, h)
+        assert abs(r2d2_curvature(sphere, SPHERE_POINT, 4.8e-7) - 1.0) < 3e-3
+        assert abs(puiseux_curvature(sphere, SPHERE_POINT, 4.8e-7) - 1.0) < 6e-3
+        for r in (1e-110, 1e-13, 2.2e-13):
+            with pytest.raises(ValueError, match=re.escape(f"radius r={r!r} is too small")):
+                r2d2_boundary(1.0, r)
+        assert abs(r2d2_boundary(1.0, 2.3e-13) - 1.0) < 3e-3
 
     def test_empty_front_rejected(self):
         with pytest.raises(ValueError):
@@ -317,6 +355,14 @@ class TestCurvatureEstimates:
             r2d2_boundary(1.0, 1.0)
         with pytest.raises(ValueError):
             r2d2_boundary(1.0, 2.5)
+        with pytest.raises(ValueError, match=re.escape("need 0 < r < R, got r=1e+200, R=1.0")):
+            r2d2_boundary(1.0, 1e200)
+
+    def test_huge_radius_leaves_the_chart_without_overflow(self):
+        # The rounding-floor check must not raise its power of a huge radius (OverflowError past ~1e154)
+        for estimate in (r2d2_curvature, puiseux_curvature):
+            with pytest.raises(ChartExitError):
+                estimate(sphere_chart(), SPHERE_POINT, 1e200)
 
 
 class TestLineIntegrals:
