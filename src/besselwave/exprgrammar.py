@@ -22,14 +22,14 @@ import sys
 
 import numpy as np
 
-__all__ = ["ExpressionError", "compile_expression", "compile_trees", "derivative", "parse_expression"]
+__all__ = ["ExpressionError", "Symbolic", "compile_expression", "compile_trees", "derivative", "parse_expression"]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh, "exp": np.exp}
 _CALLS = {**_FUNCTIONS, "log": np.log}  # log only arises from differentiating a^b
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
-# Folding applies the same operations the compiled code evaluates.
+# Folding applies the same operations the compiled code evaluates, the numpy calls with warnings off.
 _APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-          "^": operator.pow, "neg": operator.neg, **_CALLS}
+          "^": operator.pow, "neg": operator.neg, **{k: np.errstate(all="ignore")(f) for k, f in _CALLS.items()}}
 
 
 class ExpressionError(ValueError):
@@ -82,8 +82,7 @@ def _node(op: str, *args):
     """
     if all(isinstance(a, float) for a in args):
         try:
-            with np.errstate(all="ignore"):
-                value = _APPLY[op](*args)
+            value = _APPLY[op](*args)
             if isinstance(value, (float, np.floating)) and math.isfinite(value):
                 return float(value)
         except ArithmeticError:
@@ -109,6 +108,24 @@ def _node(op: str, *args):
     if op == "neg" and isinstance(a, tuple) and a[0] == "neg":
         return a[1]
     return (op, *args)
+
+
+def _lift(op: str, reflected: bool = False):
+    def method(self, other) -> Symbolic:
+        b = other.tree if isinstance(other, Symbolic) else float(other)
+        return Symbolic(_node(op, b, self.tree) if reflected else _node(op, self.tree, b))
+    return method
+
+
+class Symbolic:
+    """A tree whose + - * / and unary minus fold through _node in operand order, so formula text returns its tree."""
+
+    def __init__(self, tree):
+        self.tree = tree
+
+    __add__, __radd__, __sub__, __rsub__ = _lift("+"), _lift("+", True), _lift("-"), _lift("-", True)
+    __mul__, __rmul__, __truediv__, __rtruediv__ = _lift("*"), _lift("*", True), _lift("/"), _lift("/", True)
+    __neg__ = lambda self: Symbolic(_node("neg", self.tree))  # noqa: E731
 
 
 def parse_expression(source: str):
@@ -156,8 +173,8 @@ def derivative(tree, var: str):
     return _node("*", outer, da)
 
 
-def compile_trees(trees):
-    """One callable of x and y returning the tuple of every tree's value.
+def compile_trees(trees, variables=("x", "y")):
+    """One callable of the variables, in order, returning the tuple of every tree's value.
 
     Each distinct subtree is evaluated once per call.  Constant trees come
     back as Python floats, not broadcast to the argument shape.
@@ -183,7 +200,7 @@ def compile_trees(trees):
         return names[t]
 
     outputs = ", ".join(ref(t) for t in trees)
-    source = f"def _jet(x, y):\n{''.join(lines)}    return ({outputs},)\n"
+    source = f"def _jet({', '.join(variables)}):\n{''.join(lines)}    return ({outputs},)\n"
     namespace = {"__builtins__": {}, **_CALLS}
     exec(compile(source, "<chart-expression>", "exec"), namespace)
     jet = namespace["_jet"]

@@ -7,19 +7,21 @@ the Brioschi formula needs, all differentiated exactly from the
 expressions.  Christoffel symbols (closed 2-D form) and the Gauss curvature
 (Brioschi determinant) both read the jet.  Geodesics solve
 xdd^k + Gamma^k_ij xd^i xd^j = 0, and the Jacobi field J'' + K J = 0,
-J(0) = 0, J'(0) = 1 rides along.  The joint system is integrated by the
-adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett
-& Wanner, Solving ODEs I, II.4-II.6), vectorized over launch angles with
-one jet evaluation per stage: one step size serves every angle, chosen so
-that the local error estimate, in the max-norm over all components and
-angles, stays below TOL (1 + max(|y|, |y_new|)).  A step that leaves the
-chart rectangle is bisected on its continuous extension, so
-ChartExitError carries the exit time to about TOL.  Charts whose metric is
-the constant identity take one exact step of the same system, since their
-Christoffel symbols and K vanish; an exit there is bisected on the same
-extension, which is the straight line when every stage equals the slope.
-Wave-front lengths are the angular integral of |J|, and two limit-free
-curvature estimates come from comparing front lengths at one and two radii.
+J(0) = 0, J'(0) = 1 rides along.  The same code run once on the jet's trees
+compiles the chart's flow, one callable of (x'', y'', J'') in which no term
+with a constant zero factor is left.  The joint system is integrated by the
+adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett &
+Wanner, Solving ODEs I, II.4-II.6), vectorized over launch angles with one
+flow evaluation per stage: one step size serves every angle, chosen so that
+the local error estimate, in the max-norm over all components and angles,
+stays below TOL (1 + max(|y|, |y_new|)).  A step that leaves the chart
+rectangle is bisected on its continuous extension, so ChartExitError
+carries the exit time to about TOL.  Charts whose metric is the constant
+identity take one exact step of the same system, since their Christoffel
+symbols and K vanish; an exit there is bisected on the same extension,
+which is the straight line when every stage equals the slope.  Wave-front
+lengths are the angular integral of |J|, and two limit-free curvature
+estimates come from comparing front lengths at one and two radii.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .exprgrammar import compile_trees, derivative, parse_expression
+from .exprgrammar import Symbolic, compile_trees, derivative, parse_expression
 
 __all__ = [
     "ChartDomainError",
@@ -60,6 +62,7 @@ __all__ = [
 
 TOL = 1e-12
 CHECK_POINTS = 7
+_FLOW_ARGS = ("x", "y", "vx", "vy", "J")
 
 
 class ChartDomainError(ValueError):
@@ -85,13 +88,15 @@ class SurfaceChart:
     jet(x, y) returns (g11, g12, g22, g11_x, g12_x, g22_x, g11_y, g12_y,
     g22_y, g11_yy, g12_xy, g22_xx) in one evaluation; constant entries come
     back as scalars; metric(x, y) is its first three entries.
-    straight_geodesics holds when the metric is the constant identity;
-    periodic marks the unit torus.
+    flow(x, y, vx, vy, J) returns (x'', y'', J''), compiled from the jet's
+    trees.  straight_geodesics holds when the metric is the constant
+    identity; periodic marks the unit torus.
     """
 
     name: str
     bounds: tuple[float, float, float, float]
     jet: callable
+    flow: callable
     straight_geodesics: bool
     periodic: bool = False
 
@@ -142,9 +147,9 @@ def chart_from_expressions(g11: str, g12: str, g22: str, bounds, name: str = "cu
     e, f, g = (parse_expression(s) for s in (g11, g12, g22))
     d_x = [derivative(t, "x") for t in (e, f, g)]
     d_y = [derivative(t, "y") for t in (e, f, g)]
-    jet = compile_trees((e, f, g, *d_x, *d_y, derivative(d_y[0], "y"), derivative(d_x[1], "y"),
-                         derivative(d_x[2], "x")))
-    chart = SurfaceChart(name, bounds, jet, (e, f, g) == (1.0, 0.0, 1.0))
+    jet = (e, f, g, *d_x, *d_y, derivative(d_y[0], "y"), derivative(d_x[1], "y"), derivative(d_x[2], "x"))
+    flow = [a.tree for a in _accelerations([*map(Symbolic, jet)], *map(Symbolic, _FLOW_ARGS[2:]))]
+    chart = SurfaceChart(name, bounds, compile_trees(jet), compile_trees(flow, _FLOW_ARGS), (e, f, g) == (1.0, 0.0, 1.0))
     x_min, x_max, y_min, y_max = chart.bounds
     gx, gy = np.meshgrid(np.linspace(x_min, x_max, CHECK_POINTS), np.linspace(y_min, y_max, CHECK_POINTS))
     a, b, c = chart.metric(gx, gy)
@@ -254,16 +259,18 @@ def _launch(chart: SurfaceChart, p, thetas) -> np.ndarray:
     return np.array([x0 * ones, y0 * ones, vx, vy, 0.0 * ones, ones])
 
 
-def _rhs(chart: SurfaceChart, state: np.ndarray) -> np.ndarray:
-    """Derivative of the joint state (x, y, x', y', J, J')."""
-    x, y, vx, vy = state[0], state[1], state[2], state[3]
-    jet = chart.jet(x, y)
+def _accelerations(jet, vx, vy, j) -> tuple:
+    """(x'', y'', J''): the Christoffel contraction and J'' = -K J, on jet values or trees."""
     c111, c112, c122, c211, c212, c222 = _christoffel(jet)
+    return (-(c111 * vx * vx + 2.0 * c112 * vx * vy + c122 * vy * vy),
+            -(c211 * vx * vx + 2.0 * c212 * vx * vy + c222 * vy * vy), -_brioschi(jet) * j)
+
+
+def _rhs(chart: SurfaceChart, state: np.ndarray) -> np.ndarray:
+    """Derivative of the joint state (x, y, x', y', J, J') from the chart's compiled flow."""
     out = np.empty_like(state)
-    out[0], out[1], out[4] = vx, vy, state[5]
-    out[2] = -(c111 * vx * vx + 2.0 * c112 * vx * vy + c122 * vy * vy)
-    out[3] = -(c211 * vx * vx + 2.0 * c212 * vx * vy + c222 * vy * vy)
-    out[5] = -_brioschi(jet) * state[4]
+    out[0], out[1], out[4] = state[2], state[3], state[5]
+    out[2], out[3], out[5] = chart.flow(*state[:5])
     return out
 
 
@@ -289,7 +296,7 @@ def _scaled_max(v: np.ndarray, y: np.ndarray) -> float:
 
 
 def _initial_step(f, y: np.ndarray, f0: np.ndarray, t: float) -> float:
-    """Starting step of HNW II.4 in the scaled max-norm; one extra jet evaluation."""
+    """Starting step of HNW II.4 in the scaled max-norm; one extra flow evaluation."""
     d0, d1 = _scaled_max(y, y), _scaled_max(f0, y)
     h0 = 0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6
     d2 = _scaled_max(f(y + math.copysign(h0, t) * f0) - f0, y) / h0
@@ -318,7 +325,7 @@ def _dormand_prince(chart: SurfaceChart, f, y: np.ndarray, t: float) -> np.ndarr
 
     One step serves every launch angle: the local error estimate is taken
     in the max-norm over all components and angles, scaled by
-    TOL (1 + max(|y|, |y_new|)), and an accepted step costs six jet
+    TOL (1 + max(|y|, |y_new|)), and an accepted step costs six flow
     evaluations (the first stage is the last one of the step before).
     """
     if t == 0.0:

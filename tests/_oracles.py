@@ -256,6 +256,24 @@ def fd_brioschi(chart, x: float, y: float, step: float = 1e-4) -> float:
     return float((np.linalg.det(first) - np.linalg.det(second)) / (ev * gv - fv * fv) ** 2)
 
 
+def jet_rhs(chart, state: np.ndarray) -> np.ndarray:
+    """Derivative of the joint state (x, y, x', y', J, J') read from the float jet.
+
+    The slow-path oracle for geomfront._rhs, which evaluates the chart's
+    compiled flow: geomfront._christoffel and geomfront._brioschi applied
+    to chart.jet(x, y) at every call, then the Christoffel contraction.
+    """
+    x, y, vx, vy = state[0], state[1], state[2], state[3]
+    jet = chart.jet(x, y)
+    c111, c112, c122, c211, c212, c222 = geomfront._christoffel(jet)
+    out = np.empty_like(state)
+    out[0], out[1], out[4] = vx, vy, state[5]
+    out[2] = -(c111 * vx * vx + 2.0 * c112 * vx * vy + c122 * vy * vy)
+    out[3] = -(c211 * vx * vx + 2.0 * c212 * vx * vy + c222 * vy * vy)
+    out[5] = -geomfront._brioschi(jet) * state[4]
+    return out
+
+
 def rk4_front(chart, p, thetas, t: float, steps: int) -> np.ndarray:
     """Classical RK4 with `steps` equal steps on geomfront's own joint system.
 

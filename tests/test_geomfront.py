@@ -7,8 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from _oracles import fd_brioschi, fd_christoffel, rk4_front
-from besselwave.exprgrammar import ExpressionError, compile_expression
+from _oracles import fd_brioschi, fd_christoffel, jet_rhs, rk4_front
+from besselwave import geomfront
+from besselwave.exprgrammar import ExpressionError, Symbolic, compile_expression, parse_expression
 from besselwave.geomfront import (
     ChartDomainError,
     ChartExitError,
@@ -194,16 +195,48 @@ class TestAdaptiveIntegrator:
         assert abs(err.value.exit_time - math.log(50.0)) <= 1e-6
 
     def test_jet_evaluations(self):
+        # The integrator evaluates the chart's compiled flow, once per stage.
         calls = []
         chart = sphere_chart()
 
-        def jet(x, y):
-            calls.append(np.shape(x))
-            return chart.jet(x, y)
+        def flow(*state):
+            calls.append(np.shape(state[0]))
+            return chart.flow(*state)
 
-        sphere = dataclasses.replace(chart, jet=jet)
+        sphere = dataclasses.replace(chart, flow=flow)
         assert abs(wavefront_length(sphere, SPHERE_POINT, 1.0) - 2 * math.pi * math.sin(1.0)) < 1e-10
-        assert len(calls) <= 800
+        assert 0 < len(calls) <= 800
+
+    @pytest.mark.parametrize("build", [
+        sphere_chart,
+        hyperbolic_chart,
+        lambda: chart_from_expressions(LENS, "0", LENS, (-12, 12, -12, 12)),
+        lambda: chart_from_expressions("1+x^2", "x*y/3", "2+cos(y)", (-1, 1, -1, 1)),
+        flat_chart,
+        torus_chart,
+    ], ids=["sphere", "hyperbolic", "lens", "g12", "flat", "torus"])
+    def test_compiled_flow_matches_the_jet_oracle(self, build):
+        # 2 ulp of each row's largest entry: the flow runs the oracle's operations in its order,
+        # less the terms with a constant zero factor.
+        chart = build()
+        x_min, x_max, y_min, y_max = np.clip(chart.bounds, -3.0, 3.0)
+        rng = np.random.default_rng(24)
+        state = np.concatenate([rng.uniform([[x_min], [y_min]], [[x_max], [y_max]], (2, 64)), rng.normal(size=(4, 64))])
+        got, want = geomfront._rhs(chart, state), jet_rhs(chart, state)
+        for row in range(6):
+            assert np.abs(got[row] - want[row]).max() <= 2 * np.spacing(np.abs(want[row]).max()), row
+
+    def test_integration_never_evaluates_the_formulas(self, monkeypatch):
+        # Once a chart is built, its flow alone carries the Christoffel symbols and K.
+        chart = sphere_chart()
+
+        def refuse(jet):
+            raise AssertionError("a formula was evaluated after the chart was built")
+
+        monkeypatch.setattr(geomfront, "_christoffel", refuse)
+        monkeypatch.setattr(geomfront, "_brioschi", refuse)
+        front = wavefront(chart, SPHERE_POINT, 1.0, 16)
+        assert abs(front.length - 2 * math.pi * math.sin(1.0)) < 1e-10
 
     @pytest.mark.parametrize("build, p, t", [
         (sphere_chart, SPHERE_POINT, 1.0),
@@ -238,6 +271,14 @@ class TestAdaptiveIntegrator:
         # chart check, and the geodesic from (0.5, 0) reaches x = -0.1 near t = 0.7.
         with np.errstate(invalid="ignore", divide="ignore"):
             chart = chart_from_expressions("1 + ((x + 0.3) * (x + 0.1))^0.5", "0", "1", (-1, 1, -1, 1))
+            with pytest.raises(ValueError, match="step size"):
+                geodesic(chart, (0.5, 0.0), math.pi, 1.0)
+
+    def test_undefined_off_diagonal_metric_stops_the_step(self):
+        # The same NaN region entering through g12 alone: the zero terms folded away when the flow
+        # compiles must not hide it.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            chart = chart_from_expressions("1", "0.1*((x+0.3)*(x+0.1))^0.5", "1", (-1, 1, -1, 1))
             with pytest.raises(ValueError, match="step size"):
                 geodesic(chart, (0.5, 0.0), math.pi, 1.0)
 
@@ -476,6 +517,23 @@ class TestChartConstruction:
             compile_expression("z + 1")
         with pytest.raises(ExpressionError):
             compile_expression("tan(x)")
+
+    @pytest.mark.parametrize("name", [v for v in geomfront._FLOW_ARGS if v not in ("x", "y")])
+    def test_flow_variables_stay_out_of_the_grammar(self, name):
+        # The compiled flow takes velocities and J as arguments; a metric string may still name x and y alone.
+        with pytest.raises(ExpressionError, match="unknown name"):
+            parse_expression(f"1 + {name}^2")
+        with pytest.raises(ExpressionError, match="unknown name"):
+            chart_from_expressions("1", f"{name} / 10", "1", (-1, 1, -1, 1))
+
+    def test_symbolic_operators_keep_operand_order_and_fold(self):
+        x, y = Symbolic("x"), Symbolic("y")
+        assert (2.0 - x).tree == ("-", 2.0, "x")
+        assert (2.0 / x).tree == ("/", 2.0, "x")
+        assert (x * y + y * x).tree == ("+", ("*", "x", "y"), ("*", "y", "x"))
+        assert (0.0 * x + 1.0 * y - 0.0).tree == "y"
+        assert (-(-x)).tree == "x"
+        assert (0.5 * Symbolic(4.0)).tree == 2.0
 
     def test_expression_grammar_features(self):
         fn = compile_expression("2*x^2 - sinh(y)/3 + pi")
