@@ -200,11 +200,11 @@ def compile_trees(trees, variables=("x", "y")):
         return names[t]
 
     outputs = ", ".join(ref(t) for t in trees)
-    source = f"def _jet({', '.join(variables)}):\n{''.join(lines)}    return ({outputs},)\n"
+    source = f"def _evaluate({', '.join(variables)}):\n{''.join(lines)}    return ({outputs},)\n"
     namespace = {"__builtins__": {}, **_CALLS}
     exec(compile(source, "<chart-expression>", "exec"), namespace)
-    jet = namespace["_jet"]
-    return lambda *args: jet(*(np.asarray(a, dtype=float) for a in args))
+    evaluate = namespace["_evaluate"]
+    return lambda *args: evaluate(*(np.asarray(a, dtype=float) for a in args))
 
 
 def compile_expression(source: str):
@@ -219,5 +219,4 @@ def compile_expression(source: str):
             out = np.full(shape, float(out))
         return out
 
-    fn.source = source
     return fn

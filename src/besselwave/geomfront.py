@@ -1,15 +1,15 @@
 """Geodesic wave fronts, Jacobi fields and limit-free curvature on 2-manifold charts.
 
 A chart carries grammar-string metric components (see exprgrammar) over a
-parameter rectangle.  Each chart compiles one jet: a single callable that
-returns the metric, its six first partials and the three second partials
-the Brioschi formula needs, all differentiated exactly from the
-expressions.  Christoffel symbols (closed 2-D form) and the Gauss curvature
-(Brioschi determinant) both read the jet.  Geodesics solve
+parameter rectangle.  Its jet, the metric with its six first partials and
+the three second partials the Brioschi formula needs, is differentiated
+exactly from the expressions.  The Christoffel symbols (closed 2-D form),
+the Gauss curvature (Brioschi determinant) and the flow (x'', y'', J'') run
+once on the jet's trees and compile into one callable of (x, y, vx, vy, J),
+in which no term with a constant zero factor is left; metric, christoffel
+and gauss_curvature_brioschi read it at vx = vy = J = 0.  Geodesics solve
 xdd^k + Gamma^k_ij xd^i xd^j = 0, and the Jacobi field J'' + K J = 0,
-J(0) = 0, J'(0) = 1 rides along.  The same code run once on the jet's trees
-compiles the chart's flow, one callable of (x'', y'', J'') in which no term
-with a constant zero factor is left.  The joint system is integrated by the
+J(0) = 0, J'(0) = 1 rides along.  The joint system is integrated by the
 adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett &
 Wanner, Solving ODEs I, II.4-II.6), vectorized over launch angles with one
 flow evaluation per stage: one step size serves every angle, chosen so that
@@ -85,26 +85,24 @@ class PositiveDefiniteError(ValueError):
 class SurfaceChart:
     """Metric chart g11, g12, g22 on a rectangle, built by chart_from_expressions.
 
-    jet(x, y) returns (g11, g12, g22, g11_x, g12_x, g22_x, g11_y, g12_y,
-    g22_y, g11_yy, g12_xy, g22_xx) in one evaluation; constant entries come
-    back as scalars; metric(x, y) is its first three entries.
-    flow(x, y, vx, vy, J) returns (x'', y'', J''), compiled from the jet's
-    trees.  straight_geodesics holds when the metric is the constant
-    identity; periodic marks the unit torus.
+    fields(x, y, vx, vy, J) returns (g11, g12, g22, Gamma^1_11, Gamma^1_12,
+    Gamma^1_22, Gamma^2_11, Gamma^2_12, Gamma^2_22, K, x'', y'', J'') from one
+    generated function; constant entries come back as scalars, and only the
+    last three depend on vx, vy and J.  straight_geodesics holds when the
+    metric is the constant identity; periodic marks the unit torus.
     """
 
     name: str
     bounds: tuple[float, float, float, float]
-    jet: callable
-    flow: callable
+    fields: callable
     straight_geodesics: bool
     periodic: bool = False
 
     def contains(self, x, y) -> bool:
-        """Whether every point (x, y) lies in the closed rectangle; floats, lists or arrays, NaN outside."""
-        if self.periodic:
-            return True
+        """Whether every point (x, y) lies in the closed rectangle (is finite, on a periodic chart); NaN never does."""
         x, y = np.asarray(x), np.asarray(y)
+        if self.periodic:
+            return bool(np.all(np.isfinite(x) & np.isfinite(y)))
         x_min, x_max, y_min, y_max = self.bounds
         return bool(np.all((x >= x_min) & (x <= x_max) & (y >= y_min) & (y <= y_max)))
 
@@ -113,7 +111,7 @@ class SurfaceChart:
             raise ChartDomainError(f"point ({x}, {y}) outside rectangle {self.bounds} of {self.name}")
 
     def metric(self, x, y) -> tuple:
-        return self.jet(x, y)[:3]
+        return self.fields(x, y, 0.0, 0.0, 0.0)[:3]
 
 
 @dataclass(frozen=True)
@@ -147,12 +145,16 @@ def chart_from_expressions(g11: str, g12: str, g22: str, bounds, name: str = "cu
     e, f, g = (parse_expression(s) for s in (g11, g12, g22))
     d_x = [derivative(t, "x") for t in (e, f, g)]
     d_y = [derivative(t, "y") for t in (e, f, g)]
-    jet = (e, f, g, *d_x, *d_y, derivative(d_y[0], "y"), derivative(d_x[1], "y"), derivative(d_x[2], "x"))
-    flow = [a.tree for a in _accelerations([*map(Symbolic, jet)], *map(Symbolic, _FLOW_ARGS[2:]))]
-    chart = SurfaceChart(name, bounds, compile_trees(jet), compile_trees(flow, _FLOW_ARGS), (e, f, g) == (1.0, 0.0, 1.0))
+    jet = [Symbolic(t) for t in (e, f, g, *d_x, *d_y,
+                                 derivative(d_y[0], "y"), derivative(d_x[1], "y"), derivative(d_x[2], "x"))]
+    gamma, k = _christoffel(jet), _brioschi(jet)
+    fields = [*jet[:3], *gamma, k, *_accelerations(gamma, k, *map(Symbolic, _FLOW_ARGS[2:]))]
+    chart = SurfaceChart(name, bounds, compile_trees([v.tree for v in fields], _FLOW_ARGS),
+                         (e, f, g) == (1.0, 0.0, 1.0))
     x_min, x_max, y_min, y_max = chart.bounds
     gx, gy = np.meshgrid(np.linspace(x_min, x_max, CHECK_POINTS), np.linspace(y_min, y_max, CHECK_POINTS))
-    a, b, c = chart.metric(gx, gy)
+    with np.errstate(all="ignore"):  # the check reads the metric alone; Gamma and K divide by det g, which may vanish
+        a, b, c = chart.metric(gx, gy)
     if not all(np.all(np.isfinite(v)) for v in (a, b, c)):  # NaN fails no comparison below
         raise PositiveDefiniteError(f"metric of {name} is not finite on the rectangle")
     if np.any(a <= 0) or np.any(a * c - b**2 <= 0):
@@ -188,7 +190,7 @@ def chart_by_name(name: str) -> SurfaceChart:
 
 
 # ---------------------------------------------------------------------------
-# Christoffel symbols and curvature from the jet
+# Christoffel symbols and curvature: run once on the jet's trees, then read from the compiled fields
 # ---------------------------------------------------------------------------
 
 
@@ -222,18 +224,14 @@ def _brioschi(jet):
 def christoffel(chart: SurfaceChart, x, y) -> np.ndarray:
     """Gamma[k][i][j] at (x, y); broadcasts over array input, every point inside the rectangle."""
     chart.require(x, y)
-    c = np.broadcast_arrays(*_christoffel(chart.jet(x, y)), x, y)
+    c = np.broadcast_arrays(*chart.fields(x, y, 0.0, 0.0, 0.0)[3:9], x, y)
     return np.array([[[c[0], c[1]], [c[1], c[2]]], [[c[3], c[4]], [c[4], c[5]]]], dtype=float)
 
 
 def gauss_curvature_brioschi(chart: SurfaceChart, x, y):
-    """Gauss curvature from the metric alone (Brioschi determinant formula).
-
-    Exact metric derivatives from the chart's jet.  Broadcasts over array
-    input, every point inside the rectangle.
-    """
+    """Gauss curvature from the metric alone (Brioschi determinant); broadcasts, every point inside the rectangle."""
     chart.require(x, y)
-    out = _brioschi(chart.jet(x, y)) + np.zeros(np.broadcast(x, y).shape)
+    out = chart.fields(x, y, 0.0, 0.0, 0.0)[9] + np.zeros(np.broadcast(x, y).shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -259,18 +257,18 @@ def _launch(chart: SurfaceChart, p, thetas) -> np.ndarray:
     return np.array([x0 * ones, y0 * ones, vx, vy, 0.0 * ones, ones])
 
 
-def _accelerations(jet, vx, vy, j) -> tuple:
-    """(x'', y'', J''): the Christoffel contraction and J'' = -K J, on jet values or trees."""
-    c111, c112, c122, c211, c212, c222 = _christoffel(jet)
+def _accelerations(gamma, k, vx, vy, j) -> tuple:
+    """(x'', y'', J''): the Christoffel contraction and J'' = -K J."""
+    c111, c112, c122, c211, c212, c222 = gamma
     return (-(c111 * vx * vx + 2.0 * c112 * vx * vy + c122 * vy * vy),
-            -(c211 * vx * vx + 2.0 * c212 * vx * vy + c222 * vy * vy), -_brioschi(jet) * j)
+            -(c211 * vx * vx + 2.0 * c212 * vx * vy + c222 * vy * vy), -k * j)
 
 
 def _rhs(chart: SurfaceChart, state: np.ndarray) -> np.ndarray:
-    """Derivative of the joint state (x, y, x', y', J, J') from the chart's compiled flow."""
+    """Derivative of the joint state (x, y, x', y', J, J') from the last three of the chart's fields."""
     out = np.empty_like(state)
     out[0], out[1], out[4] = state[2], state[3], state[5]
-    out[2], out[3], out[5] = chart.flow(*state[:5])
+    out[2], out[3], out[5] = chart.fields(*state[:5])[10:]
     return out
 
 

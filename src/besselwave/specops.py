@@ -78,6 +78,8 @@ def _profile(n: int, t: float, radii: np.ndarray) -> np.ndarray:
 
     This is the calculus's one profile: d_t, the wave families and the probe multipliers all come from here.
     """
+    if not math.isfinite(t):  # t * 0 would be NaN
+        raise ValueError(f"deformation parameter t must be finite, got {t}")
     return _even_values(lambda r: besselfn.phi_array(n, t * r), radii)
 
 

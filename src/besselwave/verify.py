@@ -438,7 +438,7 @@ def suite_geometry(seed: int, quick: bool) -> list[CaseResult]:
 
     sphere = geomfront.sphere_chart()
     worst_k = max(abs(geomfront.gauss_curvature_brioschi(sphere, x, 0.4) - 1.0) for x in (0.8, 1.3, 2.0))
-    cases.append(CaseResult.check("brioschi_consistency", worst_k, 1e-5))
+    cases.append(CaseResult.check("brioschi_consistency", worst_k, 1e-12))
     return cases
 
 

@@ -10,6 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from besselwave import besselfn, geomfront
+from besselwave.exprgrammar import compile_trees, derivative, parse_expression
 from besselwave.huygens import PROBE_BINS
 from besselwave.oracles import dalembert_shift_coefficients  # noqa: F401  (re-exported for the tests)
 from besselwave.specops import _profile
@@ -256,21 +257,38 @@ def fd_brioschi(chart, x: float, y: float, step: float = 1e-4) -> float:
     return float((np.linalg.det(first) - np.linalg.det(second)) / (ev * gv - fv * fv) ** 2)
 
 
-def jet_rhs(chart, state: np.ndarray) -> np.ndarray:
-    """Derivative of the joint state (x, y, x', y', J, J') read from the float jet.
+def float_jet(g11: str, g12: str, g22: str):
+    """The jet of a metric as one compiled callable of (x, y).
+
+    Returns (g11, g12, g22, g11_x, g12_x, g22_x, g11_y, g12_y, g22_y,
+    g11_yy, g12_xy, g22_xx), differentiated exactly from the grammar
+    strings; constant entries come back as scalars.  The slow-path oracle of
+    a chart's compiled fields: geomfront._christoffel and geomfront._brioschi
+    run on its float values at every call, where the chart ran them once on
+    trees.
+    """
+    e, f, g = (parse_expression(s) for s in (g11, g12, g22))
+    d_x = [derivative(t, "x") for t in (e, f, g)]
+    d_y = [derivative(t, "y") for t in (e, f, g)]
+    second = (derivative(d_y[0], "y"), derivative(d_x[1], "y"), derivative(d_x[2], "x"))
+    return compile_trees((e, f, g, *d_x, *d_y, *second))
+
+
+def jet_rhs(jet, state: np.ndarray) -> np.ndarray:
+    """Derivative of the joint state (x, y, x', y', J, J') read from a float jet (see float_jet).
 
     The slow-path oracle for geomfront._rhs, which evaluates the chart's
-    compiled flow: geomfront._christoffel and geomfront._brioschi applied
-    to chart.jet(x, y) at every call, then the Christoffel contraction.
+    compiled fields: geomfront._christoffel and geomfront._brioschi applied
+    to jet(x, y) at every call, then the Christoffel contraction.
     """
     x, y, vx, vy = state[0], state[1], state[2], state[3]
-    jet = chart.jet(x, y)
-    c111, c112, c122, c211, c212, c222 = geomfront._christoffel(jet)
+    values = jet(x, y)
+    c111, c112, c122, c211, c212, c222 = geomfront._christoffel(values)
     out = np.empty_like(state)
     out[0], out[1], out[4] = vx, vy, state[5]
     out[2] = -(c111 * vx * vx + 2.0 * c112 * vx * vy + c122 * vy * vy)
     out[3] = -(c211 * vx * vx + 2.0 * c212 * vx * vy + c222 * vy * vy)
-    out[5] = -geomfront._brioschi(jet) * state[4]
+    out[5] = -geomfront._brioschi(values) * state[4]
     return out
 
 

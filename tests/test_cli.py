@@ -499,6 +499,15 @@ class TestConfigAndErrors:
          "shift must be 2 finite numbers, got [nan, nan]"),
         (("spectral", "--domain", "torus2", "--max-freq", "1", "--symmetry", "translation", "--shift", "inf"),
          "shift must be 2 finite numbers, got [inf, inf]"),
+        (("spectral", "--t", "inf"), "deformation parameter t must be finite, got inf"),
+        (("spectral", "--domain", "torus2", "--max-freq", "1", "--symmetry", "quarter-turn", "--t", "nan"),
+         "deformation parameter t must be finite, got nan"),
+        (("front", "--chart", "torus", "--point", "nan,0"),
+         "point (nan, 0.0) outside rectangle (0.0, 1.0, 0.0, 1.0) of torus"),
+        (("front", "--chart", "torus", "--point", "inf,0"),
+         "point (inf, 0.0) outside rectangle (0.0, 1.0, 0.0, 1.0) of torus"),
+        (("curvature", "--chart", "torus", "--point", "nan,0.5", "--h", "0.1"),
+         "point (nan, 0.5) outside rectangle (0.0, 1.0, 0.0, 1.0) of torus"),
         (("front", "--ntheta", "16", "--oneform", "x"), """--oneform takes two expressions "P;Q", got 'x'"""),
         (("front", "--ntheta", "16", "--oneform", "x;y;z"), """--oneform takes two expressions "P;Q", got 'x;y;z'"""),
         (("curvature", "--chart", "custom", "--g11", "1", "--g12", "0", "--g22", "1", "--bounds", "1,2,3", "--h", "0.1"),

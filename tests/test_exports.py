@@ -1,6 +1,7 @@
 """Every exported name resolves, and the package re-exports only names its modules export."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -67,6 +68,17 @@ def test_geomfront_integrates_without_a_fixed_step_path():
         if isinstance(node, ast.FunctionDef)
     }
     assert "_rk4" not in defined
+
+
+def test_each_chart_compiles_one_function():
+    # The metric, Christoffel symbols, K and the flow come from one generated callable; the float jet
+    # is the test oracle `_oracles.float_jet`, and the chart carries no `jet` field.
+    calls = [
+        node for node in ast.walk(ast.parse(Path(geomfront.__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "compile_trees"
+    ]
+    assert len(calls) == 1
+    assert "jet" not in {field.name for field in dataclasses.fields(geomfront.SurfaceChart)}
 
 
 def test_cli_plots_through_one_writer_and_measures_through_verify():

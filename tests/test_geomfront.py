@@ -3,12 +3,13 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from _oracles import fd_brioschi, fd_christoffel, jet_rhs, rk4_front
-from besselwave import geomfront
+from _oracles import fd_brioschi, fd_christoffel, float_jet, jet_rhs, rk4_front
+from besselwave import geomfront, verify
 from besselwave.exprgrammar import ExpressionError, Symbolic, compile_expression, parse_expression
 from besselwave.geomfront import (
     ChartDomainError,
@@ -73,6 +74,16 @@ class TestChristoffel:
         assert sphere.contains([1.0, 2.0], [0.0, 5.0]) and not sphere.contains([1.0, 0.0], [0.0, 0.0])
         assert not sphere.contains(np.array([1.0, math.nan]), np.zeros(2))
         assert torus_chart().contains([7.0], [-3.0])
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (math.inf, 0.0), (0.3, -math.inf)], ids=str)
+    def test_periodic_chart_holds_only_finite_points(self, x, y):
+        # the torus wraps every finite point, but a non-finite one has no place on it
+        torus = torus_chart()
+        assert not torus.contains(x, y) and not torus.contains([0.5, x], [0.5, y])
+        with pytest.raises(ChartDomainError):
+            wavefront(torus, (x, y), 0.5, 8)
+        with pytest.raises(ChartDomainError):
+            r2d2_curvature(torus, (x, y), 0.1)
 
     @pytest.mark.parametrize("chart, x, y", [(sphere_chart(), 0.0, 0.0), (hyperbolic_chart(), 0.0, 0.0),
                                              (sphere_chart(), 4.0, 0.0)],
@@ -158,6 +169,16 @@ class TestJacobi:
 
 
 LENS = "exp(2*exp(-(x^2+y^2)))"
+# (chart builder, its metric strings) for the float-jet oracle of tests/_oracles.py
+JET_CHARTS = [
+    (sphere_chart, ("1", "0", "sin(x)^2")),
+    (hyperbolic_chart, ("1/y^2", "0", "1/y^2")),
+    (lambda: chart_from_expressions(LENS, "0", LENS, (-12, 12, -12, 12)), (LENS, "0", LENS)),
+    (lambda: chart_from_expressions("1+x^2", "x*y/3", "2+cos(y)", (-1, 1, -1, 1)), ("1+x^2", "x*y/3", "2+cos(y)")),
+    (flat_chart, ("1", "0", "1")),
+    (torus_chart, ("1", "0", "1")),
+]
+JET_IDS = ["sphere", "hyperbolic", "lens", "g12", "flat", "torus"]
 
 
 class TestAdaptiveIntegrator:
@@ -195,40 +216,49 @@ class TestAdaptiveIntegrator:
         assert abs(err.value.exit_time - math.log(50.0)) <= 1e-6
 
     def test_jet_evaluations(self):
-        # The integrator evaluates the chart's compiled flow, once per stage.
+        # The integrator evaluates the chart's compiled fields, once per stage.
         calls = []
         chart = sphere_chart()
 
-        def flow(*state):
+        def fields(*state):
             calls.append(np.shape(state[0]))
-            return chart.flow(*state)
+            return chart.fields(*state)
 
-        sphere = dataclasses.replace(chart, flow=flow)
+        sphere = dataclasses.replace(chart, fields=fields)
         assert abs(wavefront_length(sphere, SPHERE_POINT, 1.0) - 2 * math.pi * math.sin(1.0)) < 1e-10
         assert 0 < len(calls) <= 800
 
-    @pytest.mark.parametrize("build", [
-        sphere_chart,
-        hyperbolic_chart,
-        lambda: chart_from_expressions(LENS, "0", LENS, (-12, 12, -12, 12)),
-        lambda: chart_from_expressions("1+x^2", "x*y/3", "2+cos(y)", (-1, 1, -1, 1)),
-        flat_chart,
-        torus_chart,
-    ], ids=["sphere", "hyperbolic", "lens", "g12", "flat", "torus"])
-    def test_compiled_flow_matches_the_jet_oracle(self, build):
+    @pytest.mark.parametrize("build, metric", JET_CHARTS, ids=JET_IDS)
+    def test_compiled_flow_matches_the_jet_oracle(self, build, metric):
         # 2 ulp of each row's largest entry: the flow runs the oracle's operations in its order,
         # less the terms with a constant zero factor.
         chart = build()
         x_min, x_max, y_min, y_max = np.clip(chart.bounds, -3.0, 3.0)
         rng = np.random.default_rng(24)
         state = np.concatenate([rng.uniform([[x_min], [y_min]], [[x_max], [y_max]], (2, 64)), rng.normal(size=(4, 64))])
-        got, want = geomfront._rhs(chart, state), jet_rhs(chart, state)
+        got, want = geomfront._rhs(chart, state), jet_rhs(float_jet(*metric), state)
         for row in range(6):
             assert np.abs(got[row] - want[row]).max() <= 2 * np.spacing(np.abs(want[row]).max()), row
 
+    @pytest.mark.parametrize("build, metric", JET_CHARTS, ids=JET_IDS)
+    def test_metric_christoffel_and_curvature_match_the_jet_oracle(self, build, metric):
+        # Bit for bit up to the sign of a zero: the fields run the oracle's operations in its order,
+        # less the terms with a constant zero factor, whose sum can only flip a zero's sign.
+        chart = build()
+        x_min, x_max, y_min, y_max = np.clip(chart.bounds, -3.0, 3.0)
+        x, y = np.random.default_rng(25).uniform([x_min, y_min], [x_max, y_max], (64, 2)).T
+        values = float_jet(*metric)(x, y)
+        gamma = christoffel(chart, x, y)
+        got = [*chart.metric(x, y), *(gamma[k, i, j] for k in range(2) for i, j in ((0, 0), (0, 1), (1, 1))),
+               gauss_curvature_brioschi(chart, x, y)]
+        want = [*values[:3], *geomfront._christoffel(values), geomfront._brioschi(values)]
+        for slot, (a, b) in enumerate(zip(got, want, strict=True)):
+            assert np.array_equal(np.broadcast_to(a, x.shape), np.broadcast_to(b, x.shape)), slot
+
     def test_integration_never_evaluates_the_formulas(self, monkeypatch):
-        # Once a chart is built, its flow alone carries the Christoffel symbols and K.
+        # Once a chart is built, its compiled fields alone carry the metric, the Christoffel symbols and K.
         chart = sphere_chart()
+        x = np.array([0.8, 1.3, 2.0])
 
         def refuse(jet):
             raise AssertionError("a formula was evaluated after the chart was built")
@@ -237,6 +267,9 @@ class TestAdaptiveIntegrator:
         monkeypatch.setattr(geomfront, "_brioschi", refuse)
         front = wavefront(chart, SPHERE_POINT, 1.0, 16)
         assert abs(front.length - 2 * math.pi * math.sin(1.0)) < 1e-10
+        assert np.allclose(chart.metric(x, 0.4)[2], np.sin(x) ** 2, rtol=1e-15, atol=0.0)
+        assert np.allclose(christoffel(chart, x, 0.4)[0, 1, 1], -np.sin(x) * np.cos(x), rtol=1e-15, atol=0.0)
+        assert np.abs(gauss_curvature_brioschi(chart, x, 0.4) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("build, p, t", [
         (sphere_chart, SPHERE_POINT, 1.0),
@@ -489,6 +522,14 @@ class TestChartConstruction:
         with pytest.raises(PositiveDefiniteError):
             chart_from_expressions("-1", "0", "1", (-1, 1, -1, 1))
 
+    def test_degenerate_metric_rejected_without_a_warning(self):
+        # det g = 0 at x = 0 on the sample grid: the Christoffel and K slots divide by zero there,
+        # but the check reads the metric alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PositiveDefiniteError, match="not positive-definite"):
+                chart_from_expressions("x^2", "0", "1", (-1, 1, -1, 1))
+
     def test_metric_not_finite_on_the_grid_rejected(self):
         # x^0.5 is NaN for x < 0, and NaN fails every comparison of the definiteness check
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -554,6 +595,28 @@ class TestBrioschi:
         chart = chart_from_expressions(g11, "0", g22, (0.05, 3.09, 0.05, 3.0))
         for x, y in ((0.3, 0.2), (0.8, 1.4), (1.57, 0.6), (2.3, 2.7), (3.0, 0.1)):
             assert abs(gauss_curvature_brioschi(chart, x, y) - curvature) < 1e-12
+
+    @pytest.mark.parametrize("neighbour", [8, 10], ids=["gamma222", "xdd"])
+    def test_verify_row_reads_the_curvature_slot(self, monkeypatch, neighbour):
+        # verify-all's brioschi_consistency row (1e-12) fails when K is read from a neighbouring slot of the fields
+        build = geomfront.sphere_chart
+
+        def misread():
+            chart = build()
+
+            def fields(*args):
+                out = chart.fields(*args)
+                return out[:9] + (out[neighbour],) + out[10:]
+
+            return dataclasses.replace(chart, fields=fields)
+
+        def row():
+            return next(c for c in verify.suite_geometry(42, True) if c.name == "brioschi_consistency")
+
+        honest = row()
+        assert honest.status == "pass" and honest.bound == 1e-12
+        monkeypatch.setattr(geomfront, "sphere_chart", misread)
+        assert row().status == "fail"
 
 
 # Every grammar node: pi, unary minus, /, constant and variable ^, the five

@@ -123,6 +123,16 @@ class TestDeformedD:
         u = circle4.cochain(0, rng.standard_normal(circle4.grading[0]))
         assert deformed_d(circle4, 0.0, u).norm() == 0.0
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_is_a_value_error(self, circle4, t):
+        # t * 0 would reach the profile as NaN; the parameter is refused before any multiply
+        u = circle4.cochain(0, np.ones(circle4.grading[0]))
+        state = np.zeros(circle4.total_dim)
+        for call in (lambda: deformed_d(circle4, t, u), lambda: betti_numbers(circle4, t),
+                     lambda: discrete_wave_orbit(circle4, t, state, state, 1)):
+            with pytest.raises(ValueError, match=f"deformation parameter t must be finite, got {t}"):
+                call()
+
     def test_harmonic_stays_zero(self, circle4):
         const = np.zeros(circle4.grading[0])
         const[0] = 1.0  # the constant 0-form spans the harmonic kernel
