@@ -8,7 +8,8 @@ the constant mode, a simplicial complex is one block.  Blocks of one shape
 form a `Stack`, and d, its adjoint, the even calculus g(sqrt L_k) of
 `even_apply` and the isometries of `torus_pullback` act stack by stack.  A
 trig domain knows its spectrum mu = 4 pi^2 |m|^2 by construction; a
-simplicial one eigensolves each L_k at build.
+simplicial one eigensolves each L_k at build and writes its harmonic
+eigenvalues as exact zeros, so every spectrum is >= 0 and |lambda| = sqrt(mu).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 EIGEN_RESIDUAL_BOUND = 1e-10
+ZERO_EIGEN_FLOOR = 1e-12  # of max(1, max mu_k): eigh resolves a zero of L_k only to ~n eps max mu_k
 SIZE_CAP_BYTES = 2**27  # of the wave orbit's D_h, one square matrix per block, a trig domain's largest array
 
 # phase is "const", "cos" or "sin"; mode is a frequency vector; subset is the
@@ -432,7 +434,10 @@ def build_simplicial_domain(complex_: SimplicialComplex) -> SpectralDomain:
     """Dirac domain of a finite simplicial complex (q = top dimension), one block.
 
     Each L_k is eigensolved here; the residual max_j ||L_k w_j - mu_j w_j||
-    must stay below EIGEN_RESIDUAL_BOUND times max(1, max |mu_k|).
+    must stay below EIGEN_RESIDUAL_BOUND times max(1, max |mu_k|).  Every
+    mu up to ZERO_EIGEN_FLOOR times max(1, max mu_k), eigh's noise around a
+    harmonic eigenvalue (negative ones included), is then written as 0.0,
+    so the harmonic eigenvalues are exact zeros and none is negative.
     """
     top, grading = complex_.top_dimension, complex_.counts()
     d = [complex_.incidence(k) for k in range(top)]
@@ -443,7 +448,7 @@ def build_simplicial_domain(complex_: SimplicialComplex) -> SpectralDomain:
         worst = float(np.max(np.linalg.norm(lap @ w - w * mu, axis=0), initial=0.0))
         if worst > EIGEN_RESIDUAL_BOUND * max(1.0, float(np.max(np.abs(mu), initial=0.0))):
             raise AssertionError(f"degree-{k} eigendecomposition residual {worst} on the simplicial domain")
-        spectra.append(mu)
+        spectra.append(np.where(mu > ZERO_EIGEN_FLOOR * max(1.0, float(mu.max(initial=0.0))), mu, 0.0))
         basis.append(w[None])
     block = Stack(tuple(np.arange(n)[None] for n in grading), tuple(m[None] for m in d), tuple(basis))
     return _assemble("simplicial", max(top, 1), grading, (block,), spectra)

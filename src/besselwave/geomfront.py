@@ -107,6 +107,10 @@ class SurfaceChart:
         return bool(np.all((x >= x_min) & (x <= x_max) & (y >= y_min) & (y <= y_max)))
 
     def require(self, x, y) -> None:
+        for axis, v in (("x", x), ("y", y)):
+            if not np.all(np.isfinite(v)):
+                raise ChartDomainError(f"point ({x}, {y}) has a non-finite {axis} coordinate; "
+                                       f"every point of {self.name} is finite")
         if not self.contains(x, y):
             raise ChartDomainError(f"point ({x}, {y}) outside rectangle {self.bounds} of {self.name}")
 

@@ -4,9 +4,11 @@ Every operator here is an even function g(sqrt L) of the Hodge Laplacian,
 composed with d, d^* or D: the bounded derivative d_t = t phi_{q+2}(tD) d and
 its adjoint, the norm of D_t, kernel (Betti) counting with a spectral-gap
 guard, symmetry commutators and the norm-contractive discrete wave map; the
-Bessel index is the domain's q.  `functional_calculus` applies g(sqrt L_k)
-through the domain's `even_apply`, evaluating g once per distinct root of
-the spectrum, so the result is even by construction and keeps its degree.
+Bessel index is the domain's q.  |lambda| on degree k is sqrt(mu_k), read
+straight from the domain's spectrum, which holds no negative value.
+`functional_calculus` applies g(sqrt L_k) through the domain's `even_apply`,
+evaluating g once per distinct root of the spectrum, so the result is even
+by construction and keeps its degree.
 The profile phi_n(t r) of every operator comes from `_profile`, one
 `besselfn.phi_array` call on the distinct roots of a request.
 Every array here is per block, so none is N x N on a trig domain: d acts
@@ -40,7 +42,6 @@ __all__ = [
 ]
 
 KERNEL_FLOOR = 1e-24
-ROOT_FLOOR = 1e-12
 
 
 class SpectralGapError(ValueError):
@@ -83,26 +84,12 @@ def _profile(n: int, t: float, radii: np.ndarray) -> np.ndarray:
     return _even_values(lambda r: besselfn.phi_array(n, t * r), radii)
 
 
-def _roots(domain: SpectralDomain, k: int) -> np.ndarray:
-    """The |lambda| of D on degree k: sqrt(mu) over the Laplacian spectrum of that degree, rounded to 12 decimals.
-
-    On a simplicial domain eigh resolves mu only to about n eps max(mu) (a
-    trig spectrum is exact), and the root of that noise is ~1e-8 of the
-    largest |lambda|, which a function of |lambda| that is not smooth in mu
-    (the orbit weight |psi|) would see.  Every mu below
-    ROOT_FLOOR * max(1, max mu) is therefore an exact zero.
-    """
-    mu = domain.laplacian_spectrum(k)
-    floor = ROOT_FLOOR * max(1.0, float(mu.max())) if mu.size else 0.0
-    return np.round(np.sqrt(np.where(mu > floor, mu, 0.0)), 12)
-
-
 def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
     """g(sqrt L) u for a pure-degree cochain u; the result has u's degree.
 
     Costs O(n_k) on a trig domain and O(n_k^2) on a simplicial one.
     """
-    vals = _even_values(lambda roots: [g(float(r)) for r in roots], _roots(domain, u.degree))
+    vals = _even_values(lambda roots: [g(float(r)) for r in roots], np.sqrt(domain.laplacian_spectrum(u.degree)))
     return Cochain(u.degree, domain.even_apply(u.degree, vals, u.coefficients))
 
 
@@ -114,7 +101,7 @@ def _deformed_values(domain: SpectralDomain, t: float) -> tuple[list[np.ndarray]
     even factor of D_t = D t phi_{q+2}(t|D|).  phi is evaluated once per
     distinct root over all degrees.
     """
-    roots = [_roots(domain, k) for k in range(domain.top_degree + 1)]
+    roots = [np.sqrt(domain.laplacian_spectrum(k)) for k in range(domain.top_degree + 1)]
     radii, cuts = np.concatenate(roots), np.cumsum([r.size for r in roots])[:-1]
     phi = _profile(domain.q + 2, t, radii)
     # psi_n(x) = x phi_n(x) with x = t r formed first, as besselfn.psi evaluates it
@@ -140,7 +127,7 @@ def deformed_d_adjoint(domain: SpectralDomain, t: float, w: Cochain) -> Cochain:
 
 def _bounded(domain: SpectralDomain, t: float, k: int, x: np.ndarray) -> Cochain:
     """t phi_{q+2}(t sqrt L_k) x for x of degree k."""
-    return Cochain(k, domain.even_apply(k, t * _profile(domain.q + 2, t, _roots(domain, k)), x))
+    return Cochain(k, domain.even_apply(k, t * _profile(domain.q + 2, t, np.sqrt(domain.laplacian_spectrum(k))), x))
 
 
 def deformed_dirac_norm(domain: SpectralDomain, t: float) -> float:

@@ -329,7 +329,7 @@ def suite_wave(seed: int, quick: bool) -> list[CaseResult]:
         )
     )
 
-    cases.append(CaseResult.check("dalembert_anchor", dalembert_worst(circle, rng, 5 if quick else 20), 1e-12))
+    cases.append(CaseResult.check("dalembert_anchor", dalembert_worst(circle, rng, 5 if quick else 20), 1e-14))
 
     worst_fact = max(
         waveforms.factorization_check(q, coeffs)

@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .domains import Cochain, SpectralDomain, spectrum_by_degree
-from .specops import _profile, _roots
+from .specops import _profile
 
 __all__ = [
     "LaurentPoly",
@@ -199,7 +199,7 @@ class WaveSolution:
     def at(self, t: float) -> Cochain:
         if not math.isfinite(t):
             raise ValueError(f"a wave solution needs a finite time, got {t}")
-        dom, roots = self.domain, _roots(self.domain, self.degree)
+        dom, roots = self.domain, np.sqrt(self.domain.laplacian_spectrum(self.degree))
         # classical is the q = 1 pair: the position family on u0 plus the velocity family on v0
         rows = (("position", self.u0), ("velocity", self.v0)) if self.kind == "classical" else ((self.kind, self.u0),)
         parts = []
@@ -246,8 +246,7 @@ def residual_step(solution: WaveSolution) -> float:
     so a fixed step of 1e-3 reports more than 1e-6 for an exact solution
     once |lambda| passes ~20; holding dt |lambda| <= 0.005 keeps it far below.
     """
-    top = float(spectrum_by_degree(solution.domain, solution.degree)[-1])
-    lam = math.sqrt(max(top, 0.0))
+    lam = math.sqrt(spectrum_by_degree(solution.domain, solution.degree)[-1])
     return min(1e-3, 0.005 / lam) if lam > 0.0 else 1e-3
 
 

@@ -27,6 +27,26 @@ def harmonic_count(domain, degree, tol=1e-9):
     return int(np.sum(np.abs(spectrum_by_degree(domain, degree)) < tol))
 
 
+OCTAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
+              [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]
+
+
+def stellar_sphere(seed: int, subdivisions: int) -> list[list[int]]:
+    """The octahedron after random stellar subdivisions of faces: a triangulated 2-sphere."""
+    rng, faces = np.random.default_rng(seed), [list(f) for f in OCTAHEDRON]
+    for v in range(6, 6 + subdivisions):
+        a, b, c = faces.pop(int(rng.integers(len(faces))))
+        faces += [[a, b, v], [b, c, v], [a, c, v]]
+    return faces
+
+
+def torus_faces(n: int) -> list[list[int]]:
+    """The n x n grid on the flat torus, each square cut into two triangles."""
+    v = [[(i % n) * n + j % n for j in range(n + 1)] for i in range(n + 1)]
+    return [f for i in range(n) for j in range(n)
+            for f in ([v[i][j], v[i + 1][j], v[i + 1][j + 1]], [v[i][j], v[i][j + 1], v[i + 1][j + 1]])]
+
+
 class TestCircle:
     def test_m1_grading_and_spectrum(self):
         dom = build_circle_domain(1)
@@ -154,9 +174,7 @@ class TestSimplicial:
         assert [harmonic_count(dom, k) for k in range(3)] == [1, 0, 0]
 
     def test_octahedron_with_rank_oracle(self):
-        faces = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
-                 [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]
-        sc = SimplicialComplex.from_maximal(faces)
+        sc = SimplicialComplex.from_maximal(OCTAHEDRON)
         dom = build_simplicial_domain(sc)
         spectral = [harmonic_count(dom, k) for k in range(3)]
         d0, d1 = sc.incidence(0), sc.incidence(1)
@@ -164,6 +182,16 @@ class TestSimplicial:
         counts = sc.counts()
         betti_rank = [counts[0] - r0, counts[1] - r0 - r1, counts[2] - r1]
         assert spectral == betti_rank == [1, 0, 1]
+
+    @pytest.mark.parametrize("faces, betti", [(OCTAHEDRON, [1, 0, 1]), (stellar_sphere(7, 90), [1, 0, 1]),
+                                              (torus_faces(6), [1, 2, 1])], ids=["octahedron", "sphere", "torus"])
+    def test_spectra_hold_betti_exact_zeros_and_nothing_negative(self, faces, betti):
+        # eigh leaves +-1e-16 where L_k has a zero; the builder writes those as 0.0
+        dom = build_simplicial_domain(SimplicialComplex.from_maximal(faces))
+        for k, b in enumerate(betti):
+            mu = dom.laplacian_spectrum(k)
+            assert mu.min() >= 0.0
+            assert int(np.sum(mu == 0.0)) == b, k
 
     def test_boundary_of_boundary_integer(self):
         faces = [[0, 1, 2], [1, 2, 3]]

@@ -8,7 +8,7 @@ import pkgutil
 from pathlib import Path
 
 import besselwave
-from besselwave import besselfn, cli, geomfront
+from besselwave import besselfn, cli, geomfront, specops, waveforms
 from besselwave.domains import SpectralDomain
 
 MODULES = [importlib.import_module(f"besselwave.{m.name}") for m in pkgutil.iter_modules(besselwave.__path__)]
@@ -152,3 +152,16 @@ def test_the_float_profile_is_one_elementwise_function():
     order_tests = [ast.unparse(node) for node in nodes
                    if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "n"]
     assert order_tests == []
+
+
+def test_the_calculus_reads_roots_from_the_spectrum():
+    # |lambda| = sqrt(mu) with no rule of its own: the simplicial builder writes its zeros exactly
+    source = Path(specops.__file__).read_text(encoding="utf-8")
+    assert not [word for word in ("np.round", "ROOT_FLOOR", "_roots") if word in source]
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(Path(waveforms.__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "_roots" not in imported

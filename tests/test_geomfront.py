@@ -85,6 +85,16 @@ class TestChristoffel:
         with pytest.raises(ChartDomainError):
             r2d2_curvature(torus, (x, y), 0.1)
 
+    @pytest.mark.parametrize("chart", [torus_chart(), sphere_chart(), hyperbolic_chart()], ids=lambda c: c.name)
+    def test_refusal_names_the_non_finite_coordinate(self, chart):
+        # a non-finite point is refused as such, not as "outside rectangle", which the torus has no use for
+        for (x, y), axis in (((math.nan, 0.5), "x"), ((0.5, math.inf), "y"), ((-math.inf, math.nan), "x")):
+            message = f"point ({x}, {y}) has a non-finite {axis} coordinate; every point of {chart.name} is finite"
+            with pytest.raises(ChartDomainError, match=f"^{re.escape(message)}$"):
+                chart.require(x, y)
+            with pytest.raises(ChartDomainError, match=re.escape(message)):
+                wavefront(chart, (x, y), 0.5, 8)
+
     @pytest.mark.parametrize("chart, x, y", [(sphere_chart(), 0.0, 0.0), (hyperbolic_chart(), 0.0, 0.0),
                                              (sphere_chart(), 4.0, 0.0)],
                              ids=["sphere-pole", "hyperbolic-edge", "sphere-x4"])
