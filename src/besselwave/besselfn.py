@@ -144,6 +144,8 @@ def _phi_large(n: int, r):
     else:
         start, low = 2, _bessel_j_hankel(0.0, r)
         high = 2.0 / r * _bessel_j_hankel(1.0, r) if n > start else None
+    if isinstance(r, float) and n > start:  # phi's scalar r: the recurrence runs on Python floats, not numpy scalars
+        low, high = float(low), float(high)
     for m in range(start, n - 2, 2):
         low, high = high, (m * (m + 2) / (r * r)) * (high - low)
     return high if n > start else low

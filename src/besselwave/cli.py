@@ -406,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     domain(p)
     p.add_argument("--kind", choices=("velocity", "position", "classical"), default="velocity")
     p.add_argument("--q", type=int, default=None, help="Bessel index override")
-    p.add_argument("--t-values", default="0.5,1.0,2.0")
+    p.add_argument("--t-values", default="0.3,0.7,1.3")
     p.add_argument("--dt", type=float, help="residual stencil step (default: min(1e-3, 0.005/max|lambda|)); "
                    "the residual cannot fall below stencil rounding, ~64 eps ||u|| / (12 dt^2), 1e-9 at dt = 1e-3")
     p.add_argument("--amplitudes", type=int, default=8)

@@ -7,9 +7,9 @@ blocks of a domain: a trig domain is one complex per canonical mode m plus
 the constant mode, a simplicial complex is one block.  Blocks of one shape
 form a `Stack`, and d, its adjoint, the even calculus g(sqrt L_k) of
 `even_apply` and the isometries of `torus_pullback` act stack by stack.  A
-trig domain knows its spectrum mu = 4 pi^2 |m|^2 by construction; a
-simplicial one eigensolves each L_k at build and writes its harmonic
-eigenvalues as exact zeros, so every spectrum is >= 0 and |lambda| = sqrt(mu).
+trig domain knows its spectrum mu = 4 pi^2 |m|^2 by construction; a simplicial
+one eigensolves the smaller Gram matrix of each d_k, its harmonic zeros exact by
+construction, so every spectrum is >= 0 and |lambda| = sqrt(mu).
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ __all__ = [
 ]
 
 EIGEN_RESIDUAL_BOUND = 1e-10
-ZERO_EIGEN_FLOOR = 1e-12  # of max(1, max mu_k): eigh resolves a zero of L_k only to ~n eps max mu_k
+ZERO_EIGEN_FLOOR = 1e-12  # the rank threshold of d_k: eigh resolves a zero s^2 only to ~n eps max s^2
 SIZE_CAP_BYTES = 2**27  # of the wave orbit's D_h, one square matrix per block, a trig domain's largest array
+SIMPLICIAL_CAP_BYTES = 2**28  # of a complex's incidence, Gram matrices and W_k; the 33 x 33 torus fits
 
 # phase is "const", "cos" or "sin"; mode is a frequency vector; subset is the
 # ordered axis tuple of the form component.
@@ -81,7 +82,8 @@ class Stack:
 
     index[k] is (B, w_k), the positions in degree k of each block's degree-k
     basis; d[k] is (B, w_{k+1}, w_k), each block's piece of d_k; basis[k] is
-    (B, w_k, w_k), each block's eigenvectors of L_k, or None where the basis
+    (B, w_k, r_k), orthonormal eigenvectors of L_k for the first r_k entries of
+    the degree's spectrum, the rest being 0, or None where the basis
     diagonalizes L_k; modes is the (B, q) frequencies of a trig stack.
     """
 
@@ -91,9 +93,18 @@ class Stack:
     modes: np.ndarray | None = None
 
     def even(self, k: int, values: np.ndarray, xb: np.ndarray) -> np.ndarray:
-        """g(sqrt L_k) on block operands xb, (B, w_k, c), from the degree's values = g(sqrt mu_k)."""
+        """g(sqrt L_k) on block operands xb, (B, w_k, c), from the degree's values = g(sqrt mu_k).
+
+        W (v W^T x) for a square basis W, else g(0) x + W ((v - g(0)) W^T x) over W's r_k columns.
+        """
         v, w = values[self.index[k]][..., None], self.basis[k]
-        return v * xb if w is None else w @ (v * (np.swapaxes(w, 1, 2) @ xb))
+        if w is None:
+            return v * xb
+        r = w.shape[2]
+        if r == v.shape[1]:
+            return w @ (v * (np.swapaxes(w, 1, 2) @ xb))
+        g0 = v[:, r:r + 1]  # the spectrum past W's columns is 0
+        return g0 * xb + w @ ((v[:, :r] - g0) * (np.swapaxes(w, 1, 2) @ xb))
 
 
 @dataclass(frozen=True)
@@ -220,16 +231,6 @@ class SpectralDomain:
         scalars = [("const", (0,) * self.q)] + [(p, m) for m in map(tuple, modes.tolist()) for p in ("cos", "sin")]
         return tuple(BasisLabel(k, s, p, m) for k in range(self.q + 1)
                      for s in combinations(range(self.q), k) for p, m in scalars)
-
-
-def _laplacian(d, grading, k: int) -> np.ndarray:
-    """L_k = d_{k-1} d_{k-1}^T + d_k^T d_k from dense d."""
-    lap = np.zeros((grading[k], grading[k]))
-    if k > 0:
-        lap += d[k - 1] @ d[k - 1].T
-    if k < len(grading) - 1:
-        lap += d[k].T @ d[k]
-    return lap
 
 
 def _assemble(name, q, grading, stacks, spectra) -> SpectralDomain:
@@ -431,26 +432,36 @@ class SimplicialComplex:
 
 
 def build_simplicial_domain(complex_: SimplicialComplex) -> SpectralDomain:
-    """Dirac domain of a finite simplicial complex (q = top dimension), one block.
+    """Dirac domain of a finite simplicial complex (q = top dimension), one block, by the Hodge split.
 
-    Each L_k is eigensolved here; the residual max_j ||L_k w_j - mu_j w_j||
-    must stay below EIGEN_RESIDUAL_BOUND times max(1, max |mu_k|).  Every
-    mu up to ZERO_EIGEN_FLOOR times max(1, max mu_k), eigh's noise around a
-    harmonic eigenvalue (negative ones included), is then written as 0.0,
-    so the harmonic eigenvalues are exact zeros and none is negative.
+    One eigh of the smaller Gram matrix G of each d_k (d_k^T d_k or d_k d_k^T) gives d_k = U_k S_k V_k^T:
+    max_j ||G w_j - s_j^2 w_j|| must stay below EIGEN_RESIDUAL_BOUND times max(1, max s^2), the s^2 above
+    ZERO_EIGEN_FLOOR times that are the rank, and the other factor is d_k V / s or d_k^T U / s.  As
+    d_k d_{k-1} = 0, degree k holds W_k = [U_{k-1} | V_k] and the spectrum s_{k-1}^2, s_k^2, then beta_k zeros.
     """
     top, grading = complex_.top_dimension, complex_.counts()
+    nbytes = 8 * sum(a * b + min(a, b) ** 2 for a, b in zip(grading, grading[1:])) + 8 * sum(n * n for n in grading)
+    if nbytes > SIMPLICIAL_CAP_BYTES:
+        raise DomainSizeError(f"a complex of {grading} simplices needs {nbytes} bytes of incidence, Gram "
+                              f"matrices and bases, above the cap of {SIMPLICIAL_CAP_BYTES} bytes")
     d = [complex_.incidence(k) for k in range(top)]
-    spectra, basis = [], []
-    for k in range(top + 1):
-        lap = _laplacian(d, grading, k)
-        mu, w = np.linalg.eigh(lap)
-        worst = float(np.max(np.linalg.norm(lap @ w - w * mu, axis=0), initial=0.0))
-        if worst > EIGEN_RESIDUAL_BOUND * max(1.0, float(np.max(np.abs(mu), initial=0.0))):
-            raise AssertionError(f"degree-{k} eigendecomposition residual {worst} on the simplicial domain")
-        spectra.append(np.where(mu > ZERO_EIGEN_FLOOR * max(1.0, float(mu.max(initial=0.0))), mu, 0.0))
-        basis.append(w[None])
-    block = Stack(tuple(np.arange(n)[None] for n in grading), tuple(m[None] for m in d), tuple(basis))
+    cols, mus = [[np.zeros((n, 0))] for n in grading], [[] for _ in grading]  # W_k's columns and their s^2
+    for k, dk in enumerate(d):
+        a = dk if dk.shape[1] <= dk.shape[0] else dk.T  # a^T a is the smaller Gram matrix
+        gram = a.T @ a
+        s2, w = np.linalg.eigh(gram)
+        scale = max(1.0, float(s2.max(initial=0.0)))
+        worst = float(np.max(np.linalg.norm(gram @ w - w * s2, axis=0), initial=0.0))
+        if worst > EIGEN_RESIDUAL_BOUND * scale:
+            raise AssertionError(f"d_{k} Gram eigendecomposition residual {worst} on the simplicial domain")
+        keep = s2 > ZERO_EIGEN_FLOOR * scale
+        s2, w = s2[keep], w[:, keep]
+        other = a @ (w / np.sqrt(s2))
+        for j, f in ((k, w if a is dk else other), (k + 1, other if a is dk else w)):  # V_k ends W_k, U_k opens W_k+1
+            cols[j].append(f), mus[j].append(s2)
+    basis = [np.hstack(c) for c in cols]
+    spectra = [np.concatenate(m + [np.zeros(n - w.shape[1])]) for m, n, w in zip(mus, grading, basis)]
+    block = Stack(tuple(np.arange(n)[None] for n in grading), tuple(m[None] for m in d), tuple(w[None] for w in basis))
     return _assemble("simplicial", max(top, 1), grading, (block,), spectra)
 
 

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from besselwave import besselfn, geomfront
+from besselwave import besselfn, domains, geomfront
 from besselwave.exprgrammar import compile_trees, derivative, parse_expression
 from besselwave.huygens import PROBE_BINS
 from besselwave.oracles import dalembert_shift_coefficients  # noqa: F401  (re-exported for the tests)
@@ -145,6 +145,33 @@ def dense_laplacian(domain, k: int) -> np.ndarray:
     if k < domain.top_degree:
         lap += d[k].T @ d[k]
     return lap
+
+
+def per_degree_eigh_domain(complex_) -> "domains.SpectralDomain":
+    """The simplicial domain from one dense eigh of every L_k = d_{k-1} d_{k-1}^T + d_k^T d_k.
+
+    The slow path of `domains.build_simplicial_domain`, which eigensolves the
+    smaller Gram matrix of each d_k instead: the same residual check on L_k,
+    every mu up to ZERO_EIGEN_FLOOR times max(1, max mu_k) written as 0.0, and
+    the full n_k x n_k eigenvector matrix as the block's basis.
+    """
+    top, grading = complex_.top_dimension, complex_.counts()
+    d = [complex_.incidence(k) for k in range(top)]
+    spectra, basis = [], []
+    for k in range(top + 1):
+        lap = np.zeros((grading[k], grading[k]))
+        if k > 0:
+            lap += d[k - 1] @ d[k - 1].T
+        if k < top:
+            lap += d[k].T @ d[k]
+        mu, w = np.linalg.eigh(lap)
+        worst = float(np.max(np.linalg.norm(lap @ w - w * mu, axis=0), initial=0.0))
+        if worst > domains.EIGEN_RESIDUAL_BOUND * max(1.0, float(np.max(np.abs(mu), initial=0.0))):
+            raise AssertionError(f"degree-{k} eigendecomposition residual {worst} on the simplicial domain")
+        spectra.append(np.where(mu > domains.ZERO_EIGEN_FLOOR * max(1.0, float(mu.max(initial=0.0))), mu, 0.0))
+        basis.append(w[None])
+    block = domains.Stack(tuple(np.arange(n)[None] for n in grading), tuple(m[None] for m in d), tuple(basis))
+    return domains._assemble("simplicial", max(top, 1), grading, (block,), spectra)
 
 
 def dense_symmetry(domain, symmetry) -> list[np.ndarray]:

@@ -223,6 +223,12 @@ class TestPhiArray:
             exact = np.array([phi(n, x) for x in xs.tolist()])
             assert np.array_equal(phi_array(n, xs).view(np.int64), exact.view(np.int64)), n
 
+    def test_scalar_recurrence_runs_on_python_floats(self):
+        # phi's Python-float r past max(40, nu) keeps the recurrence out of numpy scalar arithmetic
+        for n in (3, 21, 41, 4, 12):
+            assert type(besselfn._phi_large(n, 40.5)) is float, n
+        assert isinstance(besselfn._phi_large(21, np.array([40.5, 50.0])), np.ndarray)
+
     def test_keeps_shape(self):
         assert phi_array(3, 1.5).shape == ()
         assert phi_array(3, np.array([])).shape == (0,)

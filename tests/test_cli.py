@@ -168,6 +168,17 @@ class TestSpectral:
         assert json.loads(out)["betti"]["by_degree"] == [1, 2, 1]
         assert len(calls) <= 2
 
+    def test_oversized_complex_is_refused(self, capsys, tmp_path):
+        # the 100 x 100 triangulated torus: (10000, 30000, 20000) simplices, a 7.2 GB W_1
+        v = [[(i % 100) * 100 + j % 100 for j in range(101)] for i in range(101)]
+        faces = [f for i in range(100) for j in range(100)
+                 for f in ([v[i][j], v[i + 1][j], v[i + 1][j + 1]], [v[i][j], v[i][j + 1], v[i + 1][j + 1]])]
+        path = tmp_path / "torus100.json"
+        path.write_text(json.dumps(SimplicialComplex.from_maximal(faces).to_json()))
+        code, out, err = run_cli(capsys, "spectral", "--domain", "simplicial", "--complex", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: a complex of (10000, 30000, 20000) simplices needs"), err
+
     def test_missing_complex_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectral", "--domain", "simplicial")
         assert code == 2
@@ -189,6 +200,14 @@ class TestWave:
         assert header[:3] == ["t", "residual", "norm"]
         for row in rows:
             assert float(row[1]) < 1e-6
+
+    def test_default_times_show_a_nonzero_solution(self, capsys):
+        # t phi_3(t lambda) = sin(t lambda) / lambda on the circle vanishes at every half-integer t
+        code, out, _ = run_cli(capsys, "wave")
+        assert code == 0
+        header, rows = csv_rows(out)
+        assert [row[0] for row in rows] == ["0.3", "0.7", "1.3"]
+        assert all(float(row[header.index("norm")]) > 1e-3 for row in rows)
 
     EDGES = [
         (("--kind", "velocity", "--q", "-1"), "velocity solution needs q >= 1, got q=-1"),

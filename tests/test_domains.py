@@ -3,12 +3,15 @@
 import json
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from besselwave import specops
 from besselwave.domains import (
+    SIMPLICIAL_CAP_BYTES,
     SIZE_CAP_BYTES,
     ComplexClosureError,
     DomainSizeError,
@@ -20,7 +23,7 @@ from besselwave.domains import (
     spectrum_by_degree,
 )
 
-from _oracles import dense_laplacian, exact_rank, jacobi_eigh, label_d_blocks
+from _oracles import dense_laplacian, exact_rank, jacobi_eigh, label_d_blocks, per_degree_eigh_domain
 
 
 def harmonic_count(domain, degree, tol=1e-9):
@@ -29,6 +32,10 @@ def harmonic_count(domain, degree, tol=1e-9):
 
 OCTAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
               [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]
+
+# The 6-vertex real projective plane: over the reals its Betti numbers are (1, 0, 0).
+RP2 = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 1],
+       [1, 2, 4], [2, 3, 5], [3, 4, 1], [4, 5, 2], [5, 1, 3]]
 
 
 def stellar_sphere(seed: int, subdivisions: int) -> list[list[int]]:
@@ -193,6 +200,39 @@ class TestSimplicial:
             assert mu.min() >= 0.0
             assert int(np.sum(mu == 0.0)) == b, k
 
+    def test_rp2_betti_over_the_reals(self):
+        dom = build_simplicial_domain(SimplicialComplex.from_maximal(RP2))
+        assert dom.grading == (6, 15, 10)
+        assert [int(np.sum(dom.laplacian_spectrum(k) == 0.0)) for k in range(3)] == [1, 0, 0]
+
+    def test_size_cap_refuses_before_allocating(self, monkeypatch):
+        # The 100 x 100 torus has (10000, 30000, 20000) simplices; its 30000 x 30000 W_1 alone is 7.2 GB.
+        sc = SimplicialComplex.from_maximal(torus_faces(100))
+
+        def no_array(*args, **kwargs):
+            raise AssertionError("the builder allocated")
+
+        monkeypatch.setattr(np, "zeros", no_array)
+        monkeypatch.setattr(SimplicialComplex, "incidence", no_array)
+        start = time.perf_counter()
+        with pytest.raises(DomainSizeError) as err:
+            build_simplicial_domain(sc)
+        assert time.perf_counter() - start < 0.5
+        nbytes = 8 * (10000 * 30000 + 30000 * 20000 + 10000**2 + 20000**2 + 10000**2 + 30000**2 + 20000**2)
+        assert f"needs {nbytes} bytes" in str(err.value)
+        assert f"cap of {SIMPLICIAL_CAP_BYTES} bytes" in str(err.value)
+
+    def test_size_cap_admits_the_32_by_32_torus(self, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr(SimplicialComplex, "incidence", admitted)
+        with pytest.raises(Admitted):
+            build_simplicial_domain(SimplicialComplex.from_maximal(torus_faces(32)))
+
     def test_boundary_of_boundary_integer(self):
         faces = [[0, 1, 2], [1, 2, 3]]
         sc = SimplicialComplex.from_maximal(faces)
@@ -238,6 +278,41 @@ class TestSimplicial:
         sc = SimplicialComplex.from_maximal([[ids[0], ids[1], ids[2]]])
         assert sc.counts() == (3, 3, 1)
         assert all(type(v) is int for layer in sc.by_dim for s in layer for v in s)
+
+
+class TestHodgeSplit:
+    """The Hodge-split builder against one dense eigh of every L_k (tests/_oracles.per_degree_eigh_domain)."""
+
+    @staticmethod
+    def rel(got, want) -> float:
+        return float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
+
+    @pytest.mark.parametrize("faces", [OCTAHEDRON, RP2, stellar_sphere(7, 90), torus_faces(6), torus_faces(12)],
+                             ids=["octahedron", "rp2", "sphere", "torus6", "torus12"])
+    def test_agrees_with_the_per_degree_eigh_oracle(self, faces, rng):
+        sc = SimplicialComplex.from_maximal(faces)
+        got, want = build_simplicial_domain(sc), per_degree_eigh_domain(sc)
+        assert got.grading == want.grading
+        for k in range(got.top_degree + 1):
+            mu, ref = spectrum_by_degree(got, k), spectrum_by_degree(want, k)
+            assert np.sum(mu == 0.0) == np.sum(ref == 0.0)
+            assert np.abs(mu - ref).max() <= 1e-12 * ref.max()
+            assert got.stacks[0].basis[k].shape == (1, got.grading[k], int(np.sum(mu > 0.0)))
+
+        def g(r):
+            return np.cos(0.7 * r) + r * r / 50.0
+
+        for k in range(got.top_degree + 1):
+            u = got.cochain(k, rng.standard_normal(got.grading[k]))
+            assert self.rel(specops.functional_calculus(got, g, u).coefficients,
+                            specops.functional_calculus(want, g, u).coefficients) <= 1e-12
+            for t in (0.05, 0.3, 1.7, 2.9):
+                if k < got.top_degree:
+                    assert self.rel(specops.deformed_d(got, t, u).coefficients,
+                                    specops.deformed_d(want, t, u).coefficients) <= 1e-12, (k, t)
+                if k > 0:
+                    assert self.rel(specops.deformed_d_adjoint(got, t, u).coefficients,
+                                    specops.deformed_d_adjoint(want, t, u).coefficients) <= 1e-12, (k, t)
 
 
 class TestPerDegreeLaplacian:
