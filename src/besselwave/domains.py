@@ -10,6 +10,8 @@ form a `Stack`, and d, its adjoint, the even calculus g(sqrt L_k) of
 trig domain knows its spectrum mu = 4 pi^2 |m|^2 by construction; a simplicial
 one eigensolves the smaller Gram matrix of each d_k, its harmonic zeros exact by
 construction, so every spectrum is >= 0 and |lambda| = sqrt(mu).
+Every request, the wave orbit's N x N `D_h` on a complex too, is charged against
+one byte budget by `_require_bytes` before anything of its size is allocated.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ __all__ = [
 
 EIGEN_RESIDUAL_BOUND = 1e-10
 ZERO_EIGEN_FLOOR = 1e-12  # the rank threshold of d_k: eigh resolves a zero s^2 only to ~n eps max s^2
-SIZE_CAP_BYTES = 2**27  # of the wave orbit's D_h, one square matrix per block, a trig domain's largest array
-SIMPLICIAL_CAP_BYTES = 2**28  # of a complex's incidence, Gram matrices and W_k; the 33 x 33 torus fits
+# The one byte budget: a complex's incidence, Gram matrices and W_k (the 33 x 33 torus fits), and the wave
+# orbit's padded per-block D_h with its symmetric sum, 16 M W^2 (orbits on torus complexes from 27 x 27 up fail).
+SIZE_CAP_BYTES = 2**28
 
 # phase is "const", "cos" or "sin"; mode is a frequency vector; subset is the
 # ordered axis tuple of the form component.
@@ -60,6 +63,12 @@ class DomainSizeError(ValueError):
 
 class ComplexClosureError(ValueError):
     """Simplicial input is not closed under taking faces."""
+
+
+def _require_bytes(what: str, nbytes: int) -> None:
+    """Refuse `what` with a DomainSizeError naming nbytes when it needs more than SIZE_CAP_BYTES."""
+    if nbytes > SIZE_CAP_BYTES:
+        raise DomainSizeError(f"{what} needs {nbytes} bytes, above the cap of {SIZE_CAP_BYTES} bytes")
 
 
 @dataclass(frozen=True)
@@ -275,10 +284,8 @@ def _trig_domain(name: str, q: int, max_freq: int) -> SpectralDomain:
     """
     if max_freq < 1:
         raise ValueError("max_freq must be >= 1")
-    nbytes = 8 * (((2 * max_freq + 1) ** q + 1) // 2) * 4 ** (q + 1)  # every mode's block, padded to 2^(q+1) wide
-    if nbytes > SIZE_CAP_BYTES:
-        raise DomainSizeError(f"{name} at max_freq={max_freq} needs {nbytes} bytes of per-mode blocks, "
-                              f"above the cap of {SIZE_CAP_BYTES} bytes")
+    _require_bytes(  # the wave orbit's D_h, each mode's block padded to 2^(q+1) wide, and its symmetric sum
+        f"{name} at max_freq={max_freq}", 16 * (((2 * max_freq + 1) ** q + 1) // 2) * 4 ** (q + 1))
     modes = _canonical_modes(q, max_freq)
     n_scalar = 1 + 2 * len(modes)
     widths = [math.comb(q, k) for k in range(q + 1)]
@@ -305,7 +312,7 @@ def build_circle_domain(max_freq: int) -> SpectralDomain:
 
 
 def build_torus_domain(q: int, max_freq: int) -> SpectralDomain:
-    """Full graded complex of band-limited trig forms on the flat unit q-torus, q >= 1, within SIZE_CAP_BYTES."""
+    """Full graded complex of band-limited trig forms on the flat unit q-torus, q >= 1; its wave orbit fits the cap."""
     if q < 1:
         raise ValueError(f"a torus needs q >= 1, got {q}")
     return _trig_domain(f"torus{q}", q, max_freq)
@@ -441,9 +448,7 @@ def build_simplicial_domain(complex_: SimplicialComplex) -> SpectralDomain:
     """
     top, grading = complex_.top_dimension, complex_.counts()
     nbytes = 8 * sum(a * b + min(a, b) ** 2 for a, b in zip(grading, grading[1:])) + 8 * sum(n * n for n in grading)
-    if nbytes > SIMPLICIAL_CAP_BYTES:
-        raise DomainSizeError(f"a complex of {grading} simplices needs {nbytes} bytes of incidence, Gram "
-                              f"matrices and bases, above the cap of {SIMPLICIAL_CAP_BYTES} bytes")
+    _require_bytes(f"a complex of {grading} simplices", nbytes)  # incidence, Gram matrices and W_k (<= n_k^2)
     d = [complex_.incidence(k) for k in range(top)]
     cols, mus = [[np.zeros((n, 0))] for n in grading], [[] for _ in grading]  # W_k's columns and their s^2
     for k, dk in enumerate(d):

@@ -12,8 +12,9 @@ by construction and keeps its degree.
 The profile phi_n(t r) of every operator comes from `_profile`, one
 `besselfn.phi_array` call on the distinct roots of a request.
 Every array here is per block, so none is N x N on a trig domain: d acts
-through `apply_d`, and the commutator and the orbit act on the stacks.  A
-symmetry is one `BlockMap` per stack (`domains.torus_pullback`).
+through `apply_d`, and the commutator and the orbit act on the stacks; the
+orbit's `D_h`, N x N on a simplicial complex, is charged against the size cap
+before it is allocated.  A symmetry is one `BlockMap` per stack (`domains.torus_pullback`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import numpy as np
 
 from . import besselfn
-from .domains import BlockMap, Cochain, SpectralDomain, torus_pullback
+from .domains import BlockMap, Cochain, SpectralDomain, _require_bytes, torus_pullback
 
 __all__ = [
     "SpectralGapError",
@@ -272,15 +273,20 @@ def _block_dirac(domain: SpectralDomain, profile: list[np.ndarray]) -> tuple[np.
 
     A block narrower than the widest is padded with zero rows and columns
     at position N, so one batched product applies the whole operator.
+    It is charged 16 M W^2 bytes, itself and its pieces, before it is allocated.
     """
     width = max(sum(i.shape[1] for i in s.index) for s in domain.stacks)
-    positions, mats = [], []
+    blocks = sum(len(s.index[0]) for s in domain.stacks)
+    _require_bytes(f"the wave orbit on {domain.name} (N = {domain.total_dim})", 16 * blocks * width * width)
+    dh, pos = np.zeros((blocks, width, width)), np.full((blocks, width), domain.total_dim)
+    first = 0
     for s in domain.stacks:
-        order = np.concatenate([domain.offsets[k] + i for k, i in enumerate(s.index)], axis=1)
-        edge = np.cumsum([0] + [i.shape[1] for i in s.index])
-        dh = np.zeros((len(order), width, width))
-        for k, d in enumerate(s.d):
-            dh[:, edge[k + 1] : edge[k + 2], edge[k] : edge[k + 1]] = s.even(k + 1, profile[k + 1], d)
-        positions.append(np.pad(order, ((0, 0), (0, width - order.shape[1])), constant_values=domain.total_dim))
-        mats.append(dh + np.swapaxes(dh, 1, 2))
-    return np.concatenate(positions), np.concatenate(mats)
+        rows, edge = slice(first, first + len(s.index[0])), np.cumsum([0] + [i.shape[1] for i in s.index])
+        for k, i in enumerate(s.index):
+            pos[rows, edge[k] : edge[k + 1]] = domain.offsets[k] + i
+            if k:  # the piece from degree k - 1 to k, a -0.0 read as 0.0 as in D + D^T, and its transpose
+                low = dh[rows, edge[k] : edge[k + 1], edge[k - 1] : edge[k]]
+                np.add(s.even(k, profile[k], s.d[k - 1]), 0.0, out=low)
+                dh[rows, edge[k - 1] : edge[k], edge[k] : edge[k + 1]] = np.swapaxes(low, 1, 2)
+        first = rows.stop
+    return pos, dh

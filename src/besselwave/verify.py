@@ -1,7 +1,8 @@
 """Named verification suites behind the verify-all command.
 
 Each case measures one property and reports (name, status, measured,
-bound): the case passes when measured <= bound.  Exact-arithmetic checks
+bound): the case passes when measured <= bound, a literal; a case that
+compares two measurements reports their ratio.  Exact-arithmetic checks
 report the deviation (0.0 on success) against a bound of 0.0.  Random
 inputs come from a counter-based Philox generator so runs with one seed
 are reproducible.
@@ -305,9 +306,7 @@ def suite_spectral(seed: int, quick: bool) -> list[CaseResult]:
     cases.append(CaseResult.check("symmetry_commutator", symmetry_worst(pairs), 1e-8))
 
     orbit = wave_map_orbit(circle, math.asin(0.9) / (2.0 * math.pi * 4), rng, 500 if quick else 10_000)
-    cases.append(
-        CaseResult.check("wave_map_orbit_bound", orbit["max_norm"], orbit["bound"] * (1 + 1e-12))
-    )
+    cases.append(CaseResult.check("wave_map_orbit_bound", orbit["max_norm"] / orbit["bound"], 1 + 1e-12))
     return cases
 
 
@@ -445,33 +444,20 @@ def suite_geometry(seed: int, quick: bool) -> list[CaseResult]:
 def suite_probe(seed: int, quick: bool) -> list[CaseResult]:
     if quick:
         base = huygens.locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=128)
-        ratio_bound = 5.0
+        contrast = base.deformed_leakage / base.classical_leakage if base.resolved else math.inf
         return [
             CaseResult.check("probe_resolved", 0.0 if base.resolved else 1.0, 0.0),
-            CaseResult.check(
-                "probe_contrast",
-                ratio_bound - base.classical_leakage / base.deformed_leakage
-                if base.resolved
-                else math.inf,
-                0.0,
-            ),
+            CaseResult.check("probe_contrast", contrast, 0.2),
         ]
     base, refined, band_only = probe_runs()
     return [
         CaseResult.check("probe_resolved", 0.0 if base.resolved and refined.resolved else 1.0, 0.0),
         CaseResult.check("probe_deformed_leakage", base.deformed_leakage, 1e-3),
-        CaseResult.check(
-            "probe_contrast_10x", 10.0 * base.deformed_leakage, base.classical_leakage
-        ),
-        CaseResult.check(
-            "probe_deformed_shrinks", refined.deformed_leakage, base.deformed_leakage / 10.0
-        ),
-        CaseResult.check("probe_classical_wake_persists", 1e-3, band_only.classical_leakage),
-        CaseResult.check(
-            "probe_classical_band_stable",
-            abs(band_only.classical_leakage - base.classical_leakage),
-            0.1 * base.classical_leakage,
-        ),
+        CaseResult.check("probe_contrast_10x", base.deformed_leakage / base.classical_leakage, 0.1),
+        CaseResult.check("probe_deformed_shrinks", refined.deformed_leakage / base.deformed_leakage, 0.1),
+        CaseResult.check("probe_classical_wake_persists", 1e-3 / band_only.classical_leakage, 1.0),
+        CaseResult.check("probe_classical_band_stable",
+                         abs(band_only.classical_leakage - base.classical_leakage) / base.classical_leakage, 0.1),
     ]
 
 

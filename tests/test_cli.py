@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -381,6 +382,12 @@ ACCEPTANCE_BOUNDS = {
     "r2d2_hyperbolic": 3e-3, "torus_global_cancellation": 1e-6, "large_r_against_exact_series": 1e-12,
 }
 
+# Each verify-all case that compares two measurements reports their ratio against a literal bound.
+RATIO_BOUNDS = {
+    "probe_contrast": 0.2, "wave_map_orbit_bound": 1 + 1e-12, "probe_contrast_10x": 0.1,
+    "probe_deformed_shrinks": 0.1, "probe_classical_wake_persists": 1.0, "probe_classical_band_stable": 0.1,
+}
+
 
 class TestVerifyAll:
     @pytest.fixture(scope="class")
@@ -413,6 +420,13 @@ class TestVerifyAll:
         bounds = {case["name"]: case["bound"] for suite in payload["suites"] for case in suite["cases"]}
         for name, literal in ACCEPTANCE_BOUNDS.items():
             assert bounds[name] == literal, name
+
+    def test_ratio_cases_carry_literal_bounds(self, quick_runs):
+        payload = json.loads(quick_runs[0][1])
+        cases = {case["name"]: case for suite in payload["suites"] for case in suite["cases"]}
+        cases.update((c.name, dataclasses.asdict(c)) for c in verify.suite_probe(42, quick=False))
+        for name, literal in RATIO_BOUNDS.items():
+            assert (cases[name]["bound"], cases[name]["status"]) == (literal, "pass"), name
 
 
 def test_large_r_row_fails_on_the_wrong_order(monkeypatch):

@@ -11,7 +11,6 @@ import pytest
 
 from besselwave import specops
 from besselwave.domains import (
-    SIMPLICIAL_CAP_BYTES,
     SIZE_CAP_BYTES,
     ComplexClosureError,
     DomainSizeError,
@@ -122,7 +121,8 @@ class TestTorus:
 
     def test_byte_cap(self):
         # torus3 at max_freq 40 has 265721 mode blocks of 16 x 16 doubles; torus8 at 1 has 3281 of 512 x 512.
-        for q, max_freq, nbytes in ((3, 40, 8 * 265721 * 16**2), (8, 1, 8 * 3281 * 512**2)):
+        # Each is charged twice, for the wave orbit's D_h and its symmetric sum.
+        for q, max_freq, nbytes in ((3, 40, 16 * 265721 * 16**2), (8, 1, 16 * 3281 * 512**2)):
             with pytest.raises(DomainSizeError) as err:
                 build_torus_domain(q, max_freq)
             assert f"needs {nbytes} bytes" in str(err.value)
@@ -220,7 +220,7 @@ class TestSimplicial:
         assert time.perf_counter() - start < 0.5
         nbytes = 8 * (10000 * 30000 + 30000 * 20000 + 10000**2 + 20000**2 + 10000**2 + 30000**2 + 20000**2)
         assert f"needs {nbytes} bytes" in str(err.value)
-        assert f"cap of {SIMPLICIAL_CAP_BYTES} bytes" in str(err.value)
+        assert f"cap of {SIZE_CAP_BYTES} bytes" in str(err.value)
 
     def test_size_cap_admits_the_32_by_32_torus(self, monkeypatch):
         class Admitted(Exception):
@@ -232,6 +232,20 @@ class TestSimplicial:
         monkeypatch.setattr(SimplicialComplex, "incidence", admitted)
         with pytest.raises(Admitted):
             build_simplicial_domain(SimplicialComplex.from_maximal(torus_faces(32)))
+
+    def test_wave_orbit_holds_its_charge(self):
+        # The 16 x 16 torus has N = 1536, so its one block of D_h is charged 16 N^2 bytes.
+        dom = build_simplicial_domain(SimplicialComplex.from_maximal(torus_faces(16)))
+        profile = specops._deformed_values(dom, 0.3)[1]
+        specops._block_dirac(dom, profile)  # warm imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            specops._block_dirac(dom, profile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dom.total_dim == 1536
+        assert peak <= 1.05 * 16 * dom.total_dim**2
 
     def test_boundary_of_boundary_integer(self):
         faces = [[0, 1, 2], [1, 2, 3]]

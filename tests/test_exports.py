@@ -8,7 +8,7 @@ import pkgutil
 from pathlib import Path
 
 import besselwave
-from besselwave import besselfn, cli, geomfront, specops, waveforms
+from besselwave import besselfn, cli, domains, geomfront, specops, waveforms
 from besselwave.domains import SpectralDomain
 
 MODULES = [importlib.import_module(f"besselwave.{m.name}") for m in pkgutil.iter_modules(besselwave.__path__)]
@@ -165,3 +165,17 @@ def test_the_calculus_reads_roots_from_the_spectrum():
         for alias in node.names
     }
     assert "_roots" not in imported
+
+
+def test_one_byte_budget_charged_in_one_place():
+    # SIZE_CAP_BYTES is the one cap; _require_bytes is the one place domains raises DomainSizeError, and the
+    # trig build, the simplicial build and the wave orbit's D_h each charge it.
+    assert [name for name in vars(domains) if name.endswith("_CAP_BYTES")] == ["SIZE_CAP_BYTES"]
+
+    def callers(path, name):
+        return [f"{path.name}:{owner}" for owner, node in _references(path)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+
+    assert callers(Path(domains.__file__), "DomainSizeError") == ["domains.py:_require_bytes"]
+    charged = callers(Path(domains.__file__), "_require_bytes") + callers(Path(specops.__file__), "_require_bytes")
+    assert sorted(charged) == ["domains.py:_trig_domain", "domains.py:build_simplicial_domain", "specops.py:_block_dirac"]

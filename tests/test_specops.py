@@ -9,6 +9,7 @@ import pytest
 from besselwave import besselfn, specops
 from besselwave.domains import (
     Cochain,
+    DomainSizeError,
     SimplicialComplex,
     build_circle_domain,
     build_simplicial_domain,
@@ -479,6 +480,23 @@ class TestDiscreteWaveMap:
         assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)
         assert peak < n * n * 8 / 10
 
+    def test_orbit_is_charged_before_it_allocates(self, monkeypatch):
+        # The octahedron's D_h is one 26 x 26 block, charged 16 * 26^2 = 10816 bytes with its symmetric sum.
+        dom = build_simplicial_domain(SimplicialComplex.from_maximal(OCTAHEDRON))
+        state = np.linspace(-1.0, 1.0, dom.total_dim)
+
+        def no_array(*args, **kwargs):
+            raise AssertionError("the orbit allocated")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("besselwave.domains.SIZE_CAP_BYTES", 10_815)
+            patch.setattr(np, "zeros", no_array)
+            with pytest.raises(DomainSizeError, match="needs 10816 bytes"):
+                discrete_wave_orbit(dom, 0.1, state, state, 3)
+        monkeypatch.setattr("besselwave.domains.SIZE_CAP_BYTES", 10_816)
+        orbit = discrete_wave_orbit(dom, 0.1, state, state, 3)
+        assert orbit["max_norm"] <= orbit["bound"] * (1 + 1e-12)
+
     def test_negative_steps_rejected(self, circle4):
         zero = np.zeros(circle4.total_dim)
         with pytest.raises(ValueError):
@@ -531,6 +549,14 @@ class TestDenseDiracOracle:
                     assert betti(dom, t, k) == dense
                     table.append(dense)
                 assert betti_numbers(dom, t) == table
+
+    def test_block_dirac_scatters_to_the_deformed_dirac(self, domains, torus3):
+        for dom, oracle in domains + [(torus3, DenseDiracOracle(torus3))]:
+            for t in (0.17, 0.8):
+                pos, dh = specops._block_dirac(dom, specops._deformed_values(dom, t)[1])
+                full = np.zeros((dom.total_dim + 1,) * 2)  # padding lands in row and column N
+                full[pos[:, :, None], pos[:, None, :]] = dh
+                assert self.close(full[:-1, :-1], oracle.deformed_dirac(t, dom.q + 2))
 
     def test_orbit_bound(self, domains, rng):
         for dom, oracle in domains:
