@@ -9,15 +9,17 @@ the exact rationals b_k = 1 / prod_{j=1..k} (-2j)(n - 2 + 2j).  Closed forms
 for small n: phi_1 = cos, phi_2 = J0, phi_3 = sinc, phi_4 = 2 J1(r)/r.
 The rescaled profile psi_n(r) = r phi_n(r) stays bounded on [0, inf).
 
-Evaluation strategy: the scalar `phi` is exact.  For |r| <= 40 the
-alternating series is summed in exact integer arithmetic: integer numerators
-over one running denominator, rounded once by the final int / int division,
-which Python rounds correctly.  That removes the catastrophic cancellation a
-float sum suffers for moderate r.  For |r| > 40, phi_n comes from the upward
-recurrence phi_{m+4} = m(m+2)/r^2 (phi_{m+2} - phi_m), which is the
-recurrence of J_nu, nu = n/2 - 1, scaled by Gamma(n/2) (r/2)^(-nu), from cos r
-and sin r / r (odd n) or from J_0 and J_1 (even n), each the first 14 terms of
-its Hankel expansion; where nu >= r it comes from the exact series instead.
+Evaluation strategy: the scalar `phi` is exact.  For |r| <= 40 the alternating
+series is summed in exact integer arithmetic: integer numerators over one
+running denominator, its power of two carried as a shift, rounded once by the
+final int / int division, which Python rounds correctly.  That removes the
+catastrophic cancellation a float sum suffers for moderate r.  One sum per
+(n, |r|), kept in a one-entry memo, serves phi, psi, phi' and the residual.
+For |r| > 40, phi_n comes from the upward recurrence phi_{m+4} = m(m+2)/r^2
+(phi_{m+2} - phi_m), which is the recurrence of J_nu, nu = n/2 - 1, scaled by
+Gamma(n/2) (r/2)^(-nu), from cos r and sin r / r (odd n) or from J_0 and J_1
+(even n), each the first 14 terms of its Hankel expansion; where nu >= r it
+comes from the exact series instead.
 
 `phi_array` is the float path the functional calculus uses: within 3e-15 of
 the size of |phi_n| for n = 1..14 on [0, 150], and within 3e-14 for n up to
@@ -34,6 +36,7 @@ All functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -85,35 +88,32 @@ def series_coefficient(n: int, k: int) -> Fraction:
     return Fraction(1, math.prod((-2 * j) * (n - 2 + 2 * j) for j in range(1, k + 1)))
 
 
-def _series_sums(n: int, r: float) -> tuple[int, int, int, int]:
-    """Integer numerators of phi, r phi' and r^2 phi'' at r != 0, and their common denominator.
+@functools.lru_cache(maxsize=1)
+def _series_sums(n: int, x: float) -> tuple[int, int, int, int]:
+    """Integer numerators of phi, x phi' and x^2 phi'' at x = |r| > 0, and their common denominator.
 
-    Sums sum b_k r^2k, sum 2k b_k r^2k, sum 2k(2k-1) b_k r^2k with a single
-    running integer denominator.  Truncation: the next term must be below
-    2^-50 of each partial sum it feeds, so all three sums meet the relative
-    target simultaneously.
+    Sums sum b_k x^2k, sum 2k b_k x^2k, sum 2k(2k-1) b_k x^2k over one running
+    denominator, its power of two 2^(e2 k), x^2 = a / 2^e2, carried as a shift.
+    One sum, memoized for one (n, x), serves phi, psi, phi' and the residual.
+    Truncation: the next term must be below 2^-50 of each partial sum it feeds,
+    so all three sums meet the relative target simultaneously.
     """
-    p, q = r.as_integer_ratio()
-    a, b = p * p, q * q
-    t_num = 1          # term numerator over the running denominator
-    den = 1
-    s0 = 1             # phi partial sum numerator
-    s1 = 0             # sum 2k b_k r^2k numerator
-    s2 = 0             # sum 2k(2k-1) b_k r^2k numerator
+    p, q = x.as_integer_ratio()
+    a, e2 = p * p, 2 * (q.bit_length() - 1)  # q is a power of two
+    t_num, den, s0, s1, s2 = 1, 1, 1, 0, 0  # the term, the denominator without its 2^(e2 k), the three sums
     for k in range(1, MAX_TERMS + 1):
-        c = b * (2 * k) * (n - 2 + 2 * k)
-        t_num = t_num * (-a)
-        s0 = s0 * c + t_num
-        s1 = s1 * c + 2 * k * t_num
-        s2 = s2 * c + 2 * k * (2 * k - 1) * t_num
+        c, t_num = (2 * k) * (n - 2 + 2 * k), t_num * (-a)
+        u = 2 * k * t_num
+        s0 = (s0 * c << e2) + t_num
+        s1 = (s1 * c << e2) + u
+        s2 = (s2 * c << e2) + (2 * k - 1) * u
         den *= c
-        tail0 = abs(t_num) << RELATIVE_TARGET_BITS
-        tail2 = (abs(t_num) * (2 * k + 2) * (2 * k + 1)) << RELATIVE_TARGET_BITS
-        if tail0 <= abs(s0) and tail2 <= max(abs(s2), 1):
-            break
+        if abs(t_num) << RELATIVE_TARGET_BITS <= abs(s0):
+            if (abs(t_num) * (2 * k + 2) * (2 * k + 1)) << RELATIVE_TARGET_BITS <= max(abs(s2), 1):
+                break
     else:
-        raise BesselDomainError(f"series for phi_{n}({r}) did not converge in {MAX_TERMS} terms")
-    return s0, s1, s2, den
+        raise BesselDomainError(f"series for phi_{n}({x}) did not converge in {MAX_TERMS} terms")
+    return s0, s1, s2, den << (e2 * k)
 
 
 def _bessel_j_hankel(nu: float, r):
@@ -238,8 +238,8 @@ def phi_derivative(n: int, r: float) -> float:
     if r == 0.0:
         return 0.0
     if abs(r) <= SERIES_CUTOFF:
-        _, s1, _, den = _series_sums(n, r)
-        p, q = r.as_integer_ratio()
+        _, s1, _, den = _series_sums(n, abs(r))
+        p, q = r.as_integer_ratio()  # the signed p makes phi' odd
         return (s1 * q) / (den * p)
     return -(r / n) * phi(n + 2, abs(r))
 

@@ -89,7 +89,7 @@ def _cmd_bessel(args) -> int:
     return 0
 
 
-def _build_domain(args):
+def _build_domain(args, orbit: bool = False):
     if args.complex is not None and args.domain != "simplicial":
         raise ValueError("--complex names the simplicial complex and needs --domain simplicial")
     if args.domain == "circle":
@@ -99,7 +99,11 @@ def _build_domain(args):
     if args.domain == "simplicial":
         if not args.complex:
             raise ValueError("--complex FILE.json is required for the simplicial domain")
-        return build_simplicial_domain(SimplicialComplex.from_json(args.complex))
+        complex_ = SimplicialComplex.from_json(args.complex)
+        if orbit:  # a complex's orbit is one N x N block, refused before the build
+            n = sum(complex_.counts())
+            specops.require_orbit_bytes("simplicial", n, 1, n)
+        return build_simplicial_domain(complex_)
     raise ValueError(f"unknown domain {args.domain!r}")
 
 
@@ -114,7 +118,7 @@ def _cmd_spectral(args) -> int:
     wave_norm = 0.9 if args.wave_norm is None else args.wave_norm
     if args.wave_steps and not 0.0 < wave_norm < 1.0:
         raise ValueError(f"--wave-norm must lie in (0, 1), got {wave_norm}")
-    domain = _build_domain(args)
+    domain = _build_domain(args, orbit=bool(args.wave_steps))
     payload = {
         "domain": domain.name,
         "grading": list(domain.grading),

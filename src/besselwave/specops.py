@@ -40,6 +40,7 @@ __all__ = [
     "torus_translation",
     "torus_quarter_turn",
     "discrete_wave_orbit",
+    "require_orbit_bytes",
 ]
 
 KERNEL_FLOOR = 1e-24
@@ -268,6 +269,11 @@ def discrete_wave_orbit(domain: SpectralDomain, h: float, u: np.ndarray, v: np.n
     return {"max_norm": max_norm, "bound": bound, "final": (final[0, :-1], final[1, :-1]), "dirac_norm": norm}
 
 
+def require_orbit_bytes(name: str, n: int, blocks: int, width: int) -> None:
+    """Refuse the wave orbit on an N-dimensional domain whose D_h is `blocks` (width, width) matrices, 16 M W^2 bytes."""
+    _require_bytes(f"the wave orbit on {name} (N = {n})", 16 * blocks * width * width)
+
+
 def _block_dirac(domain: SpectralDomain, profile: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """D t phi_{q+2}(t|D|) as one (M, W, W) matrix per block of every stack, and the (M, W) positions of its entries.
 
@@ -277,7 +283,7 @@ def _block_dirac(domain: SpectralDomain, profile: list[np.ndarray]) -> tuple[np.
     """
     width = max(sum(i.shape[1] for i in s.index) for s in domain.stacks)
     blocks = sum(len(s.index[0]) for s in domain.stacks)
-    _require_bytes(f"the wave orbit on {domain.name} (N = {domain.total_dim})", 16 * blocks * width * width)
+    require_orbit_bytes(domain.name, domain.total_dim, blocks, width)
     dh, pos = np.zeros((blocks, width, width)), np.full((blocks, width), domain.total_dim)
     first = 0
     for s in domain.stacks:

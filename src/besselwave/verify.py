@@ -55,16 +55,16 @@ def _rng(seed: int) -> np.random.Generator:
 
 def bessel_identities(qs, rs) -> tuple[float, float, float]:
     """Worst ODE residual, recursion-lemma defect (r <= 20) and closed-form deviation (n <= 5)."""
-    worst_ode = max(abs(besselfn.ode_residual(q, r)) for q in qs for r in rs)
-    worst_rec = 0.0
-    for q in qs:
-        for r in rs:
-            if r <= 20.0:
-                lhs = besselfn.phi_derivative(q + 2, r) * r**q + q * besselfn.phi(q + 2, r) * r ** (q - 1)
-                worst_rec = max(worst_rec, abs(lhs - q * besselfn.phi(q, r) * r ** (q - 1)))
-    worst_closed = max(
-        abs(besselfn.phi(n, r) - oracles.phi_closed_form(n, r)) for n in (1, 2, 3, 4, 5) for r in rs
-    )
+    worst_ode = worst_rec = worst_closed = 0.0
+    for r in rs:  # each (n, r) once, so one series sum serves every call at that point
+        near, phis, slopes = r <= 20.0, {}, {}
+        for n in sorted({*qs, *range(1, 6), *(q + 2 for q in qs if near)}):
+            phis[n], slopes[n] = besselfn.phi(n, r), besselfn.phi_derivative(n, r) if near and n - 2 in qs else 0.0
+            worst_ode = max(worst_ode, abs(besselfn.ode_residual(n, r)) if n in qs else 0.0)
+            worst_closed = max(worst_closed, abs(phis[n] - oracles.phi_closed_form(n, r)) if n <= 5 else 0.0)
+        for q in qs if near else ():
+            lhs = slopes[q + 2] * r**q + q * phis[q + 2] * r ** (q - 1)
+            worst_rec = max(worst_rec, abs(lhs - q * phis[q] * r ** (q - 1)))
     return worst_ode, worst_rec, worst_closed
 
 

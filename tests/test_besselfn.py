@@ -149,16 +149,41 @@ class TestPhi:
     def test_integer_series_matches_the_fraction_oracle(self):
         # The integer sums are rounded once by int / int; the oracle rounds
         # the same rationals as reduced Fractions, so the bits must agree.
+        # The sums multiply by the one-limb 2k(n - 2 + 2k) and shift by the exponent of r^2's power-of-two
+        # denominator; the oracle multiplies by the whole denominator.  The second grid has full 53-bit
+        # mantissas in [35, 40], integers (no shift) and tiny r (long shifts) at orders up to 401.
         points = [(n, float(r)) for n in range(1, 61) for r in np.linspace(0.0, 40.0, 49)[1:]]
-        for n, r in points + [(100, 45.0), (90, 41.0)]:
-            p0, p1, p2 = series_sums_fraction(n, r)
-            assert repr(phi(n, r)) == repr(float(p0)), (n, r)
-            assert repr(psi(n, r)) == repr(r * float(p0)), (n, r)
-            if r > besselfn.SERIES_CUTOFF:
-                continue
-            assert repr(phi_derivative(n, r)) == repr(float(p1)), (n, r)
-            assert repr(phi_derivative(n, -r)) == repr(float(series_sums_fraction(n, -r)[1])), (n, r)
-            assert repr(ode_residual(n, r)) == repr(float(p2 + (n - 1) * p1 / Fraction(r) + p0)), (n, r)
+        radii = [float(r) for r in np.random.default_rng(29).uniform(35.0, 40.0, 6)] + [1.0, 7.0, 40.0]
+        radii += [float(r) for r in np.random.default_rng(30).uniform(0.0, 1e-3, 2)] + [1e-3, 2.0**-40, 5e-324]
+        points += [(n, r) for n in [*range(1, 16), 21, 101, 401] for r in radii]
+        for n, x in points + [(100, 45.0), (90, 41.0)]:
+            for r in (x, -x):
+                p0, p1, p2 = series_sums_fraction(n, r)
+                assert repr(phi(n, r)) == repr(float(p0)), (n, r)
+                assert repr(psi(n, r)) == repr(r * float(p0)), (n, r)
+                if abs(r) > besselfn.SERIES_CUTOFF:
+                    continue
+                assert repr(phi_derivative(n, r)) == repr(float(p1)), (n, r)
+                if r > 0.0:
+                    assert repr(ode_residual(n, r)) == repr(float(p2 + (n - 1) * p1 / Fraction(r) + p0)), (n, r)
+
+    def test_one_entry_memo(self):
+        # One sum serves phi, psi, phi' and the residual at one (n, |r|); it is kept for one point only.
+        assert besselfn._series_sums.cache_info().maxsize == 1
+        points = [(7, 36.123456789), (7, 2.5), (12, 36.123456789)]
+        fresh = {}
+        for n, r in points:
+            besselfn._series_sums.cache_clear()
+            fresh[n, r] = [repr(f(n, r)) for f in (phi, psi, phi_derivative, ode_residual)]
+        besselfn._series_sums.cache_clear()
+        for n, r in points * 3:  # every visit follows another point, so each one sums the series again
+            misses = besselfn._series_sums.cache_info().misses
+            assert [repr(f(n, r)) for f in (phi, psi, phi_derivative, ode_residual)] == fresh[n, r]
+            assert besselfn._series_sums.cache_info().misses == misses + 1
+        for n, r in points:  # phi' is odd through the entry it shares with |r|
+            misses = besselfn._series_sums.cache_info().misses
+            assert phi_derivative(n, -r) == -phi_derivative(n, r)
+            assert besselfn._series_sums.cache_info().misses == misses + 1
 
 
 class TestPhiArray:

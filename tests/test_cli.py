@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from besselwave import besselfn, huygens, specops, verify
+from besselwave import besselfn, cli, huygens, specops, verify
 from besselwave.cli import main
 from besselwave.domains import SimplicialComplex
 
@@ -169,16 +169,34 @@ class TestSpectral:
         assert json.loads(out)["betti"]["by_degree"] == [1, 2, 1]
         assert len(calls) <= 2
 
+    @staticmethod
+    def torus_complex(tmp_path, n: int) -> str:
+        """A JSON file of the n x n triangulated torus: (n^2, 3 n^2, 2 n^2) simplices."""
+        v = [[(i % n) * n + j % n for j in range(n + 1)] for i in range(n + 1)]
+        faces = [f for i in range(n) for j in range(n)
+                 for f in ([v[i][j], v[i + 1][j], v[i + 1][j + 1]], [v[i][j], v[i][j + 1], v[i + 1][j + 1]])]
+        path = tmp_path / f"torus{n}.json"
+        path.write_text(json.dumps(SimplicialComplex.from_maximal(faces).to_json()))
+        return str(path)
+
     def test_oversized_complex_is_refused(self, capsys, tmp_path):
         # the 100 x 100 triangulated torus: (10000, 30000, 20000) simplices, a 7.2 GB W_1
-        v = [[(i % 100) * 100 + j % 100 for j in range(101)] for i in range(101)]
-        faces = [f for i in range(100) for j in range(100)
-                 for f in ([v[i][j], v[i + 1][j], v[i + 1][j + 1]], [v[i][j], v[i][j + 1], v[i + 1][j + 1]])]
-        path = tmp_path / "torus100.json"
-        path.write_text(json.dumps(SimplicialComplex.from_maximal(faces).to_json()))
-        code, out, err = run_cli(capsys, "spectral", "--domain", "simplicial", "--complex", str(path))
+        code, out, err = run_cli(capsys, "spectral", "--domain", "simplicial", "--complex",
+                                 self.torus_complex(tmp_path, 100))
         assert code == 2 and out == ""
         assert err.startswith("error: a complex of (10000, 30000, 20000) simplices needs"), err
+
+    def test_oversized_orbit_is_refused_before_the_build(self, capsys, tmp_path, monkeypatch):
+        # The 27 x 27 torus builds under the cap, but its orbit's D_h, 16 N^2 bytes at N = 4374, does not:
+        # the request is refused from the simplex counts, without building the domain.
+        def no_build(complex_):
+            raise AssertionError("the domain was built before the orbit was charged")
+
+        monkeypatch.setattr(cli, "build_simplicial_domain", no_build)
+        code, out, err = run_cli(capsys, "spectral", "--domain", "simplicial", "--complex",
+                                 self.torus_complex(tmp_path, 27), "--wave-steps", "5", "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: the wave orbit on simplicial (N = 4374) needs 306110016 bytes"), err
 
     def test_missing_complex_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectral", "--domain", "simplicial")
@@ -209,6 +227,14 @@ class TestWave:
         header, rows = csv_rows(out)
         assert [row[0] for row in rows] == ["0.3", "0.7", "1.3"]
         assert all(float(row[header.index("norm")]) > 1e-3 for row in rows)
+
+    @pytest.mark.parametrize("kind", ["velocity", "position", "classical"])
+    def test_simplicial_torus(self, capsys, tmp_path, kind):
+        # wave builds its domain without the orbit charge that spectral --wave-steps makes
+        code, out, err = run_cli(capsys, "wave", "--domain", "simplicial", "--kind", kind,
+                                 "--complex", TestSpectral.torus_complex(tmp_path, 4))
+        assert code == 0, err
+        assert [row[0] for row in csv_rows(out)[1]] == ["0.3", "0.7", "1.3"]
 
     EDGES = [
         (("--kind", "velocity", "--q", "-1"), "velocity solution needs q >= 1, got q=-1"),

@@ -169,13 +169,18 @@ def test_the_calculus_reads_roots_from_the_spectrum():
 
 def test_one_byte_budget_charged_in_one_place():
     # SIZE_CAP_BYTES is the one cap; _require_bytes is the one place domains raises DomainSizeError, and the
-    # trig build, the simplicial build and the wave orbit's D_h each charge it.
+    # trig build, the simplicial build and the wave orbit's D_h each charge it.  The orbit's charge is worked
+    # out in specops.require_orbit_bytes alone: _block_dirac calls it on a built domain, the CLI on a complex.
     assert [name for name in vars(domains) if name.endswith("_CAP_BYTES")] == ["SIZE_CAP_BYTES"]
 
-    def callers(path, name):
-        return [f"{path.name}:{owner}" for owner, node in _references(path)
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+    def callers(module, name):
+        path = Path(module.__file__)
+        return [f"{path.name}:{owner}" for owner, node in _references(path) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
 
-    assert callers(Path(domains.__file__), "DomainSizeError") == ["domains.py:_require_bytes"]
-    charged = callers(Path(domains.__file__), "_require_bytes") + callers(Path(specops.__file__), "_require_bytes")
-    assert sorted(charged) == ["domains.py:_trig_domain", "domains.py:build_simplicial_domain", "specops.py:_block_dirac"]
+    assert callers(domains, "DomainSizeError") == ["domains.py:_require_bytes"]
+    charged = [site for m in (domains, specops, cli) for site in callers(m, "_require_bytes")]
+    assert sorted(charged) == ["domains.py:_trig_domain", "domains.py:build_simplicial_domain",
+                               "specops.py:require_orbit_bytes"]
+    orbit = [site for m in (domains, specops, cli) for site in callers(m, "require_orbit_bytes")]
+    assert sorted(orbit) == ["cli.py:_build_domain", "specops.py:_block_dirac"]
