@@ -102,18 +102,16 @@ class Stack:
     modes: np.ndarray | None = None
 
     def even(self, k: int, values: np.ndarray, xb: np.ndarray) -> np.ndarray:
-        """g(sqrt L_k) on block operands xb, (B, w_k, c), from the degree's values = g(sqrt mu_k).
+        """g(sqrt L_k) on block operands xb, (B, w_k, cols), from the degree's values = g(sqrt mu_k).
 
-        W (v W^T x) for a square basis W, else g(0) x + W ((v - g(0)) W^T x) over W's r_k columns.
+        c x + W ((v - c) W^T x) over W's r_k columns, with c the degree's last value: g(0) where W is
+        not square, as that spectrum ends in zeros, and any c where W W^T = 1, giving W v W^T x.
         """
         v, w = values[self.index[k]][..., None], self.basis[k]
         if w is None:
             return v * xb
-        r = w.shape[2]
-        if r == v.shape[1]:
-            return w @ (v * (np.swapaxes(w, 1, 2) @ xb))
-        g0 = v[:, r:r + 1]  # the spectrum past W's columns is 0
-        return g0 * xb + w @ ((v[:, :r] - g0) * (np.swapaxes(w, 1, 2) @ xb))
+        c = v[:, -1:]
+        return c * xb + w @ ((v[:, :w.shape[2]] - c) * (np.swapaxes(w, 1, 2) @ xb))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .domains import Cochain, SpectralDomain, spectrum_by_degree
+from .domains import Cochain, SpectralDomain
 from .specops import _profile
 
 __all__ = [
@@ -246,7 +246,7 @@ def residual_step(solution: WaveSolution) -> float:
     so a fixed step of 1e-3 reports more than 1e-6 for an exact solution
     once |lambda| passes ~20; holding dt |lambda| <= 0.005 keeps it far below.
     """
-    lam = math.sqrt(spectrum_by_degree(solution.domain, solution.degree)[-1])
+    lam = math.sqrt(solution.domain.laplacian_spectrum(solution.degree).max())
     return min(1e-3, 0.005 / lam) if lam > 0.0 else 1e-3
 
 

@@ -463,6 +463,34 @@ def test_large_r_row_fails_on_the_wrong_order(monkeypatch):
     assert row.status == "fail" and row.measured > 0.4
 
 
+def _eigenvector_row():
+    return next(c for c in verify.suite_spectral(42, True) if c.name == "eigenvector_preservation")
+
+
+def test_eigenvector_row_fails_on_the_wrong_profile_order(monkeypatch):
+    # d_t built from phi_{n-2} in place of phi_n no longer scales D's eigenvectors by psi_{q+2}(t lambda).
+    profile = specops._profile
+    monkeypatch.setattr(specops, "_profile", lambda n, t, radii: profile(n - 2, t, radii))
+    row = _eigenvector_row()
+    assert row.status == "fail" and row.measured > 1.0
+
+
+def test_eigenvector_row_fails_on_a_wrong_spectrum(monkeypatch):
+    # torus2's degree-1 spectrum rolled by one place: e_j no longer pairs with its own mu_j, while D e_j comes
+    # from apply_d, which does not read the spectrum.
+    build = verify.build_torus_domain
+
+    def rolled(q, max_freq):
+        dom = build(q, max_freq)
+        spectra = list(dom.spectra)
+        spectra[1] = np.roll(spectra[1], 1)
+        return dataclasses.replace(dom, spectra=tuple(spectra))
+
+    monkeypatch.setattr(verify, "build_torus_domain", rolled)
+    row = _eigenvector_row()
+    assert row.status == "fail" and row.measured > 0.1
+
+
 def test_dalembert_row_fails_on_rounded_roots(monkeypatch):
     # Radii rounded to 12 decimals move d_t on the circle by ~1e-13, inside 1e-12 but not 1e-14.
     profile = specops._profile

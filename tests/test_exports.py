@@ -47,9 +47,20 @@ def test_dense_views_are_read_only_in_domains():
     assert readers == []
 
 
+EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh", "svd"}
+
+
 def test_spectral_domain_has_no_dense_laplacian():
-    # L_k is read through laplacian_spectrum and even_apply; the dense matrix is a test oracle.
+    # L_k is read through laplacian_spectrum and even_apply; the dense matrix is a test oracle.  The one
+    # eigensolver in the package is eigh: the Hodge split's, and the benchmark's dense view of D.
     assert not hasattr(SpectralDomain, "laplacian")
+    sites = [
+        f"{path.name}:{owner} {node.attr}"
+        for path in sorted(Path(besselwave.__file__).parent.glob("*.py"))
+        for owner, node in _references(path)
+        if isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS
+    ]
+    assert sites == ["domains.py:_dirac_eigh eigh", "domains.py:build_simplicial_domain eigh"]
 
 
 def test_geomfront_integrates_without_a_fixed_step_path():
