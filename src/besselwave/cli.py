@@ -142,8 +142,7 @@ def _cmd_spectral(args) -> int:
     if args.wave_steps:
         # |psi_n(x)| <= |x|, so h = wave_norm / max|lambda| keeps ||D_h|| <= wave_norm for
         # every q; a zero spectrum has D_h = 0 for every h.
-        top = max(float(domain.laplacian_spectrum(k).max()) for k in range(domain.top_degree + 1))
-        h = wave_norm / (math.sqrt(top) or 1.0)
+        h = wave_norm / (float(domain.roots[0][-1]) or 1.0)
         rng = np.random.default_rng(np.random.Philox(args.seed))
         orbit = verify.wave_map_orbit(domain, h, rng, args.wave_steps)
         payload["wave_orbit"] = {

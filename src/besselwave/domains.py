@@ -9,7 +9,7 @@ form a `Stack`, and d, its adjoint, the even calculus g(sqrt L_k) of
 `even_apply` and the isometries of `torus_pullback` act stack by stack.  A
 trig domain knows its spectrum mu = 4 pi^2 |m|^2 by construction; a simplicial
 one eigensolves the smaller Gram matrix of each d_k, its harmonic zeros exact by
-construction, so every spectrum is >= 0 and |lambda| = sqrt(mu).
+construction, so every spectrum is >= 0 and |lambda| = sqrt(mu), tabled once in `roots` for every operator.
 Every request, the wave orbit's N x N `D_h` on a complex too, is charged against
 one byte budget by `_require_bytes` before anything of its size is allocated.
 """
@@ -163,6 +163,13 @@ class SpectralDomain:
         vec = np.zeros(self.total_dim)
         vec[self.degree_slice(c.degree)] = c.coefficients
         return vec
+
+    @cached_property
+    def roots(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The distinct |lambda| = sqrt(mu) over every degree, ascending, and each degree's index into them; read-only."""
+        radii, index = np.unique(np.sqrt(np.concatenate(self.spectra)), return_inverse=True)
+        radii.setflags(write=False), index.setflags(write=False)
+        return radii, tuple(np.split(index, self.offsets[1:]))
 
     def laplacian_spectrum(self, k: int) -> np.ndarray:
         """mu_k, the eigenvalues of L_k in the order `even_apply` reads them; read-only."""

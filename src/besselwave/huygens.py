@@ -9,11 +9,10 @@ averages as a polynomial identity (ball: n = q + 2, sphere: n = q).  The
 flux of a (q-1)-form through the sphere is the sphere average of its radial
 contraction, one power of t lower.
 
-The numeric side probes sharp wave fronts: a band-limited radial bump is
-propagated on a flat torus with the bounded smoothed-derivative multiplier
-and with the classical sinc multiplier, and the interior leakage fractions
-are compared.  The grids are open (1-D axes broadcast against each other);
-each gradient component is one real inverse FFT of its half-spectrum.
+The numeric side probes sharp wave fronts: a band-limited radial bump is propagated on a flat torus with the
+bounded smoothed-derivative multiplier and with the classical sinc multiplier, each evaluated once per integer
+level |m|^2 of the band, and the interior leakage fractions are compared.  The grids are open (1-D axes
+broadcast against each other); each gradient component is one real inverse FFT of its half-spectrum.
 """
 
 from __future__ import annotations
@@ -323,11 +322,12 @@ def locality_probe(
     # real, so the last frequency axis keeps only its non-negative half.  fftfreq(n, 1/n) misses the
     # integers by an ulp for some n (49, 98, ...), hence the rounding.
     modes = np.ix_(*([np.fft.fftfreq(n, d=1.0 / n).round()] * (q - 1) + [np.fft.rfftfreq(n, d=1.0 / n).round()]))
-    m_sq = sum(m**2 for m in modes)
     band = reduce(np.maximum, (np.abs(m) for m in modes)) <= max_freq
     # the bump is exactly 0 out of band, so the multipliers are only needed there
-    bump_hat = np.exp(-2.0 * math.pi**2 * sigma**2 * m_sq[band])
-    lam = 2.0 * math.pi * np.sqrt(m_sq[band])
+    m_sq = sum(m**2 for m in modes)[band].astype(int)
+    bump_hat = np.exp(-2.0 * math.pi**2 * sigma**2 * m_sq)
+    occurs = np.bincount(m_sq) > 0  # phi runs once, on 2 pi sqrt(j) for each integer level j = |m|^2 that occurs
+    lam, level = 2.0 * math.pi * np.sqrt(np.flatnonzero(occurs)), (np.cumsum(occurs) - 1)[m_sq]
 
     wrapped = ((np.arange(n) + n // 2) % n - n // 2) / n
     radius = np.sqrt(sum(c**2 for c in np.ix_(*([wrapped] * q))))
@@ -337,7 +337,7 @@ def locality_probe(
 
     def leakage_and_profile(order):
         field_hat = np.zeros(band.shape)
-        field_hat[band] = t * _profile(order, t, lam) * bump_hat
+        field_hat[band] = t * _profile(order, t, lam)[level] * bump_hat
         # one real inverse FFT per gradient component; its scale cancels in both ratios
         density = sum(np.fft.irfftn(2.0j * math.pi * m * field_hat, s=(n,) * q, axes=range(q)) ** 2 for m in modes)
         total = density.sum()

@@ -4,13 +4,10 @@ Every operator here is an even function g(sqrt L) of the Hodge Laplacian,
 composed with d, d^* or D: the bounded derivative d_t = t phi_{q+2}(tD) d and
 its adjoint, the norm of D_t, kernel (Betti) counting with a spectral-gap
 guard, symmetry commutators and the norm-contractive discrete wave map; the
-Bessel index is the domain's q.  |lambda| on degree k is sqrt(mu_k), read
-straight from the domain's spectrum, which holds no negative value.
-`functional_calculus` applies g(sqrt L_k) through the domain's `even_apply`,
-evaluating g once per distinct root of the spectrum, so the result is even
-by construction and keeps its degree.
-The profile phi_n(t r) of every operator comes from `_profile`, one
-`besselfn.phi_array` call on the distinct roots of a request.
+Bessel index is the domain's q.  Each reads its values by index on the domain's `roots`, the distinct
+|lambda| = sqrt(mu) of all degrees: `_profile` is one `besselfn.phi_array` call on that table, and
+`functional_calculus` runs g on the roots of u's degree through `even_apply`, so its result is even by
+construction and keeps its degree.
 Every array here is per block, so none is N x N on a trig domain: d acts
 through `apply_d`, and the commutator and the orbit act on the stacks; the
 orbit's `D_h`, N x N on a simplicial complex, is charged against the size cap
@@ -66,33 +63,29 @@ class WaveMapNormError(ValueError):
         super().__init__(f"discrete wave map needs ||D_h|| < 1, measured {measured:.6f}")
 
 
-def _even_values(g, radii: np.ndarray) -> np.ndarray:
-    """g(|x|) for every entry of radii, from one call of g on the array of distinct |x|."""
-    radii = np.abs(radii)
-    uniq = np.unique(radii)  # sorted, so searchsorted finds each radius in it
-    vals = np.asarray(g(uniq), dtype=float)
-    if not np.isfinite(vals).all():
-        raise ValueError("scalar function is not finite on the spectrum")
-    return vals[uniq.searchsorted(radii)]
-
-
 def _profile(n: int, t: float, radii: np.ndarray) -> np.ndarray:
-    """phi_n(t r) for every entry r of radii, from one besselfn.phi_array call on the distinct t |r|.
+    """phi_n(t r) for every entry r of radii, from one besselfn.phi_array call on exactly those radii.
 
-    This is the calculus's one profile: d_t, the wave families and the probe multipliers all come from here.
+    This is the calculus's one profile: d_t, the wave families and the probe multipliers all come from here,
+    each caller passing distinct radii (a domain's `roots`, the probe's |m|^2 levels), so phi runs once per root.
     """
     if not math.isfinite(t):  # t * 0 would be NaN
         raise ValueError(f"deformation parameter t must be finite, got {t}")
-    return _even_values(lambda r: besselfn.phi_array(n, t * r), radii)
+    return besselfn.phi_array(n, t * radii)
 
 
 def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
     """g(sqrt L) u for a pure-degree cochain u; the result has u's degree.
 
-    Costs O(n_k) on a trig domain and O(n_k^2) on a simplicial one.
+    g runs once on each root of `laplacian_spectrum(u.degree)`.  Costs O(n_k) on a trig domain, O(n_k^2) on a complex.
     """
-    vals = _even_values(lambda roots: [g(float(r)) for r in roots], np.sqrt(domain.laplacian_spectrum(u.degree)))
-    return Cochain(u.degree, domain.even_apply(u.degree, vals, u.coefficients))
+    radii, index = domain.roots
+    at = index[domain.check_degree(u.degree)]
+    used, vals = np.bincount(at, minlength=radii.size) > 0, np.zeros(radii.size)
+    vals[used] = [g(float(r)) for r in radii[used]]
+    if not np.isfinite(vals).all():
+        raise ValueError("scalar function is not finite on the spectrum")
+    return Cochain(u.degree, domain.even_apply(u.degree, vals[at], u.coefficients))
 
 
 def _deformed_values(domain: SpectralDomain, t: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -100,14 +93,14 @@ def _deformed_values(domain: SpectralDomain, t: float) -> tuple[list[np.ndarray]
 
     |psi_{q+2}(t |lambda|)| are the singular values of D_t, so they carry its
     norm and, squared, the spectrum of L_t on each degree; t phi_{q+2} is the
-    even factor of D_t = D t phi_{q+2}(t|D|).  phi is evaluated once per
-    distinct root over all degrees.
+    even factor of D_t = D t phi_{q+2}(t|D|).  phi is evaluated once on the
+    domain's root table and each degree reads its entries by index.
     """
-    roots = [np.sqrt(domain.laplacian_spectrum(k)) for k in range(domain.top_degree + 1)]
-    radii, cuts = np.concatenate(roots), np.cumsum([r.size for r in roots])[:-1]
+    radii, index = domain.roots
     phi = _profile(domain.q + 2, t, radii)
     # psi_n(x) = x phi_n(x) with x = t r formed first, as besselfn.psi evaluates it
-    return np.split(t * radii * phi, cuts), np.split(t * phi, cuts)
+    psi, even = t * radii * phi, t * phi
+    return [psi[i] for i in index], [even[i] for i in index]
 
 
 def deformed_d(domain: SpectralDomain, t: float, u: Cochain) -> Cochain:
@@ -129,7 +122,8 @@ def deformed_d_adjoint(domain: SpectralDomain, t: float, w: Cochain) -> Cochain:
 
 def _bounded(domain: SpectralDomain, t: float, k: int, x: np.ndarray) -> Cochain:
     """t phi_{q+2}(t sqrt L_k) x for x of degree k."""
-    return Cochain(k, domain.even_apply(k, t * _profile(domain.q + 2, t, np.sqrt(domain.laplacian_spectrum(k))), x))
+    radii, index = domain.roots
+    return Cochain(k, domain.even_apply(k, (t * _profile(domain.q + 2, t, radii))[index[k]], x))
 
 
 def deformed_dirac_norm(domain: SpectralDomain, t: float) -> float:

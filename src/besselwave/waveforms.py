@@ -199,13 +199,13 @@ class WaveSolution:
     def at(self, t: float) -> Cochain:
         if not math.isfinite(t):
             raise ValueError(f"a wave solution needs a finite time, got {t}")
-        dom, roots = self.domain, np.sqrt(self.domain.laplacian_spectrum(self.degree))
+        dom, (radii, index) = self.domain, self.domain.roots
         # classical is the q = 1 pair: the position family on u0 plus the velocity family on v0
         rows = (("position", self.u0), ("velocity", self.v0)) if self.kind == "classical" else ((self.kind, self.u0),)
         parts = []
         for kind, u in rows:
             offset, power = _FAMILIES[kind]
-            profile = _profile(self.q + offset, t, roots)
+            profile = _profile(self.q + offset, t, radii)[index[self.degree]]
             parts.append(dom.even_apply(self.degree, t**power * profile if power else profile, u.coefficients))
         return Cochain(self.degree, reduce(np.add, parts))
 

@@ -329,6 +329,34 @@ class TestHodgeSplit:
                                     specops.deformed_d_adjoint(want, t, u).coefficients) <= 1e-12, (k, t)
 
 
+class TestRootTable:
+    """Every operator on a domain reads phi on one table of distinct roots, so all of them see the same bits."""
+
+    @pytest.fixture(scope="class")
+    def sphere(self):
+        return build_simplicial_domain(SimplicialComplex.from_maximal(stellar_sphere(7, 90)))
+
+    @pytest.mark.parametrize("t", [0.3, 1.7, 2.9])
+    def test_deformed_d_reads_the_profile_of_d_t(self, sphere, t, rng):
+        # The degree-2 roots of the sphere are a subset of the domain's; phi on that subset alone differs in
+        # its last bits (Miller's start order follows the largest argument of a call).
+        u = sphere.cochain(1, rng.standard_normal(sphere.grading[1]))
+        want = sphere.even_apply(2, specops._deformed_values(sphere, t)[1][2], sphere.apply_d(1, u.coefficients))
+        assert specops.deformed_d(sphere, t, u).coefficients.tolist() == want.tolist()
+
+    def test_functional_calculus_runs_g_on_the_roots_of_one_degree(self, sphere, rng):
+        # beta_1 = 0, so no degree-1 root is 0 and 1/r is finite there; degree 0 has the constants, at root 0.
+        # The domain's table holds 0 too (degrees 0 and 2), so g must run on the roots of u's degree only.
+        def inverse(r):
+            return 1.0 / r if r else math.inf
+
+        u = sphere.cochain(1, rng.standard_normal(sphere.grading[1]))
+        back = specops.functional_calculus(sphere, lambda r: r, specops.functional_calculus(sphere, inverse, u))
+        assert np.linalg.norm(back.coefficients - u.coefficients) <= 1e-12 * u.norm()
+        with pytest.raises(ValueError, match="not finite"):
+            specops.functional_calculus(sphere, inverse, sphere.cochain(0, rng.standard_normal(sphere.grading[0])))
+
+
 class TestPerDegreeLaplacian:
     def test_blocks_of_dirac_squared(self, circle4, torus3):
         octa = build_simplicial_domain(SimplicialComplex.from_maximal(

@@ -113,8 +113,9 @@ def _references(path: Path):
 
 
 def test_the_calculus_evaluates_the_profile_only_in_specops_profile():
-    # specops._profile is the one seam where phi_n(t r) is evaluated for d_t, the wave families and the probe,
-    # and _even_values stays private to specops.
+    # specops._profile is the one seam where phi_n(t r) is evaluated for d_t, the wave families and the probe.
+    # It is one phi_array call on the radii it is given: which roots phi runs on belongs to the owner of each
+    # spectrum (a domain's `roots`, the probe's |m| levels), so no module keeps a per-call dedupe `_even_values`.
     package = Path(besselwave.__file__).parent
     phi_sites = [
         f"{name}:{owner}"
@@ -125,13 +126,20 @@ def test_the_calculus_evaluates_the_profile_only_in_specops_profile():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("besselfn"))
     ]
     assert phi_sites == ["specops.py:_profile"]
-    even_sites = {
-        path.name
-        for path in package.glob("*.py")
-        for _, node in _references(path)
-        if "_even_values" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
-    }
-    assert even_sites == {"specops.py"}
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_even_values" not in defined
+    modules = {path[:-3] for path in trees}
+    profile = next(node for node in trees["specops.py"].body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_profile")
+    package_calls = [
+        f"{node.func.value.id}.{node.func.attr}" if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(profile)
+        if isinstance(node, ast.Call)
+        and ((isinstance(node.func, ast.Attribute) and getattr(node.func.value, "id", None) in modules)
+             or (isinstance(node.func, ast.Name) and node.func.id in defined))
+    ]
+    assert package_calls == ["besselfn.phi_array"]
 
 
 def test_phi_array_runs_one_method_below_the_recurrence_range():
