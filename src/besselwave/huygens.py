@@ -12,7 +12,8 @@ contraction, one power of t lower.
 The numeric side probes sharp wave fronts: a band-limited radial bump is propagated on a flat torus with the
 bounded smoothed-derivative multiplier and with the classical sinc multiplier, each evaluated once per integer
 level |m|^2 of the band, and the interior leakage fractions are compared.  The grids are open (1-D axes
-broadcast against each other); each gradient component is one real inverse FFT of its half-spectrum.
+broadcast against each other); the field is symmetric under every swap of axes, so each propagator takes one
+real inverse FFT of its half-spectrum, for the gradient component along the first axis.
 """
 
 from __future__ import annotations
@@ -245,8 +246,8 @@ def polarization_normalization(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# About 60 bytes per grid point are live at the peak (tracemalloc, 512^2 and
-# 128^3 grids), so a probe at the cap stays near 120 MiB.
+# At most 50 bytes per grid point are live at the peak (tracemalloc: 47.8 at
+# 64^3, 42.6 at 128^3, 42.8 at 512^2), so a probe at the cap stays under 100 MiB.
 PROBE_GRID_CAP = 2**21
 PROBE_BINS = 64
 
@@ -286,6 +287,14 @@ def locality_probe(
     the probe returns unresolved instead of a verdict).  The grid doubles
     until it resolves the band limit; one above PROBE_GRID_CAP points raises
     DomainSizeError.
+
+    Each propagator takes one inverse FFT.  The bump is radial, the band
+    max_a |m_a| <= max_freq is a cube, each multiplier depends on |m|^2
+    alone, and the grid has n points on every axis with n >= 2 max_freq + 2,
+    so no in-band mode sits on a Nyquist frequency.  The field g is then
+    symmetric under every swap of axes, d_a g(x) = d_0 g(P_a x) with P_a
+    swapping axes 0 and a, and the gradient density is
+    sum_a swapaxes((d_0 g)^2, 0, a).
     """
     if q not in (2, 3):
         raise ValueError("locality probe supports q in {2, 3}")
@@ -336,10 +345,15 @@ def locality_probe(
     bins = (edges.searchsorted(radius, side="right") - 1).ravel()
 
     def leakage_and_profile(order):
-        field_hat = np.zeros(band.shape)
+        # F = d_0 g from one real inverse FFT, |grad g|^2 = sum_a swapaxes(F^2, 0, a); its scale cancels in both ratios
+        field_hat = np.zeros(band.shape, dtype=complex)
         field_hat[band] = t * _profile(order, t, lam)[level] * bump_hat
-        # one real inverse FFT per gradient component; its scale cancels in both ratios
-        density = sum(np.fft.irfftn(2.0j * math.pi * m * field_hat, s=(n,) * q, axes=range(q)) ** 2 for m in modes)
+        field_hat *= 2.0j * math.pi * modes[0]
+        grad = np.fft.irfftn(field_hat, s=(n,) * q, axes=range(q))
+        grad *= grad
+        density = grad + np.swapaxes(grad, 0, 1)
+        for a in range(2, q):
+            density += np.swapaxes(grad, 0, a)
         total = density.sum()
         profile = np.bincount(bins, weights=density.ravel(), minlength=PROBE_BINS)
         return float(density[interior].sum() / total), profile / total

@@ -7,7 +7,8 @@ guard, symmetry commutators and the norm-contractive discrete wave map; the
 Bessel index is the domain's q.  Each reads its values by index on the domain's `roots`, the distinct
 |lambda| = sqrt(mu) of all degrees: `_profile` is one `besselfn.phi_array` call on that table, and
 `functional_calculus` runs g on the roots of u's degree through `even_apply`, so its result is even by
-construction and keeps its degree.
+construction and keeps its degree.  The norm of D_t and the Betti threshold read their maximum off the table,
+and each degree gathers only its own entries.
 Every array here is per block, so none is N x N on a trig domain: d acts
 through `apply_d`, and the commutator and the orbit act on the stacks; the
 orbit's `D_h`, N x N on a simplicial complex, is charged against the size cap
@@ -88,18 +89,24 @@ def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:
     return Cochain(u.degree, domain.even_apply(u.degree, vals[at], u.coefficients))
 
 
-def _deformed_values(domain: SpectralDomain, t: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """psi_{q+2}(t sqrt mu_k) and t phi_{q+2}(t sqrt mu_k) for every degree k.
+def _deformed_table(domain: SpectralDomain, t: float) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """psi_{q+2}(t r) and t phi_{q+2}(t r) on the domain's root table r, and each degree's index into it.
 
     |psi_{q+2}(t |lambda|)| are the singular values of D_t, so they carry its
     norm and, squared, the spectrum of L_t on each degree; t phi_{q+2} is the
     even factor of D_t = D t phi_{q+2}(t|D|).  phi is evaluated once on the
-    domain's root table and each degree reads its entries by index.
+    table, which holds every root of every degree, so a maximum over all
+    degrees is a maximum over the table.
     """
     radii, index = domain.roots
     phi = _profile(domain.q + 2, t, radii)
     # psi_n(x) = x phi_n(x) with x = t r formed first, as besselfn.psi evaluates it
-    psi, even = t * radii * phi, t * phi
+    return t * radii * phi, t * phi, index
+
+
+def _deformed_values(domain: SpectralDomain, t: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """psi_{q+2}(t sqrt mu_k) and t phi_{q+2}(t sqrt mu_k) for every degree k, read from `_deformed_table`."""
+    psi, even, index = _deformed_table(domain, t)
     return [psi[i] for i in index], [even[i] for i in index]
 
 
@@ -128,11 +135,11 @@ def _bounded(domain: SpectralDomain, t: float, k: int, x: np.ndarray) -> Cochain
 
 def deformed_dirac_norm(domain: SpectralDomain, t: float) -> float:
     """Operator norm of D_t, max over degrees of |psi_{q+2}(t sqrt mu_k)|."""
-    return _max_abs(_deformed_values(domain, t)[0])
+    return _max_abs(_deformed_table(domain, t)[0])
 
 
-def _max_abs(values: list[np.ndarray]) -> float:
-    return max(float(np.max(np.abs(v), initial=0.0)) for v in values)
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def betti(domain: SpectralDomain, t: float, degree: int, tol: float | None = None) -> int:
@@ -157,7 +164,7 @@ def _kernel_dims(domain: SpectralDomain, t: float, degrees, tol: float | None) -
     if tol is not None and not tol > 0:
         raise ValueError("tol must be positive")
     degrees = [domain.check_degree(k) for k in degrees]
-    psi, _ = _deformed_values(domain, t)
+    psi, _, index = _deformed_table(domain, t)
     lam_max = _max_abs(psi) ** 2
     if lam_max < KERNEL_FLOOR:
         return [domain.grading[k] for k in degrees]
@@ -165,7 +172,7 @@ def _kernel_dims(domain: SpectralDomain, t: float, degrees, tol: float | None) -
         tol = 1e-8 * lam_max
     dims = []
     for k in degrees:
-        evals = psi[k] ** 2
+        evals = psi[index[k]] ** 2
         nearby = evals[(evals > tol / 10.0) & (evals < tol * 10.0)]
         if nearby.size:
             raise SpectralGapError(
@@ -241,15 +248,15 @@ def discrete_wave_orbit(domain: SpectralDomain, h: float, u: np.ndarray, v: np.n
     """
     if steps < 0:
         raise ValueError(f"a wave orbit needs steps >= 0, got {steps}")
-    psi, profile = _deformed_values(domain, h)
+    psi, even, index = _deformed_table(domain, h)
     norm = _max_abs(psi)
     if norm >= 1.0:
         raise WaveMapNormError(norm)
     cu, cv = np.array(u, dtype=float), np.array(v, dtype=float)
-    weight = [1.0 / (1.0 - np.abs(a) / 2.0) for a in psi]
-    gu, gv = (np.concatenate([domain.even_apply(k, g, x[domain.degree_slice(k)]) for k, g in enumerate(weight)])
-              for x in (cu, cv))
-    pos, dh = _block_dirac(domain, profile)
+    weight = 1.0 / (1.0 - np.abs(psi) / 2.0)
+    gu, gv = (np.concatenate([domain.even_apply(k, weight[i], x[domain.degree_slice(k)])
+                              for k, i in enumerate(index)]) for x in (cu, cv))
+    pos, dh = _block_dirac(domain, [even[i] for i in index])
     su, sv, sg = (np.append(x, 0.0)[pos][..., None] for x in (cu, cv, gv))  # one (W, 1) column per block
     bound = math.sqrt(float(cu @ gu + cv @ gv - np.vdot(su, dh @ sg)))
     sq_u, sq_v = float(cu @ cu), float(cv @ cv)

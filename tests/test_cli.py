@@ -156,13 +156,13 @@ class TestSpectral:
     def test_one_profile_evaluation_per_request(self, capsys, monkeypatch):
         # the Betti table of every degree shares one profile evaluation, the commutator takes one more
         calls = []
-        deformed = specops._deformed_values
+        deformed = specops._deformed_table
 
         def counting(*args):
             calls.append(args)
             return deformed(*args)
 
-        monkeypatch.setattr(specops, "_deformed_values", counting)
+        monkeypatch.setattr(specops, "_deformed_table", counting)
         code, out, _ = run_cli(capsys, "spectral", "--domain", "torus2", "--max-freq", "3", "--t", "0.3",
                                "--symmetry", "quarter-turn", "--format", "json")
         assert code == 0

@@ -1,6 +1,7 @@
 """Averaging oracles, polarization identity, locality probe."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -261,7 +262,8 @@ class TestLocalityProbe:
         assert locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=128).grid == 128
         assert locality_probe(2, 8, 0.02, 0.3, 0.05).grid is None
 
-    @pytest.mark.parametrize("q, max_freq, sigma, grid", [(2, 32, 0.04, 128), (2, 32, 0.04, 131), (3, 24, 0.035, 32)])
+    @pytest.mark.parametrize("q, max_freq, sigma, grid", [(2, 32, 0.04, 128), (2, 32, 0.04, 131), (2, 32, 0.04, 67),
+                                                          (3, 24, 0.035, 32), (3, 24, 0.035, 51), (3, 24, 0.035, 49)])
     def test_matches_the_full_grid_oracle(self, q, max_freq, sigma, grid):
         result = locality_probe(q, max_freq, sigma, 0.3, 0.1, grid_points=grid)
         deformed, classical, radii, deformed_profile, classical_profile = locality_probe_full_grid(
@@ -272,6 +274,26 @@ class TestLocalityProbe:
         assert np.array_equal(result.radii, radii)
         np.testing.assert_allclose(result.deformed_profile, deformed_profile, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(result.classical_profile, classical_profile, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("q, max_freq, sigma, grid", [(2, 32, 0.04, 128), (3, 24, 0.035, 32)])
+    def test_one_inverse_fft_per_propagator(self, q, max_freq, sigma, grid, monkeypatch):
+        # the field is symmetric under axis swaps, so the gradient components along the other axes are transposes
+        irfftn, calls = np.fft.irfftn, []
+        monkeypatch.setattr(np.fft, "irfftn", lambda *a, **k: calls.append(a) or irfftn(*a, **k))
+        assert locality_probe(q, max_freq, sigma, 0.3, 0.1, grid_points=grid).resolved
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("q, max_freq, sigma, grid", [(3, 24, 0.035, 64), (2, 32, 0.04, 512)])
+    def test_peak_memory_per_grid_point(self, q, max_freq, sigma, grid):
+        # the figure PROBE_GRID_CAP's comment states: at most 50 bytes per grid point live at the peak
+        tracemalloc.start()
+        try:
+            result = locality_probe(q, max_freq, sigma, 0.3, 0.1, grid_points=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.grid == grid
+        assert peak <= 50 * grid**q
 
     def test_profile_masses_sum_to_one(self):
         result = locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=128)

@@ -199,6 +199,16 @@ class TestDeformedDirac:
                 dense = np.linalg.norm(oracle.deformed_dirac(t, dom.q + 2), 2)
                 assert deformed_dirac_norm(dom, t) == pytest.approx(dense, abs=1e-10)
 
+    @pytest.mark.parametrize("t", [0.3, 1.7])
+    def test_maxima_read_off_the_root_table(self, circle4, torus2, torus3, t):
+        # the root table holds every root of every degree, so its maximum is the one over the gathered degrees
+        octahedron = build_simplicial_domain(SimplicialComplex.from_maximal(OCTAHEDRON))
+        for dom in (circle4, torus2, torus3, octahedron):
+            psi = specops._deformed_values(dom, t)[0]
+            norm = max(float(np.max(np.abs(p), initial=0.0)) for p in psi)
+            assert deformed_dirac_norm(dom, t) == norm
+            assert betti_numbers(dom, t) == [int(np.sum(p**2 < 1e-8 * norm**2)) for p in psi]
+
     def test_one_profile_call_per_request(self, torus3, monkeypatch):
         # psi and t phi of every degree come from one _profile call, one phi_array call on the distinct t r
         t, n = 0.3, torus3.q + 2
