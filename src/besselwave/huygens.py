@@ -13,7 +13,7 @@ The numeric side probes sharp wave fronts: a band-limited radial bump is propaga
 bounded smoothed-derivative multiplier and with the classical sinc multiplier, each evaluated once per integer
 level |m|^2 of the band, and the interior leakage fractions are compared.  The grids are open (1-D axes
 broadcast against each other); the field is symmetric under every swap of axes, so each propagator takes one
-real inverse FFT of its half-spectrum, for the gradient component along the first axis.
+real inverse FFT, for the gradient along the first axis, whose squares are summed per grid level |k|^2.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ def polarization_normalization(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# At most 50 bytes per grid point are live at the peak (tracemalloc: 47.8 at
-# 64^3, 42.6 at 128^3, 42.8 at 512^2), so a probe at the cap stays under 100 MiB.
+# At most 42 bytes per grid point are live at the peak (tracemalloc: 38.9 at
+# 64^3, 33.6 at 128^3, 36.8 at 512^2), so a probe at the cap stays under 84 MiB.
 PROBE_GRID_CAP = 2**21
 PROBE_BINS = 64
 
@@ -293,8 +293,10 @@ def locality_probe(
     alone, and the grid has n points on every axis with n >= 2 max_freq + 2,
     so no in-band mode sits on a Nyquist frequency.  The field g is then
     symmetric under every swap of axes, d_a g(x) = d_0 g(P_a x) with P_a
-    swapping axes 0 and a, and the gradient density is
-    sum_a swapaxes((d_0 g)^2, 0, a).
+    swapping axes 0 and a.  Each radial mass of |grad g|^2 reads the integer
+    level |k|^2 of the wrapped offsets k, which P_a keeps, so it is q times
+    that of (d_0 g)^2: one weighted bincount per propagator.  The interior
+    is the exact test |k|^2 < ((t - annulus_width) n)^2.
     """
     if q not in (2, 3):
         raise ValueError("locality probe supports q in {2, 3}")
@@ -338,25 +340,23 @@ def locality_probe(
     occurs = np.bincount(m_sq) > 0  # phi runs once, on 2 pi sqrt(j) for each integer level j = |m|^2 that occurs
     lam, level = 2.0 * math.pi * np.sqrt(np.flatnonzero(occurs)), (np.cumsum(occurs) - 1)[m_sq]
 
-    wrapped = ((np.arange(n) + n // 2) % n - n // 2) / n
-    radius = np.sqrt(sum(c**2 for c in np.ix_(*([wrapped] * q))))
-    interior = radius < (t - annulus_width)
-    edges = np.linspace(0.0, float(radius.max()) + 1e-12, PROBE_BINS + 1)
-    bins = (edges.searchsorted(radius, side="right") - 1).ravel()
+    # the interior |k| / n < t - w is the integer test |k|^2 < bound; each level lands in the bin of its radius
+    k_sq = sum(np.ix_(*([((np.arange(n) + n // 2) % n - n // 2) ** 2] * q))).ravel()
+    bound = math.ceil(Fraction(t - annulus_width) ** 2 * n**2)
+    edges = np.linspace(0.0, math.sqrt(q * (n // 2 / n) ** 2) + 1e-12, PROBE_BINS + 1)  # the corner's radius
+    bin_of_level = edges.searchsorted(np.sqrt(np.arange(q * (n // 2) ** 2 + 1)) / n, side="right") - 1
 
     def leakage_and_profile(order):
-        # F = d_0 g from one real inverse FFT, |grad g|^2 = sum_a swapaxes(F^2, 0, a); its scale cancels in both ratios
+        # F = d_0 g from one real inverse FFT; sum_x w(|k|^2) |grad g|^2 = q sum_x w(|k|^2) F^2; q and scale cancel
         field_hat = np.zeros(band.shape, dtype=complex)
         field_hat[band] = t * _profile(order, t, lam)[level] * bump_hat
         field_hat *= 2.0j * math.pi * modes[0]
         grad = np.fft.irfftn(field_hat, s=(n,) * q, axes=range(q))
         grad *= grad
-        density = grad + np.swapaxes(grad, 0, 1)
-        for a in range(2, q):
-            density += np.swapaxes(grad, 0, a)
-        total = density.sum()
-        profile = np.bincount(bins, weights=density.ravel(), minlength=PROBE_BINS)
-        return float(density[interior].sum() / total), profile / total
+        mass = np.bincount(k_sq, weights=grad.ravel())
+        total = mass.sum()
+        profile = np.bincount(bin_of_level, weights=mass, minlength=PROBE_BINS)
+        return float(mass[:bound].sum() / total), profile / total
 
     (deformed_leak, deformed_profile), (classical_leak, classical_profile) = map(leakage_and_profile, (q + 2, 3))
     return LocalityProbeResult(True, None, tail, deformed_leak, classical_leak, 0.5 * (edges[:-1] + edges[1:]),

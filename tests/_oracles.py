@@ -480,7 +480,10 @@ def locality_probe_full_grid(q: int, max_freq: int, sigma: float, t: float, annu
 
     Returns (deformed_leakage, classical_leakage, radii, deformed_profile,
     classical_profile) for the grid of n points per axis the probe ran on.
-    Only the profile values come from the package (`specops._profile`).
+    Only the profile values come from the package (`specops._profile`).  The
+    interior |k| / n < t - annulus_width is decided in Python integers,
+    |k|^2 den < num with num / den = ((t - annulus_width) n)^2, so points on
+    the sphere stay outside; the histogram keeps the float radius.
     """
     freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     mesh = np.meshgrid(*([freqs] * q), indexing="ij")
@@ -491,10 +494,10 @@ def locality_probe_full_grid(q: int, max_freq: int, sigma: float, t: float, annu
     bump_hat = np.where(band, np.exp(-2.0 * math.pi**2 * sigma**2 * m_sq), 0.0)
     levels, inverse = np.unique(m_sq[band], return_inverse=True)
     lam = 2.0 * math.pi * np.sqrt(levels)
-    wrapped = ((np.arange(n) + n // 2) % n - n // 2) / n
-    coord = np.meshgrid(*([wrapped] * q), indexing="ij")
-    radius = np.sqrt(sum(c**2 for c in coord))
-    interior = radius < (t - annulus_width)
+    offsets = np.meshgrid(*([(np.arange(n) + n // 2) % n - n // 2] * q), indexing="ij")
+    radius = np.sqrt(sum((k / n) ** 2 for k in offsets))
+    num, den = ((Fraction(t - annulus_width) * n) ** 2).as_integer_ratio()
+    interior = sum(k.astype(object) ** 2 for k in offsets) * den < num
     edges = np.linspace(0.0, float(radius.max()) + 1e-12, PROBE_BINS + 1)
 
     leakages, profiles = [], []

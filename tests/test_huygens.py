@@ -262,12 +262,17 @@ class TestLocalityProbe:
         assert locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=128).grid == 128
         assert locality_probe(2, 8, 0.02, 0.3, 0.05).grid is None
 
-    @pytest.mark.parametrize("q, max_freq, sigma, grid", [(2, 32, 0.04, 128), (2, 32, 0.04, 131), (2, 32, 0.04, 67),
-                                                          (3, 24, 0.035, 32), (3, 24, 0.035, 51), (3, 24, 0.035, 49)])
-    def test_matches_the_full_grid_oracle(self, q, max_freq, sigma, grid):
-        result = locality_probe(q, max_freq, sigma, 0.3, 0.1, grid_points=grid)
+    # t = 0.3125 and w = 0.0625 are binary fractions, so t - w = 1/4 exactly: 8 points of the 164^2 grid (such
+    # as k = (9, 40)) and 48 of the 56^3 grid (such as (4, 6, 12)) lie on the sphere |k| = n / 4, where a float radius
+    # rounds below 1/4; they are outside the interior
+    @pytest.mark.parametrize("q, max_freq, sigma, grid, t, width", [
+        (2, 32, 0.04, 128, 0.3, 0.1), (2, 32, 0.04, 131, 0.3, 0.1), (2, 32, 0.04, 67, 0.3, 0.1),
+        (3, 24, 0.035, 32, 0.3, 0.1), (3, 24, 0.035, 51, 0.3, 0.1), (3, 24, 0.035, 49, 0.3, 0.1),
+        (2, 32, 0.04, 164, 0.3125, 0.0625), (3, 24, 0.035, 56, 0.3125, 0.0625)])
+    def test_matches_the_full_grid_oracle(self, q, max_freq, sigma, grid, t, width):
+        result = locality_probe(q, max_freq, sigma, t, width, grid_points=grid)
         deformed, classical, radii, deformed_profile, classical_profile = locality_probe_full_grid(
-            q, max_freq, sigma, 0.3, 0.1, result.grid
+            q, max_freq, sigma, t, width, result.grid
         )
         assert result.deformed_leakage == pytest.approx(deformed, rel=1e-12, abs=0.0)
         assert result.classical_leakage == pytest.approx(classical, rel=1e-12, abs=0.0)
@@ -283,9 +288,38 @@ class TestLocalityProbe:
         assert locality_probe(q, max_freq, sigma, 0.3, 0.1, grid_points=grid).resolved
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("q, max_freq, sigma, grid", [(2, 32, 0.04, 128), (3, 24, 0.035, 32)])
+    def test_one_pass_over_the_grid_per_propagator(self, q, max_freq, sigma, grid, monkeypatch):
+        # radial quantities read the integer levels |k|^2: one weighted bincount of the n^q points per propagator,
+        # and the bin edges are searched for the levels, never for the grid points
+        bincount, searchsorted, linspace = np.bincount, np.searchsorted, np.linspace
+        weighted, searched = [], []
+
+        class Edges(np.ndarray):
+            def searchsorted(self, v, *args, **kwargs):
+                searched.append(np.size(v))
+                return np.asarray(self).searchsorted(v, *args, **kwargs)
+
+        def counted_bincount(x, weights=None, minlength=0):
+            if weights is not None:
+                weighted.append(np.size(x))
+            return bincount(x, weights, minlength)
+
+        def counted_searchsorted(a, v, *args, **kwargs):
+            searched.append(np.size(v))
+            return searchsorted(np.asarray(a), v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted_bincount)
+        monkeypatch.setattr(np, "searchsorted", counted_searchsorted)
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: linspace(*a, **k).view(Edges))
+        result = locality_probe(q, max_freq, sigma, 0.3, 0.1, grid_points=grid)
+        assert result.resolved
+        assert weighted.count(result.grid**q) == 2
+        assert searched and max(searched) < result.grid**q
+
     @pytest.mark.parametrize("q, max_freq, sigma, grid", [(3, 24, 0.035, 64), (2, 32, 0.04, 512)])
     def test_peak_memory_per_grid_point(self, q, max_freq, sigma, grid):
-        # the figure PROBE_GRID_CAP's comment states: at most 50 bytes per grid point live at the peak
+        # the figure PROBE_GRID_CAP's comment states: at most 42 bytes per grid point live at the peak
         tracemalloc.start()
         try:
             result = locality_probe(q, max_freq, sigma, 0.3, 0.1, grid_points=grid)
@@ -293,7 +327,7 @@ class TestLocalityProbe:
         finally:
             tracemalloc.stop()
         assert result.grid == grid
-        assert peak <= 50 * grid**q
+        assert peak <= 42 * grid**q
 
     def test_profile_masses_sum_to_one(self):
         result = locality_probe(2, 32, 0.04, 0.3, 0.1, grid_points=128)
