@@ -29,7 +29,9 @@ the two agree bit for bit there.  At every other x > 0 it runs Miller's
 backward recurrence in the order, which is stable for all x > 0 (Gautschi,
 SIAM Review 9 (1967) 24-82; DLMF 3.6(vi), 10.12, 10.60), on phi itself,
 normalized by cos x and sin x / x for odd n and by J_0 + 2 sum J_2k = 1 for
-even n; the exact `phi` is its oracle.
+even n; the exact `phi` is its oracle.  Each element starts the recurrence at
+its own order and waits until then at the fixed point (1, 1, 1) of its steps,
+so every value of `phi_array` depends on its own argument alone, bit for bit.
 
 All functions are pure.
 """
@@ -156,26 +158,29 @@ def _miller_array(n: int, x: np.ndarray) -> np.ndarray:
     recurrence in the order, run on phi itself.
 
     phi_{m-2} = phi_m - x^2 / ((m - 2) m) phi_{m+2}, the recurrence of J_{m/2-1} scaled by
-    Gamma(m/2) (x/2)^(1 - m/2), runs down the orders of n's parity from phi_top = 1, phi_{top+2} = 0.
-    The start, Bessel order J + 20 + sqrt(12 J) with J = max(x, nu), is 6 to 10 orders above the lowest
-    whose result is within 1e-15 of |phi_n|, for J up to 40.  The values are one multiple of phi, so they
-    stay near |phi| <= 1 and need no rescaling and no Gamma factor.  For odd n the multiple is fitted to
-    phi_1 = cos x and phi_3 = sin x / x.  For even n it is J_0 + 2 sum_k J_2k = 1 with
-    J_2k = a_k phi_{4k+2}, a_k = (x/2)^(2k) / (2k)!, summed by Horner's rule:
+    Gamma(m/2) (x/2)^(1 - m/2), runs down the orders of n's parity, in one loop from the largest start.  Each
+    element has its own start s = 2 floor(J + 20 + sqrt(12 J)) + 2 + n mod 2, J = max(x, nu), a Bessel order 6 to
+    10 above the lowest whose result is within 1e-15 of |phi_n|, for J up to 40.  Its coefficients
+    x^2 / ((o - 2) o) at orders o above s are zero, so it waits at (phi_m, phi_{m+2}, Horner's sum) = (1, 1, 1),
+    a fixed point of the steps, which is the start phi_{s+2} = 1, phi_{s+4} = 0: a value depends on its own
+    argument alone.  The values are one multiple of phi, so they stay near |phi| <= 1 and need no rescaling
+    and no Gamma factor.  For odd n the multiple is fitted to phi_1 = cos x and phi_3 = sin x / x.  For even n
+    it is J_0 + 2 sum_k J_2k = 1 with J_2k = a_k phi_{4k+2}, a_k = (x/2)^(2k) / (2k)!, summed by Horner's rule:
     a_{k+1} / a_k = x^2 / (m (m + 2)) at m = 4k + 2.
     """
-    big = max(float(x.max()), 0.5 * n - 1.0)
-    start, top = 2 - n % 2, 2 * int(big + 20.0 + math.sqrt(12.0 * big)) + 2 + n % 2
-    x2 = x * x
-    here, above = np.ones_like(x), np.zeros_like(x)  # phi_m and phi_{m+2}, up to one multiple
-    horner, kept = np.zeros_like(x), None
-    for m in range(top, start - 2, -2):
-        if m == n:
+    big = np.maximum(x, 0.5 * n - 1.0)
+    reach = big + 20.0 + np.sqrt(12.0 * big)
+    high, low = int(reach.max()), int(reach.min())
+    orders = np.arange(2 * high + 2 + n % 2, 2 - n % 2, -2)  # the largest start down to the lowest order + 2
+    coef = np.outer(1.0 / ((orders - 2) * orders), x * x)  # row o serves the step at o and Horner's at o - 2
+    coef[: high - low] *= np.arange(high, low, -1)[:, None] <= reach  # o <= s, the rows above the lowest start
+    here, above, horner = np.ones_like(x), np.ones_like(x), np.ones_like(x)  # phi_m, phi_{m+2}, up to one multiple
+    for o, c in zip(orders.tolist(), coef):
+        here, above = here - c * above, here  # phi_{o-2}
+        if o - 2 == n:
             kept = here
-        if m % 4 == 2:
-            horner = here + (x2 * (1.0 / (m * (m + 2)))) * horner
-        if m > start:
-            here, above = here - (x2 * (1.0 / ((m - 2) * m))) * above, here
+        if o % 4 == 0:
+            horner = here + c * horner
     if n % 2:
         cos, sinc = np.cos(x), np.sin(x) / x
         return kept * (cos * cos + sinc * sinc) / (here * cos + above * sinc)

@@ -198,9 +198,7 @@ def _cmd_wave(args) -> int:
     dt = args.dt if args.dt is not None else waveforms.residual_step(solution)
     rows = []
     n_amp = min(domain.grading[solution.degree], args.amplitudes)
-    for t in t_values:
-        u = solution.at(t)
-        residual = waveforms.pde_residual(solution, t, dt)
+    for t, residual, u in zip(t_values, waveforms.pde_residual(solution, t_values, dt), solution.at(t_values)):
         rows.append([t, residual, u.norm()] + [float(a) for a in np.abs(u.coefficients[:n_amp])])
     comments = [
         f"subcommand=wave domain={args.domain} kind={args.kind} q={args.q} "

@@ -64,15 +64,16 @@ class WaveMapNormError(ValueError):
         super().__init__(f"discrete wave map needs ||D_h|| < 1, measured {measured:.6f}")
 
 
-def _profile(n: int, t: float, radii: np.ndarray) -> np.ndarray:
-    """phi_n(t r) for every entry r of radii, from one besselfn.phi_array call on exactly those radii.
+def _profile(n: int, t, radii: np.ndarray) -> np.ndarray:
+    """phi_n(t r) for every entry r of radii, at one time t or in one row per time of a 1-D array t,
+    from one besselfn.phi_array call on exactly those radii and times.
 
     This is the calculus's one profile: d_t, the wave families and the probe multipliers all come from here,
     each caller passing distinct radii (a domain's `roots`, the probe's |m|^2 levels), so phi runs once per root.
     """
-    if not math.isfinite(t):  # t * 0 would be NaN
+    if not np.isfinite(t).all():  # t * 0 would be NaN
         raise ValueError(f"deformation parameter t must be finite, got {t}")
-    return besselfn.phi_array(n, t * radii)
+    return besselfn.phi_array(n, np.multiply.outer(t, radii))
 
 
 def functional_calculus(domain: SpectralDomain, g, u: Cochain) -> Cochain:

@@ -196,18 +196,28 @@ class WaveSolution:
     def degree(self) -> int:
         return self.u0.degree
 
-    def at(self, t: float) -> Cochain:
-        if not math.isfinite(t):
-            raise ValueError(f"a wave solution needs a finite time, got {t}")
+    def at(self, t):
+        """u(t) as a Cochain at one time t, or a list of them along a sequence of times, one `_profile` call per row."""
+        times = _times(t)
         dom, (radii, index) = self.domain, self.domain.roots
         # classical is the q = 1 pair: the position family on u0 plus the velocity family on v0
         rows = (("position", self.u0), ("velocity", self.v0)) if self.kind == "classical" else ((self.kind, self.u0),)
-        parts = []
+        terms = []
         for kind, u in rows:
             offset, power = _FAMILIES[kind]
-            profile = _profile(self.q + offset, t, radii)[index[self.degree]]
-            parts.append(dom.even_apply(self.degree, t**power * profile if power else profile, u.coefficients))
-        return Cochain(self.degree, reduce(np.add, parts))
+            profile = _profile(self.q + offset, times, radii)[..., index[self.degree]]
+            terms.append((times[..., None] ** power * profile if power else profile, u.coefficients))
+        out = [Cochain(self.degree, reduce(np.add, [dom.even_apply(self.degree, p[j], u) for p, u in terms]))
+               for j in np.ndindex(times.shape)]
+        return out if times.ndim else out[0]
+
+
+def _times(t) -> np.ndarray:
+    times = np.asarray(t, dtype=float)
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"a wave solution needs a finite time, got {float(bad[0])}")
+    return times
 
 
 def classical_wave(domain: SpectralDomain, u0: Cochain, v0: Cochain) -> WaveSolution:
@@ -250,31 +260,39 @@ def residual_step(solution: WaveSolution) -> float:
     return min(1e-3, 0.005 / lam) if lam > 0.0 else 1e-3
 
 
-def pde_residual(solution: WaveSolution, t: float, dt: float | None = None) -> float:
-    """Finite-difference defect of the governing equation at time t.
+def pde_residual(solution: WaveSolution, t, dt: float | None = None):
+    """Finite-difference defect of the governing equation at time t, or a list of them along a sequence of times.
 
     Second derivative by the 5-point 4th-order stencil, first derivative by
     the 4-point 4th-order stencil; the singular 1/t coefficients keep the
     harness away from t < 5 dt.  dt defaults to `residual_step(solution)`.
-    ValueError where the five stencil times are not distinct or 12 dt^2 is not a normal float.
+    One `WaveSolution.at` call, after every check, evaluates all the stencil times.  ValueError where a time is
+    not finite, the five stencil times are not distinct or 12 dt^2 is not a normal float.
     """
     if dt is None:
         dt = residual_step(solution)
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    if t < 5.0 * dt:
-        raise ValueError(f"residual stencil needs t >= 5 dt, got t={t}, dt={dt}")
-    times = [t + j * dt for j in (-2, -1, 0, 1, 2)]
-    um2, um1, u0, up1, up2 = (solution.at(s).coefficients for s in times)
+    sweep = _times(t)
+    stencils = np.add.outer(sweep, dt * np.arange(-2, 3))  # t + j dt, j = -2..2
+    for s, times in zip(sweep.ravel().tolist(), stencils.reshape(-1, 5)):
+        if s < 5.0 * dt:
+            raise ValueError(f"residual stencil needs t >= 5 dt, got t={s}, dt={dt}")
+        if len(set(times.tolist())) < 5:
+            raise ValueError(f"dt={dt!r} is below the spacing of floats at t={s!r}: the stencil times t + j dt, "
+                             "j = -2..2, are not five distinct floats")
     scale = 12.0 * dt * dt
-    if len(set(times)) < 5:
-        raise ValueError(f"dt={dt!r} is below the spacing of floats at t={t!r}: the stencil times t + j dt, "
-                         "j = -2..2, are not five distinct floats")
     if not 2.0**-1022 <= scale < math.inf:  # 2^-1022 is the smallest normal double
         raise ValueError(f"dt={dt!r}: 12 dt^2 = {scale!r} is not a normal float")
-    u_tt = (-um2 + 16.0 * um1 - 30.0 * u0 + 16.0 * up1 - up2) / scale
-    u_t = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * dt)
-    lap = solution.domain.even_apply(solution.degree, solution.domain.laplacian_spectrum(solution.degree), u0)
+    values = [u.coefficients for u in solution.at(stencils.ravel())]
+    spectrum = solution.domain.laplacian_spectrum(solution.degree)
     _, power = _FAMILIES.get(solution.kind, (0, 0))  # classical has q = 1, where power drops out
-    defect = u_tt + (solution.q - 1) * (u_t / t - power * u0 / (t * t)) + lap
-    return float(np.linalg.norm(defect))
+    defects = []
+    for i, s in enumerate(sweep.ravel().tolist()):
+        um2, um1, u0, up1, up2 = values[5 * i : 5 * i + 5]
+        u_tt = (-um2 + 16.0 * um1 - 30.0 * u0 + 16.0 * up1 - up2) / scale
+        u_t = (um2 - 8.0 * um1 + 8.0 * up1 - up2) / (12.0 * dt)
+        lap = solution.domain.even_apply(solution.degree, spectrum, u0)
+        defect = u_tt + (solution.q - 1) * (u_t / s - power * u0 / (s * s)) + lap
+        defects.append(float(np.linalg.norm(defect)))
+    return defects if sweep.ndim else defects[0]

@@ -233,9 +233,10 @@ class TestPhiArray:
             assert phi_array(n, -xs).tolist() == phi_array(n, xs).tolist()
 
     def test_each_value_depends_on_its_own_argument(self):
-        # Past the recurrence range the Hankel series sums the same terms at every r, so no value follows
-        # the smallest argument beside it
-        xs = np.concatenate([np.geomspace(40.001, 1e6, 2000), [40.5, 0.3, 0.0]])
+        # Miller's recurrence starts each element at its own order, on (0, max(40, nu)] (x <= nu = 19.5 for
+        # n = 41), and past that range the Hankel series sums the same terms at every r, so no value follows
+        # the largest or smallest argument beside it
+        xs = np.concatenate([np.geomspace(1e-3, 39.9, 2000), np.geomspace(40.001, 1e6, 2000), [40.5, 0.3, 0.0]])
         for n in (1, 2, 3, 4, 6, 12, 41):
             alone = np.array([phi_array(n, [x])[0] for x in xs.tolist()])
             assert np.array_equal(phi_array(n, xs).view(np.int64), alone.view(np.int64)), n

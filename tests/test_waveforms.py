@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from besselwave.domains import build_circle_domain, build_torus_domain
+from besselwave import waveforms
+from besselwave.domains import SimplicialComplex, build_circle_domain, build_simplicial_domain, build_torus_domain
 from besselwave.specops import deformed_d
 from besselwave.waveforms import (
     LaurentPoly,
@@ -27,6 +28,9 @@ from _oracles import dalembert_shift_coefficients
 # Frozen: sup over t in [50, 100] of the k=1 mode solution norm times
 # t^((q-1)/2); the initial rate df carries the 2 pi mode factor.
 ASYMPTOTIC_BANDS = {1: 0.999992, 2: 0.636619, 3: 0.477465, 4: 0.405284}
+
+OCTAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
+              [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]
 
 
 def unit_rate_f(dom, rng):
@@ -164,9 +168,68 @@ class TestDeformedSolutions:
             for t in (math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError, match="a wave solution needs a finite time"):
                     sol.at(t)
-            for t in (math.inf, math.nan):  # t = -inf stops at the stencil guard t >= 5 dt
+                with pytest.raises(ValueError, match="a wave solution needs a finite time"):
+                    sol.at([0.5, t])
                 with pytest.raises(ValueError, match="a wave solution needs a finite time"):
                     pde_residual(sol, t)
+
+
+def _three_kinds(dom, rng):
+    f = unit_rate_f(dom, rng)
+    df = dom.cochain(1, dom.apply_d(0, f.coefficients))
+    v0 = dom.cochain(1, rng.standard_normal(dom.grading[1]))
+    return velocity_solution(dom, f, q=2), position_solution(dom, f, q=2), classical_wave(dom, df, v0)
+
+
+class TestTimeSweeps:
+    # A sweep of times is one _profile call per family row, and each of its values equals the time alone.
+
+    @pytest.mark.parametrize("name", ["torus2", "octahedron"])
+    def test_a_sweep_equals_its_times_alone(self, name, torus2, rng):
+        dom = torus2 if name == "torus2" else build_simplicial_domain(SimplicialComplex.from_maximal(OCTAHEDRON))
+        times = [0.3, 0.7, 1.3, 2.5, 3.1, 0.0, -0.4]  # t |lambda| reaches past 40 on torus2
+        for sol in _three_kinds(dom, rng):
+            sweep = sol.at(times)
+            assert isinstance(sweep, list) and len(sweep) == len(times)
+            for t, u in zip(times, sweep):
+                alone = sol.at(t)
+                assert u.degree == alone.degree == sol.degree
+                assert np.array_equal(u.coefficients.view(np.int64), alone.coefficients.view(np.int64)), (sol.kind, t)
+            assert sol.at(np.array(times))[2].coefficients.tolist() == sweep[2].coefficients.tolist()
+
+    def test_the_residual_makes_one_profile_call_per_family_row(self, torus2, rng, monkeypatch):
+        # a residual evaluates its five stencil times, and a sweep of three its fifteen, in one call per row
+        profile, shapes = waveforms._profile, []
+        monkeypatch.setattr(waveforms, "_profile", lambda n, t, r: shapes.append(np.shape(t)) or profile(n, t, r))
+        for sol, rows in zip(_three_kinds(torus2, rng), (1, 1, 2)):
+            shapes.clear()
+            pde_residual(sol, 1.0)
+            assert shapes == [(5,)] * rows, sol.kind
+            shapes.clear()
+            assert len(pde_residual(sol, (0.5, 1.0, 2.0))) == 3
+            assert shapes == [(15,)] * rows, sol.kind
+
+    def test_a_residual_sweep_equals_its_times_alone(self, torus2, rng):
+        for sol in _three_kinds(torus2, rng):
+            times = (0.5, 1.0, 2.0)
+            assert pde_residual(sol, times) == [pde_residual(sol, t) for t in times]
+
+    def test_the_residual_refuses_before_it_evaluates(self, circle4, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the profile was evaluated")
+
+        sol = velocity_solution(circle4, unit_rate_f(circle4, rng))
+        monkeypatch.setattr(waveforms, "_profile", refuse)
+        with pytest.raises(ValueError, match="are not five distinct floats"):
+            pde_residual(sol, 0.5, dt=1e-17)
+        with pytest.raises(ValueError, match=re.escape("dt=1e-165: 12 dt^2 = ")):
+            pde_residual(sol, 1e-164, dt=1e-165)
+        with pytest.raises(ValueError, match="at t=0.5: the stencil times"):  # a sweep is checked whole
+            pde_residual(sol, [1e-12, 0.5], dt=1e-17)
+        with pytest.raises(ValueError, match="residual stencil needs t >= 5 dt"):
+            pde_residual(sol, [1.0, 1e-3], dt=1e-3)
+        with pytest.raises(ValueError, match="a wave solution needs a finite time"):
+            pde_residual(sol, [1.0, math.inf])
 
 
 class TestResidualHarness:
