@@ -32,6 +32,8 @@ normalized by cos x and sin x / x for odd n and by J_0 + 2 sum J_2k = 1 for
 even n; the exact `phi` is its oracle.  Each element starts the recurrence at
 its own order and waits until then at the fixed point (1, 1, 1) of its steps,
 so every value of `phi_array` depends on its own argument alone, bit for bit.
+Its (orders x points) table, about J + 20 + sqrt(12 J) rows for the largest J = max(x, nu), is charged
+against the one byte budget (`domains._require_bytes`) before it is allocated, so a huge n is a DomainSizeError.
 
 All functions are pure.
 """
@@ -43,6 +45,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from .domains import _require_bytes
 
 __all__ = [
     "BesselDomainError",
@@ -172,6 +176,7 @@ def _miller_array(n: int, x: np.ndarray) -> np.ndarray:
     reach = big + 20.0 + np.sqrt(12.0 * big)
     high, low = int(reach.max()), int(reach.min())
     orders = np.arange(2 * high + 2 + n % 2, 2 - n % 2, -2)  # the largest start down to the lowest order + 2
+    _require_bytes(f"the Miller table of phi_{n} on {x.size} points", 8 * orders.size * x.size)
     coef = np.outer(1.0 / ((orders - 2) * orders), x * x)  # row o serves the step at o and Horner's at o - 2
     coef[: high - low] *= np.arange(high, low, -1)[:, None] <= reach  # o <= s, the rows above the lowest start
     here, above, horner = np.ones_like(x), np.ones_like(x), np.ones_like(x)  # phi_m, phi_{m+2}, up to one multiple

@@ -8,7 +8,8 @@ tuples ``(op, *operands)`` over float constants and variable names; the
 grammar is closed under d/dx and d/dy (``derivative``), with ``log``
 entering only through the power rule.  Constants, zeros and ones fold as
 the tree is built, so repeated derivatives stay small; a parsed constant that
-does not fold to a finite real (``10^400``, ``1/0``) is an ExpressionError.
+does not fold to a finite real (``10^400``, ``1/0``) is an ExpressionError, and so is a parsed tree
+more than 450 levels deep, or a derived one deeper than ``derivative`` or ``compile_trees`` can recurse.
 ``compile_trees`` turns several trees into one numpy-vectorized callable
 that evaluates each shared subexpression once.
 """
@@ -129,36 +130,54 @@ class Symbolic:
 
 
 def parse_expression(source: str):
-    """Parse a grammar string into a folded expression tree."""
+    """Parse a grammar string into a folded expression tree, at most 450 levels deep."""
     text = source.replace("^", "**").replace("·", "*")
     try:
-        tree = ast.parse(text, mode="eval")
+        tree = _tree(ast.parse(text, mode="eval").body)
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {source!r}: {exc}") from exc
-    return _tree(tree.body)
+    except (RecursionError, MemoryError) as exc:  # nesting past what CPython's parser or _tree recurse through
+        raise ExpressionError("expression nests too deeply to parse") from exc
+    depth, level = 0, [tree]
+    while level:  # counted level by level, so the count never recurses
+        depth += 1
+        # compile_trees takes two frames per level on CPython 3.11 (its list comprehension is one), so under the
+        # default limit of 1000 frames a chart's fields compile to depth 480 from a pytest test 33 frames deep,
+        # and fail at 490; 450 keeps a 400-term metric (its fields 410 deep) and 60 frames of headroom.
+        if depth > 450:
+            raise ExpressionError("expression nests more than 450 levels deep")
+        level = [a for t in level if isinstance(t, tuple) for a in t[1:]]
+    return tree
 
 
 def derivative(tree, var: str):
     """The exact partial derivative of an expression tree with respect to var."""
+    try:
+        return _derivative(tree, var)
+    except RecursionError as exc:  # a derivative of a derivative may nest deeper than any parsed tree
+        raise ExpressionError("the derivative nests too deeply to build") from exc
+
+
+def _derivative(tree, var: str):
     if isinstance(tree, float):
         return 0.0
     if isinstance(tree, str):
         return 1.0 if tree == var else 0.0
     op, a = tree[0], tree[1]
-    da = derivative(a, var)
+    da = _derivative(a, var)
     if op in ("+", "-"):
-        return _node(op, da, derivative(tree[2], var))
+        return _node(op, da, _derivative(tree[2], var))
     if op == "*":
         b = tree[2]
-        return _node("+", _node("*", da, b), _node("*", a, derivative(b, var)))
+        return _node("+", _node("*", da, b), _node("*", a, _derivative(b, var)))
     if op == "/":
         b = tree[2]
-        numerator = _node("-", _node("*", da, b), _node("*", a, derivative(b, var)))
+        numerator = _node("-", _node("*", da, b), _node("*", a, _derivative(b, var)))
         return _node("/", numerator, _node("^", b, 2.0))
     if op == "^":
         b = tree[2]
         power_rule = _node("*", _node("*", b, _node("^", a, _node("-", b, 1.0))), da)
-        exponent_rule = _node("*", _node("*", tree, _node("log", a)), derivative(b, var))
+        exponent_rule = _node("*", _node("*", tree, _node("log", a)), _derivative(b, var))
         return _node("+", power_rule, exponent_rule)
     if op == "neg":
         return _node("neg", da)
@@ -199,7 +218,10 @@ def compile_trees(trees, variables=("x", "y")):
             lines.append(f"    {names[t]} = {expr}\n")
         return names[t]
 
-    outputs = ", ".join(ref(t) for t in trees)
+    try:
+        outputs = ", ".join(ref(t) for t in trees)
+    except RecursionError as exc:  # the chart's second derivatives may nest deeper than any parsed tree
+        raise ExpressionError("expression nests too deeply to compile") from exc
     source = f"def _evaluate({', '.join(variables)}):\n{''.join(lines)}    return ({outputs},)\n"
     namespace = {"__builtins__": {}, **_CALLS}
     exec(compile(source, "<chart-expression>", "exec"), namespace)

@@ -427,10 +427,12 @@ def wavefront_line_integral(chart: SurfaceChart, oneform, p, t: float, n_theta: 
 def global_cancellation(chart: SurfaceChart, oneform, t: float, n_centers: int, n_theta: int = 512) -> float:
     """Average front line integral over a uniform grid of centers.
 
-    n_centers is rounded down to a perfect square g x g.  On symmetric
+    n_centers >= 1 is rounded down to a perfect square g x g.  On symmetric
     closed models (flat torus) the average cancels to quadrature accuracy.
     """
-    g = max(int(math.isqrt(n_centers)), 1)
+    if n_centers < 1:
+        raise ValueError(f"global_cancellation needs n_centers >= 1, got {n_centers}")
+    g = math.isqrt(n_centers)
     xs = (np.arange(g) + 0.5) / g
     total = 0.0
     x_min, x_max, y_min, y_max = chart.bounds

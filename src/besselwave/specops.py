@@ -5,10 +5,11 @@ composed with d, d^* or D: the bounded derivative d_t = t phi_{q+2}(tD) d and
 its adjoint, the norm of D_t, kernel (Betti) counting with a spectral-gap
 guard, symmetry commutators and the norm-contractive discrete wave map; the
 Bessel index is the domain's q.  Each reads its values by index on the domain's `roots`, the distinct
-|lambda| = sqrt(mu) of all degrees: `_profile` is one `besselfn.phi_array` call on that table, and
-`functional_calculus` runs g on the roots of u's degree through `even_apply`, so its result is even by
-construction and keeps its degree.  The norm of D_t and the Betti threshold read their maximum off the table,
-and each degree gathers only its own entries.
+|lambda| = sqrt(mu) of all degrees.  d_t is formed once: first the table, `_deformed_table`, the one
+`_profile` call (one `besselfn.phi_array` call) on the roots, then its block pieces t phi_{q+2}(t sqrt L_{k+1}) d_k,
+`_deformed_pieces`, which the commutator and the orbit's `D_h` share.  `functional_calculus` runs g on the
+roots of u's degree through `even_apply`, so its result is even by construction and keeps its degree.  The
+norm of D_t and the Betti threshold read their maximum off the table; each degree gathers its own entries.
 Every array here is per block, so none is N x N on a trig domain: d acts
 through `apply_d`, and the commutator and the orbit act on the stacks; the
 orbit's `D_h`, N x N on a simplicial complex, is charged against the size cap
@@ -105,10 +106,9 @@ def _deformed_table(domain: SpectralDomain, t: float) -> tuple[np.ndarray, np.nd
     return t * radii * phi, t * phi, index
 
 
-def _deformed_values(domain: SpectralDomain, t: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """psi_{q+2}(t sqrt mu_k) and t phi_{q+2}(t sqrt mu_k) for every degree k, read from `_deformed_table`."""
-    psi, even, index = _deformed_table(domain, t)
-    return [psi[i] for i in index], [even[i] for i in index]
+def _deformed_pieces(domain: SpectralDomain, even: np.ndarray, index) -> list[list[np.ndarray]]:
+    """d_t's pieces t phi_{q+2}(t sqrt L_{k+1}) d_k, one list over k per stack, from `_deformed_table`."""
+    return [[s.even(k + 1, even[index[k + 1]], d) for k, d in enumerate(s.d)] for s in domain.stacks]
 
 
 def deformed_d(domain: SpectralDomain, t: float, u: Cochain) -> Cochain:
@@ -130,8 +130,8 @@ def deformed_d_adjoint(domain: SpectralDomain, t: float, w: Cochain) -> Cochain:
 
 def _bounded(domain: SpectralDomain, t: float, k: int, x: np.ndarray) -> Cochain:
     """t phi_{q+2}(t sqrt L_k) x for x of degree k."""
-    radii, index = domain.roots
-    return Cochain(k, domain.even_apply(k, (t * _profile(domain.q + 2, t, radii))[index[k]], x))
+    _, even, index = _deformed_table(domain, t)
+    return Cochain(k, domain.even_apply(k, even[index[k]], x))
 
 
 def deformed_dirac_norm(domain: SpectralDomain, t: float) -> float:
@@ -207,8 +207,7 @@ def symmetry_commutator(domain: SpectralDomain, symmetry, t: float) -> float:
     pre = _commutator_norm(maps, [s.d for s in domain.stacks])
     if pre >= 1e-10:
         raise SymmetryPreconditionError(pre)
-    _, g = _deformed_values(domain, t)  # d_t = g(|D|) d, block by block
-    return _commutator_norm(maps, [[s.even(k + 1, g[k + 1], d) for k, d in enumerate(s.d)] for s in domain.stacks])
+    return _commutator_norm(maps, _deformed_pieces(domain, *_deformed_table(domain, t)[1:]))
 
 
 def _commutator_norm(maps, pieces) -> float:
@@ -257,7 +256,7 @@ def discrete_wave_orbit(domain: SpectralDomain, h: float, u: np.ndarray, v: np.n
     weight = 1.0 / (1.0 - np.abs(psi) / 2.0)
     gu, gv = (np.concatenate([domain.even_apply(k, weight[i], x[domain.degree_slice(k)])
                               for k, i in enumerate(index)]) for x in (cu, cv))
-    pos, dh = _block_dirac(domain, [even[i] for i in index])
+    pos, dh = _block_dirac(domain, _deformed_pieces(domain, even, index))
     su, sv, sg = (np.append(x, 0.0)[pos][..., None] for x in (cu, cv, gv))  # one (W, 1) column per block
     bound = math.sqrt(float(cu @ gu + cv @ gv - np.vdot(su, dh @ sg)))
     sq_u, sq_v = float(cu @ cu), float(cv @ cv)
@@ -276,25 +275,25 @@ def require_orbit_bytes(name: str, n: int, blocks: int, width: int) -> None:
     _require_bytes(f"the wave orbit on {name} (N = {n})", 16 * blocks * width * width)
 
 
-def _block_dirac(domain: SpectralDomain, profile: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _block_dirac(domain: SpectralDomain, pieces) -> tuple[np.ndarray, np.ndarray]:
     """D t phi_{q+2}(t|D|) as one (M, W, W) matrix per block of every stack, and the (M, W) positions of its entries.
 
-    A block narrower than the widest is padded with zero rows and columns
-    at position N, so one batched product applies the whole operator.
-    It is charged 16 M W^2 bytes, itself and its pieces, before it is allocated.
+    d_t's pieces (`_deformed_pieces`) and their transposes are scattered into it.  A block narrower than the
+    widest is padded with zero rows and columns at position N, so one batched product applies the whole
+    operator.  It is charged 16 M W^2 bytes before it is allocated; the pieces have d's shape, charged by the build.
     """
     width = max(sum(i.shape[1] for i in s.index) for s in domain.stacks)
     blocks = sum(len(s.index[0]) for s in domain.stacks)
     require_orbit_bytes(domain.name, domain.total_dim, blocks, width)
     dh, pos = np.zeros((blocks, width, width)), np.full((blocks, width), domain.total_dim)
     first = 0
-    for s in domain.stacks:
+    for s, xs in zip(domain.stacks, pieces):
         rows, edge = slice(first, first + len(s.index[0])), np.cumsum([0] + [i.shape[1] for i in s.index])
         for k, i in enumerate(s.index):
             pos[rows, edge[k] : edge[k + 1]] = domain.offsets[k] + i
             if k:  # the piece from degree k - 1 to k, a -0.0 read as 0.0 as in D + D^T, and its transpose
                 low = dh[rows, edge[k] : edge[k + 1], edge[k - 1] : edge[k]]
-                np.add(s.even(k, profile[k], s.d[k - 1]), 0.0, out=low)
+                np.add(xs[k - 1], 0.0, out=low)
                 dh[rows, edge[k - 1] : edge[k], edge[k] : edge[k + 1]] = np.swapaxes(low, 1, 2)
         first = rows.stop
     return pos, dh

@@ -18,6 +18,7 @@ from besselwave.besselfn import (
     series_coefficient,
 )
 from besselwave import oracles
+from besselwave.domains import DomainSizeError
 
 from _oracles import decay_envelope, phi_mpmath, series_sums_fraction
 
@@ -269,6 +270,15 @@ class TestPhiArray:
             phi(n, x)
         with pytest.raises(BesselDomainError, match=re.escape(str(scalar.value))):
             phi_array(n, np.array([0.5, x]))
+
+    def test_miller_table_is_charged_before_it_is_allocated(self, monkeypatch):
+        # n = 4,000,001 needs about 2e6 orders on 150 points, 2.4 GB: refused before np.outer builds the table
+        def refuse(*args):
+            raise AssertionError("the Miller table was allocated")
+
+        monkeypatch.setattr(np, "outer", refuse)
+        with pytest.raises(DomainSizeError, match="Miller table of phi_4000001 on 150 points"):
+            phi_array(4_000_001, np.linspace(0.1, 8.0, 150))
 
 
 class TestPsi:

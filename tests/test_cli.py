@@ -562,6 +562,13 @@ class TestConfigAndErrors:
             assert code == 2, g11
             assert err.startswith("error:"), err
 
+    def test_too_deep_grammar_string_exit_2(self, capsys):
+        # 3000 terms overflow CPython's parser; the grammar reports it as an ExpressionError, not a traceback
+        code, _, err = run_cli(capsys, "curvature", "--chart", "custom", "--g11", "+".join(["1"] * 3000),
+                               "--g12", "0", "--g22", "1", "--h", "0.1")
+        assert code == 2
+        assert err.startswith("error:"), err
+
     @pytest.mark.parametrize("argv", [
         ("huygens-probe", "--grid", "0"), ("huygens-probe", "--grid", "-4"),
         ("curvature", "--h", "-0.1"), ("curvature", "--h", "0"),

@@ -236,11 +236,11 @@ class TestSimplicial:
     def test_wave_orbit_holds_its_charge(self):
         # The 16 x 16 torus has N = 1536, so its one block of D_h is charged 16 N^2 bytes.
         dom = build_simplicial_domain(SimplicialComplex.from_maximal(torus_faces(16)))
-        profile = specops._deformed_values(dom, 0.3)[1]
-        specops._block_dirac(dom, profile)  # warm imports and caches outside the trace
+        _, even, index = specops._deformed_table(dom, 0.3)
+        specops._block_dirac(dom, specops._deformed_pieces(dom, even, index))  # warm imports and caches
         tracemalloc.start()
         try:
-            specops._block_dirac(dom, profile)
+            specops._block_dirac(dom, specops._deformed_pieces(dom, even, index))  # the pieces are traced too
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -341,7 +341,8 @@ class TestRootTable:
         # The degree-2 roots of the sphere are a subset of the domain's; phi on that subset alone differs in
         # its last bits (Miller's start order follows the largest argument of a call).
         u = sphere.cochain(1, rng.standard_normal(sphere.grading[1]))
-        want = sphere.even_apply(2, specops._deformed_values(sphere, t)[1][2], sphere.apply_d(1, u.coefficients))
+        _, even, index = specops._deformed_table(sphere, t)
+        want = sphere.even_apply(2, even[index[2]], sphere.apply_d(1, u.coefficients))
         assert specops.deformed_d(sphere, t, u).coefficients.tolist() == want.tolist()
 
     def test_functional_calculus_runs_g_on_the_roots_of_one_degree(self, sphere, rng):

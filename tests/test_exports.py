@@ -142,6 +142,18 @@ def test_the_calculus_evaluates_the_profile_only_in_specops_profile():
     assert package_calls == ["besselfn.phi_array"]
 
 
+def test_specops_forms_d_t_once():
+    # d_t = t phi_{q+2}(tD) d is formed in one place: _deformed_table reads the profile on the root table, and
+    # _deformed_pieces alone turns its t phi column into block pieces g(sqrt L_{k+1}) d_k, which the commutator
+    # and the orbit's D_h share; no per-degree list of values sits between them.
+    path = Path(specops.__file__)
+    calls = [(owner, node.func) for owner, node in _references(path) if isinstance(node, ast.Call)]
+    assert [owner for owner, f in calls if isinstance(f, ast.Name) and f.id == "_profile"] == ["_deformed_table"]
+    assert [owner for owner, f in calls if isinstance(f, ast.Attribute) and f.attr == "even"] == ["_deformed_pieces"]
+    defined = {node.name for _, node in _references(path) if isinstance(node, ast.FunctionDef)}
+    assert "_deformed_values" not in defined
+
+
 def test_phi_array_runs_one_method_below_the_recurrence_range():
     # Miller's recurrence serves every 0 < x <= high and _phi_large every x above it; no float Taylor series
     # sits beside them.
@@ -188,8 +200,9 @@ def test_the_calculus_reads_roots_from_the_spectrum():
 
 def test_one_byte_budget_charged_in_one_place():
     # SIZE_CAP_BYTES is the one cap; _require_bytes is the one place domains raises DomainSizeError, and the
-    # trig build, the simplicial build and the wave orbit's D_h each charge it.  The orbit's charge is worked
-    # out in specops.require_orbit_bytes alone: _block_dirac calls it on a built domain, the CLI on a complex.
+    # trig build, the simplicial build, the wave orbit's D_h and phi_array's Miller table each charge it.  The
+    # orbit's charge is worked out in specops.require_orbit_bytes alone: _block_dirac calls it on a built
+    # domain, the CLI on a complex.
     assert [name for name in vars(domains) if name.endswith("_CAP_BYTES")] == ["SIZE_CAP_BYTES"]
 
     def callers(module, name):
@@ -198,8 +211,8 @@ def test_one_byte_budget_charged_in_one_place():
                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
 
     assert callers(domains, "DomainSizeError") == ["domains.py:_require_bytes"]
-    charged = [site for m in (domains, specops, cli) for site in callers(m, "_require_bytes")]
-    assert sorted(charged) == ["domains.py:_trig_domain", "domains.py:build_simplicial_domain",
-                               "specops.py:require_orbit_bytes"]
+    charged = [site for m in (domains, specops, cli, besselfn) for site in callers(m, "_require_bytes")]
+    assert sorted(charged) == ["besselfn.py:_miller_array", "domains.py:_trig_domain",
+                               "domains.py:build_simplicial_domain", "specops.py:require_orbit_bytes"]
     orbit = [site for m in (domains, specops, cli) for site in callers(m, "require_orbit_bytes")]
     assert sorted(orbit) == ["cli.py:_build_domain", "specops.py:_block_dirac"]

@@ -526,6 +526,14 @@ class TestGlobalCancellation:
         fine = abs(global_cancellation(torus_chart(), (p_fn, q_fn), 0.2, 256, n_theta=256))
         assert fine * 2.0 <= coarse
 
+    @pytest.mark.parametrize("n_centers", [0, -4])
+    def test_refuses_fewer_than_one_center(self, n_centers):
+        # 0 once averaged one center quietly, a negative count failed inside math.isqrt
+        oneform = (lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+                   lambda x, y: np.sin(2 * math.pi * np.asarray(x, dtype=float)))
+        with pytest.raises(ValueError, match="n_centers >= 1"):
+            global_cancellation(torus_chart(), oneform, 0.2, n_centers)
+
 
 class TestChartConstruction:
     def test_positive_definite_guard(self):
@@ -568,6 +576,18 @@ class TestChartConstruction:
             compile_expression("z + 1")
         with pytest.raises(ExpressionError):
             compile_expression("tan(x)")
+
+    def test_expression_deeper_than_the_grammar_recurses_is_rejected(self):
+        # a left-leaning sum of n terms is a tree n + 3 deep; past 450 levels the grammar refuses it
+        metric = lambda n: "2+" + "+".join(["0.001*x*y"] * n)  # noqa: E731
+        assert chart_from_expressions(metric(400), "0", "1", (-1, 1, -1, 1)).metric(0.5, 0.5)[0] > 2.0
+        with pytest.raises(ExpressionError, match="450 levels"):
+            chart_from_expressions(metric(700), "0", "1", (-1, 1, -1, 1))
+        with pytest.raises(ExpressionError, match="too deeply to parse"):
+            compile_expression("+".join(["x"] * 3000))
+        # 300 factors parse, but the chart's second derivatives nest about 600 deep
+        with pytest.raises(ExpressionError, match="too deeply to compile"):
+            chart_from_expressions("1+" + "*".join(["x"] * 300), "0", "1", (0.5, 0.6, 0.5, 0.6))
 
     @pytest.mark.parametrize("name", [v for v in geomfront._FLOW_ARGS if v not in ("x", "y")])
     def test_flow_variables_stay_out_of_the_grammar(self, name):

@@ -204,7 +204,8 @@ class TestDeformedDirac:
         # the root table holds every root of every degree, so its maximum is the one over the gathered degrees
         octahedron = build_simplicial_domain(SimplicialComplex.from_maximal(OCTAHEDRON))
         for dom in (circle4, torus2, torus3, octahedron):
-            psi = specops._deformed_values(dom, t)[0]
+            table, _, index = specops._deformed_table(dom, t)
+            psi = [table[i] for i in index]
             norm = max(float(np.max(np.abs(p), initial=0.0)) for p in psi)
             assert deformed_dirac_norm(dom, t) == norm
             assert betti_numbers(dom, t) == [int(np.sum(p**2 < 1e-8 * norm**2)) for p in psi]
@@ -216,14 +217,14 @@ class TestDeformedDirac:
         orders, calls = [], []
         monkeypatch.setattr(specops, "_profile", lambda *a: orders.append(a[0]) or profile(*a))
         monkeypatch.setattr(besselfn, "phi_array", lambda *a: calls.append(a) or phi_array(*a))
-        psi, profiles = specops._deformed_values(torus3, t)
+        psi, even, index = specops._deformed_table(torus3, t)
         roots = [np.sqrt(torus3.laplacian_spectrum(k)) for k in range(torus3.top_degree + 1)]
         assert orders == [n]
         assert len(calls) == 1 and calls[0][0] == n
         assert calls[0][1].tolist() == sorted({t * float(r) for r in np.concatenate(roots)})
         monkeypatch.undo()
-        for r, a, g in zip(roots, psi, profiles):
-            x = t * r
+        for r, i in zip(roots, index):
+            x, a, g = t * r, psi[i], even[i]
             values = besselfn.phi_array(n, x)
             assert a.tolist() == (x * values).tolist()
             assert g.tolist() == (t * values).tolist()
@@ -563,7 +564,8 @@ class TestDenseDiracOracle:
     def test_block_dirac_scatters_to_the_deformed_dirac(self, domains, torus3):
         for dom, oracle in domains + [(torus3, DenseDiracOracle(torus3))]:
             for t in (0.17, 0.8):
-                pos, dh = specops._block_dirac(dom, specops._deformed_values(dom, t)[1])
+                _, even, index = specops._deformed_table(dom, t)
+                pos, dh = specops._block_dirac(dom, specops._deformed_pieces(dom, even, index))
                 full = np.zeros((dom.total_dim + 1,) * 2)  # padding lands in row and column N
                 full[pos[:, :, None], pos[:, None, :]] = dh
                 assert self.close(full[:-1, :-1], oracle.deformed_dirac(t, dom.q + 2))
