@@ -135,7 +135,8 @@ def parse_expression(source: str):
     try:
         tree = _tree(ast.parse(text, mode="eval").body)
     except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse {source!r}: {exc}") from exc
+        shown = source if len(source) <= 80 else source[:80] + "…"
+        raise ExpressionError(f"cannot parse {shown!r}: {exc}") from exc
     except (RecursionError, MemoryError) as exc:  # nesting past what CPython's parser or _tree recurse through
         raise ExpressionError("expression nests too deeply to parse") from exc
     depth, level = 0, [tree]
@@ -199,24 +200,30 @@ def compile_trees(trees, variables=("x", "y")):
     back as Python floats, not broadcast to the argument shape.
     """
     lines: list[str] = []
-    names: dict = {}
+    # A subtree is looked up by identity, then by its operator and its children's names: a lookup by the tuple
+    # itself would hash its whole subtree, so compiling would take time quadratic in the depth.
+    by_id: dict[int, str] = {}
+    by_key: dict[tuple, str] = {}
 
     def ref(t) -> str:
         if isinstance(t, float):
             return f"({t!r})"
         if isinstance(t, str):
             return t
-        if t not in names:
+        if id(t) not in by_id:
             args = [ref(a) for a in t[1:]]
-            if t[0] in _BINOPS.values():
-                expr = f"{args[0]} {'**' if t[0] == '^' else t[0]} {args[1]}"
-            elif t[0] == "neg":
-                expr = f"-{args[0]}"
-            else:
-                expr = f"{t[0]}({args[0]})"
-            names[t] = f"_t{len(names)}"
-            lines.append(f"    {names[t]} = {expr}\n")
-        return names[t]
+            key = (t[0], *args)
+            if key not in by_key:
+                if t[0] in _BINOPS.values():
+                    expr = f"{args[0]} {'**' if t[0] == '^' else t[0]} {args[1]}"
+                elif t[0] == "neg":
+                    expr = f"-{args[0]}"
+                else:
+                    expr = f"{t[0]}({args[0]})"
+                by_key[key] = f"_t{len(by_key)}"
+                lines.append(f"    {by_key[key]} = {expr}\n")
+            by_id[id(t)] = by_key[key]
+        return by_id[id(t)]
 
     try:
         outputs = ", ".join(ref(t) for t in trees)

@@ -10,16 +10,19 @@ in which no term with a constant zero factor is left; metric, christoffel
 and gauss_curvature_brioschi read it at vx = vy = J = 0.  Geodesics solve
 xdd^k + Gamma^k_ij xd^i xd^j = 0, and the Jacobi field J'' + K J = 0,
 J(0) = 0, J'(0) = 1 rides along.  The joint system is integrated by the
-adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett &
-Wanner, Solving ODEs I, II.4-II.6), vectorized over launch angles with one
-flow evaluation per stage: one step size serves every angle, chosen so that
-the local error estimate, in the max-norm over all components and angles,
-stays below TOL (1 + max(|y|, |y_new|)).  A step that leaves the chart
-rectangle is bisected on its continuous extension, so ChartExitError
-carries the exit time to about TOL.  Charts whose metric is the constant
-identity take one exact step of the same system, since their Christoffel
-symbols and K vanish; an exit there is bisected on the same extension,
-which is the straight line when every stage equals the slope.  Wave-front
+adaptive 8th-order DOP853 (Prince & Dormand 1981; Hairer, Norsett & Wanner,
+Solving ODEs I, II.10), vectorized over launch angles with one flow
+evaluation per stage: one step size serves every angle, chosen so that the
+error estimate, built from the embedded 5th- and 3rd-order solutions in the
+max-norm over all components and angles, stays below TOL (1 + max(|y|,
+|y_new|)).  A step that leaves the chart rectangle is bisected on its
+7th-order continuous extension, so ChartExitError carries the exit time to
+about TOL.  The Dormand-Prince 5(4) pair and fixed-step RK4 on the same
+system are test oracles (tests/_oracles.py).  Charts whose metric is the
+constant identity take one exact step of the same system, since their
+Christoffel symbols and K vanish; an exit there is bisected on the same
+extension, which is the straight line when every stage equals the slope,
+as each stage is summed against the first.  Wave-front
 lengths are the angular integral of |J|, and two limit-free curvature
 estimates come from comparing front lengths at one and two radii.
 """
@@ -60,7 +63,7 @@ __all__ = [
     "gauss_curvature_brioschi",
 ]
 
-TOL = 1e-12
+TOL = 2e-13
 CHECK_POINTS = 7
 _FLOW_ARGS = ("x", "y", "vx", "vy", "J")
 
@@ -276,21 +279,74 @@ def _rhs(chart: SurfaceChart, state: np.ndarray) -> np.ndarray:
     return out
 
 
-# Dormand & Prince (1980): stage rows (the last is the 5th-order solution,
-# whose slope is the next step's first stage), 5th- minus 4th-order weights,
-# and the weights of Hairer's 4th-order continuous extension (HNW II.6).
-_DP_A = np.array([
-    [0.0] * 7,
-    [1 / 5] + [0.0] * 6,
-    [3 / 40, 9 / 40] + [0.0] * 5,
-    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656] + [0.0] * 2,
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
-                  701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423])
+def _tableau(width: int, *rows: dict) -> np.ndarray:
+    """Dense rows from {column: coefficient} dicts."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        out[i, list(row)] = list(row.values())
+    return out
+
+
+# DOP853: Hairer's dop853.f coefficients (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.10, after
+# Prince & Dormand 1981), each the nearest double.  Nodes c_i and stage rows a_ij: rows 1-11 are the stages,
+# row 12 the 8th-order weights b (at c = 1; its slope is the next step's first stage) and rows 13-15 the
+# extra stages of the 7th-order continuous extension.  Then the 5th-order error weights, the 3rd-order
+# weights bhh (taken off b, as dop853.f does) and the extension's four rows d.
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+               0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+               1.0, 1.0, 0.1, 0.2, 0.7777777777777778])
+_A = _tableau(
+    16, {},
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328, 5: -0.015319437748624402,
+     6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726, 5: 27.59209969944671,
+     6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843, 5: 21.230051448181193,
+     6: 15.279233632882423, 7: -33.28821096898486, 8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295, 5: -8.149787010746927,
+     6: -18.52006565999696, 7: 22.739487099350505, 8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625, 5: -17.9589318631188,
+     6: 27.94888452941996, 7: -2.8589982771350235, 8: -8.87285693353063, 9: 12.360567175794303,
+     10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003, 7: -5.801203960010585,
+     8: 0.3111643669578199, 9: -0.1521609496625161, 10: 0.20136540080403034, 11: 0.04471061572777259},
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025, 8: -0.12419142326381637,
+     9: 0.15329179827876568, 10: 0.00820105229563469, 11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566, 7: -0.05492374857139099,
+     10: -0.00010834732869724932, 11: 0.0003825710908356584, 12: -0.00034046500868740456,
+     13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599, 7: 4.06898981839711,
+     8: 0.3567271874552811, 12: -0.0013990241651590145, 13: 2.9475147891527724, 14: -9.15095847217987},
+)
+_E5 = _tableau(12, {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+                    7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+                    10: 0.08192320648511571, 11: -0.022355307863886294})[0]
+_E3 = _A[12, :12] - _tableau(12, {0: 0.2440944881889764, 8: 0.7338466882816118, 11: 0.022058823529411766})[0]
+_D = _tableau(
+    16,
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917, 7: 2.38466765651207,
+     8: 2.117034582445028, 9: -0.871391583777973, 10: 2.2404374302607883, 11: 0.6315787787694688,
+     12: -0.08899033645133331, 13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028, 7: -374.5467547226902,
+     8: -22.113666853125306, 9: 7.733432668472264, 10: -30.674084731089398, 11: -9.332130526430229,
+     12: 15.697238121770845, 13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758, 7: 527.8081592054236,
+     8: -11.57390253995963, 9: 6.8812326946963, 10: -1.0006050966910838, 11: 0.7777137798053443,
+     12: -2.778205752353508, 13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455, 7: 357.6391179106141,
+     8: 93.40532418362432, 9: -37.45832313645163, 10: 104.0996495089623, 11: 29.8402934266605,
+     12: -43.53345659001114, 13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+)
+# The stepper keeps K_0 in row 0 and K_j - K_0 in row j >= 1, so row i of _STAGES puts c_i on K_0.  Summed in
+# floats, a row's weights reach its node only to about 1e-15 (b's read 1 + 4.4e-16, an error r2d2 divides by
+# h^3); summed against K_0, a constant slope advances by exactly c_i h.  The error and extension weights sum to 0.
+_STAGES = np.column_stack([_C, _A[:, 1:]])
 
 
 def _scaled_max(v: np.ndarray, y: np.ndarray) -> float:
@@ -298,42 +354,53 @@ def _scaled_max(v: np.ndarray, y: np.ndarray) -> float:
 
 
 def _initial_step(f, y: np.ndarray, f0: np.ndarray, t: float) -> float:
-    """Starting step of HNW II.4 in the scaled max-norm; one extra flow evaluation."""
+    """Starting step of HNW II.4 for an 8th-order method in the scaled max-norm; one extra flow evaluation."""
     d0, d1 = _scaled_max(y, y), _scaled_max(f0, y)
     h0 = 0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6
     d2 = _scaled_max(f(y + math.copysign(h0, t) * f0) - f0, y) / h0
-    h1 = (0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 1e-15 else max(1e-6, 1e-3 * h0)
+    h1 = (0.01 / max(d1, d2)) ** 0.125 if max(d1, d2) > 1e-15 else max(1e-6, 1e-3 * h0)
     return math.copysign(min(100.0 * h0, h1, abs(t)), t)
 
 
-def _exit_time(chart: SurfaceChart, y0: np.ndarray, y1: np.ndarray, k: np.ndarray, t0: float, h: float) -> float:
-    """Bisect the step's continuous extension for the time it leaves the rectangle (y0 inside, y1 outside)."""
-    dy = y1 - y0
-    b = h * k[0] - dy
-    c = dy - h * k[6] - b
-    d = h * np.tensordot(_DP_D, k, axes=1)
+def _stage(f, y: np.ndarray, k: np.ndarray, h: float, i: int) -> np.ndarray:
+    """K_i - K_0 for row i of _STAGES, from K_0 and the differences in rows 1..i-1 of k."""
+    return f(y + h * (_STAGES[i, :i] @ k[:i].reshape(i, -1)).reshape(y.shape)) - k[0]
+
+
+def _exit_time(chart: SurfaceChart, f, y0: np.ndarray, y1: np.ndarray, k: np.ndarray, t0: float, h: float) -> float:
+    """Bisect the step's 7th-order continuous extension (HNW II.6) for the time it leaves the rectangle
+    (y0 inside, y1 outside); k holds K_0 and K_j - K_0 for j = 1..12, and three more evaluations fill 13-15."""
+    for i in range(13, 16):
+        k[i] = _stage(f, y0, k, h, i)
+    dy = (y1 - y0)[:2]
+    k0 = k[0, :2]
+    f1 = h * k0 - dy
+    f2 = 2.0 * dy - h * (2.0 * k0 + k[12, :2])
+    d3, d4, d5, d6 = h * np.tensordot(_D[:, 1:], k[1:, :2], axes=1)
     lo, hi = 0.0, 1.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        x, y = (y0 + mid * (dy + (1.0 - mid) * (b + mid * (c + (1.0 - mid) * d))))[:2]
+    while lo < (s := 0.5 * (lo + hi)) < hi:
+        r = 1.0 - s
+        x, y = y0[:2] + s * (dy + r * (f1 + s * (f2 + r * (d3 + s * (d4 + r * (d5 + s * d6))))))
         if chart.contains(x, y):
-            lo = mid
+            lo = s
         else:
-            hi = mid
+            hi = s
     return t0 + hi * h
 
 
-def _dormand_prince(chart: SurfaceChart, f, y: np.ndarray, t: float) -> np.ndarray:
-    """Adaptive Dormand-Prince 5(4) from 0 to t (backward for t < 0).
+def _dop853(chart: SurfaceChart, f, y: np.ndarray, t: float) -> np.ndarray:
+    """Adaptive DOP853 from 0 to t (backward for t < 0).
 
-    One step serves every launch angle: the local error estimate is taken
-    in the max-norm over all components and angles, scaled by
-    TOL (1 + max(|y|, |y_new|)), and an accepted step costs six flow
-    evaluations (the first stage is the last one of the step before).
+    One step serves every launch angle.  The 5th- and 3rd-order error
+    estimates e5 and e3 are each taken in the max-norm over all components
+    and angles, scaled by TOL (1 + max(|y|, |y_new|)), and combined as
+    |h| e5^2 / sqrt(e5^2 + 0.01 e3^2); a NaN estimate refuses the step.  An
+    accepted step costs twelve flow evaluations, a refused one eleven (the
+    first stage is the last slope of the step before).
     """
     if t == 0.0:
         return y
-    k = np.empty((7,) + y.shape)
-    flat = k.reshape(7, -1)
+    k = np.empty((16,) + y.shape)
     k[0] = f(y)
     h = _initial_step(f, y, k[0], t)
     t_now, fac_max = 0.0, 10.0
@@ -343,16 +410,22 @@ def _dormand_prince(chart: SurfaceChart, f, y: np.ndarray, t: float) -> np.ndarr
             h = t - t_now
         elif t_now + h == t_now:
             raise ValueError(f"step size underflow at t = {t_now!r}: the metric is not smooth along the geodesic")
-        for i in range(1, 7):
-            y_new = y + h * (_DP_A[i, :i] @ flat[:i]).reshape(y.shape)
-            k[i] = f(y_new)
-        err = _scaled_max(h * (_DP_E @ flat).reshape(y.shape), np.maximum(np.abs(y), np.abs(y_new)))
+        for i in range(1, 12):
+            k[i] = _stage(f, y, k, h, i)
+        flat = k[:12].reshape(12, -1)
+        y_new = y + h * (_STAGES[12, :12] @ flat).reshape(y.shape)
+        y_max = np.maximum(np.abs(y), np.abs(y_new)).reshape(-1)
+        e5, e3 = (_scaled_max(w[1:] @ flat[1:], y_max) for w in (_E5, _E3))
+        den = e5 * e5 + 0.01 * e3 * e3
+        err = abs(h) * e5 * e5 / math.sqrt(den) if den != 0.0 else 0.0  # a NaN estimate stays NaN: refused
         if err <= 1.0:
+            slope = f(y_new)
+            k[12] = slope - k[0]
             if not chart.contains(y_new[0], y_new[1]):
-                raise ChartExitError(_exit_time(chart, y, y_new, k, t_now, h))
-            y, k[0] = y_new, k[6]
+                raise ChartExitError(_exit_time(chart, f, y, y_new, k, t_now, h))
+            y, k[0] = y_new, slope
             t_now = t if last else t_now + h
-        fac = min(fac_max, max(0.2, 0.9 * max(err, 1e-10) ** -0.2)) if math.isfinite(err) else 0.2
+        fac = min(fac_max, max(0.2, 0.9 * max(err, 1e-10) ** -0.125)) if math.isfinite(err) else 0.2
         fac_max = 10.0 if err <= 1.0 else 1.0
         h *= fac
     return y
@@ -362,18 +435,20 @@ def _integrate_front(chart: SurfaceChart, p, thetas, t: float) -> np.ndarray:
     """Joint state (x, y, x', y', J, J') at time t, one column per launch angle.
 
     A straight chart takes one Euler step, exact there because the
-    Christoffel symbols and K vanish; other charts run DP5(4).
+    Christoffel symbols and K vanish; other charts run DOP853.
     """
     if not math.isfinite(t):
         raise ValueError(f"a geodesic needs a finite time, got {t}")
     state = _launch(chart, p, thetas)
     f = partial(_rhs, chart)
     if not chart.straight_geodesics:
-        return _dormand_prince(chart, f, state, t)
+        return _dop853(chart, f, state, t)
     slope = f(state)
     end = state + t * slope
     if not chart.contains(end[0], end[1]):
-        raise ChartExitError(_exit_time(chart, state, end, np.broadcast_to(slope, (7,) + state.shape), 0.0, t))
+        k = np.zeros((16,) + state.shape)
+        k[0] = slope
+        raise ChartExitError(_exit_time(chart, f, state, end, k, 0.0, t))
     return end
 
 

@@ -340,6 +340,119 @@ def rk4_front(chart, p, thetas, t: float, steps: int) -> np.ndarray:
     return state
 
 
+# Dormand & Prince (1980): stage rows (the last is the 5th-order solution,
+# whose slope is the next step's first stage), 5th- minus 4th-order weights,
+# and the weights of Hairer's 4th-order continuous extension (HNW II.6).
+_DP_A = np.array([
+    [0.0] * 7,
+    [1 / 5] + [0.0] * 6,
+    [3 / 40, 9 / 40] + [0.0] * 5,
+    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656] + [0.0] * 2,
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+                  701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423])
+
+
+def dp54_front(chart, p, thetas, t: float, tol: float = 1e-12) -> np.ndarray:
+    """Adaptive Dormand-Prince 5(4) on geomfront's own joint system, from 0 to t.
+
+    The integrator geomfront ran before DOP853, kept as the oracle of the
+    adaptive path: one step size for every launch angle, the local error in
+    the max-norm below tol (1 + max(|y|, |y_new|)), the starting step of
+    HNW II.4, and a ChartExitError whose time is bisected on Hairer's
+    4th-order continuous extension of the step that leaves the chart.
+    Returns the state (x, y, x', y', J, J') with one column per launch angle.
+    """
+    def scaled_max(v, y):
+        return float(np.max(np.abs(v) / (tol * (1.0 + np.abs(y)))))
+
+    def rhs(state):
+        return geomfront._rhs(chart, state)
+
+    y = geomfront._launch(chart, p, thetas)
+    if t == 0.0:
+        return y
+    k = np.empty((7,) + y.shape)
+    flat = k.reshape(7, -1)
+    k[0] = rhs(y)
+    d0, d1 = scaled_max(y, y), scaled_max(k[0], y)
+    h0 = 0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6
+    d2 = scaled_max(rhs(y + math.copysign(h0, t) * k[0]) - k[0], y) / h0
+    h1 = (0.01 / max(d1, d2)) ** 0.2 if max(d1, d2) > 1e-15 else max(1e-6, 1e-3 * h0)
+    h = math.copysign(min(100.0 * h0, h1, abs(t)), t)
+    t_now, fac_max = 0.0, 10.0
+    while t_now != t:
+        last = abs(h) >= abs(t - t_now)
+        if last:
+            h = t - t_now
+        elif t_now + h == t_now:
+            raise ValueError(f"step size underflow at t = {t_now!r}")
+        for i in range(1, 7):
+            y_new = y + h * (_DP_A[i, :i] @ flat[:i]).reshape(y.shape)
+            k[i] = rhs(y_new)
+        err = scaled_max(h * (_DP_E @ flat).reshape(y.shape), np.maximum(np.abs(y), np.abs(y_new)))
+        if err <= 1.0:
+            if not chart.contains(y_new[0], y_new[1]):
+                raise geomfront.ChartExitError(_dp54_exit_time(chart, y, y_new, k, t_now, h))
+            y, k[0] = y_new, k[6]
+            t_now = t if last else t_now + h
+        fac = min(fac_max, max(0.2, 0.9 * max(err, 1e-10) ** -0.2)) if math.isfinite(err) else 0.2
+        fac_max = 10.0 if err <= 1.0 else 1.0
+        h *= fac
+    return y
+
+
+def _dp54_exit_time(chart, y0, y1, k, t0: float, h: float) -> float:
+    """Bisect a DP5(4) step's continuous extension for the time it leaves the rectangle (y0 inside, y1 outside)."""
+    dy = y1 - y0
+    b = h * k[0] - dy
+    c = dy - h * k[6] - b
+    d = h * np.tensordot(_DP_D, k, axes=1)
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        x, y = (y0 + mid * (dy + (1.0 - mid) * (b + mid * (c + (1.0 - mid) * d))))[:2]
+        if chart.contains(x, y):
+            lo = mid
+        else:
+            hi = mid
+    return t0 + hi * h
+
+
+def tuple_keyed_source(trees, variables=("x", "y")) -> str:
+    """The source compile_trees generates, with each subtree looked up by the nested tuple itself.
+
+    The oracle of compile_trees' identity-then-flat-key lookup: a tuple key
+    hashes the whole subtree on every lookup, so it is quadratic in the
+    depth, but it names equal subtrees once by construction.
+    """
+    lines: list[str] = []
+    names: dict = {}
+
+    def ref(t) -> str:
+        if isinstance(t, float):
+            return f"({t!r})"
+        if isinstance(t, str):
+            return t
+        if t not in names:
+            args = [ref(a) for a in t[1:]]
+            if t[0] in ("+", "-", "*", "/", "^"):
+                expr = f"{args[0]} {'**' if t[0] == '^' else t[0]} {args[1]}"
+            elif t[0] == "neg":
+                expr = f"-{args[0]}"
+            else:
+                expr = f"{t[0]}({args[0]})"
+            names[t] = f"_t{len(names)}"
+            lines.append(f"    {names[t]} = {expr}\n")
+        return names[t]
+
+    outputs = ", ".join(ref(t) for t in trees)
+    return f"def _evaluate({', '.join(variables)}):\n{''.join(lines)}    return ({outputs},)\n"
+
+
 def exact_rank(matrix) -> int:
     """Rank of an integer matrix over the rationals, by exact elimination."""
     rows = [[Fraction(int(x)) for x in row] for row in np.asarray(matrix, dtype=int)]

@@ -642,6 +642,10 @@ class TestConfigAndErrors:
         (("wave", "--t-values", "1e-164", "--dt", "1e-165"), "dt=1e-165: 12 dt^2 = 0.0 is not a normal float"),
         (("bessel", "--n", "1", "--r", "1e200"),
          "ode_residual at n=1, r=1e+200: phi_5(r) = -0.000e+00 is below the normal doubles, or r^2 overflows"),
+        # past CPython's 200 nested parentheses; the message echoes the first 80 characters of the string
+        (("curvature", "--chart", "custom", "--g11", "2+" + "(" * 1000 + "x" + ")" * 1000, "--g12", "0", "--g22", "1",
+          "--h", "0.1"),
+         "cannot parse '2+" + "(" * 78 + "…': too many nested parentheses (<unknown>, line 1)"),
     ]
 
     @pytest.mark.parametrize("argv, message", LOUD, ids=[" ".join(argv) for argv, _ in LOUD])

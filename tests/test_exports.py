@@ -64,8 +64,9 @@ def test_spectral_domain_has_no_dense_laplacian():
 
 
 def test_geomfront_integrates_without_a_fixed_step_path():
-    # Fixed-step RK4 is the test oracle `_oracles.rk4_front`: no public geomfront function takes
-    # `steps`, and no module of the package defines `_rk4`.
+    # Fixed-step RK4 and the Dormand-Prince 5(4) pair are the test oracles `_oracles.rk4_front` and
+    # `_oracles.dp54_front`: no public geomfront function takes `steps`, no module of the package defines
+    # `_rk4` or `_dormand_prince`, and no module names a `_DP_` table.
     takers = [
         name for name in geomfront.__all__
         if inspect.isfunction(getattr(geomfront, name))
@@ -78,7 +79,14 @@ def test_geomfront_integrates_without_a_fixed_step_path():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.FunctionDef)
     }
-    assert "_rk4" not in defined
+    assert defined.isdisjoint({"_rk4", "_dormand_prince"})
+    tables = [
+        f"{path.name}:{node.id}"
+        for path in sorted(Path(besselwave.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id.startswith("_DP_")
+    ]
+    assert tables == []
 
 
 def test_each_chart_compiles_one_function():

@@ -4,13 +4,14 @@ import dataclasses
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
-from _oracles import fd_brioschi, fd_christoffel, float_jet, jet_rhs, rk4_front
-from besselwave import geomfront, verify
-from besselwave.exprgrammar import ExpressionError, Symbolic, compile_expression, parse_expression
+from _oracles import dp54_front, fd_brioschi, fd_christoffel, float_jet, jet_rhs, rk4_front, tuple_keyed_source
+from besselwave import exprgrammar, geomfront, verify
+from besselwave.exprgrammar import ExpressionError, Symbolic, compile_expression, compile_trees, parse_expression
 from besselwave.geomfront import (
     ChartDomainError,
     ChartExitError,
@@ -219,11 +220,28 @@ class TestAdaptiveIntegrator:
         with pytest.raises(ValueError, match="finite time"):
             geodesic(sphere_chart(), SPHERE_POINT, 0.3, t)
 
+    @pytest.mark.parametrize("build, p, t", [
+        (lambda: chart_from_expressions(LENS, "0", LENS, (-4, 4, -4, 4)), (0.3, 0.1), 2.0),
+        (sphere_chart, SPHERE_POINT, 0.8),
+        (hyperbolic_chart, HYPERBOLIC_POINT, 0.5),
+        (torus_chart, (0.5, 0.5), 0.7),
+    ], ids=["lens", "sphere", "hyperbolic", "torus"])
+    def test_matches_the_dp54_oracle(self, build, p, t):
+        # DOP853 at TOL and the Dormand-Prince 5(4) pair at 1e-12 each carry a global error near 1e-13 here
+        chart = build()
+        angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+        got, want = _integrate_front(chart, p, angles, t), dp54_front(chart, p, angles, t)
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-11
+
     def test_exit_time_on_dense_output(self):
-        # straight down the y axis, y(t) = exp(-t) meets the chart's edge y = 0.02 at t = ln 50
+        # straight down the y axis, y(t) = exp(-t) meets the chart's edge y = 0.02 at t = ln 50; the 7th-order
+        # extension and the oracle's 4th-order one both put the exit there to about 1e-12
         with pytest.raises(ChartExitError) as err:
             geodesic(hyperbolic_chart(), HYPERBOLIC_POINT, -math.pi / 2, 5.0)
-        assert abs(err.value.exit_time - math.log(50.0)) <= 1e-6
+        with pytest.raises(ChartExitError) as oracle:
+            dp54_front(hyperbolic_chart(), HYPERBOLIC_POINT, [-math.pi / 2], 5.0)
+        for exit_time in (err.value.exit_time, oracle.value.exit_time):
+            assert abs(exit_time - math.log(50.0)) <= 1e-10
 
     def test_jet_evaluations(self):
         # The integrator evaluates the chart's compiled fields, once per stage.
@@ -324,6 +342,46 @@ class TestAdaptiveIntegrator:
             chart = chart_from_expressions("1", "0.1*((x+0.3)*(x+0.1))^0.5", "1", (-1, 1, -1, 1))
             with pytest.raises(ValueError, match="step size"):
                 geodesic(chart, (0.5, 0.0), math.pi, 1.0)
+
+
+class TestDop853Tableau:
+    def test_order_conditions(self):
+        # the nodes are the row sums, the weights b integrate c^(k-1) exactly for k = 1..8, and the error and
+        # extension weights sum to 0; exact sums of the doubles, each coefficient rounded once
+        a, b, c = geomfront._A, geomfront._A[12, :12], geomfront._C
+        assert max(abs(math.fsum(row) - node) for row, node in zip(a, c)) <= 1e-14
+        for k in range(1, 9):
+            assert abs(math.fsum(b * c[:12] ** (k - 1)) - 1.0 / k) <= 1e-15, k
+        assert max(abs(math.fsum(w)) for w in (geomfront._E5, geomfront._E3, *geomfront._D)) <= 1e-13
+
+    def test_literals_equal_scipy_coefficients(self):
+        # scipy's DOP853 coefficients are a test oracle only; every literal is the same double
+        coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert np.array_equal(geomfront._C, coefficients.C)
+        assert np.array_equal(geomfront._A, coefficients.A)
+        assert np.array_equal(geomfront._A[12, :12], coefficients.B)
+        for ours, theirs in ((geomfront._E5, coefficients.E5), (geomfront._E3, coefficients.E3)):
+            assert np.array_equal(ours, theirs[:12]) and theirs[12] == 0.0
+        assert np.array_equal(geomfront._D, coefficients.D)
+
+    def test_eighth_order_convergence(self):
+        # fixed DOP853 steps through the library's stages: the sphere's front length 2 pi sin t, error ~ h^8
+        chart = sphere_chart()
+        angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+
+        def front_length(n):
+            y, h = geomfront._launch(chart, SPHERE_POINT, angles), 1.0 / n
+            k = np.empty((16,) + y.shape)
+            for _ in range(n):
+                k[0] = geomfront._rhs(chart, y)
+                for i in range(1, 12):
+                    k[i] = geomfront._stage(partial(geomfront._rhs, chart), y, k, h, i)
+                y = y + h * np.tensordot(geomfront._STAGES[12, :12], k[:12], axes=1)
+            return float(np.mean(np.abs(y[4])) * 2 * math.pi)
+
+        errors = [abs(front_length(n) - 2 * math.pi * math.sin(1.0)) for n in (1, 2, 4)]
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert all(7.6 < order < 8.6 for order in orders), orders
 
 
 class TestWaveFrontLength:
@@ -588,6 +646,22 @@ class TestChartConstruction:
         # 300 factors parse, but the chart's second derivatives nest about 600 deep
         with pytest.raises(ExpressionError, match="too deeply to compile"):
             chart_from_expressions("1+" + "*".join(["x"] * 300), "0", "1", (0.5, 0.6, 0.5, 0.6))
+
+    @pytest.mark.parametrize("build", [
+        sphere_chart, hyperbolic_chart, flat_chart, torus_chart,
+        lambda: chart_from_expressions(LENS, "0", LENS, (-12, 12, -12, 12)),
+        lambda: chart_from_expressions("2+" + "+".join(["0.001*x*y"] * 400), "0", "1", (-1, 1, -1, 1)),
+    ], ids=["sphere", "hyperbolic", "flat", "torus", "lens", "400-terms"])
+    def test_compiled_source_matches_the_tuple_keyed_oracle(self, monkeypatch, build):
+        # compile_trees looks a subtree up by identity, then by its operator and children's names; the
+        # generated source is the one a lookup by the nested tuple itself gives, byte for byte
+        sources, trees = [], []
+        monkeypatch.setattr(exprgrammar, "compile", lambda source, *rest: sources.append(source) or compile(source, *rest),
+                            raising=False)
+        monkeypatch.setattr(geomfront, "compile_trees", lambda t, v: trees.append((t, v)) or compile_trees(t, v))
+        build()
+        assert len(sources) == len(trees) == 1
+        assert sources[0] == tuple_keyed_source(*trees[0])
 
     @pytest.mark.parametrize("name", [v for v in geomfront._FLOW_ARGS if v not in ("x", "y")])
     def test_flow_variables_stay_out_of_the_grammar(self, name):
