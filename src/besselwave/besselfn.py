@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -68,8 +69,10 @@ class BesselDomainError(ValueError):
 
 
 def _check_n(n) -> int:
-    if not isinstance(n, (int,)) or isinstance(n, bool):
+    """n as an int, by operator.index (numpy integers pass); bools, fractional values and n < 1 raise."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
         raise BesselDomainError(f"dimension parameter must be an integer, got {n!r}")
+    n = operator.index(n)
     if n < 1:
         raise BesselDomainError(f"dimension parameter must be >= 1, got {n}")
     return n

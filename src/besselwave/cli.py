@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on a verification failure (with a JSON failure
 report on stdout), 2 on usage or configuration errors.  Every CSV starts
-with '#' comment lines naming the subcommand, its parameters and the seed,
-so identical invocations produce byte-identical output.
+with '#' comment lines, the first naming the subcommand and every flag it
+read, with defaults resolved, so identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -51,9 +52,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+_NOT_PARAMETERS = {"command", "func", "out", "plot", "config", "format"}  # the parser's own and where output goes
+
+
 def _table(args, comments: list[str], header: list[str], rows: list[list], plot=None) -> None:
-    """Write the CSV; with --plot, also the SVG of plot = (title, x_label, y_label, [(name, xs, ys), ...])."""
-    _emit(_csv(comments, header, rows), args.out)
+    """Write the CSV under the line naming the subcommand and each flag with a value, then the result `comments`.
+
+    With --plot, also the SVG of plot = (title, x_label, y_label, [(name, xs, ys), ...]).
+    """
+    flags = [f"{key.replace('_', '-')}={_fmt(value)}" for key, value in vars(args).items()
+             if key not in _NOT_PARAMETERS and value is not None]
+    _emit(_csv([" ".join([f"subcommand={args.command}"] + flags)] + comments, header, rows), args.out)
     if plot is not None and args.plot:
         title, x_label, y_label, series = plot
         path = args.out.rsplit(".", 1)[0] + ".svg" if args.out else f"besselwave_{args.command}.svg"
@@ -78,12 +87,8 @@ def _cmd_bessel(args) -> int:
         rows.append(
             [r, besselfn.phi(args.n, r), besselfn.psi(args.n, r), besselfn.phi_derivative(args.n, r), residual]
         )
-    comments = [
-        f"subcommand=bessel n={args.n} r={args.r} r_min={args.r_min} r_max={args.r_max} "
-        f"points={args.points} seed={args.seed}"
-    ]
     cols = list(zip(*rows))
-    _table(args, comments, ["r", "phi", "psi", "phi_derivative", "ode_residual"], rows,
+    _table(args, [], ["r", "phi", "psi", "phi_derivative", "ode_residual"], rows,
            (f"Bessel profile n={args.n}", "r", "value", [("phi", cols[0], cols[1]), ("psi", cols[0], cols[2])]))
     return 0
 
@@ -113,6 +118,8 @@ def _cmd_spectral(args) -> int:
         raise ValueError("--shift sets the translation and needs --symmetry translation")
     if args.wave_norm is not None and not args.wave_steps:
         raise ValueError("--wave-norm sets the orbit step and needs --wave-steps")
+    if args.seed is not None and not args.wave_steps:
+        raise ValueError("--seed seeds the orbit's random start and needs --wave-steps")
     shift = 1.0 / 3.0 if args.shift is None else args.shift
     wave_norm = 0.9 if args.wave_norm is None else args.wave_norm
     if args.wave_steps and not 0.0 < wave_norm < 1.0:
@@ -143,6 +150,7 @@ def _cmd_spectral(args) -> int:
         # |psi_n(x)| <= |x|, so h = wave_norm / max|lambda| keeps ||D_h|| <= wave_norm for
         # every q; a zero spectrum has D_h = 0 for every h.
         h = wave_norm / (float(domain.roots[0][-1]) or 1.0)
+        args.seed = 42 if args.seed is None else args.seed
         rng = np.random.default_rng(np.random.Philox(args.seed))
         orbit = verify.wave_map_orbit(domain, h, rng, args.wave_steps)
         payload["wave_orbit"] = {
@@ -160,9 +168,7 @@ def _cmd_spectral(args) -> int:
             for entry in payload["spectra"]
             for i, v in enumerate(entry["eigenvalues"])
         ]
-        comments = [
-            f"subcommand=spectral domain={args.domain} max-freq={args.max_freq} seed={args.seed}"
-        ]
+        comments = []
         if "betti" in payload:
             comments.append(f"betti t={args.t} by_degree={payload['betti']['by_degree']}")
         if "symmetry" in payload:
@@ -190,23 +196,20 @@ def _cmd_wave(args) -> int:
     f = domain.cochain(0, raw / np.linalg.norm(df))
     if args.kind == "classical":
         solution = waveforms.classical_wave(domain, domain.zero_cochain(1), domain.cochain(1, df / np.linalg.norm(df)))
-    elif args.kind == "velocity":
-        solution = waveforms.velocity_solution(domain, f, q=args.q)
     else:
-        solution = waveforms.position_solution(domain, f, q=args.q)
+        solve = waveforms.velocity_solution if args.kind == "velocity" else waveforms.position_solution
+        solution = solve(domain, f, q=args.q)
+        args.q = solution.q  # the domain's q unless --q overrides it
     t_values = [float(s) for s in args.t_values.split(",")]
-    dt = args.dt if args.dt is not None else waveforms.residual_step(solution)
+    if args.dt is None:
+        args.dt = waveforms.residual_step(solution)
     rows = []
     n_amp = min(domain.grading[solution.degree], args.amplitudes)
-    for t, residual, u in zip(t_values, waveforms.pde_residual(solution, t_values, dt), solution.at(t_values)):
+    for t, residual, u in zip(t_values, waveforms.pde_residual(solution, t_values, args.dt), solution.at(t_values)):
         rows.append([t, residual, u.norm()] + [float(a) for a in np.abs(u.coefficients[:n_amp])])
-    comments = [
-        f"subcommand=wave domain={args.domain} kind={args.kind} q={args.q} "
-        f"max-freq={args.max_freq} dt={dt} seed={args.seed}"
-    ]
     header = ["t", "residual", "norm"] + [f"amp_{i}" for i in range(n_amp)]
     cols = list(zip(*rows))
-    _table(args, comments, header, rows,
+    _table(args, [], header, rows,
            (f"{args.kind} solution, {args.domain}", "t", "norm", [("norm", cols[0], cols[2])]))
     return 0
 
@@ -217,11 +220,7 @@ def _cmd_pizzetti(args) -> int:
     rng = np.random.default_rng(np.random.Philox(args.seed))
     rows = verify.pizzetti_rows(rng, args.count, (1, 2, 3), args.degree)
     failures = sum((not ball) + (not sphere) for _, _, ball, sphere in rows)
-    comments = [
-        f"subcommand=pizzetti count={args.count} degree={args.degree} seed={args.seed}",
-        f"failures={failures}",
-    ]
-    _table(args, comments, ["index", "q", "poly_degree", "ball_exact", "sphere_exact"],
+    _table(args, [f"failures={failures}"], ["index", "q", "poly_degree", "ball_exact", "sphere_exact"],
            [[i, q, degree, int(ball), int(sphere)] for i, (q, degree, ball, sphere) in enumerate(rows)])
     return 0 if failures == 0 else 1
 
@@ -232,10 +231,7 @@ def _cmd_polarize(args) -> int:
     verified = huygens.polarization_reconstruct(exponents) == MultiPoly.monomial(len(exponents), exponents)
     n = sum(exponents)
     rows = [[sign] + list(coeffs) + [power] for sign, coeffs, power in terms]
-    comments = [
-        f"subcommand=polarize exponents={args.exponents} seed={args.seed}",
-        f"normalization=1/(n!*2^n) with n={n}; combination reproduces the monomial: {verified}",
-    ]
+    comments = [f"normalization=1/(n!*2^n) with n={n}; combination reproduces the monomial: {verified}"]
     header = ["sign"] + [f"a_{i}" for i in range(len(exponents))] + ["power"]
     _table(args, comments, header, rows)
     return 0 if verified else 1
@@ -253,9 +249,8 @@ def _cmd_probe(args) -> int:
         _emit(json.dumps({"status": "unresolved", "reason": result.reason,
                           "spectral_tail": result.spectral_tail}, indent=2) + "\n", args.out)
         return 1
+    args.grid = result.grid  # the grid that ran, doubled until it resolves the band
     comments = [
-        f"subcommand=huygens-probe q={args.q} max-freq={args.max_freq} sigma={args.sigma} "
-        f"t={args.t} w={args.w} grid={result.grid} seed={args.seed}",
         f"deformed_leakage={result.deformed_leakage!r} classical_leakage={result.classical_leakage!r}",
         f"spectral_tail={result.spectral_tail!r}",
     ]
@@ -275,11 +270,8 @@ def _cmd_curvature(args) -> int:
     hs = [args.h] if args.h is not None else [0.05 * (i + 1) for i in range(6)]
     rows = [[h, geomfront.r2d2_curvature(chart, point, h, args.ntheta),
              geomfront.puiseux_curvature(chart, point, h, args.ntheta)] for h in hs]
-    comments = [
-        f"subcommand=curvature chart={chart.name} point={point} ntheta={args.ntheta} seed={args.seed}"
-    ]
     cols = list(zip(*rows))
-    _table(args, comments, ["h", "r2d2", "puiseux"], rows,
+    _table(args, [], ["h", "r2d2", "puiseux"], rows,
            (f"curvature estimates on {chart.name}", "h", "K",
             [("r2d2", cols[0], cols[1]), ("puiseux", cols[0], cols[2])]))
     return 0
@@ -288,11 +280,7 @@ def _cmd_curvature(args) -> int:
 def _cmd_front(args) -> int:
     chart, point = _chart_point(args)
     front = geomfront.wavefront(chart, point, args.t, args.ntheta)
-    comments = [
-        f"subcommand=front chart={chart.name} point={point} t={args.t} "
-        f"ntheta={args.ntheta} seed={args.seed}",
-        f"front_length={front.length!r}",
-    ]
+    comments = [f"front_length={front.length!r}"]
     if args.oneform:
         sources = args.oneform.split(";")
         if len(sources) != 2:
@@ -322,26 +310,28 @@ def _cmd_verify_all(args) -> int:
 
 
 def _chart_point(args):
-    """The chart of --chart and the point of --point; the default point is the centre of the chart's rectangle."""
+    """The chart of --chart and the point of --point, with the default bounds and point written back to `args`.
+
+    The default point is the centre of the chart's rectangle; the hyperbolic one is unbounded above.
+    """
     if args.chart == "custom":
         if not (args.g11 and args.g12 is not None and args.g22):
             raise ValueError("custom charts need --g11, --g12, --g22 expressions")
-        bounds = tuple(float(s) for s in (args.bounds or "-2,2,-2,2").split(","))
-        chart = geomfront.chart_from_expressions(args.g11, args.g12, args.g22, bounds)
+        args.bounds = args.bounds or "-2,2,-2,2"
+        chart = geomfront.chart_from_expressions(args.g11, args.g12, args.g22, args.bounds.split(","))
     else:
         chart = geomfront.chart_by_name(args.chart)
         given = [f"--{name}" for name in ("g11", "g12", "g22", "bounds") if getattr(args, name) is not None]
         if given:
             raise ValueError(f"custom-chart flags {', '.join(given)} need --chart custom, got --chart {args.chart}")
-    if args.point:
-        point = tuple(float(s) for s in args.point.split(","))
-        if len(point) != 2:
-            raise ValueError(f"--point takes two numbers x,y, got {args.point!r}")
-        return chart, point
-    if chart.name == "hyperbolic":
-        return chart, (0.0, 1.0)  # its rectangle is unbounded above
-    x_min, x_max, y_min, y_max = chart.bounds
-    return chart, (0.5 * (x_min + x_max), 0.5 * (y_min + y_max))
+    if not args.point:
+        x_min, x_max, y_min, y_max = chart.bounds
+        centre = (0.0, 1.0) if chart.name == "hyperbolic" else (0.5 * (x_min + x_max), 0.5 * (y_min + y_max))
+        args.point = ",".join(_fmt(v) for v in centre)
+    point = tuple(float(s) for s in args.point.split(","))
+    if len(point) != 2:
+        raise ValueError(f"--point takes two numbers x,y, got {args.point!r}")
+    return chart, point
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
     config(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, plot=False):
+    def common(p, plot=False, seed=False):
         config(p)
-        p.add_argument("--seed", type=int, default=42)
+        if seed:
+            p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", help="output path (stdout when omitted)")
         if plot:
             p.add_argument("--plot", action="store_true", help="write an SVG next to --out")
@@ -399,10 +390,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=float, help="translation shift per axis (default 1/3); needs --symmetry translation")
     p.add_argument("--wave-steps", type=int, default=0)
     p.add_argument("--wave-norm", type=float, help="bound on ||D_h|| in (0, 1) (default 0.9); needs --wave-steps")
+    p.add_argument("--seed", type=int, help="seed of the orbit's random start (default 42); needs --wave-steps")
     p.set_defaults(func=_cmd_spectral)
 
     p = sub.add_parser("wave", help="solution snapshots and residual sweeps")
-    common(p, plot=True)
+    common(p, plot=True, seed=True)
     domain(p)
     p.add_argument("--kind", choices=("velocity", "position", "classical"), default="velocity")
     p.add_argument("--q", type=int, default=None, help="Bessel index override")
@@ -413,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_wave)
 
     p = sub.add_parser("pizzetti", help="random-polynomial averaging verification report")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--count", type=int, default=60)
     p.add_argument("--degree", type=int, default=8)
     p.set_defaults(func=_cmd_pizzetti)
@@ -449,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_front)
 
     p = sub.add_parser("verify-all", help="run every property suite, JSON pass/fail report")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--quick", action="store_true")
     p.set_defaults(func=_cmd_verify_all)
     return parser

@@ -159,11 +159,6 @@ class SpectralDomain:
     def zero_cochain(self, degree: int) -> Cochain:
         return Cochain(degree, np.zeros(self.grading[self.check_degree(degree)]))
 
-    def embed(self, c: Cochain) -> np.ndarray:
-        vec = np.zeros(self.total_dim)
-        vec[self.degree_slice(c.degree)] = c.coefficients
-        return vec
-
     @cached_property
     def roots(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """The distinct |lambda| = sqrt(mu) over every degree, ascending, and each degree's index into them; read-only."""

@@ -110,6 +110,8 @@ def pizzetti_constant(n: int, k: int) -> int:
     phi_n; the Laplacian-power averages use it with alternating signs
     absorbed, because the operator convention has L = -Delta.
     """
+    if n < 1 or k < 0:
+        raise ValueError(f"pizzetti_constant needs n >= 1 and k >= 0, got n={n}, k={k}")
     return math.prod(2 * j * (n - 2 + 2 * j) for j in range(1, k + 1))
 
 

@@ -216,10 +216,6 @@ class PolyKForm:
     def zero(cls, nvars: int, degree: int) -> "PolyKForm":
         return cls(nvars, degree)
 
-    @classmethod
-    def from_scalar(cls, poly: MultiPoly) -> "PolyKForm":
-        return cls(poly.nvars, 0, {(): poly})
-
     def component(self, key) -> MultiPoly:
         return self.components.get(tuple(key), MultiPoly.zero(self.nvars))
 

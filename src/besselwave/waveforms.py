@@ -27,6 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .domains import Cochain, SpectralDomain
+from .polyforms import _as_fraction
 from .specops import _profile
 
 __all__ = [
@@ -58,14 +59,14 @@ class LaurentPoly:
     def __init__(self, coeffs=None):
         clean = {}
         for power, coeff in (coeffs or {}).items():
-            coeff = Fraction(coeff)
+            coeff = _as_fraction(coeff)
             if coeff:
                 clean[int(power)] = coeff
         self.coeffs = clean
 
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "LaurentPoly":
-        return cls({power: Fraction(coeff)})
+        return cls({power: coeff})
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -80,7 +81,7 @@ class LaurentPoly:
         return LaurentPoly({p: -c for p, c in self.coeffs.items()})
 
     def scale(self, c) -> "LaurentPoly":
-        c = Fraction(c)
+        c = _as_fraction(c)
         return LaurentPoly({p: c * v for p, v in self.coeffs.items()})
 
     def derivative(self) -> "LaurentPoly":
@@ -130,7 +131,7 @@ def factorization_check(q: int, poly_coeffs) -> float:
     polynomial h given by its ascending coefficients.  The symbolic
     difference is identically zero, so the returned max is exactly 0.0.
     """
-    h = LaurentPoly({p: Fraction(c) for p, c in enumerate(poly_coeffs)})
+    h = LaurentPoly(dict(enumerate(poly_coeffs)))
     inner = h.derivative() - h.shift_power(-1)
     factored = inner.derivative() + inner.shift_power(-1).scale(q)
     direct = bessel_acceleration(h, q)

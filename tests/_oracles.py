@@ -47,6 +47,13 @@ def jacobi_eigh(matrix: np.ndarray, eps: float = 1e-13, max_sweeps: int = 60):
     return np.diag(a)[order], v[:, order]
 
 
+def embed(domain, c) -> np.ndarray:
+    """The cochain c zero-padded to a vector of the full graded space, as the dense Dirac matrix acts on it."""
+    vec = np.zeros(domain.total_dim)
+    vec[domain.degree_slice(c.degree)] = c.coefficients
+    return vec
+
+
 class DenseDiracOracle:
     """The functional calculus from the dense eigendecomposition of the N x N Dirac matrix.
 

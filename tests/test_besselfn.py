@@ -120,6 +120,15 @@ class TestPhi:
         with pytest.raises(BesselDomainError):
             phi(2.5, 1.0)
 
+    def test_numpy_integer_n_accepted_bool_refused(self):
+        # n is taken by operator.index, as velocity_solution's q and simplicial vertex ids are
+        assert phi(np.int64(3), 1.0) == phi(3, 1.0)
+        assert phi_array(np.int64(3), [1.0]).tolist() == phi_array(3, [1.0]).tolist()
+        assert series_coefficient(np.int32(4), 2) == series_coefficient(4, 2)
+        for n in (True, np.float64(3.0)):
+            with pytest.raises(BesselDomainError, match="must be an integer"):
+                phi(n, 1.0)
+
     def test_series_asymptotic_seam(self):
         # Exact series still converges a little past the switch; both
         # branches must agree there.

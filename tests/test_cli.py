@@ -51,7 +51,7 @@ class TestBessel:
         assert (tmp_path / "bessel.svg").exists()
         text = out_path.read_text()
         assert text.startswith("# subcommand=bessel")
-        assert "seed=" in text.splitlines()[0]
+        assert {"n=2", "points=12"} <= set(text.splitlines()[0].split())
         assert "np." not in text  # plain decimal floats only
         header, rows = csv_rows(text)
         assert all(len(row) == len(header) for row in rows)
@@ -306,8 +306,8 @@ class TestProbe:
         assert payload["status"] == "unresolved"
 
     @pytest.mark.parametrize("q, comment", [
-        (2, "# subcommand=huygens-probe q=2 max-freq=64 sigma=0.02 t=0.3 w=0.05 grid=256 seed=42"),
-        (3, "# subcommand=huygens-probe q=3 max-freq=24 sigma=0.035 t=0.3 w=0.1 grid=64 seed=42"),
+        (2, "# subcommand=huygens-probe q=2 max-freq=64 sigma=0.02 t=0.3 w=0.05 grid=256"),
+        (3, "# subcommand=huygens-probe q=3 max-freq=24 sigma=0.035 t=0.3 w=0.1 grid=64"),
     ])
     def test_defaults_per_q_run_resolved(self, capsys, q, comment):
         code, out, err = run_cli(capsys, "huygens-probe", "--q", str(q))
@@ -497,6 +497,54 @@ def test_dalembert_row_fails_on_rounded_roots(monkeypatch):
     monkeypatch.setattr(specops, "_profile", lambda n, t, radii: profile(n, t, np.round(radii, 12)))
     row = next(c for c in verify.suite_wave(42, True) if c.name == "dalembert_anchor")
     assert row.status == "fail" and 1e-14 < row.measured < 1e-12
+
+
+class TestHeader:
+    """The first comment line names the subcommand and every flag it read, spelled as on the command line."""
+
+    @staticmethod
+    def first_line(capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), err
+        return out.splitlines()[0].split()
+
+    def test_names_a_custom_chart_and_a_oneform(self, capsys):
+        words = self.first_line(capsys, "front", "--chart", "custom", "--g11", "exp(x)", "--g12", "0",
+                                "--g22", "1", "--bounds=-1,1,-1,1", "--t", "0.2", "--ntheta", "8",
+                                "--oneform=-y;x")
+        assert words[:2] == ["#", "subcommand=front"]
+        assert {"g11=exp(x)", "g12=0", "g22=1", "bounds=-1,1,-1,1", "oneform=-y;x"} <= set(words)
+        # a different metric gives a different header
+        other = self.first_line(capsys, "front", "--chart", "custom", "--g11", "exp(2*x)", "--g12", "0",
+                                "--g22", "1", "--bounds=-1,1,-1,1", "--t", "0.2", "--ntheta", "8")
+        assert "g11=exp(2*x)" in other and other != words
+
+    def test_names_the_defaults_that_ran(self, capsys):
+        assert {"chart=custom", "bounds=-2,2,-2,2", "point=0.0,0.0"} <= set(self.first_line(
+            capsys, "curvature", "--chart", "custom", "--g11", "1", "--g12", "0", "--g22", "1", "--h", "0.1"))
+        assert "point=0.0,1.0" in self.first_line(capsys, "curvature", "--chart", "hyperbolic", "--h", "0.1")
+        assert "q=2" in self.first_line(capsys, "wave", "--kind", "position", "--domain", "torus2",
+                                        "--max-freq", "1", "--t-values", "0.5")
+
+    def test_names_the_spectral_flags(self, capsys, tmp_path):
+        words = self.first_line(capsys, "spectral", "--domain", "torus2", "--max-freq", "1", "--t", "0.3",
+                                "--tol", "1e-6", "--symmetry", "translation", "--shift", "0.2",
+                                "--wave-steps", "3", "--wave-norm", "0.5")
+        assert {"shift=0.2", "tol=1e-06", "wave-norm=0.5", "seed=42"} <= set(words)
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"simplices": [[0], [1], [2], [0, 1], [1, 2], [0, 2]]}))
+        words = self.first_line(capsys, "spectral", "--domain", "simplicial", "--complex", str(path))
+        assert f"complex={path}" in words and not any(w.startswith("seed=") for w in words)
+
+    @pytest.mark.parametrize("argv", [("bessel", "--r", "1"), ("polarize",), ("huygens-probe",),
+                                      ("curvature", "--h", "0.1"), ("front",)], ids=lambda argv: argv[0])
+    def test_seed_where_none_is_read_exit_2(self, capsys, argv):
+        assert run_cli(capsys, *argv, "--seed", "1")[:2] == (2, "")
+
+    def test_spectral_seed_needs_wave_steps(self, capsys):
+        code, out, err = run_cli(capsys, "spectral", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "--seed" in err and "--wave-steps" in err
 
 
 class TestConfigAndErrors:

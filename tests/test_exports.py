@@ -10,6 +10,7 @@ from pathlib import Path
 import besselwave
 from besselwave import besselfn, cli, domains, geomfront, specops, waveforms
 from besselwave.domains import SpectralDomain
+from besselwave.polyforms import PolyKForm
 
 MODULES = [importlib.import_module(f"besselwave.{m.name}") for m in pkgutil.iter_modules(besselwave.__path__)]
 
@@ -107,6 +108,17 @@ def test_cli_plots_through_one_writer_and_measures_through_verify():
     names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None) for n in nodes}
     assert len(charts) == 1
     assert names.isdisjoint({"discrete_wave_orbit", "random_multipoly"})
+
+
+def test_cli_writes_the_header_line_in_one_place():
+    # `_table` writes each CSV's first comment line from the parsed flags; no subcommand restates it.
+    assert Path(cli.__file__).read_text(encoding="utf-8").count("subcommand=") == 1
+
+
+def test_test_only_helpers_live_in_the_tests():
+    # Zero-padding a cochain to the full graded vector and wrapping a scalar as a 0-form are test oracles.
+    assert not hasattr(SpectralDomain, "embed")
+    assert not hasattr(PolyKForm, "from_scalar")
 
 
 def _references(path: Path):

@@ -124,6 +124,12 @@ class TestPizzetti:
                 sign = (-1) ** k
                 assert besselfn.series_coefficient(n, k) == Fraction(sign, pizzetti_constant(n, k))
 
+    @pytest.mark.parametrize("n, k", [(3, -1), (0, 1), (0, 0), (-2, 2)])
+    def test_constants_outside_the_series_refused(self, n, k):
+        # series_coefficient refuses the same indices; an empty or zero product is no constant
+        with pytest.raises(ValueError):
+            pizzetti_constant(n, k)
+
 
 class TestFluxCorollary:
     def test_constant_curl_case(self):

@@ -117,7 +117,7 @@ class TestPolyKForm:
             form.exterior_derivative()
 
     def test_zero_form_interior_rejected(self):
-        form = PolyKForm.from_scalar(x_(2, 0))
+        form = PolyKForm(2, 0, {(): x_(2, 0)})
         with pytest.raises(ValueError):
             form.interior_product((1, 0))
 

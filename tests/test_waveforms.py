@@ -23,7 +23,7 @@ from besselwave.waveforms import (
     velocity_solution,
 )
 
-from _oracles import dalembert_shift_coefficients
+from _oracles import dalembert_shift_coefficients, embed
 
 # Frozen: sup over t in [50, 100] of the k=1 mode solution norm times
 # t^((q-1)/2); the initial rate df carries the 2 pi mode factor.
@@ -65,7 +65,7 @@ class TestClassical:
         def energy(t, dt=1e-6):
             u = sol.at(t).coefficients
             ut = (sol.at(t + dt).coefficients - sol.at(t - dt).coefficients) / (2 * dt)
-            full = circle4.embed(circle4.cochain(0, u))
+            full = embed(circle4, circle4.cochain(0, u))
             return float(ut @ ut + full @ (lap @ full))
 
         values = [energy(t) for t in np.linspace(0.2, 3.0, 7)]
@@ -353,6 +353,14 @@ class TestExactAccelerations:
         for q in (1, 2, 5):
             out = radial_acceleration(LaurentPoly({2: 1}), q)
             assert out == LaurentPoly({0: Fraction(2 * q)})
+
+    def test_coefficients_are_exact(self):
+        # a float coefficient is refused, as MultiPoly refuses it, not stored as its binary expansion
+        for build in (lambda: LaurentPoly({0: 0.1}), lambda: LaurentPoly.monomial(2, 0.5),
+                      lambda: LaurentPoly({1: 1}).scale(0.5)):
+            with pytest.raises(TypeError, match="exact rational"):
+                build()
+        assert LaurentPoly({0: 1, 1: Fraction(1, 10)}).scale(2) == LaurentPoly({0: 2, 1: Fraction(1, 5)})
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
