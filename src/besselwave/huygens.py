@@ -78,19 +78,15 @@ def sphere_moment_ratio(q: int, alpha) -> Fraction:
 
 
 def _average_poly(g: MultiPoly, q: int, ball: bool) -> MultiPoly:
-    """Average of g over the radius-t ball or sphere, a polynomial in t."""
+    """Average of g over the radius-t ball or sphere, a polynomial in t, one integer sum per total degree s."""
     if g.nvars != q:
         raise ValueError("polynomial variable count must equal q")
-    out: dict[tuple[int], Fraction] = {}
-    for expo, coeff in g.terms.items():
-        ratio = sphere_moment_ratio(q, expo)
-        if not ratio:
-            continue
-        total = sum(expo)
-        if ball:
-            ratio *= Fraction(q, total + q)
-        out[(total,)] = out.get((total,), Fraction(0)) + coeff * ratio
-    return MultiPoly(1, out)
+    sums = Counter()
+    for expo, num in g.nums.items():
+        if not any(a % 2 for a in expo):
+            sums[sum(expo)] += num * math.prod(math.prod(range(1, a, 2)) for a in expo)
+    lo = q + 2 if ball else q  # the sphere's denominator q (q+2)...(q+s-2); the ball's q/(q+s) makes it (q+2)...(q+s)
+    return MultiPoly(1, {(s,): Fraction(num, g.den * math.prod(range(lo, lo + s, 2))) for s, num in sums.items()})
 
 
 def ball_average_exact(g: MultiPoly, q: int) -> MultiPoly:
@@ -158,12 +154,14 @@ def flux_average_exact(f: PolyKForm, q: int) -> MultiPoly:
     """
     if f.nvars != q or f.degree != q - 1:
         raise ValueError("flux average needs a (q-1)-form on R^q")
-    radial: dict[tuple[int, ...], Fraction] = {}
-    for i in range(q):
-        for expo, c in f.component(tuple(a for a in range(q) if a != i)).terms.items():
+    comps = [f.component(tuple(a for a in range(q) if a != i)) for i in range(q)]
+    den = math.lcm(*(p.den for p in comps))
+    radial: dict[tuple[int, ...], int] = {}
+    for i, p in enumerate(comps):
+        for expo, c in p.nums.items():
             key = expo[:i] + (expo[i] + 1,) + expo[i + 1 :]
-            radial[key] = radial.get(key, Fraction(0)) + (-c if i % 2 else c)
-    average = sphere_average_exact(MultiPoly(q, radial), q)
+            radial[key] = radial.get(key, 0) + (-c if i % 2 else c) * (den // p.den)
+    average = sphere_average_exact(MultiPoly._of(q, radial, den), q)
     return MultiPoly(1, {(e - 1,): c for (e,), c in average.terms.items()})
 
 
@@ -173,7 +171,7 @@ def flux_corollary_check(f: PolyKForm, q: int) -> float:
     lhs = MultiPoly(1, {(1,): Fraction(1)}) * pizzetti_ball(div, q)
     rhs = flux_average_exact(f, q) * q
     diff = lhs - rhs
-    return max((abs(float(c)) for c in diff.terms.values()), default=0.0)
+    return max(map(abs, diff.nums.values()), default=0) / diff.den
 
 
 # ---------------------------------------------------------------------------

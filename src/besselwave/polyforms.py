@@ -1,12 +1,16 @@
 """Exact multivariate polynomials and polynomial differential k-forms.
 
-Coefficients are Fractions throughout; every operation (sum, product,
-derivative, exterior derivative, interior product, Lie derivative) is
-exact, so identities can be asserted with zero tolerance.
+A polynomial holds integer numerators over one positive denominator, in
+lowest terms; every operation (sum, product, derivative, exterior
+derivative, interior product, Lie derivative) runs on integers and is exact,
+so identities can be asserted with zero tolerance.  Coefficients are read
+as Fractions.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,43 +21,64 @@ RANDOM_DENSITY = 0.4
 RANDOM_MAX_ABS = 9
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+def _ratio(c) -> tuple[int, int]:
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator
     raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
 
 
-class MultiPoly:
-    """Polynomial in nvars variables, exponent tuple -> Fraction coefficient.
+def _as_fraction(c) -> Fraction:
+    return c if isinstance(c, Fraction) else Fraction(*_ratio(c))
 
-    Zero coefficients are never stored, so equality is term-by-term.
+
+def _index(v, what: str, stop: int | None = None) -> int:
+    """v as an int, by operator.index (numpy integers pass); bools, fractional values and v outside [0, stop) raise."""
+    if type(v) is not int:
+        if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+            raise ValueError(f"{what} must be an integer, got {v!r}")
+        v = operator.index(v)
+    if stop is not None and not 0 <= v < stop:
+        raise ValueError(f"{what} {v} out of range for {stop} variables")
+    return v
+
+
+class MultiPoly:
+    """Polynomial in nvars variables: exponent tuple -> integer numerator, all over one denominator den > 0.
+
+    Zero numerators are never stored and gcd(den, *nums) == 1 (den == 1 for 0),
+    so equality is term-by-term; terms gives the Fraction coefficients.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "nums", "den")
 
     def __init__(self, nvars: int, terms=None):
+        nvars = _index(nvars, "variable count")
         if nvars < 1:
             raise ValueError("nvars must be >= 1")
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        ratios = {}
         for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(_index(e, "exponent") for e in expo)
             if len(expo) != nvars or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent {expo} for {nvars} variables")
-            coeff = _as_fraction(coeff)
-            if coeff:
-                clean[expo] = coeff
-        self.terms = clean
+            num, den = _ratio(coeff)
+            if num:
+                ratios[expo] = num, den
+        # each ratio is in lowest terms, so over the lcm of their denominators the numerators stay in lowest terms
+        self.nvars, self.den = nvars, math.lcm(*(den for _, den in ratios.values()))
+        self.nums = {expo: num * (self.den // den) for expo, (num, den) in ratios.items()}
 
     @classmethod
-    def _of(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """A result built from well-formed terms: only the zero coefficients are dropped."""
+    def _of(cls, nvars: int, nums: dict, den: int) -> "MultiPoly":
+        """A result from well-formed numerators over den > 0: zeros dropped, then one gcd pass."""
+        nums = {e: c for e, c in nums.items() if c}
+        g = math.gcd(den, *nums.values())
         out = cls.__new__(cls)
-        out.nvars = nvars
-        out.terms = {e: c for e, c in terms.items() if c}
+        out.nvars, out.den, out.nums = nvars, den // g, {e: c // g for e, c in nums.items()} if g > 1 else nums
         return out
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -63,17 +88,17 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def monomial(cls, nvars: int, expo, c=1) -> "MultiPoly":
-        return cls(nvars, {tuple(expo): _as_fraction(c)})
+        return cls(nvars, {tuple(expo): c})
 
     @classmethod
     def variable(cls, nvars: int, axis: int) -> "MultiPoly":
         expo = [0] * nvars
-        expo[axis] = 1
-        return cls(nvars, {tuple(expo): Fraction(1)})
+        expo[_index(axis, "axis", nvars)] = 1
+        return cls(nvars, {tuple(expo): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -86,15 +111,17 @@ class MultiPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, Fraction(0)) + coeff
-        return MultiPoly._of(self.nvars, out)
+        den = math.lcm(self.den, other.den)
+        mine, theirs = den // self.den, den // other.den
+        out = {e: c * mine for e, c in self.nums.items()}
+        for e, c in other.nums.items():
+            out[e] = out.get(e, 0) + c * theirs
+        return MultiPoly._of(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -104,19 +131,20 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = _as_fraction(other)
-            return MultiPoly._of(self.nvars, {e: c * v for e, v in self.terms.items()})
+            num, den = _ratio(other)
+            return MultiPoly._of(self.nvars, {e: c * num for e, c in self.nums.items()}, self.den * den)
         other = self._coerce(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly._of(self.nvars, out)
+                out[key] = out.get(key, 0) + c1 * c2
+        return MultiPoly._of(self.nvars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        k = _index(k, "power")
         if k < 0:
             raise ValueError("negative power")
         result = MultiPoly.constant(self.nvars, 1)
@@ -131,54 +159,52 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
-        return isinstance(other, MultiPoly) and self.nvars == other.nvars and self.terms == other.terms
+        return (isinstance(other, MultiPoly)
+                and (self.nvars, self.den, self.nums) == (other.nvars, other.den, other.nums))
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
+        if self.nums.keys() <= {(0,) * self.nvars}:  # a constant equals its value, so it hashes as that Fraction
+            return hash(self.value_at_origin())
+        return hash((self.nvars, self.den, tuple(sorted(self.nums.items()))))
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, axis: int) -> "MultiPoly":
+        axis = _index(axis, "axis", self.nvars)
         out = {}
-        for expo, coeff in self.terms.items():
+        for expo, c in self.nums.items():
             e = expo[axis]
-            if e:
-                key = expo[:axis] + (e - 1,) + expo[axis + 1 :]
-                out[key] = out.get(key, Fraction(0)) + coeff * e
-        return MultiPoly._of(self.nvars, out)
+            if e:  # distinct exponents stay distinct
+                out[expo[:axis] + (e - 1,) + expo[axis + 1 :]] = c * e
+        return MultiPoly._of(self.nvars, out, self.den)
 
     def laplacian(self) -> "MultiPoly":
         """Sum over axes a of e_a (e_a - 1) x^(e - 2 1_a), in one pass over the terms."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for expo, coeff in self.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for expo, c in self.nums.items():
             for axis, e in enumerate(expo):
                 if e > 1:
                     key = expo[:axis] + (e - 2,) + expo[axis + 1 :]
-                    out[key] = out.get(key, Fraction(0)) + coeff * (e * (e - 1))
-        return MultiPoly._of(self.nvars, out)
+                    out[key] = out.get(key, 0) + c * (e * (e - 1))
+        return MultiPoly._of(self.nvars, out, self.den)
 
     def evaluate(self, point) -> Fraction:
         point = [_as_fraction(p) for p in point]
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            v = coeff
-            for p, e in zip(point, expo):
-                v *= p**e
-            total += v
-        return total
+        total = sum((c * math.prod(p**e for p, e in zip(point, expo)) for expo, c in self.nums.items()), Fraction(0))
+        return total / self.den
 
     def value_at_origin(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.nums.get((0,) * self.nvars, 0), self.den)
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.nums), default=0)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "MultiPoly(0)"
         bits = []
         for expo, coeff in sorted(self.terms.items()):
@@ -199,11 +225,9 @@ class PolyKForm:
         self.degree = degree
         clean: dict[tuple[int, ...], MultiPoly] = {}
         for key, poly in (components or {}).items():
-            key = tuple(int(a) for a in key)
+            key = tuple(_index(a, "component axis", nvars) for a in key)
             if len(key) != degree or list(key) != sorted(set(key)):
                 raise ValueError(f"component key {key} must be a strictly increasing {degree}-subset")
-            if any(a < 0 or a >= nvars for a in key):
-                raise ValueError(f"component key {key} out of range")
             if not isinstance(poly, MultiPoly):
                 poly = MultiPoly.constant(nvars, poly)
             if poly.nvars != nvars:
@@ -310,16 +334,15 @@ def random_multipoly(rng, nvars: int, degree: int) -> MultiPoly:
     """Random polynomial with small rational coefficients, for property tests."""
     if degree < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {degree}")
-    terms = {}
+    ratios = {}
     for expo in _exponents_up_to(nvars, degree):
         if rng.random() < RANDOM_DENSITY:
             num = int(rng.integers(-RANDOM_MAX_ABS, RANDOM_MAX_ABS + 1))
             den = int(rng.integers(1, RANDOM_MAX_ABS + 1))
             if num:
-                terms[expo] = Fraction(num, den)
-    if not terms:
-        terms[(0,) * nvars] = Fraction(1)
-    return MultiPoly(nvars, terms)
+                ratios[expo] = num, den
+    den = math.lcm(*(d for _, d in ratios.values()))
+    return MultiPoly._of(nvars, {e: n * (den // d) for e, (n, d) in ratios.items()} or {(0,) * nvars: 1}, den)
 
 
 def random_kform(rng, nvars: int, degree: int, poly_degree: int) -> PolyKForm:

@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .domains import Cochain, SpectralDomain
-from .polyforms import _as_fraction
+from .polyforms import _as_fraction, _index
 from .specops import _profile
 
 __all__ = [
@@ -59,9 +59,9 @@ class LaurentPoly:
     def __init__(self, coeffs=None):
         clean = {}
         for power, coeff in (coeffs or {}).items():
-            coeff = _as_fraction(coeff)
+            power, coeff = _index(power, "power"), _as_fraction(coeff)
             if coeff:
-                clean[int(power)] = coeff
+                clean[power] = coeff
         self.coeffs = clean
 
     @classmethod

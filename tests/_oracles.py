@@ -632,3 +632,131 @@ def locality_probe_full_grid(q: int, max_freq: int, sigma: float, t: float, annu
         leakages.append(float(density[interior].sum() / total))
         profiles.append(np.histogram(radius, bins=edges, weights=density)[0] / total)
     return leakages[0], leakages[1], 0.5 * (edges[:-1] + edges[1:]), profiles[0], profiles[1]
+
+
+class FractionMultiPoly:
+    """The Fraction-per-term polynomial: exponent tuple -> Fraction, zero coefficients never stored.
+
+    The slow path of polyforms.MultiPoly, which holds integer numerators over one
+    denominator; every operation here builds and normalises one Fraction per term.
+    """
+
+    def __init__(self, nvars: int, terms=None):
+        self.nvars = nvars
+        self.terms = {tuple(e): Fraction(c) for e, c in (terms or {}).items() if c}
+
+    def _coerce(self, other):
+        if isinstance(other, FractionMultiPoly):
+            if other.nvars != self.nvars:
+                raise ValueError("variable-count mismatch")
+            return other
+        return FractionMultiPoly(self.nvars, {(0,) * self.nvars: Fraction(other)})
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for expo, coeff in other.terms.items():
+            out[expo] = out.get(expo, Fraction(0)) + coeff
+        return FractionMultiPoly(self.nvars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionMultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + self._coerce(other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionMultiPoly):
+            return FractionMultiPoly(self.nvars, {e: Fraction(other) * v for e, v in self.terms.items()})
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        return FractionMultiPoly(self.nvars, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        result = FractionMultiPoly(self.nvars, {(0,) * self.nvars: 1})
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def diff(self, axis: int):
+        out = {}
+        for expo, coeff in self.terms.items():
+            if expo[axis]:
+                key = expo[:axis] + (expo[axis] - 1,) + expo[axis + 1 :]
+                out[key] = out.get(key, Fraction(0)) + coeff * expo[axis]
+        return FractionMultiPoly(self.nvars, out)
+
+    def laplacian(self):
+        out = FractionMultiPoly(self.nvars)
+        for axis in range(self.nvars):
+            out = out + self.diff(axis).diff(axis)
+        return out
+
+    def evaluate(self, point) -> Fraction:
+        total = Fraction(0)
+        for expo, coeff in self.terms.items():
+            v = coeff
+            for p, e in zip(point, expo):
+                v *= Fraction(p) ** e
+            total += v
+        return total
+
+    def value_at_origin(self) -> Fraction:
+        return self.terms.get((0,) * self.nvars, Fraction(0))
+
+    def degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
+
+    def __repr__(self):
+        if not self.terms:
+            return "MultiPoly(0)"
+        bits = []
+        for expo, coeff in sorted(self.terms.items()):
+            mono = "*".join(f"x{i}^{e}" for i, e in enumerate(expo) if e)
+            bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
+        return "MultiPoly(" + " + ".join(bits) + ")"
+
+
+def _nonzero(components: dict) -> dict:
+    return {key: poly for key, poly in components.items() if poly.terms}
+
+
+def kform_d_oracle(nvars: int, components: dict) -> dict:
+    """(dF)_J = sum over a in J of (-1)^(position of a in J) d_a F_(J without a), on FractionMultiPoly components."""
+    out = {}
+    for key, poly in components.items():
+        for axis in set(range(nvars)) - set(key):
+            new_key = tuple(sorted(key + (axis,)))
+            out[new_key] = out.get(new_key, FractionMultiPoly(nvars)) + poly.diff(axis) * (-1) ** new_key.index(axis)
+    return _nonzero(out)
+
+
+def kform_interior_oracle(nvars: int, components: dict, x_field) -> dict:
+    """(i_X F)_K = sum over a in the key of F of (-1)^(position of a) X_a F_key, with K the key without a."""
+    out = {}
+    for key, poly in components.items():
+        for pos, axis in enumerate(key):
+            new_key = key[:pos] + key[pos + 1 :]
+            out[new_key] = out.get(new_key, FractionMultiPoly(nvars)) + poly * (Fraction(x_field[axis]) * (-1) ** pos)
+    return _nonzero(out)
+
+
+def kform_lie_oracle(nvars: int, components: dict, x_field) -> dict:
+    """L_X F for a constant field X, component by component: sum_j X_j d_j F_I (no Cartan formula)."""
+    out = {}
+    for key, poly in components.items():
+        acc = FractionMultiPoly(nvars)
+        for j in range(nvars):
+            acc = acc + poly.diff(j) * x_field[j]
+        out[key] = acc
+    return _nonzero(out)

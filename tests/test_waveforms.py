@@ -362,6 +362,14 @@ class TestExactAccelerations:
                 build()
         assert LaurentPoly({0: 1, 1: Fraction(1, 10)}).scale(2) == LaurentPoly({0: 2, 1: Fraction(1, 5)})
 
+    @pytest.mark.parametrize("build", [lambda: LaurentPoly({1.5: 1}), lambda: LaurentPoly({True: 1}),
+                                       lambda: LaurentPoly.monomial(0.5), lambda: LaurentPoly({1: 1}).shift_power(0.5)])
+    def test_powers_are_integers(self, build):
+        # a fractional power is refused, not truncated to the integer below it
+        with pytest.raises(ValueError, match="power must be an integer"):
+            build()
+        assert LaurentPoly({np.int64(-2): 1}).shift_power(np.int64(3)) == LaurentPoly.monomial(1)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             monomial_source_solution(0, 1)
